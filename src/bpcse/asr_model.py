@@ -1,5 +1,10 @@
 """Broad-class recognizer: BLSTM encoder, CTC head, attention decoder.
 
+Each direction of each encoder layer is a single ``diffcore.lstm_sequence``
+graph node with a hand-written BPTT backward, so the encoder adds a handful
+of nodes per layer to the graph whatever the utterance length; the attention
+decoder still steps ``diffcore.lstm_cell`` once per output label.
+
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
 mode. The CTC loss is a custom graph op: forward alpha recursion in log
@@ -174,8 +179,7 @@ class AsrModel:
         if meta.get("kind") != "asr":
             raise ValueError(f"{path}: not an ASR checkpoint (kind={meta.get('kind')!r})")
         model = cls(AsrConfig(**meta["config"]))
-        for name, arr in arrays.items():
-            model.params[name].data[:] = arr
+        dc.restore_params(path, model.params, arrays)
         return model
 
 

@@ -5,9 +5,11 @@ Ops build a DAG; ``backward()`` walks it in reverse topological order. Every
 op output is checked for NaN/Inf and trips a :class:`GraphError` immediately,
 which keeps training failures local to the op that produced them.
 
-Also here: LSTM/BLSTM built from the primitives, the Adam optimizer with
-frozen-parameter support, checkpoint serialization, and the central
-finite-difference gradient checker the test suite leans on.
+Also here: a single LSTM step (:func:`lstm_cell`) built from the primitives;
+a whole-sequence LSTM (:func:`lstm_sequence`) and the BLSTM layer on top of it,
+each direction one graph node with a hand-written BPTT backward; the Adam
+optimizer with frozen-parameter support; strict checkpoint serialization; and
+the central finite-difference gradient checker the test suite leans on.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ class GraphError(ValueError):
 
 
 def _finite_or_raise(arr, op):
-    # a single sum is much cheaper than isfinite().all(); NaN/Inf both poison it
-    if not np.isfinite(arr.sum()):
+    # a single sum is much cheaper than isfinite().all(); NaN/Inf both poison it,
+    # but large finite values can overflow it, so a non-finite sum is confirmed
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if not np.isfinite(total) and not np.isfinite(arr).all():
         raise GraphError(f"non-finite values produced by op {op!r}")
 
 
@@ -54,7 +59,8 @@ class Tensor:
             if self.data.size != 1:
                 raise GraphError(f"backward() needs a scalar output, got shape {self.shape}")
             seed = np.ones_like(self.data)
-        # iterative topological sort; LSTM graphs are deep enough to overflow recursion
+        # iterative topological sort, so graph depth is not bounded by the recursion limit.
+        # Interior grads are reset so that a repeated backward() accumulates into leaves only.
         topo, visited, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -64,6 +70,8 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._backward is not None:
+                node.grad = None
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
@@ -449,38 +457,6 @@ def conv1d(x, w, b=None, pad=0):
     return _node(data, parents, backward, "conv1d")
 
 
-def conv2d(x, w, b=None, pad=0):
-    """2-D convolution: x (Cin, H, W), w (Cout, Cin, KH, KW)."""
-    x, w = _lift(x), _lift(w)
-    cin, h, wd = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ValueError(f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"conv2d input too small: {x.shape} for kernel ({kh},{kw})")
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (cin, ho, wo, kh, kw)
-    data = np.tensordot(w.data, view, axes=([1, 2, 3], [0, 3, 4]))  # (cout, ho, wo)
-    parents = [x, w]
-    if b is not None:
-        b = _lift(b)
-        data = data + b.data[:, None, None]
-        parents.append(b)
-
-    def backward(g):
-        _accum(w, np.tensordot(g, view, axes=([1, 2], [1, 2])))
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i : i + ho, j : j + wo] += np.tensordot(w.data[:, :, i, j], g, axes=([0], [0]))
-        _accum(x, gxp[:, pad : pad + h, pad : pad + wd] if pad else gxp)
-        if b is not None:
-            _accum(b, g.sum(axis=(1, 2)))
-
-    return _node(data, parents, backward, "conv2d")
-
-
 def l1_loss(a, b):
     """Mean absolute difference; shapes must match exactly."""
     a, b = _lift(a), _lift(b)
@@ -546,23 +522,74 @@ def lstm_cell(x, h, c, W, U, b):
     return h_new, c_new
 
 
-def _run_lstm(xs, W, U, b, reverse=False):
-    t, _ = xs.shape
+def lstm_sequence(xs, W, U, b, reverse=False):
+    """LSTM over a whole sequence xs (T, Din) -> (T, H) from a zero state, as one node.
+
+    The arithmetic of each step is that of :func:`lstm_cell`: pre-activation
+    ``(x@W + h@U) + b``, gate order i, f, g, o. Row ``t`` of the output is the
+    hidden state after frame ``t``; with ``reverse`` the frames are consumed
+    last to first. The backward pass is hand-written BPTT over the stored
+    gates and cell states.
+    """
+    xs, W, U, b = _lift(xs), _lift(W), _lift(U), _lift(b)
+    t, din = xs.shape
     hidden = U.shape[0]
-    h = Tensor(np.zeros((1, hidden)))
-    c = Tensor(np.zeros((1, hidden)))
+    if t < 1:
+        raise ValueError("lstm_sequence needs at least one frame")
+    if W.shape != (din, 4 * hidden) or U.shape != (hidden, 4 * hidden) or b.data.size != 4 * hidden:
+        raise ValueError(f"lstm_sequence shape mismatch: xs {xs.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
+    gate_g = slice(2 * hidden, 3 * hidden)
     order = range(t - 1, -1, -1) if reverse else range(t)
-    outs = [None] * t
+    xw = xs.data @ W.data
+    Ud, bd = U.data, b.data.reshape(-1)
+    gates = np.empty((t, 4 * hidden))  # activated i, f, g, o
+    cs, tanh_c, hs = np.empty((3, t, hidden))
+    h = c = np.zeros(hidden)
     for i in order:
-        h, c = lstm_cell(xs[i : i + 1, :], h, c, W, U, b)
-        outs[i] = h
-    return concat(outs, axis=0)
+        pre = (xw[i] + h @ Ud) + bd
+        act = expit(pre, out=gates[i])
+        act[gate_g] = np.tanh(pre[gate_g])
+        c = np.multiply(act[hidden : 2 * hidden], c, out=cs[i])
+        c += act[:hidden] * act[gate_g]
+        h = np.multiply(act[3 * hidden :], np.tanh(c, out=tanh_c[i]), out=hs[i])
+
+    def backward(g):
+        # state entering each frame: the previous frame's in processing order, zero for the first
+        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
+        if reverse:
+            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
+        else:
+            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
+        gi, gf, gg, go = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        # d(gate)/d(pre-activation): sigmoid' for i, f, o and tanh' for g
+        dgate = gates * (1.0 - gates)
+        dgate[:, gate_g] = 1.0 - gg * gg
+        dc_from_h = go * (1.0 - tanh_c * tanh_c)
+        dpre = np.empty_like(gates)
+        dh_next = dc_next = np.zeros(hidden)
+        for i in reversed(order):
+            dh = g[i] + dh_next
+            dc = dh * dc_from_h[i] + dc_next
+            row = dpre[i]
+            row[:hidden] = dc * gg[i]
+            row[hidden : 2 * hidden] = dc * c_prev[i]
+            row[gate_g] = dc * gi[i]
+            row[3 * hidden :] = dh * tanh_c[i]
+            row *= dgate[i]
+            dc_next = dc * gf[i]
+            dh_next = row @ Ud.T
+        _accum(xs, dpre @ W.data.T)
+        _accum(W, xs.data.T @ dpre)
+        _accum(U, h_prev.T @ dpre)
+        _accum(b, dpre.sum(axis=0).reshape(b.shape))
+
+    return _node(hs, (xs, W, U, b), backward, "lstm_sequence")
 
 
 def blstm_layer(xs, params, prefix):
     """Bidirectional LSTM over xs (T, Din) -> (T, 2H); per-frame concat."""
-    fwd = _run_lstm(xs, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.U"], params[f"{prefix}.fwd.b"])
-    bwd = _run_lstm(
+    fwd = lstm_sequence(xs, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.U"], params[f"{prefix}.fwd.b"])
+    bwd = lstm_sequence(
         xs, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.U"], params[f"{prefix}.bwd.b"], reverse=True
     )
     return concat([fwd, bwd], axis=1)
@@ -636,7 +663,28 @@ def load_checkpoint(path):
             if len(buf) != 8 * count:
                 raise ValueError(f"{path}: truncated payload for tensor {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last tensor's payload")
     return arrays, header["meta"]
+
+
+def restore_params(path, params, arrays):
+    """Copy checkpoint ``arrays`` (read from ``path``) into the model's ``params``.
+
+    Names and shapes must match exactly; nothing is copied unless all do.
+    """
+    for name in params:
+        if name not in arrays:
+            raise ValueError(f"{path}: checkpoint lacks tensor {name!r}")
+    for name, arr in arrays.items():
+        if name not in params:
+            raise ValueError(f"{path}: checkpoint tensor {name!r} is not a parameter of the model")
+        if arr.shape != params[name].shape:
+            raise ValueError(
+                f"{path}: checkpoint tensor {name!r} has shape {arr.shape}, the model expects {params[name].shape}"
+            )
+    for name, arr in arrays.items():
+        params[name].data[...] = arr
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,7 @@ class SeModel:
         if meta.get("kind") != "se":
             raise ValueError(f"{path}: not an SE checkpoint (kind={meta.get('kind')!r})")
         model = cls(SeConfig(**meta["config"]))
-        for name, arr in arrays.items():
-            model.params[name].data[:] = arr
+        dc.restore_params(path, model.params, arrays)
         return model
 
 

@@ -301,6 +301,24 @@ class TestUtilities:
         for n, p in model.params.items():
             assert np.array_equal(back.params[n].data, p.data)
 
+    def _tampered_checkpoint(self, tmp_path, edit):
+        path = tmp_path / "asr.ckpt"
+        am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)
+        arrays, meta = dc.load_checkpoint(path)
+        edit(arrays)
+        dc.save_checkpoint(path, arrays, meta)
+        return path
+
+    def test_checkpoint_missing_tensor_rejected(self, tmp_path):
+        path = self._tampered_checkpoint(tmp_path, lambda arrays: arrays.pop("dec.out.b"))
+        with pytest.raises(ValueError, match=r"asr\.ckpt.*lacks tensor 'dec\.out\.b'"):
+            am.AsrModel.load(path)
+
+    def test_checkpoint_broadcastable_shape_rejected(self, tmp_path):
+        path = self._tampered_checkpoint(tmp_path, lambda arrays: arrays.update({"ctc.b": np.ones(1)}))
+        with pytest.raises(ValueError, match=r"asr\.ckpt.*'ctc\.b' has shape \(1,\)"):
+            am.AsrModel.load(path)
+
     def test_decode_with_rescoring(self):
         model = am.AsrModel(tiny_cfg(), seed=7)
         rng = np.random.default_rng(10)

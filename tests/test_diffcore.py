@@ -99,11 +99,6 @@ class TestPrimitiveGradients:
         x, w, b = rand(rng, 6, 3), rand(rng, 4, 3, 3), rand(rng, 4)
         self.check(lambda: dc.mean(dc.conv1d(x, w, b, pad=1) * dc.conv1d(x, w, b, pad=1)), [x, w, b])
 
-    def test_conv2d(self):
-        rng = np.random.default_rng(15)
-        x, w, b = rand(rng, 2, 5, 5), rand(rng, 3, 2, 3, 3), rand(rng, 3)
-        self.check(lambda: dc.mean(dc.conv2d(x, w, b, pad=1) * dc.conv2d(x, w, b, pad=1)), [x, w, b])
-
     def test_l1_loss(self):
         rng = np.random.default_rng(16)
         a, b = rand(rng, 4, 4), rand(rng, 4, 4)
@@ -151,6 +146,24 @@ class TestContracts:
         with pytest.raises(dc.GraphError, match="log"):
             dc.log(x - 1.0)
 
+    def test_second_backward_accumulates_into_leaves_only(self):
+        x = t(np.array([[2.0, -1.0]]))
+        y = dc.mean(dc.mul(x, 3.0))
+        y.backward()
+        first = x.grad.copy()
+        y.backward()
+        assert np.array_equal(x.grad, 2.0 * first)
+
+    def test_large_finite_values_are_not_flagged(self, recwarn):
+        x = dc.Tensor(np.array([1e308, 1e308]))  # the sum overflows, the data does not
+        assert np.all(x.data == 1e308)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_leaf_trips_graph_error(self, bad):
+        with pytest.raises(dc.GraphError, match="non-finite"):
+            dc.Tensor(np.array([1.0, bad, 2.0]))
+
     def test_deterministic_forward_backward(self):
         def run():
             rng = np.random.default_rng(123)
@@ -163,9 +176,85 @@ class TestContracts:
         assert run() == run()
 
 
+def lstm_by_cells(xs, W, U, b, reverse=False):
+    """Op-by-op oracle for ``lstm_sequence``: one ``lstm_cell`` per frame, outputs concatenated."""
+    t_len, _ = xs.shape
+    hidden = U.shape[0]
+    h = dc.Tensor(np.zeros((1, hidden)))
+    c = dc.Tensor(np.zeros((1, hidden)))
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    outs = [None] * t_len
+    for i in order:
+        h, c = dc.lstm_cell(xs[i : i + 1, :], h, c, W, U, b)
+        outs[i] = h
+    return dc.concat(outs, axis=0)
+
+
+def lstm_value_and_grads(run, xs, params, weights):
+    """Value of sum(weights * run(...)) and the grads of xs, W, U and b."""
+    tensors = [xs, *params.values()]
+    for tensor in tensors:
+        tensor.grad = None
+    out = run(xs, *params.values())
+    dc.tsum(out * weights).backward()
+    return out.data.copy(), [tensor.grad.copy() for tensor in tensors]
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
 class TestLstm:
     def make_params(self, rng, din, h, frozen=False):
         return dc.init_lstm_params(rng, din, h, "cell", frozen)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 4])
+    def test_lstm_sequence_gradcheck(self, reverse, t_len):
+        rng = np.random.default_rng(20 + t_len)
+        p = self.make_params(rng, 3, 2)
+        p["cell.b"].data[:] = rng.uniform(-0.5, 0.5, p["cell.b"].shape)  # exercise the bias grad off zero
+        xs = rand(rng, t_len, 3)
+        w = t(rng.uniform(-1, 1, (t_len, 2)), grad=False)
+        args = (xs, p["cell.W"], p["cell.U"], p["cell.b"])
+        f = lambda: dc.tsum(dc.lstm_sequence(*args, reverse=reverse) * w)
+        assert dc.gradcheck(f, list(args)) < 1e-4
+
+    @given(
+        t_len=st.integers(1, 7),
+        din=st.integers(1, 5),
+        hidden=st.integers(1, 5),
+        reverse=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lstm_sequence_equals_cell_loop(self, t_len, din, hidden, reverse, seed):
+        rng = np.random.default_rng(seed)
+        params = self.make_params(rng, din, hidden)
+        params["cell.b"].data[:] = rng.uniform(-1, 1, params["cell.b"].shape)
+        xs = rand(rng, t_len, din)
+        weights = rng.normal(size=(t_len, hidden))
+        fused = lstm_value_and_grads(lambda *a: dc.lstm_sequence(*a, reverse=reverse), xs, params, weights)
+        oracle = lstm_value_and_grads(lambda *a: lstm_by_cells(*a, reverse=reverse), xs, params, weights)
+        assert rel_err(fused[0], oracle[0]) <= 1e-12
+        for got, want in zip(fused[1], oracle[1]):
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+
+    def test_lstm_sequence_is_one_node(self):
+        rng = np.random.default_rng(21)
+        p = self.make_params(rng, 3, 2)
+        out = dc.lstm_sequence(rand(rng, 5, 3), p["cell.W"], p["cell.U"], p["cell.b"])
+        assert out.shape == (5, 2)
+        assert len(out._parents) == 4
+
+    def test_lstm_sequence_rejects_bad_shapes(self):
+        rng = np.random.default_rng(22)
+        p = self.make_params(rng, 3, 2)
+        with pytest.raises(ValueError, match=r"\(5, 4\)"):
+            dc.lstm_sequence(rand(rng, 5, 4), p["cell.W"], p["cell.U"], p["cell.b"])
+        with pytest.raises(ValueError, match="at least one frame"):
+            dc.lstm_sequence(rand(rng, 0, 3), p["cell.W"], p["cell.U"], p["cell.b"])
 
     def test_zero_weights_zero_state(self):
         p = self.make_params(np.random.default_rng(0), 3, 4)
@@ -246,6 +335,23 @@ class TestCheckpoint:
         path.write_bytes(b"NOT-A-CKPT\n{}\n")
         with pytest.raises(ValueError, match="magic"):
             dc.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        dc.save_checkpoint(path, {"w": np.ones((2, 2))}, {"seed": 1})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=r"model\.ckpt.*trailing bytes"):
+            dc.load_checkpoint(path)
+
+    def test_restore_params_is_all_or_nothing(self):
+        params = {"a": dc.Parameter(np.zeros(3), "a"), "b": dc.Parameter(np.zeros(2), "b")}
+        with pytest.raises(ValueError, match=r"m\.ckpt.*'b'.*\(3,\).*\(2,\)"):
+            dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.ones(3)})
+        with pytest.raises(ValueError, match=r"m\.ckpt.*'c'"):
+            dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.ones(2), "c": np.ones(1)})
+        assert np.all(params["a"].data == 0.0)
+        dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.full(2, 2.0)})
+        assert np.all(params["a"].data == 1.0) and np.all(params["b"].data == 2.0)
 
     def test_byte_identical_for_same_content(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,33 @@ class TestGradients:
                 loss.backward()
                 opt.step()
         assert val_loss() < before
+
+
+class TestCheckpoint:
+    def _saved(self, tmp_path, edit=None):
+        path = tmp_path / "se.ckpt"
+        SeModel(TINY, seed=2).save(path, seed=2)
+        if edit is not None:
+            arrays, meta = dc.load_checkpoint(path)
+            edit(arrays)
+            dc.save_checkpoint(path, arrays, meta)
+        return path
+
+    def test_roundtrip(self, tmp_path):
+        back = SeModel.load(self._saved(tmp_path))
+        model = SeModel(TINY, seed=2)
+        assert back.cfg == model.cfg
+        for n, p in model.params.items():
+            assert np.array_equal(back.params[n].data, p.data)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        name = sorted(SeModel(TINY).params)[-1]
+        path = self._saved(tmp_path, lambda arrays: arrays.pop(name))
+        with pytest.raises(ValueError, match=rf"se\.ckpt.*lacks tensor '{name}'"):
+            SeModel.load(path)
+
+    def test_broadcastable_shape_rejected(self, tmp_path):
+        name, shape = next((n, p.shape) for n, p in SeModel(TINY).params.items() if p.data.ndim == 1)
+        path = self._saved(tmp_path, lambda arrays: arrays.update({name: np.ones(1)}))
+        with pytest.raises(ValueError, match=rf"se\.ckpt.*'{name}' has shape \(1,\).*{shape}"):
+            SeModel.load(path)
