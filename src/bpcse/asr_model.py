@@ -10,7 +10,10 @@ setting) doubles as the "deep features" used by the deep-feature training
 mode. The CTC loss is a custom graph op: forward alpha recursion in log
 space for the value, alpha-beta occupancies for the analytic gradient.
 Decoding is greedy CTC (per-frame argmax, collapse repeats, drop blanks)
-with optional attention rescoring of the hypothesis.
+with optional attention rescoring of the hypothesis, run under
+``diffcore.no_grad()``. ``freeze()`` turns ``requires_grad`` off on every
+parameter, so a frozen recognizer still passes gradient to its input
+features but computes no weight grads.
 """
 
 from __future__ import annotations
@@ -81,8 +84,9 @@ class AsrModel:
         zeros("dec.out.b", v)
 
     def freeze(self):
+        """Stop gradient at every parameter; inputs still get theirs."""
         for p in self.params.values():
-            p.frozen = True
+            p.requires_grad = False
 
     @property
     def frozen(self):
@@ -148,15 +152,16 @@ class AsrModel:
         )
 
     def decode(self, hidden: dc.Tensor, rescore=False):
-        """Greedy CTC labels, optionally with CTC/attention hypothesis scores."""
-        logits = self.ctc_logits(hidden)
-        ids = decode_greedy(logits.data)
-        if not rescore:
-            return ids
-        scores = {"ctc_logprob": -float(ctc_loss(logits, ids).data) if ids else 0.0}
-        if ids:
-            att = self.attention_loss(hidden, ids)
-            scores["attention_logprob"] = -float(att.data) * (len(ids) + 1)
+        """Greedy CTC labels, optionally with CTC/attention hypothesis scores; builds no graph."""
+        with dc.no_grad():
+            logits = self.ctc_logits(hidden)
+            ids = decode_greedy(logits.data)
+            if not rescore:
+                return ids
+            scores = {"ctc_logprob": -float(ctc_loss(logits, ids).data) if ids else 0.0}
+            if ids:
+                att = self.attention_loss(hidden, ids)
+                scores["attention_logprob"] = -float(att.data) * (len(ids) + 1)
         return ids, scores
 
     def ids_to_labels(self, ids):
@@ -264,18 +269,9 @@ def ctc_loss(logits: dc.Tensor, labels, blank: int = BLANK) -> dc.Tensor:
         gamma = np.zeros((t_len, v))
         for s in range(s_len):
             gamma[:, ext[s]] += occupancy[:, s]
-        grad = np.exp(logp) - gamma
-        if logits.requires_grad:
-            logits.grad = g * grad if logits.grad is None else logits.grad + g * grad
+        dc._accum(logits, g * (np.exp(logp) - gamma))
 
-    out = dc.Tensor(
-        -log_z,
-        requires_grad=logits.requires_grad,
-        _parents=(logits,) if logits.requires_grad else (),
-        _backward=backward if logits.requires_grad else None,
-        _op="ctc_loss",
-    )
-    return out
+    return dc._node(-log_z, (logits,), backward, "ctc_loss")
 
 
 def decode_greedy(logits: np.ndarray, blank: int = BLANK):

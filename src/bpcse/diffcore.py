@@ -5,15 +5,25 @@ Ops build a DAG; ``backward()`` walks it in reverse topological order. Every
 op output is checked for NaN/Inf and trips a :class:`GraphError` immediately,
 which keeps training failures local to the op that produced them.
 
-Also here: a single LSTM step (:func:`lstm_cell`) built from the primitives;
-a whole-sequence LSTM (:func:`lstm_sequence`) and the BLSTM layer on top of it,
-each direction one graph node with a hand-written BPTT backward; the Adam
-optimizer with frozen-parameter support; strict checkpoint serialization; and
-the central finite-difference gradient checker the test suite leans on.
+Inside a :func:`no_grad` block ops record no parents and no backward closure,
+so inference keeps no graph and frees each activation once it is used; the
+NaN/Inf check still runs on every output. A :class:`Parameter` whose
+``requires_grad`` is off is frozen: it passes gradient on to its inputs but
+gets none itself, and ``matmul`` and ``lstm_sequence`` skip computing it.
+
+Also here: multi-head scaled dot-product self-attention (:func:`attention`)
+as one graph node over a ``(heads, T, d_head)`` layout with a hand-written
+backward; a single LSTM step (:func:`lstm_cell`) built from the primitives;
+a whole-sequence LSTM (:func:`lstm_sequence`) and the BLSTM layer on top of
+it, each direction one graph node with a hand-written BPTT backward; the Adam
+optimizer; strict checkpoint serialization; and the central finite-difference
+gradient checker the test suite leans on.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 from pathlib import Path
 
@@ -27,6 +37,23 @@ class GraphError(ValueError):
     pass
 
 
+_grad_enabled = contextvars.ContextVar("diffcore_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: op outputs get no parents, no backward and ``requires_grad=False``.
+
+    The previous mode is restored on exit, also when the block raises, so
+    blocks nest. The mode is per thread (a context variable).
+    """
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _finite_or_raise(arr, op):
     # a single sum is much cheaper than isfinite().all(); NaN/Inf both poison it,
     # but large finite values can overflow it, so a non-finite sum is confirmed
@@ -37,7 +64,7 @@ def _finite_or_raise(arr, op):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
@@ -46,6 +73,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
+        self._op = _op
 
     @property
     def shape(self):
@@ -117,12 +145,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    __slots__ = ("name", "frozen")
+    """A named model weight; a frozen one has ``requires_grad`` off."""
+
+    __slots__ = ("name",)
 
     def __init__(self, data, name, frozen=False):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data, requires_grad=not frozen)
         self.name = name
-        self.frozen = frozen
+
+    @property
+    def frozen(self):
+        return not self.requires_grad
 
 
 def _lift(v):
@@ -146,15 +179,14 @@ def _unbroadcast(g, shape):
 
 
 def _node(data, parents, backward, op):
-    needs = any(p.requires_grad for p in parents)
-    out = Tensor(
+    needs = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    return Tensor(
         data,
         requires_grad=needs,
         _parents=tuple(parents) if needs else (),
         _backward=backward if needs else None,
         _op=op,
     )
-    return out
 
 
 def _elementwise(a, b, fn, op):
@@ -213,8 +245,10 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _node(data, (a, b), backward, "matmul")
 
@@ -496,6 +530,58 @@ def cross_entropy(logits, targets):
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product self-attention over q, k, v (T, d) -> (T, d), as one node.
+
+    Head ``h`` attends with columns ``h*dh : (h+1)*dh`` of q, k and v, where
+    ``dh = d // heads``: ``softmax(q_h @ k_h.T / sqrt(dh)) @ v_h``, and the head
+    outputs are concatenated in head order. All heads are computed at once in
+    a ``(heads, T, dh)`` layout; the backward pass is hand-written and keeps
+    only the attention weights.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ValueError(f"attention needs q, k and v of one (T, d) shape, got {q.shape}, {k.shape}, {v.shape}")
+    t, d = q.shape
+    if heads < 1 or d % heads:
+        raise ValueError(f"attention width {d} is not divisible into {heads} heads")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):  # (T, d) -> (heads, T, dh)
+        return x.reshape(t, heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # (heads, T, dh) -> (T, d), C-ordered so that later reductions sum in row order
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    weights = qh @ kh.transpose(0, 2, 1)
+    weights *= scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = merge(weights @ vh)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            _accum(v, merge(weights.transpose(0, 2, 1) @ gh))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dweights = gh @ vh.transpose(0, 2, 1)
+        dscores = (weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))) * scale
+        if q.requires_grad:
+            _accum(q, merge(dscores @ kh))
+        if k.requires_grad:
+            _accum(k, merge((qh.transpose(0, 2, 1) @ dscores).transpose(0, 2, 1)))
+
+    return _node(data, (q, k, v), backward, "attention")
+
+
+# ---------------------------------------------------------------------------
 # recurrent cells
 
 
@@ -578,10 +664,14 @@ def lstm_sequence(xs, W, U, b, reverse=False):
             row *= dgate[i]
             dc_next = dc * gf[i]
             dh_next = row @ Ud.T
-        _accum(xs, dpre @ W.data.T)
-        _accum(W, xs.data.T @ dpre)
-        _accum(U, h_prev.T @ dpre)
-        _accum(b, dpre.sum(axis=0).reshape(b.shape))
+        if xs.requires_grad:
+            _accum(xs, dpre @ W.data.T)
+        if W.requires_grad:
+            _accum(W, xs.data.T @ dpre)
+        if U.requires_grad:
+            _accum(U, h_prev.T @ dpre)
+        if b.requires_grad:
+            _accum(b, dpre.sum(axis=0).reshape(b.shape))
 
     return _node(hs, (xs, W, U, b), backward, "lstm_sequence")
 
@@ -617,7 +707,7 @@ class Adam:
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for n, p in self.params.items():
-            if p.frozen or p.grad is None:
+            if not p.requires_grad or p.grad is None:
                 continue
             m = self._m[n] = self.beta1 * self._m[n] + (1 - self.beta1) * p.grad
             v = self._v[n] = self.beta2 * self._v[n] + (1 - self.beta2) * p.grad**2
@@ -648,13 +738,42 @@ def save_checkpoint(path, params, meta):
             f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _checked_header(path, line):
+    """The checkpoint header parsed from ``line``, its fields, tensor names and shapes validated."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path}: checkpoint header is not UTF-8 JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    for field, kind in (("tensors", list), ("meta", dict)):
+        if field not in header:
+            raise ValueError(f"{path}: checkpoint header lacks the {field!r} field")
+        if not isinstance(header[field], kind):
+            raise ValueError(f"{path}: checkpoint header field {field!r} is not a JSON {kind.__name__}")
+    seen = set()
+    for entry in header["tensors"]:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: checkpoint tensor entry {entry!r} has no string 'name'")
+        if name in seen:
+            raise ValueError(f"{path}: checkpoint tensor {name!r} appears twice in the header field 'tensors'")
+        seen.add(name)
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(
+                f"{path}: field 'shape' of tensor {name!r} is {shape!r}; it must list non-negative integers"
+            )
+    return header
+
+
 def load_checkpoint(path):
     """Returns (arrays: dict[str, ndarray], meta: dict)."""
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}, expected {CKPT_MAGIC!r}")
-        header = json.loads(f.readline().decode("utf-8"))
+        header = _checked_header(path, f.readline())
         arrays = {}
         for entry in header["tensors"]:
             shape = tuple(entry["shape"])

@@ -6,6 +6,12 @@ sinusoidal positions are added, then eight pre-norm attention blocks
 residual connection and layer norm) refine the sequence. A final linear
 projection with softplus keeps outputs non-negative, as log1p features
 must be.
+
+The attention of each block, all heads together, is one
+``diffcore.attention`` graph node. ``enhance`` runs the forward pass under
+``diffcore.no_grad()``, so inference builds no graph and each activation,
+the T x T attention weights included, is freed as soon as the next layer
+has used it.
 """
 
 from __future__ import annotations
@@ -91,18 +97,10 @@ class SeModel:
 
     def _attend(self, x, block):
         p = self.params
-        cfg = self.cfg
-        dh = cfg.d_model // cfg.heads
         q = dc.matmul(x, p[f"{block}.wq"]) + p[f"{block}.bq"]
         k = dc.matmul(x, p[f"{block}.wk"]) + p[f"{block}.bk"]
         v = dc.matmul(x, p[f"{block}.wv"]) + p[f"{block}.bv"]
-        heads = []
-        for h in range(cfg.heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            scores = dc.matmul(q[:, sl], dc.transpose(k[:, sl])) * (1.0 / np.sqrt(dh))
-            heads.append(dc.matmul(dc.softmax(scores), v[:, sl]))
-        cat = dc.concat(heads, axis=1)
-        return dc.matmul(cat, p[f"{block}.wo"]) + p[f"{block}.bo"]
+        return dc.matmul(dc.attention(q, k, v, self.cfg.heads), p[f"{block}.wo"]) + p[f"{block}.bo"]
 
     def forward(self, x: dc.Tensor) -> dc.Tensor:
         """Enhanced log1p spectrum, same (T, 257) shape as the input."""
@@ -124,10 +122,11 @@ class SeModel:
         return dc.softplus(dc.matmul(h, p["out.w"]) + p["out.b"])
 
     def enhance(self, spec: dsp.Spectrogram) -> dsp.Spectrogram:
-        """Inference on a log1p spectrogram, off the gradient graph."""
+        """Inference on a log1p spectrogram under ``diffcore.no_grad()``: no graph is kept."""
         if spec.kind != "log1p":
             raise ValueError(f"enhance expects a log1p spectrogram, got {spec.kind!r}")
-        out = self.forward(dc.Tensor(spec.frames))
+        with dc.no_grad():
+            out = self.forward(dc.Tensor(spec.frames))
         return dsp.Spectrogram(out.data, kind="log1p", window_len=spec.window_len, hop=spec.hop)
 
     def enhance_batch(self, specs):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import bpcse.diffcore as dc
 from bpcse import asr_model as am
+from bpcse.se_model import SeConfig, SeModel
 
 
 def tiny_cfg(**kw):
@@ -251,6 +252,25 @@ class TestAsrLoss:
             assert np.array_equal(p.data, before[n])
 
 
+    def test_frozen_recognizer_gets_no_grads_and_input_grad_is_unchanged(self):
+        """Stage two: SE output -> fixed bridge -> recognizer; freezing changes no SE grad."""
+        se = SeModel(SeConfig(d_model=8, heads=2, ff_dim=8, conv_layers=1, attention_blocks=1), seed=2)
+        rng = np.random.default_rng(9)
+        noisy = dc.Tensor(rng.uniform(0, 2, (6, 257)))
+        bridge = dc.Tensor(rng.normal(0, 0.1, (257, 5)))
+        se_grads = []
+        for freeze in (False, True):
+            if freeze:
+                self.model.freeze()
+            for p in [*se.params.values(), *self.model.params.values()]:
+                p.grad = None
+            hidden = self.model.encode(dc.matmul(se.forward(noisy), bridge))
+            self.model.asr_loss(hidden, self.labels, lam=0.5).backward()
+            se_grads.append({n: p.grad for n, p in se.params.items()})
+        assert all(p.grad is None for p in self.model.params.values())
+        for n, g in se_grads[0].items():
+            assert np.array_equal(se_grads[1][n], g), n
+
 class TestDeepFeatures:
     def test_identical_zero(self):
         x = dc.Tensor(np.ones((4, 6)))
@@ -318,6 +338,21 @@ class TestUtilities:
         path = self._tampered_checkpoint(tmp_path, lambda arrays: arrays.update({"ctc.b": np.ones(1)}))
         with pytest.raises(ValueError, match=r"asr\.ckpt.*'ctc\.b' has shape \(1,\)"):
             am.AsrModel.load(path)
+
+    def test_decode_matches_graph_computation(self):
+        model = am.AsrModel(tiny_cfg(), seed=7)
+        rng = np.random.default_rng(11)
+        feats = dc.Tensor(rng.normal(0, 2, (8, 5)), requires_grad=True)
+        hidden = model.encode(feats)
+        logits = model.ctc_logits(hidden)
+        ids = am.decode_greedy(logits.data)
+        assert ids
+        want = {
+            "ctc_logprob": -am.ctc_loss(logits, ids).item(),
+            "attention_logprob": -model.attention_loss(hidden, ids).item() * (len(ids) + 1),
+        }
+        assert model.decode(hidden) == ids
+        assert model.decode(hidden, rescore=True) == (ids, want)
 
     def test_decode_with_rescoring(self):
         model = am.AsrModel(tiny_cfg(), seed=7)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,144 @@ class TestLstm:
         assert dc.gradcheck(lambda: dc.mean(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
 
 
+def attention_by_heads(q, k, v, heads):
+    """Op-by-op oracle for ``attention``: slice each head, softmax(q k^T / sqrt(dh)) v, concatenate."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        scores = dc.matmul(q[:, sl], dc.transpose(k[:, sl])) * (1.0 / np.sqrt(dh))
+        outs.append(dc.matmul(dc.softmax(scores), v[:, sl]))
+    return dc.concat(outs, axis=1)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("t_len, heads", [(1, 1), (4, 2), (3, 3)])
+    def test_attention_gradcheck(self, t_len, heads):
+        rng = np.random.default_rng(30 + t_len)
+        q, k, v = (rand(rng, t_len, 2 * heads) for _ in range(3))
+        w = t(rng.uniform(-1, 1, (t_len, 2 * heads)), grad=False)
+        assert dc.gradcheck(lambda: dc.tsum(dc.attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
+
+    @given(
+        t_len=st.integers(1, 7),
+        heads=st.integers(1, 3),
+        d_head=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_attention_equals_per_head_graph(self, t_len, heads, d_head, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(0, 2, (t_len, heads * d_head)) for _ in range(3)]
+        weights = rng.normal(size=(t_len, heads * d_head))
+        results = []
+        for run in (dc.attention, attention_by_heads):
+            qkv = [t(a.copy()) for a in arrays]
+            out = run(*qkv, heads)
+            dc.tsum(out * weights).backward()
+            results.append((out.data, [x.grad for x in qkv]))
+        (fused, fused_grads), (oracle, oracle_grads) = results
+        assert rel_err(fused, oracle) <= 1e-12
+        for got, want in zip(fused_grads, oracle_grads):
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-12
+
+    def test_attention_is_one_node(self):
+        rng = np.random.default_rng(31)
+        q, k, v = (rand(rng, 5, 4) for _ in range(3))
+        out = dc.attention(q, k, v, 2)
+        assert out.shape == (5, 4)
+        assert out._op == "attention"
+        assert [id(p) for p in out._parents] == [id(q), id(k), id(v)]
+
+    def test_attention_rejects_bad_shapes(self):
+        rng = np.random.default_rng(32)
+        q = rand(rng, 5, 6)
+        with pytest.raises(ValueError, match="6 is not divisible into 4 heads"):
+            dc.attention(q, q, q, 4)
+        with pytest.raises(ValueError, match=r"\(5, 6\), \(5, 6\), \(4, 6\)"):
+            dc.attention(q, q, rand(rng, 4, 6), 2)
+        with pytest.raises(ValueError, match=r"\(5, 6\), \(5, 3\), \(5, 6\)"):
+            dc.attention(q, rand(rng, 5, 3), q, 3)
+
+    def test_only_required_inputs_get_grads(self):
+        rng = np.random.default_rng(33)
+        q, k = rand(rng, 3, 4), rand(rng, 3, 4)
+        v = t(rng.normal(size=(3, 4)), grad=False)
+        dc.tsum(dc.attention(q, k, v, 2)).backward()
+        assert q.grad is not None and k.grad is not None and v.grad is None
+
+
+def grad_recorded():
+    """Whether ops currently build a graph, seen from the outside."""
+    return dc.mul(t(np.ones(1)), 2.0).requires_grad
+
+
+class TestNoGrad:
+    def test_ops_record_nothing(self):
+        rng = np.random.default_rng(40)
+        x = rand(rng, 4, 3)
+        p = dc.init_lstm_params(rng, 3, 2, "cell")
+        with dc.no_grad():
+            outs = [
+                dc.tanh(dc.matmul(x, x.data.T)),
+                dc.attention(x, x, x, 3),
+                dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]),
+            ]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+        assert outs[1]._op == "attention"
+
+    def test_same_values_as_with_graph(self):
+        rng = np.random.default_rng(41)
+        x = rand(rng, 4, 6)
+        want = dc.softmax(dc.attention(x, x, x, 2)).data
+        with dc.no_grad():
+            got = dc.softmax(dc.attention(x, x, x, 2)).data
+        assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_nonfinite_output_still_trips_graph_error(self):
+        with dc.no_grad(), pytest.raises(dc.GraphError, match="log"):
+            dc.log(t(np.array([0.0, 1.0])))
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        assert grad_recorded()
+        with dc.no_grad():
+            with dc.no_grad():
+                assert not grad_recorded()
+            assert not grad_recorded()
+        assert grad_recorded()
+        with pytest.raises(RuntimeError, match="inside"):
+            with dc.no_grad():
+                raise RuntimeError("inside")
+        assert grad_recorded()
+
+
+class TestFrozenParameters:
+    def test_frozen_is_requires_grad_off(self):
+        p = dc.Parameter(np.ones(2), "p", frozen=True)
+        assert p.frozen and not p.requires_grad
+        p.requires_grad = True
+        assert not p.frozen
+
+    def test_frozen_weights_get_no_grad_and_inputs_keep_theirs(self):
+        rng = np.random.default_rng(42)
+        xs, w = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        input_grads = []
+        for frozen in (False, True):
+            p = dc.init_lstm_params(np.random.default_rng(43), 3, 2, "cell", frozen)
+            proj = dc.Parameter(np.random.default_rng(44).normal(size=(2, 2)), "proj", frozen)
+            x = t(xs)
+            out = dc.matmul(dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]), proj)
+            dc.tsum(out * w).backward()
+            assert all((q.grad is None) == frozen for q in [*p.values(), proj])
+            input_grads.append(x.grad)
+        assert np.array_equal(input_grads[0], input_grads[1])
+
+
 class TestAdam:
     def test_zero_grad_leaves_parameter(self):
         p = dc.Parameter(np.ones(3), "p")
@@ -352,6 +492,46 @@ class TestCheckpoint:
         assert np.all(params["a"].data == 0.0)
         dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.full(2, 2.0)})
         assert np.all(params["a"].data == 1.0) and np.all(params["b"].data == 2.0)
+
+    def write_header(self, tmp_path, header, payload=b""):
+        """A checkpoint file with a hand-written header: a JSON-able object or raw bytes."""
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+        path = tmp_path / "hand.ckpt"
+        path.write_bytes(dc.CKPT_MAGIC.encode() + b"\n" + raw + b"\n" + payload)
+        return path
+
+    @pytest.mark.parametrize("field", ["tensors", "meta"])
+    def test_header_without_field_rejected(self, tmp_path, field):
+        header = {"meta": {"seed": 1}, "tensors": []}
+        del header[field]
+        path = self.write_header(tmp_path, header)
+        with pytest.raises(ValueError, match=rf"hand\.ckpt.*lacks the '{field}' field"):
+            dc.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, problem",
+        [
+            (b"{not json", "not UTF-8 JSON"),
+            (b"[]", "not a JSON object"),
+            (b'{"meta": {}, "tensors": [{}]}', "no string 'name'"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, problem):
+        path = self.write_header(tmp_path, header)
+        with pytest.raises(ValueError, match=rf"hand\.ckpt.*{problem}"):
+            dc.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-1, 2], [2.5], ["2"], [True]])
+    def test_bad_dimension_rejected(self, tmp_path, shape):
+        path = self.write_header(tmp_path, {"meta": {}, "tensors": [{"name": "w", "shape": shape}]}, b"\0" * 64)
+        with pytest.raises(ValueError, match=r"hand\.ckpt.*'shape' of tensor 'w'.*non-negative integer"):
+            dc.load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        entries = [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]
+        path = self.write_header(tmp_path, {"meta": {}, "tensors": entries}, b"\0" * 16)
+        with pytest.raises(ValueError, match=r"hand\.ckpt.*'w' appears twice in the header field 'tensors'"):
+            dc.load_checkpoint(path)
 
     def test_byte_identical_for_same_content(self, tmp_path):
         rng = np.random.default_rng(4)

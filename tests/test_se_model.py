@@ -44,6 +44,33 @@ class TestForwardContracts:
             SeConfig(d_model=10, heads=4)
 
 
+def op_counts(root):
+    """How many nodes of each op kind the graph reachable from ``root`` holds."""
+    counts, seen, stack = {}, {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        counts[node._op] = counts.get(node._op, 0) + 1
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return counts
+
+
+class TestInference:
+    def test_enhance_equals_forward_bit_for_bit(self):
+        model = SeModel(TINY, seed=5)
+        spec = log1p_spec(np.random.default_rng(6), 9)
+        assert np.array_equal(model.enhance(spec).frames, model.forward(dc.Tensor(spec.frames)).data)
+
+    def test_one_attention_node_per_block(self):
+        model = SeModel(TINY, seed=5)
+        x = dc.Tensor(np.random.default_rng(7).uniform(0, 2, (5, 257)))
+        counts = op_counts(se_loss(model.forward(x), np.zeros((5, 257))))
+        assert counts["attention"] == TINY.attention_blocks
+        assert not {"softmax", "slice", "transpose", "concat"} & set(counts)
+
+
 class TestResidualPathOracle:
     def test_zeroed_blocks_reduce_to_conv_stem_path(self):
         """With attention and FF output weights zeroed, each pre-norm block is
