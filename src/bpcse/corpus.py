@@ -12,7 +12,9 @@ manifests tying utterances to their transcripts. Directory layout:
         labels/<utt_id>.json        (per-frame phone labels from the synth)
         mix_meta.json               ({utt_id: snr_db}, written by `mix`)
 
-External corpora with the same layout drop straight in.
+Every WAV is 16 kHz mono PCM16, the one format of :mod:`bpcse.dsp`; all
+rates and lengths here are in its samples. External corpora with the same
+layout drop straight in: :func:`bpcse.dsp.read_wav` rejects any other format.
 """
 
 from __future__ import annotations
@@ -114,20 +116,30 @@ class Manifest:
     @classmethod
     def from_json(cls, text: str, base_dir=".") -> "Manifest":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("manifest is not a JSON object")
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise ValueError(f"unrecognized manifest schema {doc.get('schema')!r}")
-        entries = [
-            ManifestEntry(
-                d["utt_id"],
-                d["clean_path"],
-                d["distorted_path"],
-                list(d["phone_transcript"]),
-                list(d["bpc_transcript"]),
-                d["snr_db"],
-                int(d["num_frames"]),
+        if not isinstance(doc.get("entries"), list):
+            raise ValueError("manifest lacks an 'entries' list")
+        entries = []
+        for i, d in enumerate(doc["entries"]):
+            if not isinstance(d, dict):
+                raise ValueError(f"manifest entry {i} is not a JSON object")
+            for name in ManifestEntry.__dataclass_fields__:
+                if name not in d:
+                    raise ValueError(f"manifest entry {i} ({d.get('utt_id')!r}) lacks the {name!r} field")
+            entries.append(
+                ManifestEntry(
+                    d["utt_id"],
+                    d["clean_path"],
+                    d["distorted_path"],
+                    list(d["phone_transcript"]),
+                    list(d["bpc_transcript"]),
+                    d["snr_db"],
+                    int(d["num_frames"]),
+                )
             )
-            for d in doc["entries"]
-        ]
         return cls(entries, doc.get("scheme", ""), doc.get("seed"), Path(base_dir))
 
     def save(self, path) -> None:
@@ -162,8 +174,8 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
     clean signal is tiled; longer noise is cropped (from a seeded random
     offset when ``rng`` is given).
     """
-    if clean.sample_rate != noise.sample_rate:
-        raise ValueError(f"sample rate mismatch: {clean.sample_rate} vs {noise.sample_rate}")
+    if len(noise) == 0:
+        raise ValueError("noise signal is empty")
     d = _match_length(noise.samples, len(clean), rng)
     p_clean = float(np.mean(clean.samples**2))
     p_noise = float(np.mean(d**2))
@@ -172,7 +184,7 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
     if p_noise == 0.0:
         raise ValueError("zero power: noise signal is silent")
     g = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return dsp.Waveform(clean.samples + g * d, clean.sample_rate)
+    return dsp.Waveform(clean.samples + g * d)
 
 
 def measure_snr(clean: dsp.Waveform, mixed: dsp.Waveform) -> float:
@@ -206,10 +218,10 @@ def make_noise(kind: str, n: int, rng) -> dsp.Waveform:
 # room impulse responses
 
 
-def _render_image_rir(spec: RoomSpec, beta: float, sample_rate: int) -> dsp.Waveform:
+def _render_image_rir(spec: RoomSpec, beta: float) -> dsp.Waveform:
     """Image-source sum for a uniform wall reflection coefficient ``beta``."""
     lx, ly, lz = spec.room_dims_m
-    max_dist = spec.rir_len_samples / sample_rate * SPEED_OF_SOUND
+    max_dist = spec.rir_len_samples / dsp.SAMPLE_RATE * SPEED_OF_SOUND
 
     def axis_images(length, src, rcv):
         offsets, refl = [], []
@@ -228,16 +240,16 @@ def _render_image_rir(spec: RoomSpec, beta: float, sample_rate: int) -> dsp.Wave
         dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
     ).ravel()
     order = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
-    delays = np.round(dist * sample_rate / SPEED_OF_SOUND).astype(np.int64)
+    delays = np.round(dist * dsp.SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
     keep = (delays < spec.rir_len_samples) & (dist > 1e-9)
     amps = beta ** order[keep] / (4.0 * np.pi * dist[keep])
 
     h = np.zeros(spec.rir_len_samples)
     np.add.at(h, delays[keep], amps)
-    return dsp.Waveform(h, sample_rate)
+    return dsp.Waveform(h)
 
 
-def generate_rir(spec: RoomSpec, sample_rate: int = dsp.SAMPLE_RATE) -> dsp.Waveform:
+def generate_rir(spec: RoomSpec) -> dsp.Waveform:
     """Image-source room impulse response, truncated to rir_len_samples.
 
     Image amplitudes decay as beta^reflections / (4 pi d) and land on the
@@ -259,7 +271,7 @@ def generate_rir(spec: RoomSpec, sample_rate: int = dsp.SAMPLE_RATE) -> dsp.Wave
     eyring = 1.0 - math.exp(-0.161 * volume / (surface * spec.t60_s))
     beta = math.sqrt(1.0 - eyring)
     lo, hi = 0.02, 0.998
-    rir = _render_image_rir(spec, beta, sample_rate)
+    rir = _render_image_rir(spec, beta)
     for _ in range(20):
         try:
             fitted = fit_t60(rir)
@@ -272,16 +284,14 @@ def generate_rir(spec: RoomSpec, sample_rate: int = dsp.SAMPLE_RATE) -> dsp.Wave
         else:
             lo = beta
         beta = 0.5 * (lo + hi)
-        rir = _render_image_rir(spec, beta, sample_rate)
+        rir = _render_image_rir(spec, beta)
     return rir
 
 
 def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
     """Full convolution truncated to len(w), then peak-renormalized."""
-    if w.sample_rate != rir.sample_rate:
-        raise ValueError(f"sample rate mismatch: {w.sample_rate} vs {rir.sample_rate}")
     out = fftconvolve(w.samples, rir.samples)[: len(w)]
-    return dsp.normalize(dsp.Waveform(out, w.sample_rate))
+    return dsp.normalize(dsp.Waveform(out))
 
 
 def fit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
@@ -294,9 +304,8 @@ def fit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
     deep as the compensated curve goes, for long T60s).
     """
     energy = rir.samples**2
-    fs = rir.sample_rate
     n = len(energy)
-    t = np.arange(n) / fs
+    t = np.arange(n) / dsp.SAMPLE_RATE
     tail = 0.0
     slope = None
     for _ in range(12):
@@ -307,7 +316,7 @@ def fit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
         if mask.sum() < 16:
             raise ValueError("decay range too short to fit T60")
         slope, icpt = np.polyfit(t[mask], db[mask], 1)
-        tail = edc[0] * 10.0 ** ((icpt + slope * (n / fs)) / 10.0)
+        tail = edc[0] * 10.0 ** ((icpt + slope * (n / dsp.SAMPLE_RATE)) / 10.0)
     return -60.0 / slope
 
 
@@ -325,11 +334,11 @@ def _edge_ramp(seg: np.ndarray, ramp: int) -> np.ndarray:
     return seg
 
 
-def _harmonic_tone(n, f0, envelope, rng, sr):
-    t = np.arange(n) / sr
+def _harmonic_tone(n, f0, envelope, rng):
+    t = np.arange(n) / dsp.SAMPLE_RATE
     x = np.zeros(n)
     k = 1
-    while k * f0 < sr / 2 - 500:
+    while k * f0 < dsp.SAMPLE_RATE / 2 - 500:
         a = envelope(k * f0)
         if a > 1e-4:
             x += a * np.sin(2 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
@@ -337,9 +346,9 @@ def _harmonic_tone(n, f0, envelope, rng, sr):
     return x
 
 
-def _band_noise(n, lo, hi, rng, sr):
+def _band_noise(n, lo, hi, rng):
     spec = np.fft.rfft(rng.normal(0.0, 1.0, n))
-    freqs = np.fft.rfftfreq(n, 1.0 / sr)
+    freqs = np.fft.rfftfreq(n, 1.0 / dsp.SAMPLE_RATE)
     spec[(freqs < lo) | (freqs > hi)] = 0.0
     return np.fft.irfft(spec, n=n)
 
@@ -349,7 +358,7 @@ def _rms_scale(seg, target):
     return seg * (target / rms) if rms > 0 else seg
 
 
-def synth_toy_phone(phone, n, f0, rng, sr):
+def synth_toy_phone(phone, n, f0, rng):
     if phone == "sil":
         return np.zeros(n)
     if phone in TOY_VOWELS:
@@ -357,23 +366,23 @@ def synth_toy_phone(phone, n, f0, rng, sr):
         env = lambda f: math.exp(-0.5 * ((f - f1) / 120.0) ** 2) + 0.7 * math.exp(
             -0.5 * ((f - f2) / 180.0) ** 2
         )
-        return _rms_scale(_harmonic_tone(n, f0, env, rng, sr), 0.22)
+        return _rms_scale(_harmonic_tone(n, f0, env, rng), 0.22)
     if phone in TOY_FRICATIVES:
         lo, hi = TOY_FRICATIVES[phone]
-        return _rms_scale(_band_noise(n, lo, hi, rng, sr), 0.12)
+        return _rms_scale(_band_noise(n, lo, hi, rng), 0.12)
     if phone in TOY_STOPS:
         lo, hi = TOY_STOPS[phone]
         closure = int(0.6 * n)
-        burst = _rms_scale(_band_noise(n - closure, lo, hi, rng, sr), 0.20)
-        return np.concatenate([np.zeros(closure), _edge_ramp(burst, int(0.004 * sr))])
+        burst = _rms_scale(_band_noise(n - closure, lo, hi, rng), 0.20)
+        return np.concatenate([np.zeros(closure), _edge_ramp(burst, int(0.004 * dsp.SAMPLE_RATE))])
     if phone in TOY_NASALS:
         murmur = TOY_NASALS[phone]
         env = lambda f: math.exp(-((f - murmur) ** 2) / (2 * 150.0**2)) + 0.3 * math.exp(-f / 500.0)
-        return _rms_scale(_harmonic_tone(n, f0, env, rng, sr), 0.16)
+        return _rms_scale(_harmonic_tone(n, f0, env, rng), 0.16)
     raise ValueError(f"unknown toy phone {phone!r}")
 
 
-def synth_toy_utterance(phone_seq, seed: int, sample_rate: int = dsp.SAMPLE_RATE):
+def synth_toy_utterance(phone_seq, seed: int):
     """Render a phone sequence to audio; returns (Waveform, per-frame phone labels).
 
     Deterministic in (phone_seq, seed). Each phone lasts 80-240 ms; frame
@@ -389,15 +398,15 @@ def synth_toy_utterance(phone_seq, seed: int, sample_rate: int = dsp.SAMPLE_RATE
     pos = 0
     for p in phone_seq:
         dur = rng.uniform(0.08, 0.24) if p != "sil" else rng.uniform(0.10, 0.16)
-        n = int(round(dur * sample_rate))
-        seg = synth_toy_phone(p, n, f0, rng, sample_rate)
+        n = int(round(dur * dsp.SAMPLE_RATE))
+        seg = synth_toy_phone(p, n, f0, rng)
         if p not in TOY_STOPS:  # stop bursts carry their own ramp
-            seg = _edge_ramp(seg.copy(), int(0.005 * sample_rate))
+            seg = _edge_ramp(seg.copy(), int(0.005 * dsp.SAMPLE_RATE))
         segs.append(seg)
         spans.append((pos, pos + n, p))
         pos += n
     samples = np.concatenate(segs) if segs else np.zeros(0)
-    w = dsp.normalize(dsp.Waveform(samples, sample_rate))
+    w = dsp.normalize(dsp.Waveform(samples))
 
     labels = []
     if len(w) >= dsp.WINDOW_LEN:
@@ -519,7 +528,12 @@ def build_manifest(corpus_dir, scheme: bpc.BpcScheme, seed: int | None = None) -
             raise ValueError(f"utterance {utt!r} is missing {', '.join(missing)}")
         phones = (corpus_dir / "transcripts" / f"{utt}.txt").read_text("utf-8").split()
         labels = bpc.transcript_to_bpc(phones, scheme)
-        clean = dsp.read_wav(corpus_dir / "clean" / f"{utt}.wav")
+        clean_path = corpus_dir / "clean" / f"{utt}.wav"
+        clean = dsp.read_wav(clean_path)
+        try:
+            num_frames = dsp.frame_count(len(clean))
+        except ValueError as e:
+            raise ValueError(f"utterance {utt!r} ({clean_path}): {e}") from None
         entries.append(
             ManifestEntry(
                 utt_id=utt,
@@ -528,7 +542,7 @@ def build_manifest(corpus_dir, scheme: bpc.BpcScheme, seed: int | None = None) -
                 phone_transcript=phones,
                 bpc_transcript=labels,
                 snr_db=snr_meta.get(utt),
-                num_frames=dsp.frame_count(len(clean)),
+                num_frames=num_frames,
             )
         )
     entries.sort(key=lambda e: e.utt_id)

@@ -1,9 +1,11 @@
 """Signal-processing front-end shared by the enhancement and recognizer paths.
 
-Everything here is a pure function of its inputs: 16 kHz mono waveforms,
+Everything here is a pure function of its inputs. There is one audio format,
+set by the module constants and by nothing else: 16 kHz mono waveforms,
 512-point Hamming STFTs with a 256-sample hop (257 retained bins), log1p
 magnitude compression, and a 26-filter triangular mel filterbank applied to
-the power spectrum.
+the power spectrum. Audio from outside enters through :func:`read_wav`, which
+rejects any other channel count, sample width or rate.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 16000
 WINDOW_LEN = 512  # 32 ms at 16 kHz
@@ -26,10 +29,9 @@ KINDS = ("complex", "magnitude", "log1p")
 
 @dataclass
 class Waveform:
-    """Mono PCM audio: float samples (nominally in [-1, 1]) plus sample rate."""
+    """Mono 16 kHz audio: float samples, nominally in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -37,8 +39,6 @@ class Waveform:
             raise ValueError(f"waveform must be 1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
     def __len__(self):
         return len(self.samples)
@@ -46,7 +46,7 @@ class Waveform:
 
 @dataclass
 class Spectrogram:
-    """Time-frequency matrix of shape (T, 257) with its framing metadata.
+    """Time-frequency matrix of shape (T, 257).
 
     ``kind`` is one of "complex", "magnitude" (non-negative |X|), or "log1p"
     (log(1 + |X|), also non-negative).
@@ -54,19 +54,14 @@ class Spectrogram:
 
     frames: np.ndarray
     kind: str
-    window_len: int = WINDOW_LEN
-    hop: int = HOP
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown spectrogram kind {self.kind!r}")
         dtype = np.complex128 if self.kind == "complex" else np.float64
         self.frames = np.asarray(self.frames, dtype=dtype)
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.window_len // 2 + 1:
-            raise ValueError(
-                f"spectrogram must have shape (T, {self.window_len // 2 + 1}), "
-                f"got {self.frames.shape}"
-            )
+        if self.frames.ndim != 2 or self.frames.shape[1] != N_BINS:
+            raise ValueError(f"spectrogram must have shape (T, {N_BINS}), got {self.frames.shape}")
         if self.kind != "complex" and np.any(self.frames < 0):
             raise ValueError(f"{self.kind} spectrogram must be non-negative")
 
@@ -80,38 +75,27 @@ class FbankFeatures:
     """Log mel-filterbank energies, shape (T, 26)."""
 
     frames: np.ndarray
-    filter_count: int = N_MEL_FILTERS
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.filter_count:
-            raise ValueError(
-                f"fbank features must have shape (T, {self.filter_count}), "
-                f"got {self.frames.shape}"
-            )
+        if self.frames.ndim != 2 or self.frames.shape[1] != N_MEL_FILTERS:
+            raise ValueError(f"fbank features must have shape (T, {N_MEL_FILTERS}), got {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("fbank features contain non-finite values")
 
 
-def frame_count(n_samples: int, window_len: int = WINDOW_LEN, hop: int = HOP) -> int:
+def frame_count(n_samples: int) -> int:
     """Number of full analysis frames for a signal of ``n_samples`` samples."""
-    if n_samples < window_len:
-        raise ValueError(
-            f"signal too short: {n_samples} samples < one {window_len}-sample window"
-        )
-    return 1 + (n_samples - window_len) // hop
+    if n_samples < WINDOW_LEN:
+        raise ValueError(f"signal too short: {n_samples} samples < one {WINDOW_LEN}-sample window")
+    return 1 + (n_samples - WINDOW_LEN) // HOP
 
 
 def stft(w: Waveform) -> Spectrogram:
     """Hamming-windowed 512-point STFT, keeping the 257 non-negative bins."""
-    x = w.samples
-    t = frame_count(len(x))
-    window = np.hamming(WINDOW_LEN)
-    frames = np.empty((t, N_BINS), dtype=np.complex128)
-    for f in range(t):
-        seg = x[f * HOP : f * HOP + WINDOW_LEN]
-        frames[f] = np.fft.rfft(seg * window, n=WINDOW_LEN)
-    return Spectrogram(frames, kind="complex")
+    frame_count(len(w))  # rejects a signal shorter than one window
+    segs = sliding_window_view(w.samples, WINDOW_LEN)[::HOP]
+    return Spectrogram(np.fft.rfft(segs * np.hamming(WINDOW_LEN), axis=1), kind="complex")
 
 
 def istft(s: Spectrogram) -> Waveform:
@@ -124,23 +108,25 @@ def istft(s: Spectrogram) -> Waveform:
     """
     if s.kind != "complex":
         raise ValueError(f"istft needs a complex spectrogram, got kind {s.kind!r}")
-    t = s.num_frames
     window = np.hamming(WINDOW_LEN)
-    n_out = (t - 1) * HOP + WINDOW_LEN
-    acc = np.zeros(n_out)
-    wsq = np.zeros(n_out)
-    for f in range(t):
-        seg = np.fft.irfft(s.frames[f], n=WINDOW_LEN)
-        sl = slice(f * HOP, f * HOP + WINDOW_LEN)
-        acc[sl] += seg * window
-        wsq[sl] += window * window
-    return Waveform(acc / np.maximum(wsq, 1e-12), SAMPLE_RATE)
+    segs = np.fft.irfft(s.frames, n=WINDOW_LEN, axis=1) * window
+    # HOP is half of WINDOW_LEN, so each HOP-long block of the output sums
+    # exactly two frames: the first half of frame b and the second half of
+    # frame b - 1 (the first and last blocks get one each).
+    acc = np.zeros((s.num_frames + 1, HOP))
+    acc[:-1] += segs[:, :HOP]
+    acc[1:] += segs[:, HOP:]
+    sq = window * window
+    wsq = np.zeros((s.num_frames + 1, HOP))
+    wsq[:-1] += sq[:HOP]
+    wsq[1:] += sq[HOP:]
+    return Waveform((acc / np.maximum(wsq, 1e-12)).ravel())
 
 
 def magnitude(s: Spectrogram) -> Spectrogram:
     if s.kind != "complex":
         raise ValueError(f"magnitude needs a complex spectrogram, got {s.kind!r}")
-    return Spectrogram(np.abs(s.frames), kind="magnitude", window_len=s.window_len, hop=s.hop)
+    return Spectrogram(np.abs(s.frames), kind="magnitude")
 
 
 def log1p_compress(s: Spectrogram) -> Spectrogram:
@@ -149,14 +135,14 @@ def log1p_compress(s: Spectrogram) -> Spectrogram:
         raise ValueError(f"log1p_compress needs a magnitude spectrogram, got {s.kind!r}")
     if np.any(s.frames < 0):
         raise ValueError("log1p_compress input has negative entries")
-    return Spectrogram(np.log1p(s.frames), kind="log1p", window_len=s.window_len, hop=s.hop)
+    return Spectrogram(np.log1p(s.frames), kind="log1p")
 
 
 def expm1_decompress(s: Spectrogram) -> Spectrogram:
     """Exact inverse of :func:`log1p_compress`."""
     if s.kind != "log1p":
         raise ValueError(f"expm1_decompress needs a log1p spectrogram, got {s.kind!r}")
-    return Spectrogram(np.expm1(s.frames), kind="magnitude", window_len=s.window_len, hop=s.hop)
+    return Spectrogram(np.expm1(s.frames), kind="magnitude")
 
 
 def combine_with_phase(mag: Spectrogram, reference: Spectrogram) -> Spectrogram:
@@ -181,22 +167,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_matrix(
-    n_filters: int = N_MEL_FILTERS,
-    n_bins: int = N_BINS,
-    sample_rate: int = SAMPLE_RATE,
-) -> np.ndarray:
-    """Triangular mel filter matrix of shape (n_filters, n_bins).
+def mel_matrix() -> np.ndarray:
+    """Triangular mel filter matrix of shape (26, 257).
 
     Filter centers are spaced uniformly on the mel scale from 0 Hz to Nyquist;
     each filter rises linearly from the previous center and falls to the next,
     evaluated at the FFT bin frequencies.
     """
-    fft_size = 2 * (n_bins - 1)
-    bin_hz = np.arange(n_bins) * sample_rate / fft_size
-    centers_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2), n_filters + 2))
-    mat = np.zeros((n_filters, n_bins))
-    for i in range(n_filters):
+    bin_hz = np.arange(N_BINS) * SAMPLE_RATE / WINDOW_LEN
+    centers_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2), N_MEL_FILTERS + 2))
+    mat = np.zeros((N_MEL_FILTERS, N_BINS))
+    for i in range(N_MEL_FILTERS):
         lo, mid, hi = centers_hz[i], centers_hz[i + 1], centers_hz[i + 2]
         rising = (bin_hz - lo) / (mid - lo)
         falling = (hi - bin_hz) / (hi - mid)
@@ -204,21 +185,20 @@ def mel_matrix(
     return mat
 
 
-def mel_filterbank(s: Spectrogram, n_filters: int = N_MEL_FILTERS) -> FbankFeatures:
+def mel_filterbank(s: Spectrogram) -> FbankFeatures:
     """Log energies of the power spectrum under the triangular mel filters."""
     if s.kind != "magnitude":
         raise ValueError(f"mel_filterbank needs a magnitude spectrogram, got {s.kind!r}")
-    mat = mel_matrix(n_filters, s.frames.shape[1])
-    energies = (s.frames**2) @ mat.T
-    return FbankFeatures(np.log(energies + FBANK_FLOOR), filter_count=n_filters)
+    energies = (s.frames**2) @ mel_matrix().T
+    return FbankFeatures(np.log(energies + FBANK_FLOOR))
 
 
 def normalize(w: Waveform) -> Waveform:
     """Peak-normalize to max |sample| = 1. Silent input is returned unchanged."""
     peak = np.max(np.abs(w.samples)) if len(w) else 0.0
     if peak == 0.0:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    return Waveform(w.samples / peak, w.sample_rate)
+        return Waveform(w.samples.copy())
+    return Waveform(w.samples / peak)
 
 
 def read_wav(path) -> Waveform:
@@ -233,13 +213,11 @@ def read_wav(path) -> Waveform:
             raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
         raw = f.readframes(f.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples, SAMPLE_RATE)
+    return Waveform(samples)
 
 
 def write_wav(path, w: Waveform) -> None:
-    """Write PCM16 mono; samples are clipped to [-1, 1] first."""
-    if w.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"only {SAMPLE_RATE} Hz output is supported, got {w.sample_rate}")
+    """Write 16 kHz PCM16 mono; samples are clipped to [-1, 1] first."""
     clipped = np.clip(w.samples, -1.0, 1.0)
     pcm = np.round(clipped * 32767.0).astype("<i2")
     path = Path(path)

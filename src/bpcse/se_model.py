@@ -127,7 +127,7 @@ class SeModel:
             raise ValueError(f"enhance expects a log1p spectrogram, got {spec.kind!r}")
         with dc.no_grad():
             out = self.forward(dc.Tensor(spec.frames))
-        return dsp.Spectrogram(out.data, kind="log1p", window_len=spec.window_len, hop=spec.hop)
+        return dsp.Spectrogram(out.data, kind="log1p")
 
     def enhance_batch(self, specs):
         """Independent per-utterance enhancement; order maps one to one."""

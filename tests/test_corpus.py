@@ -38,6 +38,11 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="zero power"):
             corpus.mix_at_snr(live, dead, 0.0)
 
+    def test_empty_noise_rejected(self, rng):
+        clean = dsp.Waveform(rng.normal(0, 0.1, 1000))
+        with pytest.raises(ValueError, match="noise signal is empty"):
+            corpus.mix_at_snr(clean, dsp.Waveform(np.zeros(0)), 0.0)
+
     def test_short_noise_is_tiled(self, rng):
         clean = dsp.Waveform(rng.normal(0, 0.1, 5000))
         noise = dsp.Waveform(rng.normal(0, 0.1, 1200))
@@ -179,6 +184,16 @@ class TestManifest:
         with pytest.raises(ValueError, match="utt0001"):
             corpus.build_manifest(tmp_path, self.scheme())
 
+    def test_clean_shorter_than_one_window_names_utt_and_path(self, tmp_path):
+        corpus.synth_corpus(tmp_path, n_utts=2, seed=0)
+        corpus.mix_corpus(tmp_path, [0.0], seed=1)
+        dsp.write_wav(tmp_path / "clean" / "utt0001.wav", dsp.Waveform(np.zeros(300)))
+        path = str(tmp_path / "clean" / "utt0001.wav")
+        with pytest.raises(ValueError, match="utt0001") as err:
+            corpus.build_manifest(tmp_path, self.scheme())
+        assert path in str(err.value)
+        assert "signal too short: 300 samples" in str(err.value)
+
     def test_out_of_inventory_phone_named(self, tmp_path):
         corpus.synth_corpus(tmp_path, n_utts=1, seed=0)
         corpus.mix_corpus(tmp_path, [0.0], seed=1)
@@ -194,6 +209,24 @@ class TestManifest:
         assert back.to_json() == m.to_json()
         assert back.scheme_name == "manner"
         assert back.seed == 9
+
+    @pytest.mark.parametrize("field", ["utt_id", "clean_path", "snr_db", "num_frames"])
+    def test_entry_missing_field_named(self, field):
+        e = corpus.ManifestEntry("u7", "c.wav", "d.wav", ["s"], ["F"], 0.0, 10)
+        doc = json.loads(corpus.Manifest([e]).to_json())
+        del doc["entries"][0][field]
+        with pytest.raises(ValueError, match=f"entry 0 .*'{field}'"):
+            corpus.Manifest.from_json(json.dumps(doc))
+
+    def test_entries_must_be_a_list_of_objects(self):
+        e = corpus.ManifestEntry("u7", "c.wav", "d.wav", ["s"], ["F"], 0.0, 10)
+        doc = json.loads(corpus.Manifest([e]).to_json())
+        for entries, msg in ((None, "'entries' list"), ([["u7"]], "entry 0 is not a JSON object")):
+            doc["entries"] = entries
+            with pytest.raises(ValueError, match=msg):
+                corpus.Manifest.from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match="not a JSON object"):
+            corpus.Manifest.from_json("[]")
 
     def test_duplicate_ids_rejected(self):
         e = corpus.ManifestEntry("u", "c.wav", "d.wav", [], [], 0.0, 10)
@@ -226,6 +259,12 @@ class TestPipeline:
         meta = corpus.mix_corpus(tmp_path / "c", [0.0], seed=9, noise_dir=noise_dir)
         assert (tmp_path / "c" / "distorted" / "utt0000.wav").exists()
         assert meta["utt0000"] == 0.0
+
+    def test_empty_noise_file_rejected(self, tmp_path):
+        corpus.synth_corpus(tmp_path / "c", n_utts=1, seed=8)
+        dsp.write_wav(tmp_path / "noise" / "n0.wav", dsp.Waveform(np.zeros(0)))
+        with pytest.raises(ValueError, match="noise signal is empty"):
+            corpus.mix_corpus(tmp_path / "c", [0.0], seed=9, noise_dir=tmp_path / "noise")
 
     def test_make_noise_kinds(self, rng):
         for kind in ("white", "pink", "tonal"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpcse import dsp
@@ -8,6 +8,31 @@ from bpcse import dsp
 
 def rand_wave(rng, n):
     return dsp.Waveform(rng.uniform(-0.9, 0.9, n))
+
+
+def stft_by_frames(w):
+    """Reference STFT: one windowed rfft per frame."""
+    x = w.samples
+    window = np.hamming(dsp.WINDOW_LEN)
+    frames = np.empty((dsp.frame_count(len(x)), dsp.N_BINS), dtype=np.complex128)
+    for f in range(len(frames)):
+        seg = x[f * dsp.HOP : f * dsp.HOP + dsp.WINDOW_LEN]
+        frames[f] = np.fft.rfft(seg * window, n=dsp.WINDOW_LEN)
+    return frames
+
+
+def istft_by_frames(s):
+    """Reference iSTFT: one irfft and one overlap-add per frame."""
+    window = np.hamming(dsp.WINDOW_LEN)
+    n_out = (s.num_frames - 1) * dsp.HOP + dsp.WINDOW_LEN
+    acc = np.zeros(n_out)
+    wsq = np.zeros(n_out)
+    for f in range(s.num_frames):
+        seg = np.fft.irfft(s.frames[f], n=dsp.WINDOW_LEN)
+        sl = slice(f * dsp.HOP, f * dsp.HOP + dsp.WINDOW_LEN)
+        acc[sl] += seg * window
+        wsq[sl] += window * window
+    return acc / np.maximum(wsq, 1e-12)
 
 
 class TestStft:
@@ -28,6 +53,15 @@ class TestStft:
     @settings(max_examples=50, deadline=None)
     def test_framing_formula(self, n):
         assert dsp.frame_count(n) == 1 + (n - 512) // 256
+
+    @given(n=st.integers(min_value=512, max_value=50000), seed=st.integers(0, 2**32 - 1))
+    @example(n=512, seed=0)  # one frame
+    @example(n=767, seed=1)  # one frame, 255 samples left over
+    @example(n=16001, seed=2)  # not a multiple of HOP
+    @settings(max_examples=50, deadline=None)
+    def test_equals_per_frame_loop_bit_for_bit(self, n, seed):
+        w = rand_wave(np.random.default_rng(seed), n)
+        assert np.array_equal(dsp.stft(w).frames, stft_by_frames(w))
 
     def test_sine_peak_bin_matches_direct_dft(self):
         # 1 kHz at 16 kHz lands in bin round(1000 * 512 / 16000) = 32.
@@ -54,6 +88,20 @@ class TestIstft:
         assert rel_rms < 1e-3
         snr = 10 * np.log10(np.mean(w.samples[core] ** 2) / np.mean(err**2))
         assert snr > 60.0
+
+    @pytest.mark.parametrize("n", [512, 767, 4096, 16001, 48000])
+    def test_equals_per_frame_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        noisy = dsp.stft(rand_wave(rng, n))
+        changed = dsp.Spectrogram(dsp.log1p_compress(dsp.magnitude(noisy)).frames * 0.7, kind="log1p")
+        modified = dsp.combine_with_phase(dsp.expm1_decompress(changed), noisy)
+        for s in (noisy, modified):
+            assert np.array_equal(dsp.istft(s).samples, istft_by_frames(s))
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 62])
+    def test_output_length(self, t):
+        s = dsp.Spectrogram(np.ones((t, 257), dtype=complex), kind="complex")
+        assert len(dsp.istft(s)) == (t - 1) * dsp.HOP + dsp.WINDOW_LEN
 
     def test_zero_spectrogram(self):
         s = dsp.Spectrogram(np.zeros((5, 257), dtype=complex), kind="complex")
