@@ -174,6 +174,8 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
     clean signal is tiled; longer noise is cropped (from a seeded random
     offset when ``rng`` is given).
     """
+    if len(clean) == 0:
+        raise ValueError("clean signal is empty")
     if len(noise) == 0:
         raise ValueError("noise signal is empty")
     d = _match_length(noise.samples, len(clean), rng)

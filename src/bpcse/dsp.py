@@ -185,11 +185,14 @@ def mel_matrix() -> np.ndarray:
     return mat
 
 
+_MEL_T = mel_matrix().T  # built once; the transposed view keeps the matmul's summation order
+
+
 def mel_filterbank(s: Spectrogram) -> FbankFeatures:
     """Log energies of the power spectrum under the triangular mel filters."""
     if s.kind != "magnitude":
         raise ValueError(f"mel_filterbank needs a magnitude spectrogram, got {s.kind!r}")
-    energies = (s.frames**2) @ mel_matrix().T
+    energies = (s.frames**2) @ _MEL_T
     return FbankFeatures(np.log(energies + FBANK_FLOOR))
 
 

@@ -1,9 +1,61 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpcse import bpc
+
+
+def cluster_by_pairs(m: bpc.ConfusionMatrix, k: int) -> bpc.BpcScheme:
+    """Reference for ``bpc.cluster_confusion``: each merge recomputes every
+    cluster pair's average similarity from exact ``Fraction`` similarities."""
+    n = len(m.phones)
+    row_sums = [int(m.counts[i].sum()) for i in range(n)]
+    sim = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            s = Fraction(0)
+            if row_sums[i]:
+                s += Fraction(int(m.counts[i, j]), row_sums[i])
+            if row_sums[j]:
+                s += Fraction(int(m.counts[j, i]), row_sums[j])
+            sim[i][j] = s
+
+    clusters = [frozenset([i]) for i in range(n)]
+    while len(clusters) > k:
+        best = None
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                total = sum(sim[i][j] for i in clusters[a] for j in clusters[b])
+                avg = Fraction(total, len(clusters[a]) * len(clusters[b]))
+                key_pair = tuple(
+                    sorted(
+                        (
+                            min(m.phones[i] for i in clusters[a]),
+                            min(m.phones[i] for i in clusters[b]),
+                        )
+                    )
+                )
+                if best is None or avg > best[0] or (avg == best[0] and key_pair < best[1]):
+                    best = (avg, key_pair, a, b)
+        _, _, a, b = best
+        merged = clusters[a] | clusters[b]
+        clusters = [c for idx, c in enumerate(clusters) if idx not in (a, b)] + [merged]
+
+    clusters.sort(key=lambda c: min(m.phones[i] for i in c))
+    mapping = {}
+    classes = []
+    for c in clusters:
+        label = "grp_" + min(m.phones[i] for i in c)
+        classes.append(label)
+        for i in c:
+            mapping[m.phones[i]] = label
+    return bpc.BpcScheme("data", tuple(classes), mapping)
 
 
 class TestInventories:
@@ -139,6 +191,55 @@ class TestClusterConfusion:
         with pytest.raises(ValueError):
             bpc.cluster_confusion(m, k=3)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_non_integer_k_rejected(self, k):
+        m = bpc.ConfusionMatrix(("a", "b", "c"), np.eye(3, dtype=int))
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            bpc.cluster_confusion(m, k=k)
+
+    @given(
+        n=st.integers(1, 12),
+        high=st.sampled_from([1, 40]),
+        zero_row_p=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_pairwise_oracle(self, n, high, zero_row_p, seed):
+        rng = np.random.default_rng(seed)
+        phones = tuple(f"p{i}" for i in rng.permutation(n))
+        counts = rng.integers(0, high + 1, (n, n))
+        counts[rng.random(n) < zero_row_p] = 0
+        m = bpc.ConfusionMatrix(phones, counts)
+        for k in range(1, n + 1):
+            assert bpc.cluster_confusion(m, k).to_json() == cluster_by_pairs(m, k).to_json()
+
+    def test_equals_pairwise_oracle_on_87_phones(self):
+        # Diagonal-dominant, frequent confusions within a manner class and
+        # rare ones across classes: a recognizer-like matrix.
+        rng = np.random.default_rng(5)
+        inv = bpc.full_ipa_inventory()
+        manner = bpc.manner_scheme(inv).mapping
+        cls = np.array([manner[p] for p in inv.phones])
+        n = len(inv.phones)
+        within = rng.integers(0, 40, (n, n))
+        across = rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.1)
+        counts = np.where(cls[:, None] == cls[None, :], within, across)
+        np.fill_diagonal(counts, rng.integers(300, 600, n))
+        m = bpc.ConfusionMatrix(inv.phones, counts)
+        assert bpc.cluster_confusion(m, 9).to_json() == cluster_by_pairs(m, 9).to_json()
+
+
+class TestConfusionMatrix:
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_counts_rejected(self, dtype):
+        counts = np.array([[0.5, 0.4, 0], [0, 1, 0], [0, 0, 1]]).astype(dtype)
+        with pytest.raises(ValueError, match=f"integer dtype, got {np.dtype(dtype)}"):
+            bpc.ConfusionMatrix(("a", "b", "c"), counts)
+
+    def test_duplicate_phone_rejected(self):
+        with pytest.raises(ValueError, match="phone 'a' more than once"):
+            bpc.ConfusionMatrix(("a", "a", "b"), np.eye(3, dtype=int))
+
 
 class TestTranscriptToBpc:
     def test_merges_duplicates(self):
@@ -176,6 +277,33 @@ class TestSerialization:
         assert back.name == s.name
         assert back.classes == s.classes
         assert back.mapping == s.mapping
+
+    def test_scheme_without_classes_rejected(self):
+        doc = json.loads(bpc.manner_scheme(bpc.english_inventory()).to_json())
+        del doc["classes"]
+        with pytest.raises(ValueError, match="'classes'"):
+            bpc.BpcScheme.from_json(json.dumps(doc))
+
+    def test_scheme_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            bpc.BpcScheme.from_json("[]")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "no header row"),
+            ("# only a comment\n", "no header row"),
+            ("phone\ta\tb\na\t1\nb\t0\t1\n", "row 'a' has 1 counts, expected 2"),
+            ("phone\ta\tb\na\t1\t0\t4\nb\t0\t1\n", "row 'a' has 3 counts, expected 2"),
+            ("phone\ta\tb\na\t1\t0\nb\t0.5\t1\n", "row 'b', column 'a': '0.5' is not an integer"),
+        ],
+    )
+    def test_malformed_confusion_tsv_rejected(self, tmp_path, text, match):
+        p = tmp_path / "conf.tsv"
+        p.write_text(text, "utf-8")
+        with pytest.raises(ValueError, match=match) as err:
+            bpc.read_confusion_tsv(p)
+        assert str(p) in str(err.value)
 
     def test_confusion_tsv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -43,6 +43,11 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match="noise signal is empty"):
             corpus.mix_at_snr(clean, dsp.Waveform(np.zeros(0)), 0.0)
 
+    def test_empty_clean_rejected(self, rng):
+        noise = dsp.Waveform(rng.normal(0, 0.1, 1000))
+        with pytest.raises(ValueError, match="clean signal is empty"):
+            corpus.mix_at_snr(dsp.Waveform(np.zeros(0)), noise, 0.0)
+
     def test_short_noise_is_tiled(self, rng):
         clean = dsp.Waveform(rng.normal(0, 0.1, 5000))
         noise = dsp.Waveform(rng.normal(0, 0.1, 1200))

@@ -180,6 +180,15 @@ class TestMelFilterbank:
                 e = sum(mag[t, k] ** 2 * mat[i, k] for k in range(257))
                 assert abs(fb.frames[t, i] - np.log(e + 1e-10)) < 1e-9
 
+    def test_equals_fresh_mel_matrix_bit_for_bit(self):
+        mag = np.random.default_rng(4).uniform(0, 2, (9, 257))
+        fb = dsp.mel_filterbank(dsp.Spectrogram(mag, kind="magnitude"))
+        assert np.array_equal(fb.frames, np.log((mag**2) @ dsp.mel_matrix().T + dsp.FBANK_FLOOR))
+        mat = dsp.mel_matrix()
+        mat[:] = 0.0  # callers get their own copy; the cached matrix is untouched
+        assert np.array_equal(dsp.mel_filterbank(dsp.Spectrogram(mag, kind="magnitude")).frames, fb.frames)
+        assert dsp.mel_matrix() is not dsp.mel_matrix()
+
 
 class TestNormalize:
     def test_basic(self):
