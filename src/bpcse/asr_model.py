@@ -3,7 +3,9 @@
 Each direction of each encoder layer is a single ``diffcore.lstm_sequence``
 graph node with a hand-written BPTT backward, so the encoder adds a handful
 of nodes per layer to the graph whatever the utterance length; the attention
-decoder still steps ``diffcore.lstm_cell`` once per output label.
+decoder still steps ``diffcore.lstm_cell`` once per output label. The
+projection, the CTC head and the decoder's output layer are each one
+``diffcore.linear`` node, which adds the bias in place.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -99,10 +101,10 @@ class AsrModel:
         h = feats
         for layer in range(self.cfg.encoder_layers):
             h = dc.blstm_layer(h, self.params, f"enc{layer}")
-        return dc.matmul(h, self.params["proj.w"]) + self.params["proj.b"]
+        return dc.linear(h, self.params["proj.w"], self.params["proj.b"])
 
     def ctc_logits(self, hidden: dc.Tensor) -> dc.Tensor:
-        return dc.matmul(hidden, self.params["ctc.w"]) + self.params["ctc.b"]
+        return dc.linear(hidden, self.params["ctc.w"], self.params["ctc.b"])
 
     def attention_loss(self, hidden: dc.Tensor, labels, return_attention=False):
         """Teacher-forced decoder cross-entropy, averaged over steps.
@@ -131,7 +133,7 @@ class AsrModel:
             )
             weights = dc.softmax(dc.matmul(h_dec, dc.transpose(hidden)))
             ctx = dc.matmul(weights, hidden)
-            rows.append(dc.matmul(dc.concat([h_dec, ctx], axis=1), p["dec.out.w"]) + p["dec.out.b"])
+            rows.append(dc.linear(dc.concat([h_dec, ctx], axis=1), p["dec.out.w"], p["dec.out.b"]))
             attention.append(weights.data[0])
         loss = dc.cross_entropy(dc.concat(rows, axis=0), targets)
         if return_attention:

@@ -304,6 +304,8 @@ def read_confusion_tsv(path) -> ConfusionMatrix:
                 counts[r, c] = int(cell)
             except ValueError:
                 raise ValueError(f"{path}: row {phone!r}, column {phones[c]!r}: {cell!r} is not an integer") from None
+            except OverflowError:
+                raise ValueError(f"{path}: row {phone!r}, column {phones[c]!r}: {cell!r} is outside the int64 range") from None
     return ConfusionMatrix(phones, counts)
 
 

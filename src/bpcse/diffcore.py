@@ -9,15 +9,19 @@ Inside a :func:`no_grad` block ops record no parents and no backward closure,
 so inference keeps no graph and frees each activation once it is used; the
 NaN/Inf check still runs on every output. A :class:`Parameter` whose
 ``requires_grad`` is off is frozen: it passes gradient on to its inputs but
-gets none itself, and ``matmul`` and ``lstm_sequence`` skip computing it.
+gets none itself, and ``matmul``, ``linear``, ``attention`` and
+``lstm_sequence`` skip computing it.
 
-Also here: multi-head scaled dot-product self-attention (:func:`attention`)
-as one graph node over a ``(heads, T, d_head)`` layout with a hand-written
+Also here: the biased affine map ``x @ W + b`` (:func:`linear`) as one node
+that adds the bias in place, the only way the models add a bias to a
+product; multi-head scaled dot-product self-attention (:func:`attention`) as
+one graph node over a ``(heads, T, d_head)`` layout with a hand-written
 backward; a single LSTM step (:func:`lstm_cell`) built from the primitives;
 a whole-sequence LSTM (:func:`lstm_sequence`) and the BLSTM layer on top of
 it, each direction one graph node with a hand-written BPTT backward; the Adam
-optimizer; strict checkpoint serialization; and the central finite-difference
-gradient checker the test suite leans on.
+optimizer, which updates each parameter in place in cache-sized chunks with
+no full-size temporaries; strict checkpoint serialization; and the central
+finite-difference gradient checker the test suite leans on.
 """
 
 from __future__ import annotations
@@ -149,8 +153,8 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, data, name, frozen=False):
-        super().__init__(data, requires_grad=not frozen)
+    def __init__(self, data, name):
+        super().__init__(data, requires_grad=True)
         self.name = name
 
     @property
@@ -251,6 +255,25 @@ def matmul(a, b):
             _accum(b, a.data.T @ g)
 
     return _node(data, (a, b), backward, "matmul")
+
+
+def linear(x, W, b):
+    """``x @ W + b`` for x (T, n), W (n, m) and b (m,), as one node; the bias is added in place."""
+    x, W, b = _lift(x), _lift(W), _lift(b)
+    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
+        raise ValueError(f"linear shape mismatch: x {x.shape}, W {W.shape}, b {b.shape}")
+    data = x.data @ W.data
+    data += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            _accum(x, g @ W.data.T)
+        if W.requires_grad:
+            _accum(W, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _node(data, (x, W, b), backward, "linear")
 
 
 def relu(x):
@@ -368,22 +391,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _node(data, (x, gain, bias), backward, "layer_norm")
 
 
-def dropout(x, p, rng, train=True):
-    """Inverted dropout; identity when not training or p == 0."""
-    x = _lift(x)
-    if not train or p == 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    data = x.data * mask
-
-    def backward(g):
-        _accum(x, g * mask)
-
-    return _node(data, (x,), backward, "dropout")
-
-
 def concat(tensors, axis=0):
     tensors = [_lift(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -476,7 +483,7 @@ def conv1d(x, w, b=None, pad=0):
     parents = [x, w]
     if b is not None:
         b = _lift(b)
-        data = data + b.data
+        data += b.data
         parents.append(b)
 
     def backward(g):
@@ -585,13 +592,13 @@ def attention(q, k, v, heads):
 # recurrent cells
 
 
-def init_lstm_params(rng, input_dim, hidden, prefix, frozen=False):
+def init_lstm_params(rng, input_dim, hidden, prefix):
     s = np.sqrt(6.0 / (input_dim + 4 * hidden))
     u = np.sqrt(6.0 / (hidden + 4 * hidden))
     return {
-        f"{prefix}.W": Parameter(rng.uniform(-s, s, (input_dim, 4 * hidden)), f"{prefix}.W", frozen),
-        f"{prefix}.U": Parameter(rng.uniform(-u, u, (hidden, 4 * hidden)), f"{prefix}.U", frozen),
-        f"{prefix}.b": Parameter(np.zeros((1, 4 * hidden)), f"{prefix}.b", frozen),
+        f"{prefix}.W": Parameter(rng.uniform(-s, s, (input_dim, 4 * hidden)), f"{prefix}.W"),
+        f"{prefix}.U": Parameter(rng.uniform(-u, u, (hidden, 4 * hidden)), f"{prefix}.U"),
+        f"{prefix}.b": Parameter(np.zeros((1, 4 * hidden)), f"{prefix}.b"),
     }
 
 
@@ -689,8 +696,21 @@ def blstm_layer(xs, params, prefix):
 # optimization
 
 
+# Elements per in-place Adam update: the six 256 KiB slices one chunk touches
+# (parameter, grad, m, v and two scratch buffers) stay in a core's L2 cache.
+ADAM_CHUNK = 1 << 15
+
+
 class Adam:
-    """Standard Adam with bias correction; frozen parameters are never touched."""
+    """Standard Adam with bias correction; frozen parameters are never touched.
+
+    ``step`` updates every parameter, and its moments ``m`` and ``v``, in place
+    in chunks of ``ADAM_CHUNK`` elements through two preallocated scratch
+    buffers, so no full-size temporary is made; only a parameter whose data is
+    not C-contiguous is updated whole, through its own view. The arithmetic of
+    each element is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)``, in that order.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
@@ -699,19 +719,44 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        self._m = {n: np.zeros(p.shape) for n, p in self.params.items()}
+        self._v = {n: np.zeros(p.shape) for n, p in self.params.items()}
+        self._scratch = np.empty((2, ADAM_CHUNK))
 
     def step(self):
+        live = {n: p for n, p in self.params.items() if p.requires_grad and p.grad is not None}
+        for n, p in live.items():
+            if p.grad.shape != p.shape:
+                raise ValueError(f"Adam: grad of parameter {n!r} has shape {p.grad.shape}, its data {p.shape}")
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for n, p in self.params.items():
-            if not p.requires_grad or p.grad is None:
+        for n, p in live.items():
+            m, v = self._m[n], self._v[n]
+            if not p.data.flags.c_contiguous:  # flattening would copy, and the update would miss p.data
+                self._update(p.data, p.grad, m, v, *np.empty((2, *p.shape)), b1c, b2c)
                 continue
-            m = self._m[n] = self.beta1 * self._m[n] + (1 - self.beta1) * p.grad
-            v = self._v[n] = self.beta2 * self._v[n] + (1 - self.beta2) * p.grad**2
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            data, grad, m, v = p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, data.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, data.size)
+                self._update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c)
+
+    def _update(self, p, g, m, v, s, r, b1c, b2c):
+        """One Adam update of ``p``, ``m`` and ``v`` in place; ``s`` and ``r`` are scratch of the same shape."""
+        m *= self.beta1
+        np.multiply(g, 1 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, g, out=s)
+        s *= 1 - self.beta2
+        v += s
+        np.divide(m, b1c, out=s)
+        s *= self.lr
+        np.divide(v, b2c, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        p -= s
 
     def zero_grad(self):
         for p in self.params.values():

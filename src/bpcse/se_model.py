@@ -5,7 +5,9 @@ sinusoidal positions are added, then eight pre-norm attention blocks
 (multi-head self-attention plus a two-layer feed-forward, each with a
 residual connection and layer norm) refine the sequence. A final linear
 projection with softplus keeps outputs non-negative, as log1p features
-must be.
+must be. Every affine projection is one ``diffcore.linear`` node, which
+adds its bias in place. Inputs longer than ``MAX_FRAMES`` are rejected,
+because the T x T attention weights would otherwise grow without bound.
 
 The attention of each block, all heads together, is one
 ``diffcore.attention`` graph node. ``enhance`` runs the forward pass under
@@ -22,6 +24,12 @@ import numpy as np
 
 from . import diffcore as dc
 from . import dsp
+
+# Longest input, in STFT frames (about 33 s at the 16 ms hop). Attention is
+# quadratic in T: one block's weights take heads * T^2 * 8 bytes, 134 MB at
+# T = 2048 and the paper's 4 heads, and a training step keeps them for all
+# 8 blocks, about 1.1 GB.
+MAX_FRAMES = 2048
 
 
 @dataclass
@@ -97,17 +105,19 @@ class SeModel:
 
     def _attend(self, x, block):
         p = self.params
-        q = dc.matmul(x, p[f"{block}.wq"]) + p[f"{block}.bq"]
-        k = dc.matmul(x, p[f"{block}.wk"]) + p[f"{block}.bk"]
-        v = dc.matmul(x, p[f"{block}.wv"]) + p[f"{block}.bv"]
-        return dc.matmul(dc.attention(q, k, v, self.cfg.heads), p[f"{block}.wo"]) + p[f"{block}.bo"]
+        q = dc.linear(x, p[f"{block}.wq"], p[f"{block}.bq"])
+        k = dc.linear(x, p[f"{block}.wk"], p[f"{block}.bk"])
+        v = dc.linear(x, p[f"{block}.wv"], p[f"{block}.bv"])
+        return dc.linear(dc.attention(q, k, v, self.cfg.heads), p[f"{block}.wo"], p[f"{block}.bo"])
 
     def forward(self, x: dc.Tensor) -> dc.Tensor:
-        """Enhanced log1p spectrum, same (T, 257) shape as the input."""
+        """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""
         p = self.params
         cfg = self.cfg
         if x.shape[1] != cfg.n_bins:
             raise ValueError(f"expected {cfg.n_bins} bins, got input shape {x.shape}")
+        if x.shape[0] > MAX_FRAMES:
+            raise ValueError(f"input has {x.shape[0]} frames; SE accepts at most MAX_FRAMES = {MAX_FRAMES}")
         h = x
         for i in range(cfg.conv_layers):
             h = dc.relu(dc.conv1d(h, p[f"conv{i}.w"], p[f"conv{i}.b"], pad=cfg.conv_kernel // 2))
@@ -116,10 +126,10 @@ class SeModel:
             b = f"block{i}"
             h = h + self._attend(dc.layer_norm(h, p[f"{b}.ln1.g"], p[f"{b}.ln1.b"]), b)
             ff_in = dc.layer_norm(h, p[f"{b}.ln2.g"], p[f"{b}.ln2.b"])
-            ff = dc.matmul(dc.relu(dc.matmul(ff_in, p[f"{b}.ff.w1"]) + p[f"{b}.ff.b1"]), p[f"{b}.ff.w2"]) + p[f"{b}.ff.b2"]
+            ff = dc.linear(dc.relu(dc.linear(ff_in, p[f"{b}.ff.w1"], p[f"{b}.ff.b1"])), p[f"{b}.ff.w2"], p[f"{b}.ff.b2"])
             h = h + ff
         h = dc.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
-        return dc.softplus(dc.matmul(h, p["out.w"]) + p["out.b"])
+        return dc.softplus(dc.linear(h, p["out.w"], p["out.b"]))
 
     def enhance(self, spec: dsp.Spectrogram) -> dsp.Spectrogram:
         """Inference on a log1p spectrogram under ``diffcore.no_grad()``: no graph is kept."""
@@ -128,10 +138,6 @@ class SeModel:
         with dc.no_grad():
             out = self.forward(dc.Tensor(spec.frames))
         return dsp.Spectrogram(out.data, kind="log1p")
-
-    def enhance_batch(self, specs):
-        """Independent per-utterance enhancement; order maps one to one."""
-        return [self.enhance(s) for s in specs]
 
     def save(self, path, seed=None):
         dc.save_checkpoint(path, self.params, {"kind": "se", "config": asdict(self.cfg), "seed": seed})

@@ -271,6 +271,45 @@ class TestAsrLoss:
         for n, g in se_grads[0].items():
             assert np.array_equal(se_grads[1][n], g), n
 
+
+def biased_products(root):
+    """The ``add`` nodes reachable from ``root`` that add a Parameter to a ``matmul`` output."""
+    found, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        parents = node._parents
+        if node._op == "add" and any(p._op == "matmul" for p in parents) and any(
+            isinstance(p, dc.Parameter) for p in parents
+        ):
+            found.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return found
+
+
+class TestOneWayToAddABias:
+    """Every bias is added by ``diffcore.linear``; no ``matmul(..) + b`` pair is left in either model."""
+
+    def graphs(self):
+        rng = np.random.default_rng(10)
+        se = SeModel(SeConfig(d_model=8, heads=2, ff_dim=8, conv_layers=1, attention_blocks=2), seed=3)
+        model = am.AsrModel(tiny_cfg(), seed=6)
+        hidden = model.encode(dc.Tensor(rng.normal(0, 1, (6, 5)), requires_grad=True))
+        return {
+            "se.forward": se.forward(dc.Tensor(rng.uniform(0, 2, (5, 257)))),
+            "encode": hidden,
+            "ctc_logits": model.ctc_logits(hidden),
+            "attention_loss": model.attention_loss(hidden, [3, 4, 3]),
+        }
+
+    def test_no_add_joins_a_matmul_and_a_parameter(self):
+        for name, root in self.graphs().items():
+            assert root._parents, name
+            assert biased_products(root) == [], name
+
+
 class TestDeepFeatures:
     def test_identical_zero(self):
         x = dc.Tensor(np.ones((4, 6)))

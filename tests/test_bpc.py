@@ -296,6 +296,10 @@ class TestSerialization:
             ("phone\ta\tb\na\t1\nb\t0\t1\n", "row 'a' has 1 counts, expected 2"),
             ("phone\ta\tb\na\t1\t0\t4\nb\t0\t1\n", "row 'a' has 3 counts, expected 2"),
             ("phone\ta\tb\na\t1\t0\nb\t0.5\t1\n", "row 'b', column 'a': '0.5' is not an integer"),
+            (
+                "phone\ta\tb\na\t1\t99999999999999999999\nb\t0\t1\n",
+                "row 'a', column 'b': '99999999999999999999' is outside the int64 range",
+            ),
         ],
     )
     def test_malformed_confusion_tsv_rejected(self, tmp_path, text, match):

@@ -65,11 +65,6 @@ class TestPrimitiveGradients:
         x, g, b = rand(rng, 3, 8), rand(rng, 8), rand(rng, 8)
         self.check(lambda: dc.mean(dc.layer_norm(x, g, b) * dc.layer_norm(x, g, b)), [x, g, b])
 
-    def test_dropout_fixed_mask(self):
-        rng = np.random.default_rng(8)
-        x = rand(rng, 4, 4)
-        self.check(lambda: dc.mean(dc.dropout(x, 0.4, np.random.default_rng(99)) * x), [x])
-
     def test_concat(self):
         rng = np.random.default_rng(9)
         a, b = rand(rng, 2, 3), rand(rng, 4, 3)
@@ -178,6 +173,66 @@ class TestContracts:
         assert run() == run()
 
 
+def linear_value_and_grads(run, arrays, requires, weights):
+    """Value of sum(weights * run(x, W, b)) and the grads of x, W and b (None where not required)."""
+    tensors = [t(a.copy(), grad=r) for a, r in zip(arrays, requires)]
+    out = run(*tensors)
+    dc.tsum(out * weights).backward()
+    return out.data, [x.grad for x in tensors]
+
+
+def matmul_then_add(x, W, b):
+    """The two-node graph ``linear`` replaces."""
+    return dc.matmul(x, W) + b
+
+
+class TestLinear:
+    def test_linear_gradcheck(self):
+        rng = np.random.default_rng(50)
+        x, W, b = rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)
+        w = t(rng.uniform(-1, 1, (4, 5)), grad=False)
+        assert dc.gradcheck(lambda: dc.tsum(dc.linear(x, W, b) * w), [x, W, b]) < 1e-4
+
+    @given(
+        t_len=st.integers(1, 7),
+        n_in=st.integers(1, 5),
+        n_out=st.integers(1, 5),
+        requires=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_linear_equals_matmul_then_add(self, t_len, n_in, n_out, requires, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(0, 2, shape) for shape in ((t_len, n_in), (n_in, n_out), (n_out,))]
+        weights = rng.normal(size=(t_len, n_out))
+        fused, fused_grads = linear_value_and_grads(dc.linear, arrays, requires, weights)
+        oracle, oracle_grads = linear_value_and_grads(matmul_then_add, arrays, requires, weights)
+        assert np.array_equal(fused, oracle)
+        for got, want, required in zip(fused_grads, oracle_grads, requires):
+            assert (got is None) == (want is None) == (not required)
+            assert got is None or np.array_equal(got, want)
+
+    def test_linear_is_one_node(self):
+        rng = np.random.default_rng(51)
+        x, W, b = rand(rng, 4, 3), rand(rng, 3, 2), rand(rng, 2)
+        out = dc.linear(x, W, b)
+        assert out.shape == (4, 2)
+        assert out._op == "linear"
+        assert [id(p) for p in out._parents] == [id(x), id(W), id(b)]
+
+    def test_linear_rejects_bad_shapes(self):
+        rng = np.random.default_rng(52)
+        x, W = rand(rng, 4, 3), rand(rng, 3, 2)
+        with pytest.raises(ValueError, match=r"x \(4, 3\), W \(2, 3\), b \(2,\)"):
+            dc.linear(x, rand(rng, 2, 3), rand(rng, 2))
+        with pytest.raises(ValueError, match=r"b \(1, 2\)"):
+            dc.linear(x, W, rand(rng, 1, 2))
+        with pytest.raises(ValueError, match=r"b \(3,\)"):
+            dc.linear(x, W, rand(rng, 3))
+        with pytest.raises(ValueError, match=r"x \(3,\)"):
+            dc.linear(rand(rng, 3), W, rand(rng, 2))
+
+
 def lstm_by_cells(xs, W, U, b, reverse=False):
     """Op-by-op oracle for ``lstm_sequence``: one ``lstm_cell`` per frame, outputs concatenated."""
     t_len, _ = xs.shape
@@ -207,8 +262,8 @@ def rel_err(got, want):
 
 
 class TestLstm:
-    def make_params(self, rng, din, h, frozen=False):
-        return dc.init_lstm_params(rng, din, h, "cell", frozen)
+    def make_params(self, rng, din, h):
+        return dc.init_lstm_params(rng, din, h, "cell")
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("t_len", [1, 4])
@@ -372,6 +427,7 @@ class TestNoGrad:
         with dc.no_grad():
             outs = [
                 dc.tanh(dc.matmul(x, x.data.T)),
+                dc.linear(x, x.data.T, x.data[:, 0]),
                 dc.attention(x, x, x, 3),
                 dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]),
             ]
@@ -379,7 +435,7 @@ class TestNoGrad:
             assert not out.requires_grad
             assert out._parents == ()
             assert out._backward is None
-        assert outs[1]._op == "attention"
+        assert outs[2]._op == "attention"
 
     def test_same_values_as_with_graph(self):
         rng = np.random.default_rng(41)
@@ -409,18 +465,20 @@ class TestNoGrad:
 
 class TestFrozenParameters:
     def test_frozen_is_requires_grad_off(self):
-        p = dc.Parameter(np.ones(2), "p", frozen=True)
-        assert p.frozen and not p.requires_grad
-        p.requires_grad = True
-        assert not p.frozen
+        p = dc.Parameter(np.ones(2), "p")
+        assert p.requires_grad and not p.frozen
+        p.requires_grad = False
+        assert p.frozen
 
     def test_frozen_weights_get_no_grad_and_inputs_keep_theirs(self):
         rng = np.random.default_rng(42)
         xs, w = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
         input_grads = []
         for frozen in (False, True):
-            p = dc.init_lstm_params(np.random.default_rng(43), 3, 2, "cell", frozen)
-            proj = dc.Parameter(np.random.default_rng(44).normal(size=(2, 2)), "proj", frozen)
+            p = dc.init_lstm_params(np.random.default_rng(43), 3, 2, "cell")
+            proj = dc.Parameter(np.random.default_rng(44).normal(size=(2, 2)), "proj")
+            for q in [*p.values(), proj]:
+                q.requires_grad = not frozen
             x = t(xs)
             out = dc.matmul(dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]), proj)
             dc.tsum(out * w).backward()
@@ -429,7 +487,106 @@ class TestFrozenParameters:
         assert np.array_equal(input_grads[0], input_grads[1])
 
 
+class AdamByArrays:
+    """Oracle for ``Adam``: the whole-array update, each term a full-size temporary."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for n, p in self.params.items():
+            if not p.requires_grad or p.grad is None:
+                continue
+            m = self._m[n] = self.beta1 * self._m[n] + (1 - self.beta1) * p.grad
+            v = self._v[n] = self.beta2 * self._v[n] + (1 - self.beta2) * p.grad**2
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+ADAM_SHAPES = [
+    (1,),
+    (7, 3),
+    (dc.ADAM_CHUNK - 1,),
+    (dc.ADAM_CHUNK,),
+    (dc.ADAM_CHUNK + 1,),
+    (3, 20000),  # chunk boundaries fall inside rows
+    (2 * dc.ADAM_CHUNK + 5,),
+]
+
+
 class TestAdam:
+    @given(
+        specs=st.lists(
+            st.tuples(st.sampled_from(ADAM_SHAPES), st.sampled_from(["live", "sometimes", "frozen"])),
+            min_size=1,
+            max_size=4,
+        ),
+        steps=st.integers(1, 4),
+        hyper=st.sampled_from([(1e-3, 0.9, 0.999, 1e-8), (0.1, 0.5, 0.9, 1e-3)]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_whole_array_oracle(self, specs, steps, hyper, seed):
+        rng = np.random.default_rng(seed)
+        init = [rng.normal(size=shape) for shape, _ in specs]
+        sides = []
+        for cls in (dc.Adam, AdamByArrays):
+            params = {f"p{i}": dc.Parameter(a.copy(), f"p{i}") for i, a in enumerate(init)}
+            for p, (_, kind) in zip(params.values(), specs):
+                p.requires_grad = kind != "frozen"
+            lr, beta1, beta2, eps = hyper
+            sides.append((params, cls(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)))
+        for _ in range(steps):
+            grads = [
+                None if kind == "sometimes" and rng.random() < 0.5 else rng.normal(size=shape)
+                for shape, kind in specs
+            ]
+            for params, opt in sides:
+                for p, g in zip(params.values(), grads):
+                    p.grad = g
+                opt.step()
+        (params, opt), (want_params, want) = sides
+        assert opt.t == want.t == steps
+        for n, p in params.items():
+            assert np.array_equal(p.data, want_params[n].data), n
+            assert np.array_equal(opt._m[n], want._m[n]), n
+            assert np.array_equal(opt._v[n], want._v[n]), n
+        for p, a, (_, kind) in zip(params.values(), init, specs):
+            if kind == "frozen":
+                assert np.array_equal(p.data, a)
+
+    @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T], ids=["strided", "transposed"])
+    def test_non_contiguous_parameter_updated_through_its_view(self, view):
+        rng = np.random.default_rng(60)
+        base = rng.normal(size=(4, 6))
+        p, oracle_p = dc.Parameter(view(base), "w"), dc.Parameter(view(base).copy(), "w")
+        assert np.shares_memory(p.data, base) and not p.data.flags.c_contiguous
+        opt, oracle = dc.Adam({"w": p}, lr=0.1), AdamByArrays({"w": oracle_p}, lr=0.1)
+        expected = base.copy()
+        for _ in range(3):
+            p.grad = oracle_p.grad = rng.normal(size=p.shape)
+            opt.step()
+            oracle.step()
+        view(expected)[...] = oracle_p.data
+        assert np.array_equal(base, expected)  # written through the view; elements outside it unchanged
+
+    def test_grad_of_another_shape_names_the_parameter(self):
+        p = dc.Parameter(np.ones(3), "block0.bq")
+        opt = dc.Adam({"block0.bq": p}, lr=0.1)
+        p.grad = np.ones(1)  # broadcasts against (3,), so only the shape check catches it
+        with pytest.raises(ValueError, match=r"'block0\.bq' has shape \(1,\), its data \(3,\)"):
+            opt.step()
+        assert np.all(p.data == 1.0) and opt.t == 0
+
     def test_zero_grad_leaves_parameter(self):
         p = dc.Parameter(np.ones(3), "p")
         opt = dc.Adam({"p": p}, lr=0.1)
@@ -438,7 +595,8 @@ class TestAdam:
         assert np.all(p.data == 1.0)
 
     def test_frozen_parameter_untouched(self):
-        p = dc.Parameter(np.ones(3), "p", frozen=True)
+        p = dc.Parameter(np.ones(3), "p")
+        p.requires_grad = False
         opt = dc.Adam({"p": p}, lr=0.1)
         p.grad = np.ones(3)
         opt.step()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bpcse.diffcore as dc
-from bpcse import dsp
+from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
 
 TINY = SeConfig(d_model=8, heads=2, ff_dim=16, attention_blocks=2)
@@ -42,6 +42,18 @@ class TestForwardContracts:
     def test_dmodel_heads_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
             SeConfig(d_model=10, heads=4)
+
+    def test_input_longer_than_max_frames_rejected(self, monkeypatch):
+        model = SeModel(TINY, seed=0)
+        monkeypatch.setattr(se_model, "MAX_FRAMES", 6)
+        assert model.forward(dc.Tensor(np.zeros((6, 257)))).shape == (6, 257)
+        with pytest.raises(ValueError, match=r"7 frames.*MAX_FRAMES = 6"):
+            model.forward(dc.Tensor(np.zeros((7, 257))))
+        with pytest.raises(ValueError, match=r"7 frames.*MAX_FRAMES = 6"):
+            model.enhance(log1p_spec(np.random.default_rng(0), 7))
+
+    def test_max_frames_is_well_above_ten_seconds(self):
+        assert se_model.MAX_FRAMES * dsp.HOP >= 3 * 10 * dsp.SAMPLE_RATE
 
 
 def op_counts(root):
@@ -138,9 +150,9 @@ class TestBatchIndependence:
         model = SeModel(TINY, seed=7)
         rng = np.random.default_rng(8)
         batch = [log1p_spec(rng, t) for t in (3, 5, 4)]
-        outs = model.enhance_batch(batch)
+        outs = [model.enhance(s) for s in batch]
         perm = [2, 0, 1]
-        permuted = model.enhance_batch([batch[i] for i in perm])
+        permuted = [model.enhance(batch[i]) for i in perm]
         for got, expect_idx in zip(permuted, perm):
             assert np.array_equal(got.frames, outs[expect_idx].frames)
 
