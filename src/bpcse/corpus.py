@@ -60,8 +60,10 @@ class RoomSpec:
             for x, dim in zip(point, self.room_dims_m):
                 if not 0.0 < x < dim:
                     raise ValueError(f"{label} position {point} not strictly inside room {self.room_dims_m}")
-        if self.t60_s <= 0:
-            raise ValueError(f"t60_s must be positive, got {self.t60_s}")
+        if not (math.isfinite(self.t60_s) and self.t60_s > 0):
+            raise ValueError(f"t60_s must be positive and finite, got {self.t60_s}")
+        if not isinstance(self.rir_len_samples, (int, np.integer)) or self.rir_len_samples <= 0:
+            raise ValueError(f"rir_len_samples must be a positive int, got {self.rir_len_samples!r}")
 
 
 @dataclass
@@ -220,8 +222,13 @@ def make_noise(kind: str, n: int, rng) -> dsp.Waveform:
 # room impulse responses
 
 
-def _render_image_rir(spec: RoomSpec, beta: float) -> dsp.Waveform:
-    """Image-source sum for a uniform wall reflection coefficient ``beta``."""
+def _image_sources(spec: RoomSpec) -> tuple:
+    """Image sources of a shoebox room that arrive within rir_len_samples.
+
+    Returns each kept image's sample delay, reflection order and 4 pi d
+    spreading denominator. None of them depends on the wall reflection
+    coefficient, so one call serves every step of :func:`generate_rir`.
+    """
     lx, ly, lz = spec.room_dims_m
     max_dist = spec.rir_len_samples / dsp.SAMPLE_RATE * SPEED_OF_SOUND
 
@@ -244,11 +251,7 @@ def _render_image_rir(spec: RoomSpec, beta: float) -> dsp.Waveform:
     order = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
     delays = np.round(dist * dsp.SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
     keep = (delays < spec.rir_len_samples) & (dist > 1e-9)
-    amps = beta ** order[keep] / (4.0 * np.pi * dist[keep])
-
-    h = np.zeros(spec.rir_len_samples)
-    np.add.at(h, delays[keep], amps)
-    return dsp.Waveform(h)
+    return delays[keep], order[keep], 4.0 * np.pi * dist[keep]
 
 
 def generate_rir(spec: RoomSpec) -> dsp.Waveform:
@@ -259,8 +262,12 @@ def generate_rir(spec: RoomSpec) -> dsp.Waveform:
     coefficient is calibrated by bisection so the rendered response actually
     realizes the requested T60 on its truncated support (the textbook
     Sabine/Eyring coefficient under-decays badly on a 4096-sample response;
-    Eyring's value seeds the search). Unreachable T60s, where even Sabine
-    absorption would exceed 1, are rejected.
+    Eyring's value seeds the search). The image geometry is built once per
+    call; each step only re-weights the images for its beta and sums them
+    per delay. Unreachable T60s, where even Sabine absorption would exceed
+    1, are rejected, and so is a T60 that Eyring's beta and 20 bisection
+    steps all miss by 0.5% or more (a T60 whose decay the truncated
+    response cannot show).
     """
     lx, ly, lz = spec.room_dims_m
     volume = lx * ly * lz
@@ -273,25 +280,33 @@ def generate_rir(spec: RoomSpec) -> dsp.Waveform:
     eyring = 1.0 - math.exp(-0.161 * volume / (surface * spec.t60_s))
     beta = math.sqrt(1.0 - eyring)
     lo, hi = 0.02, 0.998
-    rir = _render_image_rir(spec, beta)
-    for _ in range(20):
+    delays, order, denom = _image_sources(spec)
+    for _ in range(21):  # Eyring's beta, then 20 bisection steps
+        rir = dsp.Waveform(np.bincount(delays, weights=beta**order / denom, minlength=spec.rir_len_samples))
         try:
             fitted = fit_t60(rir)
         except ValueError:
             fitted = math.inf  # decay too shallow to measure: beta is too high
         if abs(fitted - spec.t60_s) / spec.t60_s < 0.005:
-            break
+            return rir
         if fitted > spec.t60_s:
             hi = beta
         else:
             lo = beta
         beta = 0.5 * (lo + hi)
-        rir = _render_image_rir(spec, beta)
-    return rir
+    last = "unmeasurable" if math.isinf(fitted) else f"{fitted:.4f} s"
+    raise ValueError(
+        f"T60 {spec.t60_s} s not reached within 0.5% on rir_len_samples={spec.rir_len_samples}: "
+        f"last fitted T60 {last}"
+    )
 
 
 def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
     """Full convolution truncated to len(w), then peak-renormalized."""
+    if len(rir) == 0:
+        raise ValueError("room response is empty")
+    if not np.any(rir.samples):
+        raise ValueError("zero power: room response is silent")
     out = fftconvolve(w.samples, rir.samples)[: len(w)]
     return dsp.normalize(dsp.Waveform(out))
 
@@ -303,21 +318,30 @@ def fit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
     the fitted exponential past the end of the support and added back into
     the integral; a few fixed-point iterations make the decay curve straight
     enough to fit. The fit runs between -fit_db[0] and -fit_db[1] dB (or as
-    deep as the compensated curve goes, for long T60s).
+    deep as the compensated curve goes, for long T60s) and is the
+    closed-form least-squares line through the decay curve in dB.
     """
+    if len(rir) == 0:
+        raise ValueError("room response is empty")
     energy = rir.samples**2
+    if not np.any(energy):
+        raise ValueError("zero power: room response is silent")
     n = len(energy)
     t = np.arange(n) / dsp.SAMPLE_RATE
+    backward = np.cumsum(energy[::-1])[::-1]
     tail = 0.0
-    slope = None
     for _ in range(12):
-        edc = np.cumsum(energy[::-1])[::-1] + tail
+        edc = backward + tail
         db = 10.0 * np.log10(np.maximum(edc / edc[0], 1e-30))
         floor = max(-fit_db[1], db[int(0.9 * n)] + 1.0)
         mask = (db <= -fit_db[0]) & (db >= floor)
         if mask.sum() < 16:
             raise ValueError("decay range too short to fit T60")
-        slope, icpt = np.polyfit(t[mask], db[mask], 1)
+        x, y = t[mask], db[mask]
+        x_mean, y_mean = x.mean(), y.mean()
+        dx = x - x_mean
+        slope = dx @ (y - y_mean) / (dx @ dx)
+        icpt = y_mean - slope * x_mean
         tail = edc[0] * 10.0 ** ((icpt + slope * (n / dsp.SAMPLE_RATE)) / 10.0)
     return -60.0 / slope
 
@@ -465,6 +489,8 @@ def _corpus_utts(corpus_dir) -> list:
 
 def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
     """Mix every clean utterance with noise at an SNR drawn from snr_list."""
+    if len(snr_list) == 0:
+        raise ValueError("snr_list is empty")
     corpus_dir = Path(corpus_dir)
     rng = np.random.default_rng(seed)
     noise_files = sorted(Path(noise_dir).glob("*.wav")) if noise_dir else None
@@ -488,6 +514,8 @@ def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
 
 def reverb_corpus(corpus_dir, t60_list, seed: int, room: RoomSpec | None = None) -> dict:
     """Convolve distorted (or clean, if un-mixed) utterances with room responses."""
+    if len(t60_list) == 0:
+        raise ValueError("t60_list is empty")
     corpus_dir = Path(corpus_dir)
     rng = np.random.default_rng(seed)
     room = room or RoomSpec()

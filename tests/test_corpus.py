@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpcse import bpc, corpus, dsp
 
@@ -9,6 +12,88 @@ from bpcse import bpc, corpus, dsp
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def render_image_rir(spec: corpus.RoomSpec, beta: float) -> dsp.Waveform:
+    """Reference image-source renderer: rebuilds the whole geometry for one
+    beta and accumulates the images with ``np.add.at``."""
+    lx, ly, lz = spec.room_dims_m
+    max_dist = spec.rir_len_samples / dsp.SAMPLE_RATE * corpus.SPEED_OF_SOUND
+
+    def axis_images(length, src, rcv):
+        offsets, refl = [], []
+        n_max = math.ceil((max_dist + length) / (2.0 * length))
+        for n in range(-n_max, n_max + 1):
+            for p in (0, 1):
+                offsets.append((1 - 2 * p) * src + 2 * n * length - rcv)
+                refl.append(abs(n - p) + abs(n))
+        return np.array(offsets), np.array(refl)
+
+    dx, rx = axis_images(lx, spec.source_m[0], spec.receiver_m[0])
+    dy, ry = axis_images(ly, spec.source_m[1], spec.receiver_m[1])
+    dz, rz = axis_images(lz, spec.source_m[2], spec.receiver_m[2])
+
+    dist = np.sqrt(
+        dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
+    ).ravel()
+    order = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
+    delays = np.round(dist * dsp.SAMPLE_RATE / corpus.SPEED_OF_SOUND).astype(np.int64)
+    keep = (delays < spec.rir_len_samples) & (dist > 1e-9)
+    amps = beta ** order[keep] / (4.0 * np.pi * dist[keep])
+
+    h = np.zeros(spec.rir_len_samples)
+    np.add.at(h, delays[keep], amps)
+    return dsp.Waveform(h)
+
+
+def polyfit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
+    """Reference for ``corpus.fit_t60``: recomputes the backward integral in
+    every fixed-point iteration and fits the line with ``np.polyfit``."""
+    energy = rir.samples**2
+    n = len(energy)
+    t = np.arange(n) / dsp.SAMPLE_RATE
+    tail = 0.0
+    slope = None
+    for _ in range(12):
+        edc = np.cumsum(energy[::-1])[::-1] + tail
+        db = 10.0 * np.log10(np.maximum(edc / edc[0], 1e-30))
+        floor = max(-fit_db[1], db[int(0.9 * n)] + 1.0)
+        mask = (db <= -fit_db[0]) & (db >= floor)
+        if mask.sum() < 16:
+            raise ValueError("decay range too short to fit T60")
+        slope, icpt = np.polyfit(t[mask], db[mask], 1)
+        tail = edc[0] * 10.0 ** ((icpt + slope * (n / dsp.SAMPLE_RATE)) / 10.0)
+    return -60.0 / slope
+
+
+def bisect_rir(spec: corpus.RoomSpec) -> tuple:
+    """The beta bisection of ``corpus.generate_rir`` driven by the two
+    references above. Returns the last rendered response and its reference
+    T60 fit (inf where the decay cannot be measured)."""
+    lx, ly, lz = spec.room_dims_m
+    volume = lx * ly * lz
+    surface = 2.0 * (lx * ly + lx * lz + ly * lz)
+    eyring = 1.0 - math.exp(-0.161 * volume / (surface * spec.t60_s))
+    beta = math.sqrt(1.0 - eyring)
+    lo, hi = 0.02, 0.998
+    for _ in range(21):
+        rir = render_image_rir(spec, beta)
+        try:
+            fitted = polyfit_t60(rir)
+        except ValueError:
+            fitted = math.inf
+        if abs(fitted - spec.t60_s) / spec.t60_s < 0.005:
+            break
+        if fitted > spec.t60_s:
+            hi = beta
+        else:
+            lo = beta
+        beta = 0.5 * (lo + hi)
+    return rir, fitted
+
+
+# a non-default room with its own placement; it misses 0.15 s on 4096 samples
+SMALL_ROOM = dict(room_dims_m=(7.0, 5.0, 3.0), source_m=(1.5, 3.5, 1.2), receiver_m=(5.0, 1.0, 1.6))
 
 
 class TestMixAtSnr:
@@ -92,6 +177,72 @@ class TestRir:
         with pytest.raises(ValueError, match="inside"):
             corpus.RoomSpec(source_m=(9.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("rir_len_samples", 0, "rir_len_samples must be a positive int, got 0"),
+            ("rir_len_samples", -5, "rir_len_samples must be a positive int, got -5"),
+            ("rir_len_samples", 4096.5, "rir_len_samples must be a positive int, got 4096.5"),
+            ("t60_s", math.nan, "t60_s must be positive and finite, got nan"),
+            ("t60_s", math.inf, "t60_s must be positive and finite, got inf"),
+            ("t60_s", 0.0, "t60_s must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_fields_validated(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            corpus.RoomSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "room, t60",
+        [({}, round(0.15 + 0.05 * i, 2)) for i in range(28)] + [(SMALL_ROOM, t) for t in (0.3, 0.6, 0.9)],
+    )
+    def test_equals_per_step_oracle_byte_for_byte(self, room, t60):
+        spec = corpus.RoomSpec(t60_s=t60, **room)
+        want, fitted = bisect_rir(spec)
+        assert abs(fitted - t60) / t60 < 0.005
+        assert corpus.generate_rir(spec).samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize(
+        "room, t60, last",
+        [({}, 2.0, "unmeasurable"), ({}, 5.0, "1.2987 s"), (SMALL_ROOM, 0.15, "0.1531 s")],
+    )
+    def test_missed_t60_raises(self, room, t60, last):
+        spec = corpus.RoomSpec(t60_s=t60, **room)
+        _, fitted = bisect_rir(spec)
+        assert not abs(fitted - t60) / t60 < 0.005
+        with pytest.raises(ValueError, match=rf"T60 {t60} s not reached.*rir_len_samples=4096.*{last}"):
+            corpus.generate_rir(spec)
+
+
+class TestFitT60:
+    @given(
+        t60=st.floats(0.1, 1.5),
+        n=st.integers(1024, 8192),
+        noise_db=st.floats(-90.0, -30.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_polyfit_oracle(self, t60, n, noise_db, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) / dsp.SAMPLE_RATE
+        decay = rng.normal(0.0, 1.0, n) * 10.0 ** (-3.0 * t / t60)
+        rir = dsp.Waveform(decay + 10.0 ** (noise_db / 20.0) * rng.normal(0.0, 1.0, n))
+        try:
+            want = polyfit_t60(rir)
+        except ValueError:
+            with pytest.raises(ValueError, match="decay range too short"):
+                corpus.fit_t60(rir)
+            return
+        assert abs(corpus.fit_t60(rir) - want) <= 1e-12 * abs(want)
+
+    def test_empty_response_rejected(self):
+        with pytest.raises(ValueError, match="room response is empty"):
+            corpus.fit_t60(dsp.Waveform(np.zeros(0)))
+
+    def test_silent_response_rejected(self):
+        with pytest.raises(ValueError, match="zero power: room response is silent"):
+            corpus.fit_t60(dsp.Waveform(np.zeros(4096)))
+
 
 class TestApplyRir:
     def test_unit_impulse_identity(self, rng):
@@ -122,6 +273,16 @@ class TestApplyRir:
         naive = naive[:400]
         naive /= np.max(np.abs(naive))
         assert np.max(np.abs(out.samples - naive)) < 1e-9
+
+    def test_empty_response_rejected(self, rng):
+        x = dsp.Waveform(rng.normal(0, 0.3, 400))
+        with pytest.raises(ValueError, match="room response is empty"):
+            corpus.apply_rir(x, dsp.Waveform(np.zeros(0)))
+
+    def test_silent_response_rejected(self, rng):
+        x = dsp.Waveform(rng.normal(0, 0.3, 400))
+        with pytest.raises(ValueError, match="zero power: room response is silent"):
+            corpus.apply_rir(x, dsp.Waveform(np.zeros(64)))
 
 
 class TestToySynth:
@@ -270,6 +431,16 @@ class TestPipeline:
         dsp.write_wav(tmp_path / "noise" / "n0.wav", dsp.Waveform(np.zeros(0)))
         with pytest.raises(ValueError, match="noise signal is empty"):
             corpus.mix_corpus(tmp_path / "c", [0.0], seed=9, noise_dir=tmp_path / "noise")
+
+    def test_empty_snr_list_named(self, tmp_path):
+        corpus.synth_corpus(tmp_path, n_utts=1, seed=3)
+        with pytest.raises(ValueError, match="snr_list is empty"):
+            corpus.mix_corpus(tmp_path, [], seed=4)
+
+    def test_empty_t60_list_named(self, tmp_path):
+        corpus.synth_corpus(tmp_path, n_utts=1, seed=3)
+        with pytest.raises(ValueError, match="t60_list is empty"):
+            corpus.reverb_corpus(tmp_path, [], seed=4)
 
     def test_make_noise_kinds(self, rng):
         for kind in ("white", "pink", "tonal"):
