@@ -10,7 +10,10 @@ projection, the CTC head and the decoder's output layer are each one
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
 mode. The CTC loss is a custom graph op: forward alpha recursion in log
-space for the value, alpha-beta occupancies for the analytic gradient.
+space for the value, alpha-beta occupancies for the analytic gradient. Beta
+is not a second recursion: the same forward recursion runs on the time- and
+state-reversed emissions and labels, and flipped back it gives beta plus
+each frame's own emission log-probability, which the occupancy subtracts.
 Decoding is greedy CTC (per-frame argmax, collapse repeats, drop blanks)
 with optional attention rescoring of the hypothesis, run under
 ``diffcore.no_grad()``. ``freeze()`` turns ``requires_grad`` off on every
@@ -90,10 +93,6 @@ class AsrModel:
         for p in self.params.values():
             p.requires_grad = False
 
-    @property
-    def frozen(self):
-        return all(p.frozen for p in self.params.values())
-
     def encode(self, feats: dc.Tensor) -> dc.Tensor:
         """BLSTM stack then linear projection: (T, n_mels) -> (T, proj_dim)."""
         if feats.shape[1] != self.cfg.n_mels:
@@ -106,7 +105,7 @@ class AsrModel:
     def ctc_logits(self, hidden: dc.Tensor) -> dc.Tensor:
         return dc.linear(hidden, self.params["ctc.w"], self.params["ctc.b"])
 
-    def attention_loss(self, hidden: dc.Tensor, labels, return_attention=False):
+    def attention_loss(self, hidden: dc.Tensor, labels):
         """Teacher-forced decoder cross-entropy, averaged over steps.
 
         A single-layer LSTM consumes the previous label embedding plus the
@@ -124,7 +123,6 @@ class AsrModel:
         c_dec = dc.Tensor(np.zeros((1, d)))
         ctx = dc.Tensor(np.zeros((1, d)))
         rows = []
-        attention = []
         for tok in tokens_in:
             emb = p["dec.embed"][[tok]]
             step_in = dc.concat([emb, ctx], axis=1)
@@ -134,11 +132,7 @@ class AsrModel:
             weights = dc.softmax(dc.matmul(h_dec, dc.transpose(hidden)))
             ctx = dc.matmul(weights, hidden)
             rows.append(dc.linear(dc.concat([h_dec, ctx], axis=1), p["dec.out.w"], p["dec.out.b"]))
-            attention.append(weights.data[0])
-        loss = dc.cross_entropy(dc.concat(rows, axis=0), targets)
-        if return_attention:
-            return loss, np.array(attention)
-        return loss
+        return dc.cross_entropy(dc.concat(rows, axis=0), targets)
 
     def asr_loss(self, hidden: dc.Tensor, labels, lam=None) -> dc.Tensor:
         """lam * CTC + (1 - lam) * attention loss."""
@@ -182,23 +176,11 @@ class AsrModel:
 
     @classmethod
     def load(cls, path) -> "AsrModel":
-        arrays, meta = dc.load_checkpoint(path)
-        if meta.get("kind") != "asr":
-            raise ValueError(f"{path}: not an ASR checkpoint (kind={meta.get('kind')!r})")
-        model = cls(AsrConfig(**meta["config"]))
-        dc.restore_params(path, model.params, arrays)
-        return model
+        return dc.load_model(path, "asr", cls, AsrConfig)
 
 
 # ---------------------------------------------------------------------------
 # CTC
-
-
-def _extend_with_blanks(labels, blank):
-    ext = [blank]
-    for l in labels:
-        ext.extend([l, blank])
-    return ext
 
 
 def min_frames_for(labels) -> int:
@@ -207,7 +189,26 @@ def min_frames_for(labels) -> int:
     return len(labels) + repeats
 
 
-def ctc_loss(logits: dc.Tensor, labels, blank: int = BLANK) -> dc.Tensor:
+def _ctc_forward(lp, ext):
+    """CTC log forward variables (T, S) of the blank-extended labels ``ext`` with emissions ``lp`` (T, S).
+
+    Two ``-inf`` states pad the state axis in front, so "move" (s-1 -> s) and
+    "skip" (s-2 -> s, into a label unlike the one two states back) are plain
+    slices of the previous row.
+    """
+    t_len, s_len = lp.shape
+    skip_ok = np.zeros(s_len, dtype=bool)
+    skip_ok[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    alpha = np.full((t_len, s_len + 2), -np.inf)
+    alpha[0, 2:4] = lp[0, :2]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        skip = np.where(skip_ok, prev[:-2], -np.inf)
+        alpha[t, 2:] = np.logaddexp(np.logaddexp(prev[2:], prev[1:-1]), skip) + lp[t]
+    return alpha[:, 2:]
+
+
+def ctc_loss(logits: dc.Tensor, labels) -> dc.Tensor:
     """Negative log total alignment probability (log-space forward algorithm).
 
     Differentiable: the backward rule uses alpha-beta state occupancies,
@@ -218,7 +219,7 @@ def ctc_loss(logits: dc.Tensor, labels, blank: int = BLANK) -> dc.Tensor:
     for l in labels:
         if not 0 <= l < v:
             raise ValueError(f"label id {l} outside vocab of size {v}")
-        if l == blank:
+        if l == BLANK:
             raise ValueError("labels must not contain the blank id")
     if t_len < min_frames_for(labels):
         raise ValueError(
@@ -226,57 +227,27 @@ def ctc_loss(logits: dc.Tensor, labels, blank: int = BLANK) -> dc.Tensor:
             f"(need at least {min_frames_for(labels)})"
         )
 
-    ext = np.array(_extend_with_blanks(labels, blank))
-    s_len = len(ext)
+    ext = np.full(2 * len(labels) + 1, BLANK)  # the labels with a blank before, between and after them
+    ext[1::2] = labels
     logp = logits.data - logits.data.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-
-    neg = -np.inf
-    # transition s-2 -> s allowed when ext[s] is a label differing from ext[s-2]
-    skip_ok = np.zeros(s_len, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-
-    alpha = np.full((t_len, s_len), neg)
-    alpha[0, 0] = logp[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = logp[0, ext[1]]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        move = np.concatenate(([neg], prev[:-1]))
-        if s_len > 2:
-            skip = np.where(skip_ok, np.concatenate(([neg, neg], prev[:-2])), neg)
-        else:
-            skip = np.full(s_len, neg)
-        alpha[t] = np.logaddexp(np.logaddexp(prev, move), skip) + logp[t, ext]
-
-    log_z = alpha[-1, -1] if s_len == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    lp = logp[:, ext]
+    alpha = _ctc_forward(lp, ext)
+    log_z = np.logaddexp.reduce(alpha[-1, -2:])  # end in the last label or the final blank
     if not np.isfinite(log_z):
         raise ValueError("no valid alignment has nonzero probability")
 
     def backward(g):
-        beta = np.full((t_len, s_len), neg)
-        beta[-1, -1] = 0.0
-        if s_len > 1:
-            beta[-1, -2] = 0.0
-        for t in range(t_len - 2, -1, -1):
-            q = beta[t + 1] + logp[t + 1, ext]
-            stay = q
-            move = np.concatenate((q[1:], [neg]))
-            if s_len > 2:
-                skip = np.concatenate((np.where(skip_ok[2:], q[2:], neg), [neg, neg]))
-            else:
-                skip = np.full(s_len, neg)
-            beta[t] = np.logaddexp(np.logaddexp(stay, move), skip)
-        occupancy = np.exp(alpha + beta - log_z)  # (T, S)
-        gamma = np.zeros((t_len, v))
-        for s in range(s_len):
-            gamma[:, ext[s]] += occupancy[:, s]
+        rev = _ctc_forward(lp[::-1, ::-1], ext[::-1])[::-1, ::-1]  # beta + lp
+        occupancy = np.exp(alpha + rev - lp - log_z)  # (T, S)
+        gamma = np.zeros_like(logp)
+        np.add.at(gamma.T, ext, occupancy.T)
         dc._accum(logits, g * (np.exp(logp) - gamma))
 
     return dc._node(-log_z, (logits,), backward, "ctc_loss")
 
 
-def decode_greedy(logits: np.ndarray, blank: int = BLANK):
+def decode_greedy(logits: np.ndarray):
     """Per-frame argmax, collapse repeats, remove blanks.
 
     Labels that CTC would keep separate across a blank (a, blank, a) are
@@ -286,7 +257,7 @@ def decode_greedy(logits: np.ndarray, blank: int = BLANK):
     best = np.argmax(logits, axis=1)
     out = []
     for b in best:
-        if b != blank and (not out or out[-1] != b):
+        if b != BLANK and (not out or out[-1] != b):
             out.append(int(b))
     return out
 

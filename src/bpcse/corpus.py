@@ -267,7 +267,8 @@ def generate_rir(spec: RoomSpec) -> dsp.Waveform:
     per delay. Unreachable T60s, where even Sabine absorption would exceed
     1, are rejected, and so is a T60 that Eyring's beta and 20 bisection
     steps all miss by 0.5% or more (a T60 whose decay the truncated
-    response cannot show).
+    response cannot show), and a response so short that even the direct
+    path arrives after its end.
     """
     lx, ly, lz = spec.room_dims_m
     volume = lx * ly * lz
@@ -281,6 +282,12 @@ def generate_rir(spec: RoomSpec) -> dsp.Waveform:
     beta = math.sqrt(1.0 - eyring)
     lo, hi = 0.02, 0.998
     delays, order, denom = _image_sources(spec)
+    if delays.size == 0:
+        direct = round(math.dist(spec.source_m, spec.receiver_m) * dsp.SAMPLE_RATE / SPEED_OF_SOUND)
+        raise ValueError(
+            f"no image source arrives within rir_len_samples={spec.rir_len_samples}: "
+            f"the direct path arrives at sample {direct}"
+        )
     for _ in range(21):  # Eyring's beta, then 20 bisection steps
         rir = dsp.Waveform(np.bincount(delays, weights=beta**order / denom, minlength=spec.rir_len_samples))
         try:
@@ -303,6 +310,8 @@ def generate_rir(spec: RoomSpec) -> dsp.Waveform:
 
 def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
     """Full convolution truncated to len(w), then peak-renormalized."""
+    if len(w) == 0:
+        raise ValueError("clean signal is empty")
     if len(rir) == 0:
         raise ValueError("room response is empty")
     if not np.any(rir.samples):

@@ -12,16 +12,23 @@ NaN/Inf check still runs on every output. A :class:`Parameter` whose
 gets none itself, and ``matmul``, ``linear``, ``attention`` and
 ``lstm_sequence`` skip computing it.
 
-Also here: the biased affine map ``x @ W + b`` (:func:`linear`) as one node
-that adds the bias in place, the only way the models add a bias to a
-product; multi-head scaled dot-product self-attention (:func:`attention`) as
-one graph node over a ``(heads, T, d_head)`` layout with a hand-written
-backward; a single LSTM step (:func:`lstm_cell`) built from the primitives;
-a whole-sequence LSTM (:func:`lstm_sequence`) and the BLSTM layer on top of
-it, each direction one graph node with a hand-written BPTT backward; the Adam
-optimizer, which updates each parameter in place in cache-sized chunks with
-no full-size temporaries; strict checkpoint serialization; and the central
-finite-difference gradient checker the test suite leans on.
+The ops are the ones the models and the stage-two feature bridge run:
+``add`` and ``mul`` (also ``+`` and ``*``), ``matmul``, ``linear``
+(``x @ W + b`` as one node that adds the bias in place, the only way the
+models add a bias to a product), ``relu``, ``sigmoid``, ``tanh``,
+``softplus``, ``log``, ``expm1``, ``softmax`` and ``layer_norm`` over the
+last axis, ``concat``, ``take`` (indexing, also ``x[key]``), the 2-D
+``transpose``, ``conv1d``, ``l1_loss`` and ``cross_entropy``. Two fused ops
+have a hand-written backward: multi-head scaled dot-product self-attention
+(``attention``) over a ``(heads, T, d_head)`` layout, and a whole-sequence
+LSTM (``lstm_sequence``, BPTT) under the BLSTM layer ``blstm_layer``;
+``lstm_cell`` is one LSTM step built from the primitives. ``tsum`` is the
+tests' gradcheck reduction; no model uses it.
+
+Also here: the Adam optimizer, which updates each parameter in place in
+cache-sized chunks with no full-size temporaries; strict checkpoint
+serialization; and the central finite-difference gradient checker the test
+suite leans on.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import numpy as np
 from scipy.special import expit
 
 CKPT_MAGIC = "BPCSE-CKPT-1"
+LAYER_NORM_EPS = 1e-5
 
 
 class GraphError(ValueError):
@@ -86,11 +94,9 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def backward(self, seed=None):
-        if seed is None:
-            if self.data.size != 1:
-                raise GraphError(f"backward() needs a scalar output, got shape {self.shape}")
-            seed = np.ones_like(self.data)
+    def backward(self):
+        if self.data.size != 1:
+            raise GraphError(f"backward() needs a scalar output, got shape {self.shape}")
         # iterative topological sort, so graph depth is not bounded by the recursion limit.
         # Interior grads are reset so that a repeated backward() accumulates into leaves only.
         topo, visited, stack = [], set(), [(self, False)]
@@ -108,7 +114,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.asarray(seed, dtype=np.float64)
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -120,26 +126,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -154,12 +145,9 @@ class Parameter(Tensor):
     __slots__ = ("name",)
 
     def __init__(self, data, name):
-        super().__init__(data, requires_grad=True)
+        # C-contiguous, so that Adam can update it in place through flat chunks
+        super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
         self.name = name
-
-    @property
-    def frozen(self):
-        return not self.requires_grad
 
 
 def _lift(v):
@@ -212,16 +200,6 @@ def add(a, b):
     return _node(data, (a, b), backward, "add")
 
 
-def sub(a, b):
-    a, b, data = _elementwise(a, b, np.subtract, "sub")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _node(data, (a, b), backward, "sub")
-
-
 def mul(a, b):
     a, b, data = _elementwise(a, b, np.multiply, "mul")
 
@@ -230,16 +208,6 @@ def mul(a, b):
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward, "mul")
-
-
-def div(a, b):
-    a, b, data = _elementwise(a, b, np.divide, "div")
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), backward, "div")
 
 
 def matmul(a, b):
@@ -316,16 +284,6 @@ def softplus(x):
     return _node(data, (x,), backward, "softplus")
 
 
-def exp(x):
-    x = _lift(x)
-    data = np.exp(x.data)
-
-    def backward(g):
-        _accum(x, g * data)
-
-    return _node(data, (x,), backward, "exp")
-
-
 def log(x):
     x = _lift(x)
     data = np.log(x.data)
@@ -334,16 +292,6 @@ def log(x):
         _accum(x, g / x.data)
 
     return _node(data, (x,), backward, "log")
-
-
-def log1p(x):
-    x = _lift(x)
-    data = np.log1p(x.data)
-
-    def backward(g):
-        _accum(x, g / (1.0 + x.data))
-
-    return _node(data, (x,), backward, "log1p")
 
 
 def expm1(x):
@@ -356,27 +304,28 @@ def expm1(x):
     return _node(data, (x,), backward, "expm1")
 
 
-def softmax(x, axis=-1):
+def softmax(x):
+    """Softmax over the last axis."""
     x = _lift(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         _accum(x, data * (g - dot))
 
     return _node(data, (x,), backward, "softmax")
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
     n = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
@@ -419,42 +368,17 @@ def take(x, key):
     return _node(data, (x,), backward, "slice")
 
 
-def reshape(x, shape):
+def transpose(x):
     x = _lift(x)
-    data = x.data.reshape(shape)
 
     def backward(g):
-        _accum(x, g.reshape(x.shape))
+        _accum(x, g.T)
 
-    return _node(data, (x,), backward, "reshape")
-
-
-def transpose(x, axes=None):
-    x = _lift(x)
-    data = np.transpose(x.data, axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def backward(g):
-        _accum(x, np.transpose(g, inv))
-
-    return _node(data, (x,), backward, "transpose")
-
-
-def mean(x, axis=None):
-    x = _lift(x)
-    data = x.data.mean(axis=axis)
-    count = x.data.size if axis is None else x.shape[axis]
-
-    def backward(g):
-        if axis is None:
-            _accum(x, np.full(x.shape, 1.0 / count) * g)
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape) / count)
-
-    return _node(data, (x,), backward, "mean")
+    return _node(x.data.T, (x,), backward, "transpose")
 
 
 def tsum(x, axis=None):
+    """Sum over ``axis`` or all elements; no model uses it, the tests reduce with it."""
     x = _lift(x)
     data = x.data.sum(axis=axis)
 
@@ -467,9 +391,9 @@ def tsum(x, axis=None):
     return _node(data, (x,), backward, "sum")
 
 
-def conv1d(x, w, b=None, pad=0):
-    """1-D convolution along the first axis: x (T, Cin), w (Cout, Cin, K)."""
-    x, w = _lift(x), _lift(w)
+def conv1d(x, w, b, pad=0):
+    """1-D convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,)."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
     t, cin = x.shape
     cout, cin_w, k = w.shape
     if cin != cin_w:
@@ -480,11 +404,7 @@ def conv1d(x, w, b=None, pad=0):
         raise ValueError(f"conv1d input too short: {t} samples for kernel {k} with pad {pad}")
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (t_out, cin, k)
     data = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))  # (t_out, cout)
-    parents = [x, w]
-    if b is not None:
-        b = _lift(b)
-        data += b.data
-        parents.append(b)
+    data += b.data
 
     def backward(g):
         _accum(w, np.tensordot(g, windows, axes=([0], [0])))
@@ -492,10 +412,9 @@ def conv1d(x, w, b=None, pad=0):
         for kk in range(k):
             gxp[kk : kk + t_out] += g @ w.data[:, :, kk]
         _accum(x, gxp[pad : pad + t] if pad else gxp)
-        if b is not None:
-            _accum(b, g.sum(axis=0))
+        _accum(b, g.sum(axis=0))
 
-    return _node(data, parents, backward, "conv1d")
+    return _node(data, (x, w, b), backward, "conv1d")
 
 
 def l1_loss(a, b):
@@ -706,8 +625,8 @@ class Adam:
 
     ``step`` updates every parameter, and its moments ``m`` and ``v``, in place
     in chunks of ``ADAM_CHUNK`` elements through two preallocated scratch
-    buffers, so no full-size temporary is made; only a parameter whose data is
-    not C-contiguous is updated whole, through its own view. The arithmetic of
+    buffers, so no full-size temporary is made (a :class:`Parameter` is always
+    C-contiguous, so its flat view is its data). The arithmetic of
     each element is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)``, in that order.
     """
@@ -732,11 +651,8 @@ class Adam:
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for n, p in live.items():
-            m, v = self._m[n], self._v[n]
-            if not p.data.flags.c_contiguous:  # flattening would copy, and the update would miss p.data
-                self._update(p.data, p.grad, m, v, *np.empty((2, *p.shape)), b1c, b2c)
-                continue
-            data, grad, m, v = p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+            data, grad = p.data.reshape(-1), p.grad.reshape(-1)
+            m, v = self._m[n].reshape(-1), self._v[n].reshape(-1)
             for lo in range(0, data.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, data.size)
                 self._update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c)
@@ -849,6 +765,30 @@ def restore_params(path, params, arrays):
             )
     for name, arr in arrays.items():
         params[name].data[...] = arr
+
+
+def load_model(path, kind, model_cls, config_cls):
+    """The ``model_cls`` checkpointed at ``path``, built from the ``config_cls`` in its meta, parameters restored.
+
+    The meta's ``kind`` must be ``kind``, and its ``config`` an object that
+    ``config_cls`` accepts as keyword arguments; otherwise a ``ValueError``
+    names the path and the field.
+    """
+    arrays, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path}: not an {kind.upper()} checkpoint (kind={meta.get('kind')!r})")
+    if "config" not in meta:
+        raise ValueError(f"{path}: checkpoint meta lacks the 'config' field")
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: checkpoint meta field 'config' is {config!r}; it must be a JSON object")
+    try:
+        cfg = config_cls(**config)
+    except (TypeError, ValueError) as e:  # the message names the unknown, missing or rejected field
+        raise ValueError(f"{path}: checkpoint meta field 'config' is invalid: {e}") from None
+    model = model_cls(cfg)
+    restore_params(path, model.params, arrays)
+    return model
 
 
 # ---------------------------------------------------------------------------

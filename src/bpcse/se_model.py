@@ -144,12 +144,7 @@ class SeModel:
 
     @classmethod
     def load(cls, path) -> "SeModel":
-        arrays, meta = dc.load_checkpoint(path)
-        if meta.get("kind") != "se":
-            raise ValueError(f"{path}: not an SE checkpoint (kind={meta.get('kind')!r})")
-        model = cls(SeConfig(**meta["config"]))
-        dc.restore_params(path, model.params, arrays)
-        return model
+        return dc.load_model(path, "se", cls, SeConfig)
 
 
 def se_loss(enhanced: dc.Tensor, clean) -> dc.Tensor:

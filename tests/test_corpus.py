@@ -202,6 +202,14 @@ class TestRir:
         assert abs(fitted - t60) / t60 < 0.005
         assert corpus.generate_rir(spec).samples.tobytes() == want.samples.tobytes()
 
+    @pytest.mark.parametrize("rir_len", [50, 93])  # the direct path lands on sample 93
+    def test_response_ending_before_direct_path_raises(self, rir_len):
+        spec = corpus.RoomSpec(rir_len_samples=rir_len)
+        with pytest.raises(
+            ValueError, match=rf"no image source arrives within rir_len_samples={rir_len}: .* at sample 93$"
+        ):
+            corpus.generate_rir(spec)
+
     @pytest.mark.parametrize(
         "room, t60, last",
         [({}, 2.0, "unmeasurable"), ({}, 5.0, "1.2987 s"), (SMALL_ROOM, 0.15, "0.1531 s")],
@@ -273,6 +281,10 @@ class TestApplyRir:
         naive = naive[:400]
         naive /= np.max(np.abs(naive))
         assert np.max(np.abs(out.samples - naive)) < 1e-9
+
+    def test_empty_clean_rejected(self):
+        with pytest.raises(ValueError, match="clean signal is empty"):
+            corpus.apply_rir(dsp.Waveform(np.zeros(0)), dsp.Waveform(np.ones(4)))
 
     def test_empty_response_rejected(self, rng):
         x = dsp.Waveform(rng.normal(0, 0.3, 400))

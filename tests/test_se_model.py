@@ -208,6 +208,23 @@ class TestCheckpoint:
             dc.save_checkpoint(path, arrays, meta)
         return path
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda meta: meta.pop("config"), "lacks the 'config' field"),
+            (lambda meta: meta.update(config=[1, 2]), r"'config' is \[1, 2\]; it must be a JSON object"),
+            (lambda meta: meta["config"].update(extra=1), r"'config' is invalid: .*'extra'"),
+        ],
+        ids=["missing", "list", "unknown_field"],
+    )
+    def test_bad_config_rejected(self, tmp_path, edit, problem):
+        path = self._saved(tmp_path)
+        arrays, meta = dc.load_checkpoint(path)
+        edit(meta)
+        dc.save_checkpoint(path, arrays, meta)
+        with pytest.raises(ValueError, match=rf"se\.ckpt: checkpoint meta.*{problem}"):
+            SeModel.load(path)
+
     def test_roundtrip(self, tmp_path):
         back = SeModel.load(self._saved(tmp_path))
         model = SeModel(TINY, seed=2)
