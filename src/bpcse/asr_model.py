@@ -1,11 +1,13 @@
 """Broad-class recognizer: BLSTM encoder, CTC head, attention decoder.
 
-Each direction of each encoder layer is a single ``diffcore.lstm_sequence``
-graph node with a hand-written BPTT backward, so the encoder adds a handful
-of nodes per layer to the graph whatever the utterance length; the attention
-decoder still steps ``diffcore.lstm_cell`` once per output label. The
-projection, the CTC head and the decoder's output layer are each one
-``diffcore.linear`` node, which adds the bias in place.
+The encoder is ``ENCODER_LAYERS`` (2) BLSTM layers over the
+``dsp.N_MEL_FILTERS``-dim log-mel fbank. Each direction of each layer is a
+single ``diffcore.lstm_sequence`` graph node with a hand-written BPTT
+backward, so the encoder adds a handful of nodes per layer to the graph
+whatever the utterance length; the attention decoder still steps
+``diffcore.lstm_cell`` once per output label. The projection, the CTC head
+and the decoder's output layer are each one ``diffcore.linear`` node, which
+adds the bias in place.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -14,21 +16,24 @@ space for the value, alpha-beta occupancies for the analytic gradient. Beta
 is not a second recursion: the same forward recursion runs on the time- and
 state-reversed emissions and labels, and flipped back it gives beta plus
 each frame's own emission log-probability, which the occupancy subtracts.
-Decoding is greedy CTC (per-frame argmax, collapse repeats, drop blanks)
-with optional attention rescoring of the hypothesis, run under
-``diffcore.no_grad()``. ``freeze()`` turns ``requires_grad`` off on every
-parameter, so a frozen recognizer still passes gradient to its input
-features but computes no weight grads.
+``asr_loss`` mixes the two heads as ``lam * CTC + (1 - lam) * attention``;
+every caller passes ``lam``. Decoding is greedy CTC (per-frame argmax,
+collapse repeats, drop blanks) with optional attention rescoring of the
+hypothesis, run under ``diffcore.no_grad()``. ``freeze()`` turns
+``requires_grad`` off on every parameter, so a frozen recognizer still
+passes gradient to its input features but computes no weight grads.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import diffcore as dc
+from . import dsp
 
+ENCODER_LAYERS = 2
 BLANK = 0
 SOS = 1
 EOS = 2
@@ -42,20 +47,14 @@ def make_vocab(labels) -> tuple:
 @dataclass
 class AsrConfig:
     vocab: tuple
-    n_mels: int = 26
-    encoder_layers: int = 2
     encoder_hidden: int = 96  # per direction
     proj_dim: int = 320  # deep-feature width
-    ctc_weight: float = 0.5
     embed_dim: int = 32
-    scheme_name: str = ""
 
     def __post_init__(self):
         self.vocab = tuple(self.vocab)
         if self.vocab[:3] != SPECIALS:
             raise ValueError(f"vocab must start with {SPECIALS}, got {self.vocab[:3]}")
-        if not 0.0 <= self.ctc_weight <= 1.0:
-            raise ValueError(f"ctc_weight must be in [0, 1], got {self.ctc_weight}")
 
 
 class AsrModel:
@@ -64,8 +63,8 @@ class AsrModel:
         self.params: dict[str, dc.Parameter] = {}
         rng = np.random.default_rng(seed)
         h = cfg.encoder_hidden
-        for layer in range(cfg.encoder_layers):
-            din = cfg.n_mels if layer == 0 else 2 * h
+        for layer in range(ENCODER_LAYERS):
+            din = dsp.N_MEL_FILTERS if layer == 0 else 2 * h
             self.params.update(dc.init_lstm_params(rng, din, h, f"enc{layer}.fwd"))
             self.params.update(dc.init_lstm_params(rng, din, h, f"enc{layer}.bwd"))
 
@@ -94,11 +93,11 @@ class AsrModel:
             p.requires_grad = False
 
     def encode(self, feats: dc.Tensor) -> dc.Tensor:
-        """BLSTM stack then linear projection: (T, n_mels) -> (T, proj_dim)."""
-        if feats.shape[1] != self.cfg.n_mels:
-            raise ValueError(f"expected {self.cfg.n_mels}-dim features, got shape {feats.shape}")
+        """BLSTM stack then linear projection: (T, N_MEL_FILTERS) -> (T, proj_dim)."""
+        if feats.shape[1] != dsp.N_MEL_FILTERS:
+            raise ValueError(f"expected {dsp.N_MEL_FILTERS}-dim features, got shape {feats.shape}")
         h = feats
-        for layer in range(self.cfg.encoder_layers):
+        for layer in range(ENCODER_LAYERS):
             h = dc.blstm_layer(h, self.params, f"enc{layer}")
         return dc.linear(h, self.params["proj.w"], self.params["proj.b"])
 
@@ -134,9 +133,8 @@ class AsrModel:
             rows.append(dc.linear(dc.concat([h_dec, ctx], axis=1), p["dec.out.w"], p["dec.out.b"]))
         return dc.cross_entropy(dc.concat(rows, axis=0), targets)
 
-    def asr_loss(self, hidden: dc.Tensor, labels, lam=None) -> dc.Tensor:
+    def asr_loss(self, hidden: dc.Tensor, labels, lam) -> dc.Tensor:
         """lam * CTC + (1 - lam) * attention loss."""
-        lam = self.cfg.ctc_weight if lam is None else lam
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
         if lam == 1.0:
@@ -171,8 +169,7 @@ class AsrModel:
             raise ValueError(f"label {e.args[0]!r} not in vocab") from None
 
     def save(self, path, seed=None):
-        meta = {"kind": "asr", "config": {**asdict(self.cfg), "vocab": list(self.cfg.vocab)}, "seed": seed}
-        dc.save_checkpoint(path, self.params, meta)
+        dc.save_checkpoint(path, self.params, {"kind": "asr", "config": asdict(self.cfg), "seed": seed})
 
     @classmethod
     def load(cls, path) -> "AsrModel":

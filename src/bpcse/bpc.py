@@ -118,7 +118,15 @@ class BpcScheme:
         for name in ("name", "classes", "mapping"):
             if name not in doc:
                 raise ValueError(f"scheme lacks the {name!r} field")
-        return cls(doc["name"], tuple(doc["classes"]), dict(doc["mapping"]))
+        classes, mapping = doc["classes"], doc["mapping"]
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise ValueError(f"scheme field 'classes' is {classes!r}; it must be a list of strings")
+        if not isinstance(mapping, dict):
+            raise ValueError(f"scheme field 'mapping' is {mapping!r}; it must be an object from phone to label")
+        for phone, label in mapping.items():
+            if not isinstance(label, str):
+                raise ValueError(f"scheme field 'mapping' maps phone {phone!r} to {label!r}; a label must be a string")
+        return cls(doc["name"], tuple(classes), mapping)
 
 
 @dataclass

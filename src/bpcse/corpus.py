@@ -30,6 +30,7 @@ from scipy.signal import fftconvolve
 from . import bpc, dsp
 
 SPEED_OF_SOUND = 343.0
+T60_FIT_DB = (5.0, 20.0)  # the decay range, in dB below the start, that fit_t60 fits
 MANIFEST_SCHEMA = "bpcse-manifest-1"
 
 # Toy phone recipes. Vowels are two-formant harmonic tones, fricatives
@@ -77,6 +78,26 @@ class ManifestEntry:
     num_frames: int
 
 
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# each ManifestEntry field, in order: what a manifest's JSON must hold there, and how an error says it
+_MANIFEST_FIELD_CHECKS = {
+    "utt_id": (lambda v: isinstance(v, str), "a string"),
+    "clean_path": (lambda v: isinstance(v, str), "a string"),
+    "distorted_path": (lambda v: isinstance(v, str), "a string"),
+    "phone_transcript": (_is_str_list, "a list of strings"),
+    "bpc_transcript": (_is_str_list, "a list of strings"),
+    "snr_db": (lambda v: v is None or _is_finite_number(v), "a finite number or null"),
+    "num_frames": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+}
+
+
 @dataclass
 class Manifest:
     entries: list
@@ -88,12 +109,6 @@ class Manifest:
         ids = [e.utt_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate utt_ids in manifest")
-
-    def clean_wav(self, entry) -> dsp.Waveform:
-        return dsp.read_wav(self.base_dir / entry.clean_path)
-
-    def distorted_wav(self, entry) -> dsp.Waveform:
-        return dsp.read_wav(self.base_dir / entry.distorted_path)
 
     def to_json(self) -> str:
         doc = {
@@ -128,20 +143,14 @@ class Manifest:
         for i, d in enumerate(doc["entries"]):
             if not isinstance(d, dict):
                 raise ValueError(f"manifest entry {i} is not a JSON object")
-            for name in ManifestEntry.__dataclass_fields__:
+            for name, (ok, must) in _MANIFEST_FIELD_CHECKS.items():
                 if name not in d:
                     raise ValueError(f"manifest entry {i} ({d.get('utt_id')!r}) lacks the {name!r} field")
-            entries.append(
-                ManifestEntry(
-                    d["utt_id"],
-                    d["clean_path"],
-                    d["distorted_path"],
-                    list(d["phone_transcript"]),
-                    list(d["bpc_transcript"]),
-                    d["snr_db"],
-                    int(d["num_frames"]),
-                )
-            )
+                if not ok(d[name]):
+                    raise ValueError(
+                        f"manifest entry {i} ({d['utt_id']!r}) field {name!r} is {d[name]!r}; it must be {must}"
+                    )
+            entries.append(ManifestEntry(**{name: d[name] for name in _MANIFEST_FIELD_CHECKS}))
         return cls(entries, doc.get("scheme", ""), doc.get("seed"), Path(base_dir))
 
     def save(self, path) -> None:
@@ -320,14 +329,14 @@ def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
     return dsp.normalize(dsp.Waveform(out))
 
 
-def fit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
+def fit_t60(rir: dsp.Waveform) -> float:
     """Schroeder backward-integral T60 estimate with truncation compensation.
 
     The energy lost to truncating the response is estimated by extrapolating
     the fitted exponential past the end of the support and added back into
     the integral; a few fixed-point iterations make the decay curve straight
-    enough to fit. The fit runs between -fit_db[0] and -fit_db[1] dB (or as
-    deep as the compensated curve goes, for long T60s) and is the
+    enough to fit. The fit runs over ``T60_FIT_DB``, -5 to -20 dB (or as
+    deep as the compensated curve goes, for long T60s), and is the
     closed-form least-squares line through the decay curve in dB.
     """
     if len(rir) == 0:
@@ -342,8 +351,8 @@ def fit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
     for _ in range(12):
         edc = backward + tail
         db = 10.0 * np.log10(np.maximum(edc / edc[0], 1e-30))
-        floor = max(-fit_db[1], db[int(0.9 * n)] + 1.0)
-        mask = (db <= -fit_db[0]) & (db >= floor)
+        floor = max(-T60_FIT_DB[1], db[int(0.9 * n)] + 1.0)
+        mask = (db <= -T60_FIT_DB[0]) & (db >= floor)
         if mask.sum() < 16:
             raise ValueError("decay range too short to fit T60")
         x, y = t[mask], db[mask]
@@ -521,13 +530,12 @@ def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
     return meta
 
 
-def reverb_corpus(corpus_dir, t60_list, seed: int, room: RoomSpec | None = None) -> dict:
-    """Convolve distorted (or clean, if un-mixed) utterances with room responses."""
+def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
+    """Convolve distorted (or clean, if un-mixed) utterances with responses of the default ``RoomSpec`` room."""
     if len(t60_list) == 0:
         raise ValueError("t60_list is empty")
     corpus_dir = Path(corpus_dir)
     rng = np.random.default_rng(seed)
-    room = room or RoomSpec()
     rirs = {}
     meta = {}
     for utt in _corpus_utts(corpus_dir):
@@ -537,8 +545,7 @@ def reverb_corpus(corpus_dir, t60_list, seed: int, room: RoomSpec | None = None)
         w = dsp.read_wav(src)
         t60 = float(t60_list[int(rng.integers(0, len(t60_list)))])
         if t60 not in rirs:
-            spec = RoomSpec(room.room_dims_m, room.source_m, room.receiver_m, t60, room.rir_len_samples)
-            rirs[t60] = generate_rir(spec)
+            rirs[t60] = generate_rir(RoomSpec(t60_s=t60))
         out = apply_rir(w, rirs[t60])
         dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", out)
         meta[utt] = t60

@@ -18,17 +18,19 @@ The ops are the ones the models and the stage-two feature bridge run:
 models add a bias to a product), ``relu``, ``sigmoid``, ``tanh``,
 ``softplus``, ``log``, ``expm1``, ``softmax`` and ``layer_norm`` over the
 last axis, ``concat``, ``take`` (indexing, also ``x[key]``), the 2-D
-``transpose``, ``conv1d``, ``l1_loss`` and ``cross_entropy``. Two fused ops
-have a hand-written backward: multi-head scaled dot-product self-attention
-(``attention``) over a ``(heads, T, d_head)`` layout, and a whole-sequence
-LSTM (``lstm_sequence``, BPTT) under the BLSTM layer ``blstm_layer``;
-``lstm_cell`` is one LSTM step built from the primitives. ``tsum`` is the
-tests' gradcheck reduction; no model uses it.
+``transpose``, ``conv1d`` ("same" padding, odd kernel), ``l1_loss`` and
+``cross_entropy``. Two fused ops have a hand-written backward: multi-head
+scaled dot-product self-attention (``attention``) over a
+``(heads, T, d_head)`` layout, and a whole-sequence LSTM (``lstm_sequence``,
+BPTT) under the BLSTM layer ``blstm_layer``; ``lstm_cell`` is one LSTM step
+built from the primitives. ``tsum`` is the tests' gradcheck reduction; no
+model uses it.
 
-Also here: the Adam optimizer, which updates each parameter in place in
-cache-sized chunks with no full-size temporaries; strict checkpoint
-serialization; and the central finite-difference gradient checker the test
-suite leans on.
+Also here: the Adam optimizer, whose one setting is the learning rate (the
+moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
+and ``ADAM_EPS``) and which updates each parameter in place in cache-sized
+chunks with no full-size temporaries; strict checkpoint serialization; and
+the central finite-difference gradient checker the test suite leans on.
 """
 
 from __future__ import annotations
@@ -391,27 +393,32 @@ def tsum(x, axis=None):
     return _node(data, (x,), backward, "sum")
 
 
-def conv1d(x, w, b, pad=0):
-    """1-D convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,)."""
+def conv1d(x, w, b):
+    """1-D "same" convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,).
+
+    K is odd and the input is zero-padded by K // 2 frames at each end, so the output is (T, Cout).
+    """
     x, w, b = _lift(x), _lift(w), _lift(b)
     t, cin = x.shape
     cout, cin_w, k = w.shape
     if cin != cin_w:
         raise ValueError(f"conv1d channel mismatch: input {x.shape} vs weight {w.shape}")
+    if k % 2 == 0:
+        raise ValueError(f"conv1d kernel width {k} is even; \"same\" padding needs an odd width")
+    if t < 1:
+        raise ValueError("conv1d needs at least one frame")
+    pad = k // 2
     xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    t_out = t + 2 * pad - k + 1
-    if t_out < 1:
-        raise ValueError(f"conv1d input too short: {t} samples for kernel {k} with pad {pad}")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (t_out, cin, k)
-    data = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))  # (t_out, cout)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (t, cin, k)
+    data = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))  # (t, cout)
     data += b.data
 
     def backward(g):
         _accum(w, np.tensordot(g, windows, axes=([0], [0])))
         gxp = np.zeros_like(xp)
         for kk in range(k):
-            gxp[kk : kk + t_out] += g @ w.data[:, :, kk]
-        _accum(x, gxp[pad : pad + t] if pad else gxp)
+            gxp[kk : kk + t] += g @ w.data[:, :, kk]
+        _accum(x, gxp[pad : pad + t])
         _accum(b, g.sum(axis=0))
 
     return _node(data, (x, w, b), backward, "conv1d")
@@ -618,6 +625,9 @@ def blstm_layer(xs, params, prefix):
 # Elements per in-place Adam update: the six 256 KiB slices one chunk touches
 # (parameter, grad, m, v and two scratch buffers) stay in a core's L2 cache.
 ADAM_CHUNK = 1 << 15
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -628,15 +638,13 @@ class Adam:
     buffers, so no full-size temporary is made (a :class:`Parameter` is always
     C-contiguous, so its flat view is its data). The arithmetic of
     each element is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)``, in that order.
+    ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)``, in that order, with
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` for b1, b2 and eps.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {n: np.zeros(p.shape) for n, p in self.params.items()}
         self._v = {n: np.zeros(p.shape) for n, p in self.params.items()}
@@ -648,8 +656,8 @@ class Adam:
             if p.grad.shape != p.shape:
                 raise ValueError(f"Adam: grad of parameter {n!r} has shape {p.grad.shape}, its data {p.shape}")
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for n, p in live.items():
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
             m, v = self._m[n].reshape(-1), self._v[n].reshape(-1)
@@ -659,18 +667,18 @@ class Adam:
 
     def _update(self, p, g, m, v, s, r, b1c, b2c):
         """One Adam update of ``p``, ``m`` and ``v`` in place; ``s`` and ``r`` are scratch of the same shape."""
-        m *= self.beta1
-        np.multiply(g, 1 - self.beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=s)
         m += s
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=s)
-        s *= 1 - self.beta2
+        s *= 1 - ADAM_BETA2
         v += s
         np.divide(m, b1c, out=s)
         s *= self.lr
         np.divide(v, b2c, out=r)
         np.sqrt(r, out=r)
-        r += self.eps
+        r += ADAM_EPS
         s /= r
         p -= s
 

@@ -1,13 +1,15 @@
 """Transformer-encoder enhancement network: noisy log1p spectra in, enhanced out.
 
-Four 1-D convolutions embed the 257-bin spectrum into d_model channels,
-sinusoidal positions are added, then eight pre-norm attention blocks
-(multi-head self-attention plus a two-layer feed-forward, each with a
-residual connection and layer norm) refine the sequence. A final linear
-projection with softplus keeps outputs non-negative, as log1p features
-must be. Every affine projection is one ``diffcore.linear`` node, which
-adds its bias in place. Inputs longer than ``MAX_FRAMES`` are rejected,
-because the T x T attention weights would otherwise grow without bound.
+Four 1-D "same" convolutions of width ``CONV_KERNEL`` (3) embed the
+``dsp.N_BINS``-bin spectrum into d_model channels, sinusoidal positions are
+added, then eight pre-norm attention blocks (multi-head self-attention plus
+a feed-forward of width ``4 * d_model``, each with a residual connection
+and layer norm) refine the sequence. Keys have no bias: softmax over keys
+is shift-invariant, so one would do nothing. A final linear projection with
+softplus keeps outputs non-negative, as log1p features must be. Every
+affine projection is one ``diffcore.linear`` node, which adds its bias in
+place. Inputs longer than ``MAX_FRAMES`` are rejected, because the T x T
+attention weights would otherwise grow without bound.
 
 The attention of each block, all heads together, is one
 ``diffcore.attention`` graph node. ``enhance`` runs the forward pass under
@@ -30,25 +32,19 @@ from . import dsp
 # T = 2048 and the paper's 4 heads, and a training step keeps them for all
 # 8 blocks, about 1.1 GB.
 MAX_FRAMES = 2048
+CONV_KERNEL = 3
 
 
 @dataclass
 class SeConfig:
-    n_bins: int = dsp.N_BINS
     conv_layers: int = 4
     attention_blocks: int = 8
     d_model: int = 256
     heads: int = 4
-    ff_dim: int = 0  # 0 means 4 * d_model
-    conv_kernel: int = 3
 
     def __post_init__(self):
-        if self.ff_dim == 0:
-            self.ff_dim = 4 * self.d_model
         if self.d_model % self.heads:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.conv_kernel % 2 == 0:
-            raise ValueError("conv_kernel must be odd to preserve length")
 
 
 def sinusoidal_positions(t: int, d: int) -> np.ndarray:
@@ -80,33 +76,33 @@ class SeModel:
         def ones(name, *shape):
             self.params[name] = dc.Parameter(np.ones(shape), name)
 
-        d, k = cfg.d_model, cfg.conv_kernel
+        d, ff = cfg.d_model, 4 * cfg.d_model
         for i in range(cfg.conv_layers):
-            glorot(f"conv{i}.w", d, cfg.n_bins if i == 0 else d, k)
+            glorot(f"conv{i}.w", d, dsp.N_BINS if i == 0 else d, CONV_KERNEL)
             zeros(f"conv{i}.b", d)
         for i in range(cfg.attention_blocks):
             p = f"block{i}"
             for m in ("wq", "wk", "wv", "wo"):
                 glorot(f"{p}.{m}", d, d)
-            for m in ("bq", "bk", "bv", "bo"):
+            for m in ("bq", "bv", "bo"):
                 zeros(f"{p}.{m}", d)
             ones(f"{p}.ln1.g", d)
             zeros(f"{p}.ln1.b", d)
-            glorot(f"{p}.ff.w1", d, cfg.ff_dim)
-            zeros(f"{p}.ff.b1", cfg.ff_dim)
-            glorot(f"{p}.ff.w2", cfg.ff_dim, d)
+            glorot(f"{p}.ff.w1", d, ff)
+            zeros(f"{p}.ff.b1", ff)
+            glorot(f"{p}.ff.w2", ff, d)
             zeros(f"{p}.ff.b2", d)
             ones(f"{p}.ln2.g", d)
             zeros(f"{p}.ln2.b", d)
         ones("final_ln.g", d)
         zeros("final_ln.b", d)
-        glorot("out.w", d, cfg.n_bins)
-        zeros("out.b", cfg.n_bins)
+        glorot("out.w", d, dsp.N_BINS)
+        zeros("out.b", dsp.N_BINS)
 
     def _attend(self, x, block):
         p = self.params
         q = dc.linear(x, p[f"{block}.wq"], p[f"{block}.bq"])
-        k = dc.linear(x, p[f"{block}.wk"], p[f"{block}.bk"])
+        k = dc.matmul(x, p[f"{block}.wk"])
         v = dc.linear(x, p[f"{block}.wv"], p[f"{block}.bv"])
         return dc.linear(dc.attention(q, k, v, self.cfg.heads), p[f"{block}.wo"], p[f"{block}.bo"])
 
@@ -114,13 +110,13 @@ class SeModel:
         """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""
         p = self.params
         cfg = self.cfg
-        if x.shape[1] != cfg.n_bins:
-            raise ValueError(f"expected {cfg.n_bins} bins, got input shape {x.shape}")
+        if x.shape[1] != dsp.N_BINS:
+            raise ValueError(f"expected {dsp.N_BINS} bins, got input shape {x.shape}")
         if x.shape[0] > MAX_FRAMES:
             raise ValueError(f"input has {x.shape[0]} frames; SE accepts at most MAX_FRAMES = {MAX_FRAMES}")
         h = x
         for i in range(cfg.conv_layers):
-            h = dc.relu(dc.conv1d(h, p[f"conv{i}.w"], p[f"conv{i}.b"], pad=cfg.conv_kernel // 2))
+            h = dc.relu(dc.conv1d(h, p[f"conv{i}.w"], p[f"conv{i}.b"]))
         h = h + dc.Tensor(sinusoidal_positions(h.shape[0], cfg.d_model))
         for i in range(cfg.attention_blocks):
             b = f"block{i}"

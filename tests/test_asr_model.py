@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 import bpcse.diffcore as dc
 from bpcse import asr_model as am
+from bpcse import dsp
 from bpcse.se_model import SeConfig, SeModel
+
+MEL = dsp.N_MEL_FILTERS  # the recognizer's input width
 
 
 def tiny_cfg(**kw):
     defaults = dict(
         vocab=am.make_vocab(("A", "B", "C")),
-        n_mels=5,
-        encoder_layers=2,
         encoder_hidden=4,
         proj_dim=6,
         embed_dim=3,
@@ -100,6 +101,7 @@ BAD_CONFIGS = [
     (lambda meta: meta.pop("config"), "lacks the 'config' field"),
     (lambda meta: meta.update(config=[1, 2]), r"'config' is \[1, 2\]; it must be a JSON object"),
     (lambda meta: meta["config"].update(extra=1), r"'config' is invalid: .*'extra'"),
+    (lambda meta: meta["config"].update(ctc_weight=0.5), r"'config' is invalid: .*'ctc_weight'"),
 ]
 
 
@@ -222,29 +224,33 @@ class TestEncoder:
     def test_default_proj_dim_is_320(self):
         cfg = am.AsrConfig(vocab=am.make_vocab(("A",)))
         assert cfg.proj_dim == 320
-        assert cfg.n_mels == 26
+
+    @pytest.mark.parametrize("field", ["n_mels", "encoder_layers", "ctc_weight", "scheme_name"])
+    def test_fixed_settings_are_not_config_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            am.AsrConfig(vocab=am.make_vocab(("A",)), **{field: 1})
 
     def test_output_width(self):
         model = am.AsrModel(tiny_cfg(), seed=0)
-        out = model.encode(dc.Tensor(np.zeros((7, 5))))
+        out = model.encode(dc.Tensor(np.zeros((7, MEL))))
         assert out.shape == (7, 6)
 
     def test_zero_weights_zero_input_zero_features(self):
         model = am.AsrModel(tiny_cfg(), seed=0)
         for p in model.params.values():
             p.data[:] = 0.0
-        out = model.encode(dc.Tensor(np.zeros((4, 5))))
+        out = model.encode(dc.Tensor(np.zeros((4, MEL))))
         assert np.all(out.data == 0)
 
     def test_wrong_input_dim_rejected(self):
         model = am.AsrModel(tiny_cfg(), seed=0)
-        with pytest.raises(ValueError, match="5-dim"):
+        with pytest.raises(ValueError, match=f"{MEL}-dim"):
             model.encode(dc.Tensor(np.zeros((4, 7))))
 
     def test_gradcheck_two_layers_three_frames(self):
         model = am.AsrModel(tiny_cfg(), seed=1)
         rng = np.random.default_rng(3)
-        x = dc.Tensor(rng.normal(0, 1, (3, 5)), requires_grad=True)
+        x = dc.Tensor(rng.normal(0, 1, (3, MEL)), requires_grad=True)
         tensors = [x, *model.params.values()]
         worst = dc.gradcheck(
             lambda: dc.tsum(model.encode(x) * model.encode(x)),
@@ -261,20 +267,20 @@ class TestAttentionDecoder:
         model.params["dec.out.w"].data[:] = 0.0
         model.params["dec.out.b"].data[:] = 0.0
         rng = np.random.default_rng(4)
-        hidden = model.encode(dc.Tensor(rng.normal(0, 1, (5, 5))))
+        hidden = model.encode(dc.Tensor(rng.normal(0, 1, (5, MEL))))
         loss = model.attention_loss(hidden, [3, 4])
         assert abs(loss.item() - math.log(len(model.cfg.vocab))) < 1e-12
 
     def test_empty_labels_rejected(self):
         model = am.AsrModel(tiny_cfg(), seed=0)
-        hidden = model.encode(dc.Tensor(np.zeros((3, 5))))
+        hidden = model.encode(dc.Tensor(np.zeros((3, MEL))))
         with pytest.raises(ValueError, match="nonempty"):
             model.attention_loss(hidden, [])
 
     def test_gradcheck_four_frames_two_labels(self):
         model = am.AsrModel(tiny_cfg(), seed=4)
         rng = np.random.default_rng(6)
-        x = dc.Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
+        x = dc.Tensor(rng.normal(0, 1, (4, MEL)), requires_grad=True)
         tensors = [x, *model.params.values()]
         worst = dc.gradcheck(
             lambda: model.attention_loss(model.encode(x), [3, 5]),
@@ -289,7 +295,7 @@ class TestAsrLoss:
     def setup_method(self):
         self.model = am.AsrModel(tiny_cfg(), seed=5)
         rng = np.random.default_rng(7)
-        self.hidden = self.model.encode(dc.Tensor(rng.normal(0, 1, (6, 5))))
+        self.hidden = self.model.encode(dc.Tensor(rng.normal(0, 1, (6, MEL))))
         self.labels = [3, 4]
 
     def test_lambda_one_is_ctc(self):
@@ -314,7 +320,7 @@ class TestAsrLoss:
         self.model.freeze()
         assert not any(p.requires_grad for p in self.model.params.values())
         rng = np.random.default_rng(8)
-        x = dc.Tensor(rng.normal(0, 1, (6, 5)), requires_grad=True)
+        x = dc.Tensor(rng.normal(0, 1, (6, MEL)), requires_grad=True)
         loss = self.model.asr_loss(self.model.encode(x), self.labels, lam=0.5)
         loss.backward()
         assert np.any(x.grad != 0)
@@ -327,10 +333,10 @@ class TestAsrLoss:
 
     def test_frozen_recognizer_gets_no_grads_and_input_grad_is_unchanged(self):
         """Stage two: SE output -> fixed bridge -> recognizer; freezing changes no SE grad."""
-        se = SeModel(SeConfig(d_model=8, heads=2, ff_dim=8, conv_layers=1, attention_blocks=1), seed=2)
+        se = SeModel(SeConfig(d_model=8, heads=2, conv_layers=1, attention_blocks=1), seed=2)
         rng = np.random.default_rng(9)
         noisy = dc.Tensor(rng.uniform(0, 2, (6, 257)))
-        bridge = dc.Tensor(rng.normal(0, 0.1, (257, 5)))
+        bridge = dc.Tensor(rng.normal(0, 0.1, (257, MEL)))
         se_grads = []
         for freeze in (False, True):
             if freeze:
@@ -367,9 +373,9 @@ class TestOneWayToAddABias:
 
     def graphs(self):
         rng = np.random.default_rng(10)
-        se = SeModel(SeConfig(d_model=8, heads=2, ff_dim=8, conv_layers=1, attention_blocks=2), seed=3)
+        se = SeModel(SeConfig(d_model=8, heads=2, conv_layers=1, attention_blocks=2), seed=3)
         model = am.AsrModel(tiny_cfg(), seed=6)
-        hidden = model.encode(dc.Tensor(rng.normal(0, 1, (6, 5)), requires_grad=True))
+        hidden = model.encode(dc.Tensor(rng.normal(0, 1, (6, MEL)), requires_grad=True))
         return {
             "se.forward": se.forward(dc.Tensor(rng.uniform(0, 2, (5, 257)))),
             "encode": hidden,
@@ -451,7 +457,7 @@ class TestUtilities:
         with pytest.raises(ValueError, match=r"asr\.ckpt.*'ctc\.b' has shape \(1,\)"):
             am.AsrModel.load(path)
 
-    @pytest.mark.parametrize("edit, problem", BAD_CONFIGS, ids=["missing", "list", "unknown_field"])
+    @pytest.mark.parametrize("edit, problem", BAD_CONFIGS, ids=["missing", "list", "unknown_field", "removed_field"])
     def test_checkpoint_bad_config_rejected(self, tmp_path, edit, problem):
         path = tmp_path / "asr.ckpt"
         am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)
@@ -464,7 +470,7 @@ class TestUtilities:
     def test_decode_matches_graph_computation(self):
         model = am.AsrModel(tiny_cfg(), seed=7)
         rng = np.random.default_rng(11)
-        feats = dc.Tensor(rng.normal(0, 2, (8, 5)), requires_grad=True)
+        feats = dc.Tensor(rng.normal(0, 2, (8, MEL)), requires_grad=True)
         hidden = model.encode(feats)
         logits = model.ctc_logits(hidden)
         ids = am.decode_greedy(logits.data)
@@ -479,7 +485,7 @@ class TestUtilities:
     def test_decode_with_rescoring(self):
         model = am.AsrModel(tiny_cfg(), seed=7)
         rng = np.random.default_rng(10)
-        hidden = model.encode(dc.Tensor(rng.normal(0, 2, (8, 5))))
+        hidden = model.encode(dc.Tensor(rng.normal(0, 2, (8, MEL))))
         ids, scores = model.decode(hidden, rescore=True)
         assert isinstance(ids, list)
         if ids:

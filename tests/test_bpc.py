@@ -284,6 +284,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'classes'"):
             bpc.BpcScheme.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("classes", "ab", r"field 'classes' is 'ab'; it must be a list of strings"),
+            ("classes", ["stop", 3], r"field 'classes' is \['stop', 3\]; it must be a list of strings"),
+            ("mapping", [["p", "stop"]], r"field 'mapping' is \[\['p', 'stop'\]\]; it must be an object from phone to label"),
+            ("mapping", "p:stop", r"field 'mapping' is 'p:stop'; it must be an object from phone to label"),
+            ("mapping", {"p": 1}, r"field 'mapping' maps phone 'p' to 1; a label must be a string"),
+        ],
+        ids=["classes_string", "classes_with_int", "mapping_pairs", "mapping_string", "mapping_int_label"],
+    )
+    def test_scheme_field_of_wrong_type_named(self, field, value, match):
+        doc = json.loads(bpc.manner_scheme(bpc.english_inventory()).to_json())
+        doc[field] = value
+        with pytest.raises(ValueError, match=match):
+            bpc.BpcScheme.from_json(json.dumps(doc))
+
     def test_scheme_that_is_not_an_object_rejected(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             bpc.BpcScheme.from_json("[]")

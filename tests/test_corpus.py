@@ -46,9 +46,9 @@ def render_image_rir(spec: corpus.RoomSpec, beta: float) -> dsp.Waveform:
     return dsp.Waveform(h)
 
 
-def polyfit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
+def polyfit_t60(rir: dsp.Waveform) -> float:
     """Reference for ``corpus.fit_t60``: recomputes the backward integral in
-    every fixed-point iteration and fits the line with ``np.polyfit``."""
+    every fixed-point iteration and fits the line with ``np.polyfit``, from -5 to -20 dB."""
     energy = rir.samples**2
     n = len(energy)
     t = np.arange(n) / dsp.SAMPLE_RATE
@@ -57,8 +57,8 @@ def polyfit_t60(rir: dsp.Waveform, fit_db=(5.0, 20.0)) -> float:
     for _ in range(12):
         edc = np.cumsum(energy[::-1])[::-1] + tail
         db = 10.0 * np.log10(np.maximum(edc / edc[0], 1e-30))
-        floor = max(-fit_db[1], db[int(0.9 * n)] + 1.0)
-        mask = (db <= -fit_db[0]) & (db >= floor)
+        floor = max(-20.0, db[int(0.9 * n)] + 1.0)
+        mask = (db <= -5.0) & (db >= floor)
         if mask.sum() < 16:
             raise ValueError("decay range too short to fit T60")
         slope, icpt = np.polyfit(t[mask], db[mask], 1)
@@ -395,6 +395,33 @@ class TestManifest:
         del doc["entries"][0][field]
         with pytest.raises(ValueError, match=f"entry 0 .*'{field}'"):
             corpus.Manifest.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, must",
+        [
+            ("phone_transcript", "s ɑ", "a list of strings"),
+            ("bpc_transcript", ["F", 3], "a list of strings"),
+            ("num_frames", 3.7, "a non-negative integer"),
+            ("num_frames", True, "a non-negative integer"),
+            ("num_frames", -1, "a non-negative integer"),
+            ("snr_db", "loud", "a finite number or null"),
+            ("snr_db", float("nan"), "a finite number or null"),
+            ("utt_id", 7, "a string"),
+            ("clean_path", None, "a string"),
+            ("distorted_path", ["d.wav"], "a string"),
+        ],
+    )
+    def test_entry_field_of_wrong_type_named(self, field, value, must):
+        e = corpus.ManifestEntry("u7", "c.wav", "d.wav", ["s"], ["F"], 0.0, 10)
+        doc = json.loads(corpus.Manifest([e]).to_json())
+        doc["entries"][0][field] = value
+        with pytest.raises(ValueError, match=rf"entry 0 \(.*\) field '{field}' is .*; it must be {must}$"):
+            corpus.Manifest.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("snr", [None, 5, -2.5])
+    def test_entry_snr_may_be_null_or_any_finite_number(self, snr):
+        e = corpus.ManifestEntry("u7", "c.wav", "d.wav", ["s"], ["F"], snr, 10)
+        assert corpus.Manifest.from_json(corpus.Manifest([e]).to_json()).entries == [e]
 
     def test_entries_must_be_a_list_of_objects(self):
         e = corpus.ManifestEntry("u7", "c.wav", "d.wav", ["s"], ["F"], 0.0, 10)

@@ -90,7 +90,7 @@ class TestPrimitiveGradients:
     def test_conv1d(self):
         rng = np.random.default_rng(14)
         x, w, b = rand(rng, 6, 3), rand(rng, 4, 3, 3), rand(rng, 4)
-        self.check(lambda: dc.tsum(dc.conv1d(x, w, b, pad=1) * dc.conv1d(x, w, b, pad=1)), [x, w, b])
+        self.check(lambda: dc.tsum(dc.conv1d(x, w, b) * dc.conv1d(x, w, b)), [x, w, b])
 
     def test_l1_loss(self):
         rng = np.random.default_rng(16)
@@ -179,6 +179,23 @@ def linear_value_and_grads(run, arrays, requires, weights):
 def matmul_then_add(x, W, b):
     """The two-node graph ``linear`` replaces."""
     return dc.matmul(x, W) + b
+
+
+class TestConv1d:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_same_padding_equals_loop_oracle(self, k):
+        rng = np.random.default_rng(k)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3, k)), rng.normal(size=2)
+        xp = np.pad(x, ((k // 2, k // 2), (0, 0)))
+        want = np.array([[np.sum(xp[i : i + k].T * w[o]) + b[o] for o in range(2)] for i in range(4)])
+        got = dc.conv1d(t(x), t(w), t(b)).data
+        assert got.shape == (4, 2) and np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_even_kernel_and_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="kernel width 4 is even"):
+            dc.conv1d(t(np.ones((5, 3))), t(np.ones((2, 3, 4))), t(np.ones(2)))
+        with pytest.raises(ValueError, match="at least one frame"):
+            dc.conv1d(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
 
 
 class TestLinear:
@@ -479,12 +496,11 @@ class TestFrozenParameters:
 class AdamByArrays:
     """Oracle for ``Adam``: the whole-array update, each term a full-size temporary."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -520,11 +536,11 @@ class TestAdam:
             max_size=4,
         ),
         steps=st.integers(1, 4),
-        hyper=st.sampled_from([(1e-3, 0.9, 0.999, 1e-8), (0.1, 0.5, 0.9, 1e-3)]),
+        lr=st.sampled_from([1e-3, 0.1]),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=25, deadline=None)
-    def test_equals_whole_array_oracle(self, specs, steps, hyper, seed):
+    def test_equals_whole_array_oracle(self, specs, steps, lr, seed):
         rng = np.random.default_rng(seed)
         init = [rng.normal(size=shape) for shape, _ in specs]
         sides = []
@@ -532,8 +548,7 @@ class TestAdam:
             params = {f"p{i}": dc.Parameter(a.copy(), f"p{i}") for i, a in enumerate(init)}
             for p, (_, kind) in zip(params.values(), specs):
                 p.requires_grad = kind != "frozen"
-            lr, beta1, beta2, eps = hyper
-            sides.append((params, cls(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)))
+            sides.append((params, cls(params, lr=lr)))
         for _ in range(steps):
             grads = [
                 None if kind == "sometimes" and rng.random() < 0.5 else rng.normal(size=shape)
@@ -597,7 +612,7 @@ class TestAdam:
         # one step with constant grad g: theta' = theta - lr * g / (|g| + eps)
         g = 0.3
         p = dc.Parameter(np.array([2.0]), "p")
-        opt = dc.Adam({"p": p}, lr=0.01, eps=1e-8)
+        opt = dc.Adam({"p": p}, lr=0.01)
         p.grad = np.array([g])
         opt.step()
         expected = 2.0 - 0.01 * g / (abs(g) + 1e-8)

@@ -7,7 +7,7 @@ import bpcse.diffcore as dc
 from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
 
-TINY = SeConfig(d_model=8, heads=2, ff_dim=16, attention_blocks=2)
+TINY = SeConfig(d_model=8, heads=2, attention_blocks=2)
 
 
 def log1p_spec(rng, t):
@@ -36,8 +36,24 @@ class TestForwardContracts:
 
     def test_paper_defaults(self):
         cfg = SeConfig()
-        assert (cfg.conv_layers, cfg.attention_blocks) == (4, 8)
-        assert cfg.ff_dim == 4 * cfg.d_model
+        assert (cfg.conv_layers, cfg.attention_blocks, cfg.d_model, cfg.heads) == (4, 8, 256, 4)
+
+    def test_fixed_widths(self):
+        params = SeModel(TINY, seed=0).params
+        assert params["conv0.w"].shape == (8, dsp.N_BINS, se_model.CONV_KERNEL)
+        assert params["block0.ff.w1"].shape == (8, 32)
+        assert params["out.w"].shape == (8, dsp.N_BINS)
+
+    @pytest.mark.parametrize("field", ["n_bins", "ff_dim", "conv_kernel"])
+    def test_fixed_settings_are_not_config_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            SeConfig(**{field: 3})
+
+    def test_keys_carry_no_bias(self):
+        # softmax over keys is shift-invariant, so a key bias would get no gradient
+        params = SeModel(TINY, seed=0).params
+        assert not [n for n in params if n.endswith(".bk")]
+        assert {f"block{i}.bq" for i in range(TINY.attention_blocks)} <= set(params)
 
     def test_dmodel_heads_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -159,7 +175,7 @@ class TestBatchIndependence:
 
 class TestGradients:
     def test_se_gradcheck_on_four_frames(self):
-        cfg = SeConfig(d_model=6, heads=2, ff_dim=8, conv_layers=2, attention_blocks=1)
+        cfg = SeConfig(d_model=6, heads=2, conv_layers=2, attention_blocks=1)
         model = SeModel(cfg, seed=9)
         rng = np.random.default_rng(10)
         x = dc.Tensor(rng.uniform(0, 1.5, (4, 257)))
@@ -175,7 +191,7 @@ class TestGradients:
         assert worst < 1e-4
 
     def test_training_reduces_validation_loss(self):
-        cfg = SeConfig(d_model=12, heads=2, ff_dim=24, conv_layers=2, attention_blocks=1)
+        cfg = SeConfig(d_model=12, heads=2, conv_layers=2, attention_blocks=1)
         model = SeModel(cfg, seed=11)
         rng = np.random.default_rng(12)
         # tiny mapping task: denoise a fixed spectral pattern
@@ -214,8 +230,9 @@ class TestCheckpoint:
             (lambda meta: meta.pop("config"), "lacks the 'config' field"),
             (lambda meta: meta.update(config=[1, 2]), r"'config' is \[1, 2\]; it must be a JSON object"),
             (lambda meta: meta["config"].update(extra=1), r"'config' is invalid: .*'extra'"),
+            (lambda meta: meta["config"].update(n_bins=257), r"'config' is invalid: .*'n_bins'"),
         ],
-        ids=["missing", "list", "unknown_field"],
+        ids=["missing", "list", "unknown_field", "removed_field"],
     )
     def test_bad_config_rejected(self, tmp_path, edit, problem):
         path = self._saved(tmp_path)
