@@ -55,6 +55,11 @@ class AsrConfig:
         self.vocab = tuple(self.vocab)
         if self.vocab[:3] != SPECIALS:
             raise ValueError(f"vocab must start with {SPECIALS}, got {self.vocab[:3]}")
+        for i, label in enumerate(self.vocab):
+            if not isinstance(label, str):
+                raise ValueError(f"vocab label {label!r} at position {i} is not a string")
+            if self.vocab.index(label) != i:
+                raise ValueError(f"vocab label {label!r} at position {i} repeats position {self.vocab.index(label)}")
 
 
 class AsrModel:

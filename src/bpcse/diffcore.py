@@ -9,8 +9,10 @@ Inside a :func:`no_grad` block ops record no parents and no backward closure,
 so inference keeps no graph and frees each activation once it is used; the
 NaN/Inf check still runs on every output. A :class:`Parameter` whose
 ``requires_grad`` is off is frozen: it passes gradient on to its inputs but
-gets none itself, and ``matmul``, ``linear``, ``attention`` and
-``lstm_sequence`` skip computing it.
+gets none itself, and ``matmul``, ``linear``, ``conv1d``, ``attention``
+and ``lstm_sequence`` skip computing it. ``backward()`` frees each
+interior node's grad once the node has passed it on, so after it only
+leaves hold a grad.
 
 The ops are the ones the models and the stage-two feature bridge run:
 ``add`` and ``mul`` (also ``+`` and ``*``), ``matmul``, ``linear``
@@ -100,7 +102,8 @@ class Tensor:
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar output, got shape {self.shape}")
         # iterative topological sort, so graph depth is not bounded by the recursion limit.
-        # Interior grads are reset so that a repeated backward() accumulates into leaves only.
+        # Interior grads are reset so that a repeated backward() accumulates into leaves only,
+        # and each is freed once its node has passed it on, so leaves alone keep a grad.
         topo, visited, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -120,6 +123,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # operator sugar
     def __add__(self, other):
@@ -414,12 +418,15 @@ def conv1d(x, w, b):
     data += b.data
 
     def backward(g):
-        _accum(w, np.tensordot(g, windows, axes=([0], [0])))
-        gxp = np.zeros_like(xp)
-        for kk in range(k):
-            gxp[kk : kk + t] += g @ w.data[:, :, kk]
-        _accum(x, gxp[pad : pad + t])
-        _accum(b, g.sum(axis=0))
+        if w.requires_grad:
+            _accum(w, np.tensordot(g, windows, axes=([0], [0])))
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for kk in range(k):
+                gxp[kk : kk + t] += g @ w.data[:, :, kk]
+            _accum(x, gxp[pad : pad + t])
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
 
     return _node(data, (x, w, b), backward, "conv1d")
 

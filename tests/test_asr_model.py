@@ -102,6 +102,8 @@ BAD_CONFIGS = [
     (lambda meta: meta.update(config=[1, 2]), r"'config' is \[1, 2\]; it must be a JSON object"),
     (lambda meta: meta["config"].update(extra=1), r"'config' is invalid: .*'extra'"),
     (lambda meta: meta["config"].update(ctc_weight=0.5), r"'config' is invalid: .*'ctc_weight'"),
+    (lambda meta: meta["config"]["vocab"].append("B"), r"'config' is invalid: .*'B' at position 6 repeats position 4"),
+    (lambda meta: meta["config"]["vocab"].append(7), r"'config' is invalid: .*label 7 at position 6 is not a string"),
 ]
 
 
@@ -224,6 +226,19 @@ class TestEncoder:
     def test_default_proj_dim_is_320(self):
         cfg = am.AsrConfig(vocab=am.make_vocab(("A",)))
         assert cfg.proj_dim == 320
+
+    @pytest.mark.parametrize(
+        "labels, problem",
+        [
+            (("A", "A", "B"), r"label 'A' at position 4 repeats position 3"),
+            (("A", "<blank>"), r"label '<blank>' at position 4 repeats position 0"),
+            (("A", 3), r"label 3 at position 4 is not a string"),
+            ((None,), r"label None at position 3 is not a string"),
+        ],
+    )
+    def test_bad_vocab_label_named(self, labels, problem):
+        with pytest.raises(ValueError, match=problem):
+            am.AsrConfig(vocab=am.make_vocab(labels))
 
     @pytest.mark.parametrize("field", ["n_mels", "encoder_layers", "ctc_weight", "scheme_name"])
     def test_fixed_settings_are_not_config_fields(self, field):
@@ -457,7 +472,11 @@ class TestUtilities:
         with pytest.raises(ValueError, match=r"asr\.ckpt.*'ctc\.b' has shape \(1,\)"):
             am.AsrModel.load(path)
 
-    @pytest.mark.parametrize("edit, problem", BAD_CONFIGS, ids=["missing", "list", "unknown_field", "removed_field"])
+    @pytest.mark.parametrize(
+        "edit, problem",
+        BAD_CONFIGS,
+        ids=["missing", "list", "unknown_field", "removed_field", "repeated_label", "non_string_label"],
+    )
     def test_checkpoint_bad_config_rejected(self, tmp_path, edit, problem):
         path = tmp_path / "asr.ckpt"
         am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)

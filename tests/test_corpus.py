@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,6 +91,67 @@ def bisect_rir(spec: corpus.RoomSpec) -> tuple:
             lo = beta
         beta = 0.5 * (lo + hi)
     return rir, fitted
+
+
+def harmonic_tone_oracle(n, f0, envelope, rng):
+    """Reference for ``corpus._harmonic_tone``: one ``np.sin`` over every sample per kept harmonic."""
+    t = np.arange(n) / dsp.SAMPLE_RATE
+    x = np.zeros(n)
+    k = 1
+    while k * f0 < dsp.SAMPLE_RATE / 2 - 500:
+        a = envelope(k * f0)
+        if a > 1e-4:
+            x += a * np.sin(2 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
+        k += 1
+    return x
+
+
+def make_noise_oracle(kind, n, rng):
+    """Reference for ``corpus.make_noise``: tonal noise from ``np.sin`` over every sample."""
+    if kind == "white":
+        x = rng.normal(0.0, 1.0, n)
+    elif kind == "pink":
+        spec = np.fft.rfft(rng.normal(0.0, 1.0, n))
+        freqs = np.fft.rfftfreq(n, 1.0 / dsp.SAMPLE_RATE)
+        spec /= np.sqrt(np.maximum(freqs, 1.0))
+        x = np.fft.irfft(spec, n=n)
+    else:
+        t = np.arange(n) / dsp.SAMPLE_RATE
+        x = np.zeros(n)
+        for _ in range(6):
+            f = rng.uniform(200.0, 3500.0)
+            am = 0.5 + 0.5 * np.sin(2 * np.pi * rng.uniform(0.3, 2.0) * t + rng.uniform(0, 2 * np.pi))
+            x += am * np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
+        x += 0.05 * rng.normal(0.0, 1.0, n)
+    return dsp.normalize(dsp.Waveform(x))
+
+
+def frame_labels_oracle(spans, n_samples):
+    """Reference for ``corpus._frame_labels``: every frame center against every (lo, hi, phone) span."""
+    labels = []
+    if n_samples >= dsp.WINDOW_LEN:
+        for f in range(dsp.frame_count(n_samples)):
+            center = f * dsp.HOP + dsp.WINDOW_LEN // 2
+            for lo, hi, p in spans:
+                if lo <= center < hi:
+                    labels.append(p)
+                    break
+            else:
+                labels.append(spans[-1][2])
+    return labels
+
+
+def tone_envelope(phone):
+    """The envelope ``synth_toy_phone`` hands ``_harmonic_tone`` for a vowel or nasal."""
+    seen = []
+    with mock.patch.object(corpus, "_harmonic_tone", lambda n, f0, envelope, rng: seen.append(envelope) or np.ones(n)):
+        corpus.synth_toy_phone(phone, 4, 120.0, None)
+    return seen[0]
+
+
+def assert_close_to_peak(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
 
 
 # a non-default room with its own placement; it misses 0.15 s on 4096 samples
@@ -332,6 +394,74 @@ class TestToySynth:
         seq = ["sil", "t", "u", "n", "sil"]
         _, labels = corpus.synth_toy_utterance(seq, seed=3)
         assert set(labels) <= set(seq)
+
+
+class TestSinusoids:
+    @given(
+        phone=st.sampled_from([*corpus.TOY_VOWELS, *corpus.TOY_NASALS]),
+        f0=st.floats(110.0, 145.0),
+        n=st.integers(0, 4000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_harmonic_tone_equals_sin_oracle(self, phone, f0, n, seed):
+        envelope = tone_envelope(phone)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = corpus._harmonic_tone(n, f0, envelope, rng)
+        want = harmonic_tone_oracle(n, f0, envelope, oracle_rng)
+        assert_close_to_peak(got, want, 1e-10)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @given(n=st.integers(0, 20000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_tonal_noise_equals_sin_oracle(self, n, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = corpus.make_noise("tonal", n, rng)
+        want = make_noise_oracle("tonal", n, oracle_rng)
+        assert_close_to_peak(got.samples, want.samples, 1e-10)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 15, 16, 17, 1000])
+    def test_sinusoid_equals_exp_per_sample(self, n):
+        w, phase = 2 * np.pi * 3456.7 / dsp.SAMPLE_RATE, 1.234
+        got = corpus._sinusoid(n, w, phase)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - np.exp(1j * (w * np.arange(n) + phase))), initial=0.0) < 1e-12
+
+    def test_corpus_wavs_equal_sin_oracle_byte_for_byte(self, tmp_path):
+        kinds = []
+
+        def recording_oracle(kind, n, rng):
+            kinds.append(kind)
+            return make_noise_oracle(kind, n, rng)
+
+        corpus.synth_corpus(tmp_path / "new", n_utts=4, seed=12)
+        corpus.mix_corpus(tmp_path / "new", [0.0, 10.0], seed=2)
+        with mock.patch.object(corpus, "_harmonic_tone", harmonic_tone_oracle), \
+                mock.patch.object(corpus, "make_noise", recording_oracle):
+            corpus.synth_corpus(tmp_path / "oracle", n_utts=4, seed=12)
+            corpus.mix_corpus(tmp_path / "oracle", [0.0, 10.0], seed=2)
+        assert "tonal" in kinds
+        files = sorted(f.relative_to(tmp_path / "new") for f in (tmp_path / "new").rglob("*.wav"))
+        assert len(files) == 8
+        for rel in files:
+            assert (tmp_path / "new" / rel).read_bytes() == (tmp_path / "oracle" / rel).read_bytes(), rel
+
+
+class TestFrameLabels:
+    # span lengths in whole hops put phone boundaries exactly on frame centers
+    lengths = st.one_of(st.integers(0, 3000), st.integers(0, 12).map(lambda hops: hops * dsp.HOP))
+
+    @given(spans=st.lists(st.tuples(lengths, st.sampled_from(corpus.TOY_PHONES)), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_span_loop_oracle(self, spans):
+        ends = np.cumsum([n for n, _ in spans]).tolist()
+        phones = [p for _, p in spans]
+        triples = [(hi - n, hi, p) for hi, (n, p) in zip(ends, spans)]
+        assert corpus._frame_labels(ends, phones) == frame_labels_oracle(triples, ends[-1])
+
+    def test_no_phones_no_frames(self):
+        assert corpus._frame_labels([], []) == []
 
 
 class TestManifest:

@@ -104,7 +104,61 @@ class TestPrimitiveGradients:
         self.check(lambda: dc.cross_entropy(x, targets), [x])
 
 
+def backward_keeping_interior_grads(root):
+    """``Tensor.backward`` as it was before it freed interior grads: the same
+    iterative topological sort and the same accumulation order, but every
+    node keeps the grad it was handed."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        if node._backward is not None:
+            node.grad = None
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def graph_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
 class TestContracts:
+    def test_backward_frees_interior_grads_and_leaf_grads_are_unchanged(self):
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=s) for s in [(6, 3), (3, 4), (4,), (2, 4, 3), (2,), (1, 4)]]
+
+        def build():
+            x, w, b, k, kb, g = leaves = [t(a) for a in arrays]
+            h = dc.tanh(dc.linear(x, w, b))  # shared by three consumers below
+            mixed = dc.concat([dc.softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
+            return dc.add(dc.tsum(mixed * mixed), dc.tsum(dc.relu(h)[1:4])), leaves
+
+        want_root, want_leaves = build()
+        backward_keeping_interior_grads(want_root)
+        root, leaves = build()
+        root.backward()
+        interior = [n for n in graph_nodes(root) if n._backward is not None]
+        assert len(interior) > 5 and all(n.grad is None for n in interior)
+        for got, want in zip(leaves, want_leaves):
+            assert np.array_equal(got.grad, want.grad)
+
     def test_l1_identical_inputs_zero_loss_zero_grad(self):
         x = t(np.arange(6.0).reshape(2, 3))
         y = t(np.arange(6.0).reshape(2, 3))
@@ -190,6 +244,17 @@ class TestConv1d:
         want = np.array([[np.sum(xp[i : i + k].T * w[o]) + b[o] for o in range(2)] for i in range(4)])
         got = dc.conv1d(t(x), t(w), t(b)).data
         assert got.shape == (4, 2) and np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_constant_input_gets_no_grad_and_weights_keep_theirs(self):
+        rng = np.random.default_rng(8)
+        x, w, b, g = rng.normal(size=(6, 3)), rng.normal(size=(2, 3, 3)), rng.normal(size=2), rng.normal(size=(6, 2))
+        grads = []
+        for x_needs_grad in (True, False):
+            xt, wt, bt = t(x, grad=x_needs_grad), t(w), t(b)
+            dc.tsum(dc.conv1d(xt, wt, bt) * g).backward()
+            assert (xt.grad is None) != x_needs_grad
+            grads.append((wt.grad, bt.grad))
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
     def test_even_kernel_and_empty_input_rejected(self):
         with pytest.raises(ValueError, match="kernel width 4 is even"):
