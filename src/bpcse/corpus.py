@@ -19,13 +19,14 @@ layout drop straight in: :func:`bpcse.dsp.read_wav` rejects any other format.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from . import bpc, dsp
 
@@ -183,8 +184,10 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
 
     Powers are measured over the full utterance. Noise shorter than the
     clean signal is tiled; longer noise is cropped (from a seeded random
-    offset when ``rng`` is given).
+    offset when ``rng`` is given). A non-finite ``snr_db`` is rejected.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if len(clean) == 0:
         raise ValueError("clean signal is empty")
     if len(noise) == 0:
@@ -326,14 +329,26 @@ def generate_rir(spec: RoomSpec) -> dsp.Waveform:
 
 
 def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
-    """Full convolution truncated to len(w), then peak-renormalized."""
+    """Full convolution truncated to len(w), then peak-renormalized.
+
+    The convolution is the product of real FFTs at ``next_fast_len`` of the
+    full length, or a plain product when either input has one sample: the
+    same calls ``scipy.signal.fftconvolve`` makes, so the output equals
+    ``fftconvolve(w, rir)[:len(w)]`` bit for bit without importing
+    :mod:`scipy.signal`.
+    """
     if len(w) == 0:
         raise ValueError("clean signal is empty")
     if len(rir) == 0:
         raise ValueError("room response is empty")
     if not np.any(rir.samples):
         raise ValueError("zero power: room response is silent")
-    out = fftconvolve(w.samples, rir.samples)[: len(w)]
+    if min(len(w), len(rir)) == 1:
+        out = w.samples * rir.samples[0]
+    else:
+        size = scipy.fft.next_fast_len(len(w) + len(rir) - 1, real=True)
+        spec = scipy.fft.rfft(w.samples, size) * scipy.fft.rfft(rir.samples, size)
+        out = scipy.fft.irfft(spec, size)[: len(w)]
     return dsp.normalize(dsp.Waveform(out))
 
 
@@ -376,11 +391,19 @@ def fit_t60(rir: dsp.Waveform) -> float:
 # toy utterance synthesis
 
 
+@functools.lru_cache
+def _ramp_window(r: int) -> np.ndarray:
+    """The rising raised-sine window of ``r`` samples, built once per length and read-only."""
+    win = np.sin(np.linspace(0, np.pi / 2, r)) ** 2
+    win.flags.writeable = False
+    return win
+
+
 def _edge_ramp(seg: np.ndarray, ramp: int) -> np.ndarray:
     n = len(seg)
     r = min(ramp, n // 2)
     if r > 0:
-        win = np.sin(np.linspace(0, np.pi / 2, r)) ** 2
+        win = _ramp_window(r)
         seg[:r] *= win
         seg[-r:] *= win[::-1]
     return seg
@@ -555,6 +578,9 @@ def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
     """Mix every clean utterance with noise at an SNR drawn from snr_list."""
     if len(snr_list) == 0:
         raise ValueError("snr_list is empty")
+    for i, snr in enumerate(snr_list):
+        if not math.isfinite(snr):
+            raise ValueError(f"snr_list[{i}] is {snr!r}; every SNR must be finite")
     corpus_dir = Path(corpus_dir)
     rng = np.random.default_rng(seed)
     noise_files = sorted(Path(noise_dir).glob("*.wav")) if noise_dir else None

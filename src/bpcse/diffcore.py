@@ -25,8 +25,8 @@ last axis, ``concat``, ``take`` (indexing, also ``x[key]``), the 2-D
 scaled dot-product self-attention (``attention``) over a
 ``(heads, T, d_head)`` layout, and a whole-sequence LSTM (``lstm_sequence``,
 BPTT) under the BLSTM layer ``blstm_layer``; ``lstm_cell`` is one LSTM step
-built from the primitives. ``tsum`` is the tests' gradcheck reduction; no
-model uses it.
+built from the primitives. The tests' gradcheck reduction, ``tsum``, lives
+with the tests.
 
 Also here: the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
@@ -381,20 +381,6 @@ def transpose(x):
         _accum(x, g.T)
 
     return _node(x.data.T, (x,), backward, "transpose")
-
-
-def tsum(x, axis=None):
-    """Sum over ``axis`` or all elements; no model uses it, the tests reduce with it."""
-    x = _lift(x)
-    data = x.data.sum(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            _accum(x, np.full(x.shape, g))
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
-
-    return _node(data, (x,), backward, "sum")
 
 
 def conv1d(x, w, b):

@@ -10,6 +10,7 @@ import bpcse.diffcore as dc
 from bpcse import asr_model as am
 from bpcse import dsp
 from bpcse.se_model import SeConfig, SeModel
+from gradcheck_ops import tsum
 
 MEL = dsp.N_MEL_FILTERS  # the recognizer's input width
 
@@ -268,7 +269,7 @@ class TestEncoder:
         x = dc.Tensor(rng.normal(0, 1, (3, MEL)), requires_grad=True)
         tensors = [x, *model.params.values()]
         worst = dc.gradcheck(
-            lambda: dc.tsum(model.encode(x) * model.encode(x)),
+            lambda: tsum(model.encode(x) * model.encode(x)),
             tensors,
             max_coords=4,
             rng=np.random.default_rng(0),

@@ -4,8 +4,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from bpcse import bpc, corpus, dsp
 
@@ -154,6 +155,19 @@ def assert_close_to_peak(got, want, rel):
     assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
 
 
+def edge_ramp_oracle(seg, ramp):
+    """``corpus._edge_ramp`` with its raised-sine window rebuilt on every call."""
+    n = len(seg)
+    r = min(ramp, n // 2)
+    if r > 0:
+        win = np.sin(np.linspace(0, np.pi / 2, r)) ** 2
+        seg[:r] *= win
+        seg[-r:] *= win[::-1]
+    return seg
+
+
+PRIMES = (2, 3, 5, 7, 13, 101, 1009, 4093, 4099, 10007, 16411, 39989)
+
 # a non-default room with its own placement; it misses 0.15 s on 4096 samples
 SMALL_ROOM = dict(room_dims_m=(7.0, 5.0, 3.0), source_m=(1.5, 3.5, 1.2), receiver_m=(5.0, 1.0, 1.6))
 
@@ -194,6 +208,13 @@ class TestMixAtSnr:
         noise = dsp.Waveform(rng.normal(0, 0.1, 1000))
         with pytest.raises(ValueError, match="clean signal is empty"):
             corpus.mix_at_snr(dsp.Waveform(np.zeros(0)), noise, 0.0)
+
+    @pytest.mark.parametrize("snr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_snr_rejected_by_value(self, rng, snr):
+        clean = dsp.Waveform(rng.normal(0, 0.1, 1000))
+        noise = dsp.Waveform(rng.normal(0, 0.1, 1000))
+        with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr!r}"):
+            corpus.mix_at_snr(clean, noise, snr)
 
     def test_short_noise_is_tiled(self, rng):
         clean = dsp.Waveform(rng.normal(0, 0.1, 5000))
@@ -344,6 +365,23 @@ class TestApplyRir:
         naive /= np.max(np.abs(naive))
         assert np.max(np.abs(out.samples - naive)) < 1e-9
 
+    @given(
+        n=st.one_of(st.sampled_from(PRIMES), st.integers(1, 20000)),
+        m=st.integers(1, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=39989, m=4096, seed=0)
+    @example(n=2, m=1, seed=0)
+    @example(n=4099, m=1, seed=1)
+    @example(n=1, m=4096, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_fftconvolve_bit_for_bit(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        w, rir = rng.normal(0, 0.3, n), rng.normal(0, 0.1, m)
+        out = corpus.apply_rir(dsp.Waveform(w), dsp.Waveform(rir))
+        want = dsp.normalize(dsp.Waveform(fftconvolve(w, rir)[:n]))
+        assert np.array_equal(out.samples, want.samples)
+
     def test_empty_clean_rejected(self):
         with pytest.raises(ValueError, match="clean signal is empty"):
             corpus.apply_rir(dsp.Waveform(np.zeros(0)), dsp.Waveform(np.ones(4)))
@@ -394,6 +432,31 @@ class TestToySynth:
         seq = ["sil", "t", "u", "n", "sil"]
         _, labels = corpus.synth_toy_utterance(seq, seed=3)
         assert set(labels) <= set(seq)
+
+
+class TestEdgeRamp:
+    @given(n=st.integers(0, 400), ramp=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_uncached_oracle_bit_for_bit(self, n, ramp, seed):
+        seg = np.random.default_rng(seed).normal(0, 1, n)
+        got = corpus._edge_ramp(seg.copy(), ramp)
+        got_again = corpus._edge_ramp(seg.copy(), ramp)  # from the cached window
+        want = edge_ramp_oracle(seg.copy(), ramp)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_again, want)
+
+    def test_window_is_read_only(self):
+        win = corpus._ramp_window(80)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            win[0] = 1.0
+
+    def test_corpus_builds_one_window_per_ramp_length(self, tmp_path):
+        corpus._ramp_window.cache_clear()
+        corpus.synth_corpus(tmp_path, n_utts=4, seed=12)
+        info = corpus._ramp_window.cache_info()
+        assert info.misses == 2  # the 4 ms stop-burst ramp and the 5 ms phone ramp
+        assert info.hits > 20
 
 
 class TestSinusoids:
@@ -605,6 +668,13 @@ class TestPipeline:
         corpus.synth_corpus(tmp_path, n_utts=1, seed=3)
         with pytest.raises(ValueError, match="snr_list is empty"):
             corpus.mix_corpus(tmp_path, [], seed=4)
+
+    @pytest.mark.parametrize("snr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_snr_list_entry_named(self, tmp_path, snr):
+        corpus.synth_corpus(tmp_path, n_utts=1, seed=3)
+        with pytest.raises(ValueError, match=rf"snr_list\[1\] is {snr!r}"):
+            corpus.mix_corpus(tmp_path, [5.0, snr], seed=4)
+        assert not (tmp_path / "distorted").exists()
 
     def test_empty_t60_list_named(self, tmp_path):
         corpus.synth_corpus(tmp_path, n_utts=1, seed=3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpcse.diffcore as dc
+from gradcheck_ops import tsum
 
 
 def t(arr, grad=True):
@@ -25,72 +26,72 @@ class TestPrimitiveGradients:
     def test_add(self):
         rng = np.random.default_rng(0)
         a, b = rand(rng, 3, 4), rand(rng, 3, 4)
-        self.check(lambda: dc.tsum(dc.add(a, b) * dc.add(a, b)), [a, b])
+        self.check(lambda: tsum(dc.add(a, b) * dc.add(a, b)), [a, b])
 
     def test_add_broadcast(self):
         rng = np.random.default_rng(1)
         a, b = rand(rng, 3, 4), rand(rng, 1, 4)
-        self.check(lambda: dc.tsum(dc.add(a, b) * dc.add(a, b)), [a, b])
+        self.check(lambda: tsum(dc.add(a, b) * dc.add(a, b)), [a, b])
 
     def test_matmul(self):
         rng = np.random.default_rng(3)
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
-        self.check(lambda: dc.tsum(dc.matmul(a, b) * dc.matmul(a, b)), [a, b])
+        self.check(lambda: tsum(dc.matmul(a, b) * dc.matmul(a, b)), [a, b])
 
     @pytest.mark.parametrize("op", [dc.relu, dc.sigmoid, dc.tanh, dc.softplus, dc.expm1])
     def test_unary(self, op):
         rng = np.random.default_rng(4)
         x = rand(rng, 3, 5)
-        self.check(lambda: dc.tsum(op(x) * op(x)), [x])
+        self.check(lambda: tsum(op(x) * op(x)), [x])
 
     @pytest.mark.parametrize("op", [dc.log])
     def test_log_like(self, op):
         rng = np.random.default_rng(5)
         x = t(rng.uniform(0.2, 3.0, (3, 5)))
-        self.check(lambda: dc.tsum(op(x) * op(x)), [x])
+        self.check(lambda: tsum(op(x) * op(x)), [x])
 
     def test_softmax(self):
         rng = np.random.default_rng(6)
         x = rand(rng, 4, 6)
         w = t(rng.uniform(-1, 1, (4, 6)), grad=False)
-        self.check(lambda: dc.tsum(dc.softmax(x) * w), [x])
+        self.check(lambda: tsum(dc.softmax(x) * w), [x])
 
     def test_layer_norm(self):
         rng = np.random.default_rng(7)
         x, g, b = rand(rng, 3, 8), rand(rng, 8), rand(rng, 8)
-        self.check(lambda: dc.tsum(dc.layer_norm(x, g, b) * dc.layer_norm(x, g, b)), [x, g, b])
+        self.check(lambda: tsum(dc.layer_norm(x, g, b) * dc.layer_norm(x, g, b)), [x, g, b])
 
     def test_concat(self):
         rng = np.random.default_rng(9)
         a, b = rand(rng, 2, 3), rand(rng, 4, 3)
-        self.check(lambda: dc.tsum(dc.concat([a, b], axis=0) * dc.concat([a, b], axis=0)), [a, b])
+        self.check(lambda: tsum(dc.concat([a, b], axis=0) * dc.concat([a, b], axis=0)), [a, b])
 
     def test_slice(self):
         rng = np.random.default_rng(10)
         x = rand(rng, 5, 6)
-        self.check(lambda: dc.tsum(x[1:4, 2:] * x[1:4, 2:]), [x])
+        self.check(lambda: tsum(x[1:4, 2:] * x[1:4, 2:]), [x])
 
     def test_slice_integer_rows(self):
         rng = np.random.default_rng(11)
         x = rand(rng, 5, 3)
         idx = np.array([0, 2, 2, 4])
-        self.check(lambda: dc.tsum(x[idx] * x[idx]), [x])
+        self.check(lambda: tsum(x[idx] * x[idx]), [x])
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(12)
         x = rand(rng, 4, 6)
         w = t(rng.uniform(-1, 1, (6, 4)), grad=False)
-        self.check(lambda: dc.tsum(dc.transpose(x) * w), [x])
+        self.check(lambda: tsum(dc.transpose(x) * w), [x])
 
     def test_mean_sum_axis(self):
         rng = np.random.default_rng(13)
         x = rand(rng, 3, 5)
-        self.check(lambda: dc.tsum(dc.tsum(x, axis=1) * (dc.tsum(x, axis=1) * 0.2)), [x])  # row sum times row mean
+        self.check(lambda: tsum(tsum(x, axis=1) * (tsum(x, axis=1) * 0.2)), [x])  # row sum times row mean
 
     def test_conv1d(self):
         rng = np.random.default_rng(14)
         x, w, b = rand(rng, 6, 3), rand(rng, 4, 3, 3), rand(rng, 4)
-        self.check(lambda: dc.tsum(dc.conv1d(x, w, b) * dc.conv1d(x, w, b)), [x, w, b])
+        self.check(lambda: tsum(dc.conv1d(x, w, b) * dc.conv1d(x, w, b)), [x, w, b])
 
     def test_l1_loss(self):
         rng = np.random.default_rng(16)
@@ -148,7 +149,7 @@ class TestContracts:
             x, w, b, k, kb, g = leaves = [t(a) for a in arrays]
             h = dc.tanh(dc.linear(x, w, b))  # shared by three consumers below
             mixed = dc.concat([dc.softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
-            return dc.add(dc.tsum(mixed * mixed), dc.tsum(dc.relu(h)[1:4])), leaves
+            return dc.add(tsum(mixed * mixed), tsum(dc.relu(h)[1:4])), leaves
 
         want_root, want_leaves = build()
         backward_keeping_interior_grads(want_root)
@@ -175,7 +176,7 @@ class TestContracts:
     def test_fanout_accumulates_both_contributions(self):
         x = t(np.array([[2.0]]))
         y = dc.add(dc.mul(x, x), dc.mul(x, 3.0))  # x^2 + 3x, d/dx = 2x + 3 = 7
-        dc.tsum(y).backward()
+        tsum(y).backward()
         assert np.allclose(x.grad, 7.0)
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -194,7 +195,7 @@ class TestContracts:
 
     def test_second_backward_accumulates_into_leaves_only(self):
         x = t(np.array([[2.0, -1.0]]))
-        y = dc.tsum(dc.mul(x, 3.0))
+        y = tsum(dc.mul(x, 3.0))
         y.backward()
         first = x.grad.copy()
         y.backward()
@@ -215,7 +216,7 @@ class TestContracts:
             rng = np.random.default_rng(123)
             x = t(rng.normal(size=(4, 5)))
             w = t(rng.normal(size=(5, 3)))
-            out = dc.tsum(dc.tanh(dc.matmul(x, w)))
+            out = tsum(dc.tanh(dc.matmul(x, w)))
             out.backward()
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -226,7 +227,7 @@ def linear_value_and_grads(run, arrays, requires, weights):
     """Value of sum(weights * run(x, W, b)) and the grads of x, W and b (None where not required)."""
     tensors = [t(a.copy(), grad=r) for a, r in zip(arrays, requires)]
     out = run(*tensors)
-    dc.tsum(out * weights).backward()
+    tsum(out * weights).backward()
     return out.data, [x.grad for x in tensors]
 
 
@@ -251,7 +252,7 @@ class TestConv1d:
         grads = []
         for x_needs_grad in (True, False):
             xt, wt, bt = t(x, grad=x_needs_grad), t(w), t(b)
-            dc.tsum(dc.conv1d(xt, wt, bt) * g).backward()
+            tsum(dc.conv1d(xt, wt, bt) * g).backward()
             assert (xt.grad is None) != x_needs_grad
             grads.append((wt.grad, bt.grad))
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
@@ -268,7 +269,7 @@ class TestLinear:
         rng = np.random.default_rng(50)
         x, W, b = rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)
         w = t(rng.uniform(-1, 1, (4, 5)), grad=False)
-        assert dc.gradcheck(lambda: dc.tsum(dc.linear(x, W, b) * w), [x, W, b]) < 1e-4
+        assert dc.gradcheck(lambda: tsum(dc.linear(x, W, b) * w), [x, W, b]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -330,7 +331,7 @@ def lstm_value_and_grads(run, xs, params, weights):
     for tensor in tensors:
         tensor.grad = None
     out = run(xs, *params.values())
-    dc.tsum(out * weights).backward()
+    tsum(out * weights).backward()
     return out.data.copy(), [tensor.grad.copy() for tensor in tensors]
 
 
@@ -351,7 +352,7 @@ class TestLstm:
         xs = rand(rng, t_len, 3)
         w = t(rng.uniform(-1, 1, (t_len, 2)), grad=False)
         args = (xs, p["cell.W"], p["cell.U"], p["cell.b"])
-        f = lambda: dc.tsum(dc.lstm_sequence(*args, reverse=reverse) * w)
+        f = lambda: tsum(dc.lstm_sequence(*args, reverse=reverse) * w)
         assert dc.gradcheck(f, list(args)) < 1e-4
 
     @given(
@@ -420,7 +421,7 @@ class TestLstm:
         params.update(dc.init_lstm_params(rng, 2, 3, "l.bwd"))
         x = rand(rng, 3, 2)
         tensors = [x, *params.values()]
-        assert dc.gradcheck(lambda: dc.tsum(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
+        assert dc.gradcheck(lambda: tsum(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
 
 
 def attention_by_heads(q, k, v, heads):
@@ -440,7 +441,7 @@ class TestAttention:
         rng = np.random.default_rng(30 + t_len)
         q, k, v = (rand(rng, t_len, 2 * heads) for _ in range(3))
         w = t(rng.uniform(-1, 1, (t_len, 2 * heads)), grad=False)
-        assert dc.gradcheck(lambda: dc.tsum(dc.attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
+        assert dc.gradcheck(lambda: tsum(dc.attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -457,7 +458,7 @@ class TestAttention:
         for run in (dc.attention, attention_by_heads):
             qkv = [t(a.copy()) for a in arrays]
             out = run(*qkv, heads)
-            dc.tsum(out * weights).backward()
+            tsum(out * weights).backward()
             results.append((out.data, [x.grad for x in qkv]))
         (fused, fused_grads), (oracle, oracle_grads) = results
         assert rel_err(fused, oracle) <= 1e-12
@@ -487,7 +488,7 @@ class TestAttention:
         rng = np.random.default_rng(33)
         q, k = rand(rng, 3, 4), rand(rng, 3, 4)
         v = t(rng.normal(size=(3, 4)), grad=False)
-        dc.tsum(dc.attention(q, k, v, 2)).backward()
+        tsum(dc.attention(q, k, v, 2)).backward()
         assert q.grad is not None and k.grad is not None and v.grad is None
 
 
@@ -552,7 +553,7 @@ class TestFrozenParameters:
                 q.requires_grad = not frozen
             x = t(xs)
             out = dc.matmul(dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]), proj)
-            dc.tsum(out * w).backward()
+            tsum(out * w).backward()
             assert all((q.grad is None) == frozen for q in [*p.values(), proj])
             input_grads.append(x.grad)
         assert np.array_equal(input_grads[0], input_grads[1])
@@ -802,6 +803,6 @@ class TestRandomGraphProperty:
                     cur = dc.softmax(cur)
                 else:
                     cur = getattr(dc, op)(cur)
-            return dc.tsum(cur * cur)
+            return tsum(cur * cur)
 
         assert dc.gradcheck(f, tensors) < 1e-4
