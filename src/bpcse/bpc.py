@@ -18,6 +18,7 @@ auditable and extensible.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -155,25 +156,21 @@ class ConfusionMatrix:
             raise ValueError("confusion counts must be non-negative")
 
 
-_TABLE = None
-
-
+@functools.cache
 def _load_table():
-    global _TABLE
-    if _TABLE is None:
-        text = resources.files("bpcse").joinpath("data/ipa_table.tsv").read_text("utf-8")
-        rows = []
-        header = None
-        for line in text.splitlines():
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = cells
-                continue
-            rows.append(dict(zip(header, cells)))
-        _TABLE = {r["phone"]: r for r in rows}
-    return _TABLE
+    """The shipped IPA table as ``{phone: row}``, parsed on the first call; callers only read it."""
+    text = resources.files("bpcse").joinpath("data/ipa_table.tsv").read_text("utf-8")
+    rows = []
+    header = None
+    for line in text.splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = line.split("\t")
+        if header is None:
+            header = cells
+            continue
+        rows.append(dict(zip(header, cells)))
+    return {r["phone"]: r for r in rows}
 
 
 def full_ipa_inventory() -> PhoneInventory:

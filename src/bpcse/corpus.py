@@ -15,6 +15,10 @@ manifests tying utterances to their transcripts. Directory layout:
 Every WAV is 16 kHz mono PCM16, the one format of :mod:`bpcse.dsp`; all
 rates and lengths here are in its samples. External corpora with the same
 layout drop straight in: :func:`bpcse.dsp.read_wav` rejects any other format.
+
+Reverberation is simulated in one room, the shoebox ``ROOM_DIMS_M`` with a
+source at ``SOURCE_M`` and a receiver at ``RECEIVER_M``, 2 m apart, and
+every response is ``RIR_LEN_SAMPLES`` long; only the T60 varies.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +37,12 @@ from . import bpc, dsp
 SPEED_OF_SOUND = 343.0
 T60_FIT_DB = (5.0, 20.0)  # the decay range, in dB below the start, that fit_t60 fits
 MANIFEST_SCHEMA = "bpcse-manifest-1"
+
+# the one simulated room, in metres, and the length of its responses
+ROOM_DIMS_M = (5.0, 4.0, 6.0)
+SOURCE_M = (2.0, 3.5, 2.0)
+RECEIVER_M = (2.0, 1.5, 2.0)
+RIR_LEN_SAMPLES = 4096
 
 # Toy phone recipes. Vowels are two-formant harmonic tones, fricatives
 # band-limited noise, stops a closure plus a burst, nasals low-passed tones.
@@ -47,25 +57,6 @@ TOY_PHONES = (
 
 def toy_inventory() -> bpc.PhoneInventory:
     return bpc.PhoneInventory(tuple(TOY_PHONES), language="en")
-
-
-@dataclass
-class RoomSpec:
-    room_dims_m: tuple = (5.0, 4.0, 6.0)
-    source_m: tuple = (2.0, 3.5, 2.0)
-    receiver_m: tuple = (2.0, 1.5, 2.0)
-    t60_s: float = 0.4
-    rir_len_samples: int = 4096
-
-    def __post_init__(self):
-        for point, label in ((self.source_m, "source"), (self.receiver_m, "receiver")):
-            for x, dim in zip(point, self.room_dims_m):
-                if not 0.0 < x < dim:
-                    raise ValueError(f"{label} position {point} not strictly inside room {self.room_dims_m}")
-        if not (math.isfinite(self.t60_s) and self.t60_s > 0):
-            raise ValueError(f"t60_s must be positive and finite, got {self.t60_s}")
-        if not isinstance(self.rir_len_samples, (int, np.integer)) or self.rir_len_samples <= 0:
-            raise ValueError(f"rir_len_samples must be a positive int, got {self.rir_len_samples!r}")
 
 
 @dataclass
@@ -104,7 +95,6 @@ class Manifest:
     entries: list
     scheme_name: str = ""
     seed: int | None = None
-    base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
         ids = [e.utt_id for e in self.entries]
@@ -116,23 +106,12 @@ class Manifest:
             "schema": MANIFEST_SCHEMA,
             "scheme": self.scheme_name,
             "seed": self.seed,
-            "entries": [
-                {
-                    "utt_id": e.utt_id,
-                    "clean_path": e.clean_path,
-                    "distorted_path": e.distorted_path,
-                    "phone_transcript": e.phone_transcript,
-                    "bpc_transcript": e.bpc_transcript,
-                    "snr_db": e.snr_db,
-                    "num_frames": e.num_frames,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
         return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, text: str, base_dir=".") -> "Manifest":
+    def from_json(cls, text: str) -> "Manifest":
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("manifest is not a JSON object")
@@ -152,7 +131,7 @@ class Manifest:
                         f"manifest entry {i} ({d['utt_id']!r}) field {name!r} is {d[name]!r}; it must be {must}"
                     )
             entries.append(ManifestEntry(**{name: d[name] for name in _MANIFEST_FIELD_CHECKS}))
-        return cls(entries, doc.get("scheme", ""), doc.get("seed"), Path(base_dir))
+        return cls(entries, doc.get("scheme", ""), doc.get("seed"))
 
     def save(self, path) -> None:
         path = Path(path)
@@ -161,8 +140,7 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        path = Path(path)
-        return cls.from_json(path.read_text("utf-8"), base_dir=path.parent)
+        return cls.from_json(Path(path).read_text("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +162,9 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
 
     Powers are measured over the full utterance. Noise shorter than the
     clean signal is tiled; longer noise is cropped (from a seeded random
-    offset when ``rng`` is given). A non-finite ``snr_db`` is rejected.
+    offset when ``rng`` is given). A non-finite ``snr_db`` is rejected, and
+    so is one so far from 0 dB that the gain leaves float range or the
+    scaled noise vanishes in the rounding of the clean signal.
     """
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
@@ -199,8 +179,16 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
         raise ValueError("zero power: clean signal is silent")
     if p_noise == 0.0:
         raise ValueError("zero power: noise signal is silent")
-    g = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return dsp.Waveform(clean.samples + g * d)
+    try:
+        g = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"snr_db {snr_db!r} has a power ratio beyond float range") from None
+    if not (math.isfinite(g) and g > 0):
+        raise ValueError(f"snr_db {snr_db!r} gives noise gain {g!r}; it must be finite and positive")
+    mixed = clean.samples + g * d
+    if np.array_equal(mixed, clean.samples):
+        raise ValueError(f"snr_db {snr_db!r} gives noise gain {g!r}, too small to change the clean signal")
+    return dsp.Waveform(mixed)
 
 
 def measure_snr(clean: dsp.Waveform, mixed: dsp.Waveform) -> float:
@@ -242,15 +230,15 @@ def make_noise(kind: str, n: int, rng) -> dsp.Waveform:
 # room impulse responses
 
 
-def _image_sources(spec: RoomSpec) -> tuple:
-    """Image sources of a shoebox room that arrive within rir_len_samples.
+def _image_sources() -> tuple:
+    """Image sources of the simulated room that arrive within ``RIR_LEN_SAMPLES``.
 
     Returns each kept image's sample delay, reflection order and 4 pi d
     spreading denominator. None of them depends on the wall reflection
     coefficient, so one call serves every step of :func:`generate_rir`.
     """
-    lx, ly, lz = spec.room_dims_m
-    max_dist = spec.rir_len_samples / dsp.SAMPLE_RATE * SPEED_OF_SOUND
+    lx, ly, lz = ROOM_DIMS_M
+    max_dist = RIR_LEN_SAMPLES / dsp.SAMPLE_RATE * SPEED_OF_SOUND
 
     def axis_images(length, src, rcv):
         offsets, refl = [], []
@@ -261,70 +249,63 @@ def _image_sources(spec: RoomSpec) -> tuple:
                 refl.append(abs(n - p) + abs(n))
         return np.array(offsets), np.array(refl)
 
-    dx, rx = axis_images(lx, spec.source_m[0], spec.receiver_m[0])
-    dy, ry = axis_images(ly, spec.source_m[1], spec.receiver_m[1])
-    dz, rz = axis_images(lz, spec.source_m[2], spec.receiver_m[2])
+    dx, rx = axis_images(lx, SOURCE_M[0], RECEIVER_M[0])
+    dy, ry = axis_images(ly, SOURCE_M[1], RECEIVER_M[1])
+    dz, rz = axis_images(lz, SOURCE_M[2], RECEIVER_M[2])
 
     dist = np.sqrt(
         dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
     ).ravel()
     order = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
     delays = np.round(dist * dsp.SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
-    keep = (delays < spec.rir_len_samples) & (dist > 1e-9)
+    keep = (delays < RIR_LEN_SAMPLES) & (dist > 1e-9)
     return delays[keep], order[keep], 4.0 * np.pi * dist[keep]
 
 
-def generate_rir(spec: RoomSpec) -> dsp.Waveform:
-    """Image-source room impulse response, truncated to rir_len_samples.
+def generate_rir(t60_s: float) -> dsp.Waveform:
+    """Image-source response of the simulated room at reverberation time ``t60_s``.
 
     Image amplitudes decay as beta^reflections / (4 pi d) and land on the
-    nearest sample of their propagation delay. The uniform reflection
-    coefficient is calibrated by bisection so the rendered response actually
-    realizes the requested T60 on its truncated support (the textbook
-    Sabine/Eyring coefficient under-decays badly on a 4096-sample response;
-    Eyring's value seeds the search). The image geometry is built once per
-    call; each step only re-weights the images for its beta and sums them
-    per delay. Unreachable T60s, where even Sabine absorption would exceed
-    1, are rejected, and so is a T60 that Eyring's beta and 20 bisection
-    steps all miss by 0.5% or more (a T60 whose decay the truncated
-    response cannot show), and a response so short that even the direct
-    path arrives after its end.
+    nearest sample of their propagation delay, up to ``RIR_LEN_SAMPLES``.
+    The uniform reflection coefficient is calibrated by bisection so the
+    rendered response actually realizes the requested T60 on its truncated
+    support (the textbook Sabine/Eyring coefficient under-decays badly on a
+    4096-sample response; Eyring's value seeds the search). The image
+    geometry is built once per call; each step only re-weights the images
+    for its beta and sums them per delay. A T60 that is not finite and
+    positive is rejected, as are unreachable T60s, where even Sabine
+    absorption would exceed 1, and a T60 that Eyring's beta and 20
+    bisection steps all miss by 0.5% or more (a T60 whose decay the
+    truncated response cannot show).
     """
-    lx, ly, lz = spec.room_dims_m
+    if not (math.isfinite(t60_s) and t60_s > 0):
+        raise ValueError(f"t60_s must be positive and finite, got {t60_s}")
+    lx, ly, lz = ROOM_DIMS_M
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    sabine_absorption = 0.161 * volume / (surface * spec.t60_s)
+    sabine_absorption = 0.161 * volume / (surface * t60_s)
     if sabine_absorption > 1.0:
-        raise ValueError(
-            f"unreachable T60 {spec.t60_s} s: required absorption {sabine_absorption:.2f} > 1"
-        )
-    eyring = 1.0 - math.exp(-0.161 * volume / (surface * spec.t60_s))
+        raise ValueError(f"unreachable T60 {t60_s} s: required absorption {sabine_absorption:.2f} > 1")
+    eyring = 1.0 - math.exp(-0.161 * volume / (surface * t60_s))
     beta = math.sqrt(1.0 - eyring)
     lo, hi = 0.02, 0.998
-    delays, order, denom = _image_sources(spec)
-    if delays.size == 0:
-        direct = round(math.dist(spec.source_m, spec.receiver_m) * dsp.SAMPLE_RATE / SPEED_OF_SOUND)
-        raise ValueError(
-            f"no image source arrives within rir_len_samples={spec.rir_len_samples}: "
-            f"the direct path arrives at sample {direct}"
-        )
+    delays, order, denom = _image_sources()
     for _ in range(21):  # Eyring's beta, then 20 bisection steps
-        rir = dsp.Waveform(np.bincount(delays, weights=beta**order / denom, minlength=spec.rir_len_samples))
+        rir = dsp.Waveform(np.bincount(delays, weights=beta**order / denom, minlength=RIR_LEN_SAMPLES))
         try:
             fitted = fit_t60(rir)
         except ValueError:
             fitted = math.inf  # decay too shallow to measure: beta is too high
-        if abs(fitted - spec.t60_s) / spec.t60_s < 0.005:
+        if abs(fitted - t60_s) / t60_s < 0.005:
             return rir
-        if fitted > spec.t60_s:
+        if fitted > t60_s:
             hi = beta
         else:
             lo = beta
         beta = 0.5 * (lo + hi)
     last = "unmeasurable" if math.isinf(fitted) else f"{fitted:.4f} s"
     raise ValueError(
-        f"T60 {spec.t60_s} s not reached within 0.5% on rir_len_samples={spec.rir_len_samples}: "
-        f"last fitted T60 {last}"
+        f"T60 {t60_s} s not reached within 0.5% on a {RIR_LEN_SAMPLES}-sample response: last fitted T60 {last}"
     )
 
 
@@ -603,7 +584,7 @@ def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
 
 
 def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
-    """Convolve distorted (or clean, if un-mixed) utterances with responses of the default ``RoomSpec`` room."""
+    """Convolve distorted (or clean, if un-mixed) utterances with responses of the one simulated room."""
     if len(t60_list) == 0:
         raise ValueError("t60_list is empty")
     corpus_dir = Path(corpus_dir)
@@ -617,7 +598,7 @@ def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
         w = dsp.read_wav(src)
         t60 = float(t60_list[int(rng.integers(0, len(t60_list)))])
         if t60 not in rirs:
-            rirs[t60] = generate_rir(RoomSpec(t60_s=t60))
+            rirs[t60] = generate_rir(t60)
         out = apply_rir(w, rirs[t60])
         dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", out)
         meta[utt] = t60
@@ -664,4 +645,4 @@ def build_manifest(corpus_dir, scheme: bpc.BpcScheme, seed: int | None = None) -
             )
         )
     entries.sort(key=lambda e: e.utt_id)
-    return Manifest(entries, scheme_name=scheme.name, seed=seed, base_dir=corpus_dir)
+    return Manifest(entries, scheme_name=scheme.name, seed=seed)

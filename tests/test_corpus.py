@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -16,11 +17,11 @@ def rng():
     return np.random.default_rng(42)
 
 
-def render_image_rir(spec: corpus.RoomSpec, beta: float) -> dsp.Waveform:
+def render_image_rir(beta, room_dims_m, source_m, receiver_m, rir_len_samples) -> dsp.Waveform:
     """Reference image-source renderer: rebuilds the whole geometry for one
     beta and accumulates the images with ``np.add.at``."""
-    lx, ly, lz = spec.room_dims_m
-    max_dist = spec.rir_len_samples / dsp.SAMPLE_RATE * corpus.SPEED_OF_SOUND
+    lx, ly, lz = room_dims_m
+    max_dist = rir_len_samples / dsp.SAMPLE_RATE * corpus.SPEED_OF_SOUND
 
     def axis_images(length, src, rcv):
         offsets, refl = [], []
@@ -31,19 +32,19 @@ def render_image_rir(spec: corpus.RoomSpec, beta: float) -> dsp.Waveform:
                 refl.append(abs(n - p) + abs(n))
         return np.array(offsets), np.array(refl)
 
-    dx, rx = axis_images(lx, spec.source_m[0], spec.receiver_m[0])
-    dy, ry = axis_images(ly, spec.source_m[1], spec.receiver_m[1])
-    dz, rz = axis_images(lz, spec.source_m[2], spec.receiver_m[2])
+    dx, rx = axis_images(lx, source_m[0], receiver_m[0])
+    dy, ry = axis_images(ly, source_m[1], receiver_m[1])
+    dz, rz = axis_images(lz, source_m[2], receiver_m[2])
 
     dist = np.sqrt(
         dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
     ).ravel()
     order = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
     delays = np.round(dist * dsp.SAMPLE_RATE / corpus.SPEED_OF_SOUND).astype(np.int64)
-    keep = (delays < spec.rir_len_samples) & (dist > 1e-9)
+    keep = (delays < rir_len_samples) & (dist > 1e-9)
     amps = beta ** order[keep] / (4.0 * np.pi * dist[keep])
 
-    h = np.zeros(spec.rir_len_samples)
+    h = np.zeros(rir_len_samples)
     np.add.at(h, delays[keep], amps)
     return dsp.Waveform(h)
 
@@ -68,30 +69,53 @@ def polyfit_t60(rir: dsp.Waveform) -> float:
     return -60.0 / slope
 
 
-def bisect_rir(spec: corpus.RoomSpec) -> tuple:
+def bisect_rir(t60_s, **room) -> tuple:
     """The beta bisection of ``corpus.generate_rir`` driven by the two
-    references above. Returns the last rendered response and its reference
-    T60 fit (inf where the decay cannot be measured)."""
-    lx, ly, lz = spec.room_dims_m
+    references above; ``room`` holds the geometry keywords of
+    ``render_image_rir``. Returns the last rendered response and its
+    reference T60 fit (inf where the decay cannot be measured)."""
+    lx, ly, lz = room["room_dims_m"]
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    eyring = 1.0 - math.exp(-0.161 * volume / (surface * spec.t60_s))
+    eyring = 1.0 - math.exp(-0.161 * volume / (surface * t60_s))
     beta = math.sqrt(1.0 - eyring)
     lo, hi = 0.02, 0.998
     for _ in range(21):
-        rir = render_image_rir(spec, beta)
+        rir = render_image_rir(beta, **room)
         try:
             fitted = polyfit_t60(rir)
         except ValueError:
             fitted = math.inf
-        if abs(fitted - spec.t60_s) / spec.t60_s < 0.005:
+        if abs(fitted - t60_s) / t60_s < 0.005:
             break
-        if fitted > spec.t60_s:
+        if fitted > t60_s:
             hi = beta
         else:
             lo = beta
         beta = 0.5 * (lo + hi)
     return rir, fitted
+
+
+def manifest_json_oracle(m: corpus.Manifest) -> str:
+    """``Manifest.to_json`` with the seven ``ManifestEntry`` fields typed out one by one."""
+    doc = {
+        "schema": corpus.MANIFEST_SCHEMA,
+        "scheme": m.scheme_name,
+        "seed": m.seed,
+        "entries": [
+            {
+                "utt_id": e.utt_id,
+                "clean_path": e.clean_path,
+                "distorted_path": e.distorted_path,
+                "phone_transcript": e.phone_transcript,
+                "bpc_transcript": e.bpc_transcript,
+                "snr_db": e.snr_db,
+                "num_frames": e.num_frames,
+            }
+            for e in m.entries
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1)
 
 
 def harmonic_tone_oracle(n, f0, envelope, rng):
@@ -168,8 +192,13 @@ def edge_ramp_oracle(seg, ramp):
 
 PRIMES = (2, 3, 5, 7, 13, 101, 1009, 4093, 4099, 10007, 16411, 39989)
 
-# a non-default room with its own placement; it misses 0.15 s on 4096 samples
-SMALL_ROOM = dict(room_dims_m=(7.0, 5.0, 3.0), source_m=(1.5, 3.5, 1.2), receiver_m=(5.0, 1.0, 1.6))
+# the render_image_rir geometry of the one room corpus simulates
+ROOM = dict(
+    room_dims_m=corpus.ROOM_DIMS_M,
+    source_m=corpus.SOURCE_M,
+    receiver_m=corpus.RECEIVER_M,
+    rir_len_samples=corpus.RIR_LEN_SAMPLES,
+)
 
 
 class TestMixAtSnr:
@@ -216,6 +245,13 @@ class TestMixAtSnr:
         with pytest.raises(ValueError, match=f"snr_db must be finite, got {snr!r}"):
             corpus.mix_at_snr(clean, noise, snr)
 
+    @pytest.mark.parametrize("snr", [3100, -3300, 400])
+    def test_absurd_finite_snr_rejected_by_value(self, rng, snr):
+        clean = dsp.Waveform(rng.normal(0, 1, 1000))
+        noise = dsp.Waveform(rng.normal(0, 1, 1000))
+        with pytest.raises(ValueError, match=f"^snr_db {snr} "):
+            corpus.mix_at_snr(clean, noise, snr)
+
     def test_short_noise_is_tiled(self, rng):
         clean = dsp.Waveform(rng.normal(0, 0.1, 5000))
         noise = dsp.Waveform(rng.normal(0, 0.1, 1200))
@@ -233,76 +269,46 @@ class TestMixAtSnr:
 
 class TestRir:
     def test_paper_geometry_direct_path_delay(self):
-        rir = corpus.generate_rir(corpus.RoomSpec(t60_s=0.4))
+        rir = corpus.generate_rir(0.4)
         first = np.nonzero(rir.samples)[0][0]
         assert abs(first - round(2.0 / 343.0 * 16000)) <= 1
 
     def test_length_is_4096(self):
-        rir = corpus.generate_rir(corpus.RoomSpec(t60_s=0.3))
+        rir = corpus.generate_rir(0.3)
         assert len(rir) == 4096
         assert np.all(np.isfinite(rir.samples))
 
     def test_longer_t60_decays_slower(self):
-        short = corpus.generate_rir(corpus.RoomSpec(t60_s=0.3))
-        long = corpus.generate_rir(corpus.RoomSpec(t60_s=0.9))
+        short = corpus.generate_rir(0.3)
+        long = corpus.generate_rir(0.9)
         assert corpus.fit_t60(long) > corpus.fit_t60(short)
 
     @pytest.mark.parametrize("t60", [0.3, 0.6, 0.9])
     def test_schroeder_fit_within_20_percent(self, t60):
-        rir = corpus.generate_rir(corpus.RoomSpec(t60_s=t60))
+        rir = corpus.generate_rir(t60)
         assert abs(corpus.fit_t60(rir) - t60) / t60 < 0.20
 
     def test_unreachable_t60_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):
-            corpus.generate_rir(corpus.RoomSpec(t60_s=0.05))
+            corpus.generate_rir(0.05)
 
-    def test_positions_validated(self):
-        with pytest.raises(ValueError, match="inside"):
-            corpus.RoomSpec(source_m=(9.0, 1.0, 1.0))
+    @pytest.mark.parametrize("t60", [math.nan, math.inf, 0.0, -0.4])
+    def test_t60_rejected_by_value(self, t60):
+        with pytest.raises(ValueError, match=f"t60_s must be positive and finite, got {t60}$"):
+            corpus.generate_rir(t60)
 
-    @pytest.mark.parametrize(
-        "field, value, match",
-        [
-            ("rir_len_samples", 0, "rir_len_samples must be a positive int, got 0"),
-            ("rir_len_samples", -5, "rir_len_samples must be a positive int, got -5"),
-            ("rir_len_samples", 4096.5, "rir_len_samples must be a positive int, got 4096.5"),
-            ("t60_s", math.nan, "t60_s must be positive and finite, got nan"),
-            ("t60_s", math.inf, "t60_s must be positive and finite, got inf"),
-            ("t60_s", 0.0, "t60_s must be positive and finite, got 0.0"),
-        ],
-    )
-    def test_fields_validated(self, field, value, match):
-        with pytest.raises(ValueError, match=match):
-            corpus.RoomSpec(**{field: value})
-
-    @pytest.mark.parametrize(
-        "room, t60",
-        [({}, round(0.15 + 0.05 * i, 2)) for i in range(28)] + [(SMALL_ROOM, t) for t in (0.3, 0.6, 0.9)],
-    )
+    @pytest.mark.parametrize("room, t60", [(ROOM, round(0.15 + 0.05 * i, 2)) for i in range(28)])
     def test_equals_per_step_oracle_byte_for_byte(self, room, t60):
-        spec = corpus.RoomSpec(t60_s=t60, **room)
-        want, fitted = bisect_rir(spec)
+        want, fitted = bisect_rir(t60, **room)
         assert abs(fitted - t60) / t60 < 0.005
-        assert corpus.generate_rir(spec).samples.tobytes() == want.samples.tobytes()
+        assert corpus.generate_rir(t60).samples.tobytes() == want.samples.tobytes()
 
-    @pytest.mark.parametrize("rir_len", [50, 93])  # the direct path lands on sample 93
-    def test_response_ending_before_direct_path_raises(self, rir_len):
-        spec = corpus.RoomSpec(rir_len_samples=rir_len)
-        with pytest.raises(
-            ValueError, match=rf"no image source arrives within rir_len_samples={rir_len}: .* at sample 93$"
-        ):
-            corpus.generate_rir(spec)
-
-    @pytest.mark.parametrize(
-        "room, t60, last",
-        [({}, 2.0, "unmeasurable"), ({}, 5.0, "1.2987 s"), (SMALL_ROOM, 0.15, "0.1531 s")],
-    )
+    @pytest.mark.parametrize("room, t60, last", [(ROOM, 2.0, "unmeasurable"), (ROOM, 5.0, "1.2987 s")])
     def test_missed_t60_raises(self, room, t60, last):
-        spec = corpus.RoomSpec(t60_s=t60, **room)
-        _, fitted = bisect_rir(spec)
+        _, fitted = bisect_rir(t60, **room)
         assert not abs(fitted - t60) / t60 < 0.005
-        with pytest.raises(ValueError, match=rf"T60 {t60} s not reached.*rir_len_samples=4096.*{last}"):
-            corpus.generate_rir(spec)
+        with pytest.raises(ValueError, match=rf"T60 {t60} s not reached.* 4096-sample response.*{last}"):
+            corpus.generate_rir(t60)
 
 
 class TestFitT60:
@@ -576,10 +582,24 @@ class TestManifest:
         corpus.synth_corpus(tmp_path, n_utts=2, seed=0)
         corpus.mix_corpus(tmp_path, [-5.0, 0.0, 5.0], seed=1)
         m = corpus.build_manifest(tmp_path, self.scheme(), seed=9)
-        back = corpus.Manifest.from_json(m.to_json(), base_dir=tmp_path)
+        back = corpus.Manifest.from_json(m.to_json())
         assert back.to_json() == m.to_json()
         assert back.scheme_name == "manner"
         assert back.seed == 9
+
+    def test_entry_fields_in_check_order(self):
+        assert [f.name for f in dataclasses.fields(corpus.ManifestEntry)] == list(corpus._MANIFEST_FIELD_CHECKS)
+
+    def test_to_json_equals_field_by_field_oracle(self, tmp_path):
+        corpus.synth_corpus(tmp_path, n_utts=2, seed=0)
+        corpus.mix_corpus(tmp_path, [-2.5, 5.0], seed=1)
+        meta = json.loads((tmp_path / "mix_meta.json").read_text("utf-8"))
+        del meta["utt0001"]
+        (tmp_path / "mix_meta.json").write_text(json.dumps(meta), "utf-8")
+        m = corpus.build_manifest(tmp_path, self.scheme(), seed=4)
+        assert isinstance(m.entries[0].snr_db, float)
+        assert m.entries[1].snr_db is None
+        assert m.to_json() == manifest_json_oracle(m)
 
     @pytest.mark.parametrize("field", ["utt_id", "clean_path", "snr_db", "num_frames"])
     def test_entry_missing_field_named(self, field):
