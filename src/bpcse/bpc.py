@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -108,26 +107,6 @@ class BpcScheme:
             "mapping": self.mapping,
         }
         return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BpcScheme":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("scheme is not a JSON object")
-        if doc.get("schema") != SCHEME_SCHEMA:
-            raise ValueError(f"unrecognized scheme schema {doc.get('schema')!r}")
-        for name in ("name", "classes", "mapping"):
-            if name not in doc:
-                raise ValueError(f"scheme lacks the {name!r} field")
-        classes, mapping = doc["classes"], doc["mapping"]
-        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise ValueError(f"scheme field 'classes' is {classes!r}; it must be a list of strings")
-        if not isinstance(mapping, dict):
-            raise ValueError(f"scheme field 'mapping' is {mapping!r}; it must be an object from phone to label")
-        for phone, label in mapping.items():
-            if not isinstance(label, str):
-                raise ValueError(f"scheme field 'mapping' maps phone {phone!r} to {label!r}; a label must be a string")
-        return cls(doc["name"], tuple(classes), mapping)
 
 
 @dataclass
@@ -216,7 +195,7 @@ def place_scheme(inv: PhoneInventory) -> BpcScheme:
     return _knowledge_scheme(inv, "place", PLACE_CLASSES, "place")
 
 
-def cluster_confusion(m: ConfusionMatrix, k: int = 9) -> BpcScheme:
+def cluster_confusion(m: ConfusionMatrix, k: int) -> BpcScheme:
     """Agglomerative data-driven grouping of a phone confusion matrix.
 
     Similarity s(i, j) = counts[i, j] / row_i + counts[j, i] / row_j
@@ -283,39 +262,3 @@ def transcript_to_bpc(phones, scheme: BpcScheme):
         if not out or out[-1] != label:
             out.append(label)
     return out
-
-
-def read_confusion_tsv(path) -> ConfusionMatrix:
-    """TSV confusion matrix: header row of phones, one integer row per phone."""
-    lines = [
-        ln for ln in Path(path).read_text("utf-8").splitlines() if ln.strip() and not ln.startswith("#")
-    ]
-    if not lines:
-        raise ValueError(f"{path}: no header row")
-    header = lines[0].split("\t")
-    phones = tuple(header[1:])
-    n = len(phones)
-    counts = np.zeros((n, n), dtype=np.int64)
-    if len(lines) - 1 != n:
-        raise ValueError(f"{path}: expected {n} data rows, got {len(lines) - 1}")
-    for r, ln in enumerate(lines[1:]):
-        phone, *cells = ln.split("\t")
-        if phone != phones[r]:
-            raise ValueError(f"{path}: row {r} is {phone!r}, expected {phones[r]!r}")
-        if len(cells) != n:
-            raise ValueError(f"{path}: row {phone!r} has {len(cells)} counts, expected {n}")
-        for c, cell in enumerate(cells):
-            try:
-                counts[r, c] = int(cell)
-            except ValueError:
-                raise ValueError(f"{path}: row {phone!r}, column {phones[c]!r}: {cell!r} is not an integer") from None
-            except OverflowError:
-                raise ValueError(f"{path}: row {phone!r}, column {phones[c]!r}: {cell!r} is outside the int64 range") from None
-    return ConfusionMatrix(phones, counts)
-
-
-def write_confusion_tsv(path, m: ConfusionMatrix) -> None:
-    lines = ["\t".join(["phone", *m.phones])]
-    for i, p in enumerate(m.phones):
-        lines.append("\t".join([p, *[str(int(c)) for c in m.counts[i]]]))
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")

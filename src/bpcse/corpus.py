@@ -9,12 +9,12 @@ manifests tying utterances to their transcripts. Directory layout:
         clean/<utt_id>.wav
         distorted/<utt_id>.wav      (after `mix` and/or `reverb`)
         transcripts/<utt_id>.txt    (space-separated IPA phones)
-        labels/<utt_id>.json        (per-frame phone labels from the synth)
         mix_meta.json               ({utt_id: snr_db}, written by `mix`)
 
 Every WAV is 16 kHz mono PCM16, the one format of :mod:`bpcse.dsp`; all
 rates and lengths here are in its samples. External corpora with the same
 layout drop straight in: :func:`bpcse.dsp.read_wav` rejects any other format.
+Noise is synthesized by :func:`make_noise` at each utterance's own length.
 
 Reverberation is simulated in one room, the shoebox ``ROOM_DIMS_M`` with a
 source at ``SOURCE_M`` and a receiver at ``RECEIVER_M``, 2 m apart, and
@@ -97,9 +97,11 @@ class Manifest:
     seed: int | None = None
 
     def __post_init__(self):
-        ids = [e.utt_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate utt_ids in manifest")
+        seen = set()
+        for e in self.entries:
+            if e.utt_id in seen:
+                raise ValueError(f"duplicate utt_id {e.utt_id!r} in manifest")
+            seen.add(e.utt_id)
 
     def to_json(self) -> str:
         doc = {
@@ -147,34 +149,23 @@ class Manifest:
 # noise mixing
 
 
-def _match_length(noise: np.ndarray, n: int, rng=None) -> np.ndarray:
-    if len(noise) == n:
-        return noise
-    if len(noise) < n:
-        reps = math.ceil(n / len(noise))
-        return np.tile(noise, reps)[:n]
-    offset = 0 if rng is None else int(rng.integers(0, len(noise) - n + 1))
-    return noise[offset : offset + n]
-
-
-def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None) -> dsp.Waveform:
+def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float) -> dsp.Waveform:
     """clean + g * noise, with g chosen so the clean/noise power ratio is snr_db.
 
-    Powers are measured over the full utterance. Noise shorter than the
-    clean signal is tiled; longer noise is cropped (from a seeded random
-    offset when ``rng`` is given). A non-finite ``snr_db`` is rejected, and
-    so is one so far from 0 dB that the gain leaves float range or the
-    scaled noise vanishes in the rounding of the clean signal.
+    The noise must be exactly as long as the clean signal; a length mismatch
+    is rejected naming both lengths. Powers are measured over the full
+    utterance. A non-finite ``snr_db`` is rejected, and so is one so far
+    from 0 dB that the gain leaves float range or the scaled noise vanishes
+    in the rounding of the clean signal.
     """
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if len(clean) == 0:
         raise ValueError("clean signal is empty")
-    if len(noise) == 0:
-        raise ValueError("noise signal is empty")
-    d = _match_length(noise.samples, len(clean), rng)
+    if len(noise) != len(clean):
+        raise ValueError(f"noise has {len(noise)} samples, the clean signal {len(clean)}; they must match")
     p_clean = float(np.mean(clean.samples**2))
-    p_noise = float(np.mean(d**2))
+    p_noise = float(np.mean(noise.samples**2))
     if p_clean == 0.0:
         raise ValueError("zero power: clean signal is silent")
     if p_noise == 0.0:
@@ -185,7 +176,7 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float, rng=None
         raise ValueError(f"snr_db {snr_db!r} has a power ratio beyond float range") from None
     if not (math.isfinite(g) and g > 0):
         raise ValueError(f"snr_db {snr_db!r} gives noise gain {g!r}; it must be finite and positive")
-    mixed = clean.samples + g * d
+    mixed = clean.samples + g * noise.samples
     if np.array_equal(mixed, clean.samples):
         raise ValueError(f"snr_db {snr_db!r} gives noise gain {g!r}, too small to change the clean signal")
     return dsp.Waveform(mixed)
@@ -230,12 +221,14 @@ def make_noise(kind: str, n: int, rng) -> dsp.Waveform:
 # room impulse responses
 
 
+@functools.cache
 def _image_sources() -> tuple:
     """Image sources of the simulated room that arrive within ``RIR_LEN_SAMPLES``.
 
     Returns each kept image's sample delay, reflection order and 4 pi d
-    spreading denominator. None of them depends on the wall reflection
-    coefficient, so one call serves every step of :func:`generate_rir`.
+    spreading denominator, as read-only arrays. They depend on neither the
+    wall reflection coefficient nor the T60, so they are built on the first
+    call and serve every step of every :func:`generate_rir`.
     """
     lx, ly, lz = ROOM_DIMS_M
     max_dist = RIR_LEN_SAMPLES / dsp.SAMPLE_RATE * SPEED_OF_SOUND
@@ -259,7 +252,10 @@ def _image_sources() -> tuple:
     order = (rx[:, None, None] + ry[None, :, None] + rz[None, None, :]).ravel()
     delays = np.round(dist * dsp.SAMPLE_RATE / SPEED_OF_SOUND).astype(np.int64)
     keep = (delays < RIR_LEN_SAMPLES) & (dist > 1e-9)
-    return delays[keep], order[keep], 4.0 * np.pi * dist[keep]
+    out = delays[keep], order[keep], 4.0 * np.pi * dist[keep]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def generate_rir(t60_s: float) -> dsp.Waveform:
@@ -271,7 +267,7 @@ def generate_rir(t60_s: float) -> dsp.Waveform:
     rendered response actually realizes the requested T60 on its truncated
     support (the textbook Sabine/Eyring coefficient under-decays badly on a
     4096-sample response; Eyring's value seeds the search). The image
-    geometry is built once per call; each step only re-weights the images
+    geometry is built once per process; each step only re-weights the images
     for its beta and sums them per delay. A T60 that is not finite and
     positive is rejected, as are unreachable T60s, where even Sabine
     absorption would exceed 1, and a T60 that Eyring's beta and 20
@@ -531,19 +527,17 @@ def random_phone_sequence(rng, min_groups=3, max_groups=6):
 
 
 def synth_corpus(out_dir, n_utts: int, seed: int) -> list:
-    """Write a toy corpus (clean audio, transcripts, frame labels)."""
+    """Write a toy corpus: clean audio and phone transcripts."""
     out = Path(out_dir)
     rng = np.random.default_rng(seed)
     utt_ids = []
     for i in range(n_utts):
         utt = f"utt{i:04d}"
         phones = random_phone_sequence(rng)
-        w, labels = synth_toy_utterance(phones, seed=int(rng.integers(0, 2**31 - 1)))
+        w, _ = synth_toy_utterance(phones, seed=int(rng.integers(0, 2**31 - 1)))
         dsp.write_wav(out / "clean" / f"{utt}.wav", w)
         (out / "transcripts").mkdir(parents=True, exist_ok=True)
         (out / "transcripts" / f"{utt}.txt").write_text(" ".join(phones), "utf-8")
-        (out / "labels").mkdir(parents=True, exist_ok=True)
-        (out / "labels" / f"{utt}.json").write_text(json.dumps(labels, ensure_ascii=False), "utf-8")
         utt_ids.append(utt)
     return utt_ids
 
@@ -555,8 +549,8 @@ def _corpus_utts(corpus_dir) -> list:
     return sorted(p.stem for p in clean.glob("*.wav"))
 
 
-def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
-    """Mix every clean utterance with noise at an SNR drawn from snr_list."""
+def mix_corpus(corpus_dir, snr_list, seed: int) -> dict:
+    """Mix every clean utterance with synthetic noise of a drawn kind at an SNR drawn from snr_list."""
     if len(snr_list) == 0:
         raise ValueError("snr_list is empty")
     for i, snr in enumerate(snr_list):
@@ -564,19 +558,13 @@ def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
             raise ValueError(f"snr_list[{i}] is {snr!r}; every SNR must be finite")
     corpus_dir = Path(corpus_dir)
     rng = np.random.default_rng(seed)
-    noise_files = sorted(Path(noise_dir).glob("*.wav")) if noise_dir else None
-    if noise_files == []:
-        raise ValueError(f"no .wav files in noise dir {noise_dir}")
     meta = {}
     for utt in _corpus_utts(corpus_dir):
         clean = dsp.read_wav(corpus_dir / "clean" / f"{utt}.wav")
-        if noise_files:
-            noise = dsp.read_wav(noise_files[int(rng.integers(0, len(noise_files)))])
-        else:
-            kind = ("white", "pink", "tonal")[int(rng.integers(0, 3))]
-            noise = make_noise(kind, len(clean), rng)
+        kind = ("white", "pink", "tonal")[int(rng.integers(0, 3))]
+        noise = make_noise(kind, len(clean), rng)
         snr = float(snr_list[int(rng.integers(0, len(snr_list)))])
-        mixed = dsp.normalize(mix_at_snr(clean, noise, snr, rng))
+        mixed = dsp.normalize(mix_at_snr(clean, noise, snr))
         dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", mixed)
         meta[utt] = snr
     (corpus_dir / "mix_meta.json").write_text(json.dumps(meta, sort_keys=True), "utf-8")
@@ -584,24 +572,23 @@ def mix_corpus(corpus_dir, snr_list, seed: int, noise_dir=None) -> dict:
 
 
 def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
-    """Convolve distorted (or clean, if un-mixed) utterances with responses of the one simulated room."""
+    """Convolve distorted (or clean, if un-mixed) utterances with responses of the one simulated room.
+
+    Every utterance's T60 is drawn, and every drawn T60's response rendered,
+    before any file is written, so an unreachable T60 leaves the corpus as
+    it was.
+    """
     if len(t60_list) == 0:
         raise ValueError("t60_list is empty")
     corpus_dir = Path(corpus_dir)
     rng = np.random.default_rng(seed)
-    rirs = {}
-    meta = {}
-    for utt in _corpus_utts(corpus_dir):
+    meta = {utt: float(t60_list[int(rng.integers(0, len(t60_list)))]) for utt in _corpus_utts(corpus_dir)}
+    rirs = {t60: generate_rir(t60) for t60 in dict.fromkeys(meta.values())}
+    for utt, t60 in meta.items():
         src = corpus_dir / "distorted" / f"{utt}.wav"
         if not src.exists():
             src = corpus_dir / "clean" / f"{utt}.wav"
-        w = dsp.read_wav(src)
-        t60 = float(t60_list[int(rng.integers(0, len(t60_list)))])
-        if t60 not in rirs:
-            rirs[t60] = generate_rir(t60)
-        out = apply_rir(w, rirs[t60])
-        dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", out)
-        meta[utt] = t60
+        dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", apply_rir(dsp.read_wav(src), rirs[t60]))
     return meta
 
 

@@ -635,7 +635,7 @@ class Adam:
     ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` for b1, b2 and eps.
     """
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
@@ -796,13 +796,18 @@ def load_model(path, kind, model_cls, config_cls):
 # gradient checking
 
 
-def gradcheck(f, tensors, eps=1e-5, atol=5e-6, max_coords=None, rng=None):
+GRADCHECK_EPS = 1e-5  # central-difference step
+GRADCHECK_ATOL = 5e-6  # absolute differences below this are finite-difference noise
+
+
+def gradcheck(f, tensors, max_coords=None):
     """Worst relative error between analytic and central-difference gradients.
 
     ``f()`` must rebuild the graph from the current ``.data`` of ``tensors``
     and return a scalar Tensor. When ``max_coords`` is set, that many
-    coordinates per tensor are sampled (seeded by ``rng``) instead of sweeping
-    all of them. Differences below ``atol`` are ignored as FD noise.
+    coordinates per tensor are sampled (from one ``default_rng(0)`` stream
+    across the tensors) instead of sweeping all of them. Differences below
+    ``GRADCHECK_ATOL`` are ignored as FD noise.
     """
     out = f()
     for t in tensors:
@@ -811,22 +816,22 @@ def gradcheck(f, tensors, eps=1e-5, atol=5e-6, max_coords=None, rng=None):
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
     worst = 0.0
+    rng = np.random.default_rng(0)
     for t, an in zip(tensors, analytic):
         flat = t.data.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords is not None and flat.size > max_coords:
-            rng = rng or np.random.default_rng(0)
             coords = rng.choice(flat.size, size=max_coords, replace=False)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + eps
+            flat[idx] = orig + GRADCHECK_EPS
             hi = float(f().data)
-            flat[idx] = orig - eps
+            flat[idx] = orig - GRADCHECK_EPS
             lo = float(f().data)
             flat[idx] = orig
-            fd = (hi - lo) / (2 * eps)
+            fd = (hi - lo) / (2 * GRADCHECK_EPS)
             a = an.reshape(-1)[idx]
             diff = abs(a - fd)
-            if diff > atol:
+            if diff > GRADCHECK_ATOL:
                 worst = max(worst, diff / max(abs(a), abs(fd)))
     return worst

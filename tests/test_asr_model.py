@@ -272,7 +272,6 @@ class TestEncoder:
             lambda: tsum(model.encode(x) * model.encode(x)),
             tensors,
             max_coords=4,
-            rng=np.random.default_rng(0),
         )
         assert worst < 1e-4
 
@@ -302,7 +301,6 @@ class TestAttentionDecoder:
             lambda: model.attention_loss(model.encode(x), [3, 5]),
             tensors,
             max_coords=4,
-            rng=np.random.default_rng(0),
         )
         assert worst < 1e-4
 

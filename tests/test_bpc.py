@@ -271,67 +271,11 @@ class TestTranscriptToBpc:
 
 
 class TestSerialization:
-    def test_scheme_json_roundtrip(self):
-        s = bpc.manner_scheme(bpc.english_inventory())
-        back = bpc.BpcScheme.from_json(s.to_json())
-        assert back.name == s.name
-        assert back.classes == s.classes
-        assert back.mapping == s.mapping
-
-    def test_scheme_without_classes_rejected(self):
-        doc = json.loads(bpc.manner_scheme(bpc.english_inventory()).to_json())
-        del doc["classes"]
-        with pytest.raises(ValueError, match="'classes'"):
-            bpc.BpcScheme.from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "field, value, match",
-        [
-            ("classes", "ab", r"field 'classes' is 'ab'; it must be a list of strings"),
-            ("classes", ["stop", 3], r"field 'classes' is \['stop', 3\]; it must be a list of strings"),
-            ("mapping", [["p", "stop"]], r"field 'mapping' is \[\['p', 'stop'\]\]; it must be an object from phone to label"),
-            ("mapping", "p:stop", r"field 'mapping' is 'p:stop'; it must be an object from phone to label"),
-            ("mapping", {"p": 1}, r"field 'mapping' maps phone 'p' to 1; a label must be a string"),
-        ],
-        ids=["classes_string", "classes_with_int", "mapping_pairs", "mapping_string", "mapping_int_label"],
-    )
-    def test_scheme_field_of_wrong_type_named(self, field, value, match):
-        doc = json.loads(bpc.manner_scheme(bpc.english_inventory()).to_json())
-        doc[field] = value
-        with pytest.raises(ValueError, match=match):
-            bpc.BpcScheme.from_json(json.dumps(doc))
-
-    def test_scheme_that_is_not_an_object_rejected(self):
-        with pytest.raises(ValueError, match="not a JSON object"):
-            bpc.BpcScheme.from_json("[]")
-
-    @pytest.mark.parametrize(
-        "text, match",
-        [
-            ("", "no header row"),
-            ("# only a comment\n", "no header row"),
-            ("phone\ta\tb\na\t1\nb\t0\t1\n", "row 'a' has 1 counts, expected 2"),
-            ("phone\ta\tb\na\t1\t0\t4\nb\t0\t1\n", "row 'a' has 3 counts, expected 2"),
-            ("phone\ta\tb\na\t1\t0\nb\t0.5\t1\n", "row 'b', column 'a': '0.5' is not an integer"),
-            (
-                "phone\ta\tb\na\t1\t99999999999999999999\nb\t0\t1\n",
-                "row 'a', column 'b': '99999999999999999999' is outside the int64 range",
-            ),
-        ],
-    )
-    def test_malformed_confusion_tsv_rejected(self, tmp_path, text, match):
-        p = tmp_path / "conf.tsv"
-        p.write_text(text, "utf-8")
-        with pytest.raises(ValueError, match=match) as err:
-            bpc.read_confusion_tsv(p)
-        assert str(p) in str(err.value)
-
-    def test_confusion_tsv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        phones = ("a", "m", "s")
-        m = bpc.ConfusionMatrix(phones, rng.integers(0, 9, (3, 3)))
-        p = tmp_path / "conf.tsv"
-        bpc.write_confusion_tsv(p, m)
-        back = bpc.read_confusion_tsv(p)
-        assert back.phones == phones
-        assert np.array_equal(back.counts, m.counts)
+    def test_scheme_to_json_fields(self):
+        s = bpc.BpcScheme("toy", ("stop", "vowel"), {"p": "stop", "a": "vowel", "t": "stop"})
+        assert json.loads(s.to_json()) == {
+            "schema": "bpcse-scheme-1",
+            "name": "toy",
+            "classes": ["stop", "vowel"],
+            "mapping": {"p": "stop", "a": "vowel", "t": "stop"},
+        }

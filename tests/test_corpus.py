@@ -230,8 +230,15 @@ class TestMixAtSnr:
 
     def test_empty_noise_rejected(self, rng):
         clean = dsp.Waveform(rng.normal(0, 0.1, 1000))
-        with pytest.raises(ValueError, match="noise signal is empty"):
+        with pytest.raises(ValueError, match="noise has 0 samples, the clean signal 1000"):
             corpus.mix_at_snr(clean, dsp.Waveform(np.zeros(0)), 0.0)
+
+    @pytest.mark.parametrize("n_noise", [999, 1001, 5000])
+    def test_noise_of_other_length_rejected_naming_both(self, rng, n_noise):
+        clean = dsp.Waveform(rng.normal(0, 0.1, 1000))
+        noise = dsp.Waveform(rng.normal(0, 0.1, n_noise))
+        with pytest.raises(ValueError, match=f"noise has {n_noise} samples, the clean signal 1000; they must match"):
+            corpus.mix_at_snr(clean, noise, 0.0)
 
     def test_empty_clean_rejected(self, rng):
         noise = dsp.Waveform(rng.normal(0, 0.1, 1000))
@@ -251,20 +258,6 @@ class TestMixAtSnr:
         noise = dsp.Waveform(rng.normal(0, 1, 1000))
         with pytest.raises(ValueError, match=f"^snr_db {snr} "):
             corpus.mix_at_snr(clean, noise, snr)
-
-    def test_short_noise_is_tiled(self, rng):
-        clean = dsp.Waveform(rng.normal(0, 0.1, 5000))
-        noise = dsp.Waveform(rng.normal(0, 0.1, 1200))
-        mixed = corpus.mix_at_snr(clean, noise, 3.0)
-        assert len(mixed) == 5000
-        assert abs(corpus.measure_snr(clean, mixed) - 3.0) < 0.01
-
-    def test_long_noise_cropped_with_seeded_offset(self, rng):
-        clean = dsp.Waveform(rng.normal(0, 0.1, 2000))
-        noise = dsp.Waveform(rng.normal(0, 0.1, 9000))
-        a = corpus.mix_at_snr(clean, noise, 0.0, np.random.default_rng(7))
-        b = corpus.mix_at_snr(clean, noise, 0.0, np.random.default_rng(7))
-        assert np.array_equal(a.samples, b.samples)
 
 
 class TestRir:
@@ -309,6 +302,16 @@ class TestRir:
         assert not abs(fitted - t60) / t60 < 0.005
         with pytest.raises(ValueError, match=rf"T60 {t60} s not reached.* 4096-sample response.*{last}"):
             corpus.generate_rir(t60)
+
+    def test_image_sources_built_once_and_read_only(self):
+        corpus._image_sources.cache_clear()
+        corpus.generate_rir(0.3)
+        corpus.generate_rir(0.5)
+        assert corpus._image_sources.cache_info().misses == 1
+        for a in corpus._image_sources():
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            corpus._image_sources()[0][0] = 0
 
 
 class TestFitT60:
@@ -647,12 +650,21 @@ class TestManifest:
             corpus.Manifest.from_json("[]")
 
     def test_duplicate_ids_rejected(self):
-        e = corpus.ManifestEntry("u", "c.wav", "d.wav", [], [], 0.0, 10)
-        with pytest.raises(ValueError, match="duplicate"):
-            corpus.Manifest([e, e])
+        a, b, c = (corpus.ManifestEntry(u, "c.wav", "d.wav", [], [], 0.0, 10) for u in "abc")
+        with pytest.raises(ValueError, match="duplicate utt_id 'b' in manifest"):
+            corpus.Manifest([a, b, c, b, a])
 
 
 class TestPipeline:
+    def test_synth_writes_only_clean_audio_and_transcripts(self, tmp_path):
+        corpus.synth_corpus(tmp_path, n_utts=2, seed=3)
+        assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*") if f.is_file()) == [
+            "clean/utt0000.wav",
+            "clean/utt0001.wav",
+            "transcripts/utt0000.txt",
+            "transcripts/utt0001.txt",
+        ]
+
     def test_mix_writes_normalized_distorted_files(self, tmp_path):
         corpus.synth_corpus(tmp_path, n_utts=2, seed=3)
         meta = corpus.mix_corpus(tmp_path, [-5.0], seed=4)
@@ -670,19 +682,14 @@ class TestPipeline:
         assert meta["utt0000"] == 0.3
         assert not np.array_equal(before.samples, after.samples)
 
-    def test_noise_dir_source(self, tmp_path, rng):
-        corpus.synth_corpus(tmp_path / "c", n_utts=1, seed=8)
-        noise_dir = tmp_path / "noise"
-        dsp.write_wav(noise_dir / "n0.wav", corpus.make_noise("pink", 20000, rng))
-        meta = corpus.mix_corpus(tmp_path / "c", [0.0], seed=9, noise_dir=noise_dir)
-        assert (tmp_path / "c" / "distorted" / "utt0000.wav").exists()
-        assert meta["utt0000"] == 0.0
-
-    def test_empty_noise_file_rejected(self, tmp_path):
-        corpus.synth_corpus(tmp_path / "c", n_utts=1, seed=8)
-        dsp.write_wav(tmp_path / "noise" / "n0.wav", dsp.Waveform(np.zeros(0)))
-        with pytest.raises(ValueError, match="noise signal is empty"):
-            corpus.mix_corpus(tmp_path / "c", [0.0], seed=9, noise_dir=tmp_path / "noise")
+    def test_unreachable_t60_leaves_the_corpus_untouched(self, tmp_path):
+        corpus.synth_corpus(tmp_path, n_utts=6, seed=3)
+        corpus.mix_corpus(tmp_path, [5.0], seed=4)
+        wavs = sorted((tmp_path / "distorted").glob("*.wav"))
+        before = [f.read_bytes() for f in wavs]
+        with pytest.raises(ValueError, match="unreachable T60 0.01 s"):
+            corpus.reverb_corpus(tmp_path, [0.3, 0.01], seed=1)
+        assert [f.read_bytes() for f in wavs] == before
 
     def test_empty_snr_list_named(self, tmp_path):
         corpus.synth_corpus(tmp_path, n_utts=1, seed=3)

@@ -186,7 +186,6 @@ class TestGradients:
             lambda: se_loss(model.forward(x), clean),
             tensors,
             max_coords=6,
-            rng=np.random.default_rng(0),
         )
         assert worst < 1e-4
 
