@@ -10,9 +10,16 @@ so inference keeps no graph and frees each activation once it is used; the
 NaN/Inf check still runs on every output. A :class:`Parameter` whose
 ``requires_grad`` is off is frozen: it passes gradient on to its inputs but
 gets none itself, and ``matmul``, ``linear``, ``conv1d``, ``attention``
-and ``lstm_sequence`` skip computing it. ``backward()`` frees each
-interior node's grad once the node has passed it on, so after it only
-leaves hold a grad.
+and ``lstm_sequence`` skip computing it.
+
+``backward()`` consumes its graph, as PyTorch's does by default: once an
+interior node has passed its grad on, the node drops its grad, its backward
+closure and its parents, so every activation the caller does not hold is
+freed during the pass, and afterwards only leaves hold a grad. A second
+``backward()`` through a consumed node, or a new op on one, raises a
+:class:`GraphError` that names the node's op; callers sum their losses and
+call ``backward()`` once. A node's ``.data`` is kept (``loss.item()`` still
+works), and leaves and tensors made under ``no_grad`` are not touched.
 
 The ops are the ones the models and the stage-two feature bridge run:
 ``add`` and ``mul`` (also ``+`` and ``*``), ``matmul``, ``linear``
@@ -30,9 +37,10 @@ with the tests.
 
 Also here: the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
-and ``ADAM_EPS``) and which updates each parameter in place in cache-sized
-chunks with no full-size temporaries; strict checkpoint serialization; and
-the central finite-difference gradient checker the test suite leans on.
+and ``ADAM_EPS``), which creates a parameter's moments at its first grad and
+updates each parameter in place in cache-sized chunks with no full-size
+temporaries; strict checkpoint serialization; and the central
+finite-difference gradient checker the test suite leans on.
 """
 
 from __future__ import annotations
@@ -70,6 +78,17 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+# ``_backward`` of an interior node once ``backward()`` has passed it
+_CONSUMED = object()
+
+
+def _consumed_error(node, action):
+    return GraphError(
+        f"{action} the {node._op!r} node of a graph that backward() already consumed; "
+        "build the graph again, or sum the losses and call backward() once"
+    )
+
+
 def _finite_or_raise(arr, op):
     # a single sum is much cheaper than isfinite().all(); NaN/Inf both poison it,
     # but large finite values can overflow it, so a non-finite sum is confirmed
@@ -99,11 +118,17 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the ``.grad`` of every leaf that requires grad, consuming the graph.
+
+        Each interior node, once it has passed its grad on, drops its grad,
+        its backward closure and its parents, so the activations the caller
+        does not hold are freed as the pass goes. The graph cannot be walked
+        again: a second ``backward()`` that reaches a consumed node raises a
+        :class:`GraphError` naming its op, before any grad moves.
+        """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar output, got shape {self.shape}")
-        # iterative topological sort, so graph depth is not bounded by the recursion limit.
-        # Interior grads are reset so that a repeated backward() accumulates into leaves only,
-        # and each is freed once its node has passed it on, so leaves alone keep a grad.
+        # iterative topological sort, so graph depth is not bounded by the recursion limit
         topo, visited, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
@@ -113,17 +138,19 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            if node._backward is not None:
-                node.grad = None
+            if node._backward is _CONSUMED:
+                raise _consumed_error(node, "backward() through")
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _CONSUMED, ()
 
     # operator sugar
     def __add__(self, other):
@@ -178,6 +205,10 @@ def _unbroadcast(g, shape):
 
 def _node(data, parents, backward, op):
     needs = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    if needs:
+        for p in parents:
+            if p._backward is _CONSUMED:
+                raise _consumed_error(p, f"op {op!r} on")
     return Tensor(
         data,
         requires_grad=needs,
@@ -633,14 +664,18 @@ class Adam:
     each element is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)``, in that order, with
     ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` for b1, b2 and eps.
+
+    A new optimizer holds no moments. A parameter's ``m`` and ``v`` are made
+    at the first step at which it has a grad, as ``(1-b1)*g`` and
+    ``(1-b2)*g*g``, which is what that update makes of zero moments; ``t``
+    counts every step, so the bias correction is that of the step.
     """
 
     def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        self._m = {n: np.zeros(p.shape) for n, p in self.params.items()}
-        self._v = {n: np.zeros(p.shape) for n, p in self.params.items()}
+        self._m, self._v = {}, {}
         self._scratch = np.empty((2, ADAM_CHUNK))
 
     def step(self):
@@ -652,11 +687,15 @@ class Adam:
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
         for n, p in live.items():
+            update = self._update
+            if n not in self._m:
+                self._m[n], self._v[n] = np.empty(p.shape), np.empty(p.shape)
+                update = self._first_update
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
             m, v = self._m[n].reshape(-1), self._v[n].reshape(-1)
             for lo in range(0, data.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, data.size)
-                self._update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c)
+                update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c)
 
     def _update(self, p, g, m, v, s, r, b1c, b2c):
         """One Adam update of ``p``, ``m`` and ``v`` in place; ``s`` and ``r`` are scratch of the same shape."""
@@ -667,6 +706,16 @@ class Adam:
         np.multiply(g, g, out=s)
         s *= 1 - ADAM_BETA2
         v += s
+        self._descend(p, m, v, s, r, b1c, b2c)
+
+    def _first_update(self, p, g, m, v, s, r, b1c, b2c):
+        """``_update`` from zero moments, without reading them: ``m`` and ``v`` are written, not updated."""
+        np.multiply(g, 1 - ADAM_BETA1, out=m)
+        np.multiply(g, g, out=v)
+        v *= 1 - ADAM_BETA2
+        self._descend(p, m, v, s, r, b1c, b2c)
+
+    def _descend(self, p, m, v, s, r, b1c, b2c):
         np.divide(m, b1c, out=s)
         s *= self.lr
         np.divide(v, b2c, out=r)

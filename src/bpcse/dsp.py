@@ -205,16 +205,21 @@ def normalize(w: Waveform) -> Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono 16 kHz PCM16 WAV file; anything else is rejected."""
+    """Read a mono 16 kHz PCM16 WAV file; anything else is rejected with a ``ValueError`` naming the path."""
     path = Path(path)
-    with wave.open(str(path), "rb") as f:
-        if f.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
-        if f.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
-        if f.getframerate() != SAMPLE_RATE:
-            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
-        raw = f.readframes(f.getnframes())
+    try:
+        with wave.open(str(path), "rb") as f:
+            if f.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono audio, got {f.getnchannels()} channels")
+            if f.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
+            if f.getframerate() != SAMPLE_RATE:
+                raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
+            raw = f.readframes(f.getnframes())
+    except EOFError:
+        raise ValueError(f"{path}: not a WAV file: it ends inside its header") from None
+    except wave.Error as e:
+        raise ValueError(f"{path}: not a WAV file: {e}") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)
 

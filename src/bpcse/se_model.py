@@ -30,7 +30,7 @@ from . import dsp
 # Longest input, in STFT frames (about 33 s at the 16 ms hop). Attention is
 # quadratic in T: one block's weights take heads * T^2 * 8 bytes, 134 MB at
 # T = 2048 and the paper's 4 heads, and a training step keeps them for all
-# 8 blocks, about 1.1 GB.
+# 8 blocks, about 1.1 GB, until backward() frees each block's as it passes it.
 MAX_FRAMES = 2048
 CONV_KERNEL = 3
 

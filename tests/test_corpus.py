@@ -691,6 +691,21 @@ class TestPipeline:
             corpus.reverb_corpus(tmp_path, [0.3, 0.01], seed=1)
         assert [f.read_bytes() for f in wavs] == before
 
+    @pytest.mark.parametrize("content, problem", [(b"RIFF garbage", "not a WAVE file"), (None, "no samples")])
+    def test_malformed_source_named_and_corpus_untouched(self, tmp_path, content, problem):
+        corpus.synth_corpus(tmp_path, n_utts=4, seed=3)
+        corpus.mix_corpus(tmp_path, [5.0], seed=4)
+        bad = tmp_path / "distorted" / "utt0002.wav"
+        if content is None:
+            dsp.write_wav(bad, dsp.Waveform(np.zeros(0)))
+        else:
+            bad.write_bytes(content)
+        wavs = sorted((tmp_path / "distorted").glob("*.wav"))
+        before = [f.read_bytes() for f in wavs]
+        with pytest.raises(ValueError, match=rf"utt0002\.wav: .*{problem}"):
+            corpus.reverb_corpus(tmp_path, [0.3], seed=1)
+        assert [f.read_bytes() for f in wavs] == before
+
     def test_empty_snr_list_named(self, tmp_path):
         corpus.synth_corpus(tmp_path, n_utts=1, seed=3)
         with pytest.raises(ValueError, match="snr_list is empty"):

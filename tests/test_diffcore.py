@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -154,11 +156,68 @@ class TestContracts:
         want_root, want_leaves = build()
         backward_keeping_interior_grads(want_root)
         root, leaves = build()
-        root.backward()
         interior = [n for n in graph_nodes(root) if n._backward is not None]
-        assert len(interior) > 5 and all(n.grad is None for n in interior)
+        root.backward()
+        assert len(interior) > 5 and all(n.grad is None and n._parents == () for n in interior)
         for got, want in zip(leaves, want_leaves):
             assert np.array_equal(got.grad, want.grad)
+
+    def test_backward_releases_activations_the_caller_does_not_hold(self):
+        rng = np.random.default_rng(22)
+        x, w, b, g = leaves = [t(rng.normal(size=s)) for s in [(5, 3), (3, 4), (4,), (5, 4)]]
+        loss = dc.l1_loss(dc.softmax(dc.tanh(dc.linear(x, w, b)) * g), np.zeros((5, 4)))
+        activations = [weakref.ref(n.data) for n in graph_nodes(loss) if n._backward is not None and n is not loss]
+        value = loss.item()
+        loss.backward()
+        assert len(activations) == 4 and all(ref() is None for ref in activations)
+        assert loss.item() == value and loss._parents == ()
+        assert all(leaf.grad is not None and leaf._parents == () and leaf._backward is None for leaf in leaves)
+
+    def test_second_backward_raises_naming_the_op(self):
+        x = t(np.array([[2.0, -1.0]]))
+        y = tsum(dc.mul(x, 3.0))
+        y.backward()
+        first = x.grad.copy()
+        with pytest.raises(dc.GraphError, match="'sum' node of a graph that backward\\(\\) already consumed"):
+            y.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_consumed_tensor_cannot_join_a_new_graph_or_backward(self):
+        x = t(np.array([[0.5, -1.0]]))
+        h = dc.tanh(x)
+        first, second = tsum(h * 2.0), tsum(h * 3.0)  # second is built before first consumes h
+        first.backward()
+        grad = x.grad.copy()
+        with pytest.raises(dc.GraphError, match="backward\\(\\) through the 'tanh' node"):
+            second.backward()
+        with pytest.raises(dc.GraphError, match="op 'relu' on the 'tanh' node"):
+            dc.relu(h)
+        assert np.array_equal(x.grad, grad)
+        with dc.no_grad():  # reading a consumed node's data builds no graph
+            assert np.array_equal(dc.relu(h).data, np.maximum(np.tanh(x.data), 0.0))
+
+    def test_backward_peak_memory_stays_near_the_activations(self):
+        """A chain y = x * w1 * ... * wN: when backward() frees each product once it has passed its grad
+        on, the grads of the w arrive as the products go, and the traced peak stays near N arrays
+        instead of N products plus N grads."""
+        n, size = 16, 1 << 16
+        rng = np.random.default_rng(23)
+        weights = [t(rng.uniform(0.9, 1.1, size)) for _ in range(n)]
+        nbytes = 8 * size
+        tracemalloc.start()
+        try:
+            y = t(np.ones(size), grad=False)
+            for w in weights:
+                y = y * w
+            loss = tsum(y)
+            del y
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(w.grad is not None for w in weights)
+        assert peak < 1.5 * n * nbytes, f"peak {peak / nbytes:.1f} arrays for {n} products"
 
     def test_l1_identical_inputs_zero_loss_zero_grad(self):
         x = t(np.arange(6.0).reshape(2, 3))
@@ -192,14 +251,6 @@ class TestContracts:
         x = t(np.array([[1.0, 0.0]]))
         with pytest.warns(RuntimeWarning, match="divide by zero"), pytest.raises(dc.GraphError, match="log"):
             dc.log(x)
-
-    def test_second_backward_accumulates_into_leaves_only(self):
-        x = t(np.array([[2.0, -1.0]]))
-        y = tsum(dc.mul(x, 3.0))
-        y.backward()
-        first = x.grad.copy()
-        y.backward()
-        assert np.array_equal(x.grad, 2.0 * first)
 
     def test_large_finite_values_are_not_flagged(self, recwarn):
         x = dc.Tensor(np.array([1e308, 1e308]))  # the sum overflows, the data does not
@@ -615,6 +666,7 @@ class TestAdam:
             for p, (_, kind) in zip(params.values(), specs):
                 p.requires_grad = kind != "frozen"
             sides.append((params, cls(params, lr=lr)))
+        stepped = set()  # parameters that have had a grad while not frozen
         for _ in range(steps):
             grads = [
                 None if kind == "sometimes" and rng.random() < 0.5 else rng.normal(size=shape)
@@ -624,15 +676,53 @@ class TestAdam:
                 for p, g in zip(params.values(), grads):
                     p.grad = g
                 opt.step()
+            stepped |= {n for n, g, (_, kind) in zip(sides[0][0], grads, specs) if g is not None and kind != "frozen"}
         (params, opt), (want_params, want) = sides
         assert opt.t == want.t == steps
+        assert set(opt._m) == set(opt._v) == stepped
         for n, p in params.items():
             assert np.array_equal(p.data, want_params[n].data), n
+        for n in stepped:
             assert np.array_equal(opt._m[n], want._m[n]), n
             assert np.array_equal(opt._v[n], want._v[n]), n
         for p, a, (_, kind) in zip(params.values(), init, specs):
             if kind == "frozen":
                 assert np.array_equal(p.data, a)
+
+    def test_moments_are_made_at_the_first_grad(self):
+        rng = np.random.default_rng(61)
+        params = {n: dc.Parameter(rng.normal(size=s), n) for n, s in [("a", (3, 4)), ("b", (dc.ADAM_CHUNK + 3,))]}
+        opt = dc.Adam(params, lr=0.1)
+        assert opt._m == {} and opt._v == {}
+        g = params["a"].grad = rng.normal(size=(3, 4))
+        opt.step()
+        assert set(opt._m) == set(opt._v) == {"a"}
+        assert opt._m["a"].tobytes() == ((1 - dc.ADAM_BETA1) * g).tobytes()
+        assert opt._v["a"].tobytes() == ((g * g) * (1 - dc.ADAM_BETA2)).tobytes()  # the order _update uses
+
+    def test_parameter_first_stepped_late_equals_oracle(self):
+        """A parameter whose first grad comes at step 2 starts from zero moments with step 2's bias correction."""
+        rng = np.random.default_rng(62)
+        init = {"live": rng.normal(size=(4, 5)), "late": rng.normal(size=(dc.ADAM_CHUNK + 7,))}
+        grads = [
+            {"live": rng.normal(size=(4, 5)), "late": None if step == 0 else rng.normal(size=init["late"].shape)}
+            for step in range(3)
+        ]
+        sides = []
+        for cls in (dc.Adam, AdamByArrays):
+            params = {n: dc.Parameter(a.copy(), n) for n, a in init.items()}
+            opt = cls(params, lr=0.01)
+            for step_grads in grads:
+                for n, p in params.items():
+                    p.grad = step_grads[n]
+                opt.step()
+                if cls is dc.Adam and step_grads["late"] is None:
+                    assert "late" not in opt._m
+            sides.append((params, opt))
+        (params, opt), (want_params, want) = sides
+        for n, p in params.items():
+            assert np.array_equal(p.data, want_params[n].data), n
+            assert np.array_equal(opt._m[n], want._m[n]) and np.array_equal(opt._v[n], want._v[n]), n
 
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T], ids=["strided", "transposed"])
     def test_non_contiguous_parameter_updated_through_its_view(self, view):

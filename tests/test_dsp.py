@@ -240,6 +240,17 @@ class TestWavIo:
         with pytest.raises(ValueError, match="mono"):
             dsp.read_wav(p)
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [(b"RIFF garbage", "not a WAVE file"), (b"", "ends inside its header")],
+        ids=["garbage", "empty"],
+    )
+    def test_malformed_file_named(self, tmp_path, content, problem):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"bad\.wav: not a WAV file: .*{problem}"):
+            dsp.read_wav(p)
+
 
 def test_phase_combination_recovers_complex():
     rng = np.random.default_rng(5)
