@@ -575,9 +575,9 @@ def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
     """Convolve distorted (or clean, if un-mixed) utterances with responses of the one simulated room.
 
     Every utterance's T60 is drawn, every drawn T60's response rendered, and
-    every source read and checked to be non-empty before any file is
-    written, so an unreachable T60 or a malformed source leaves the corpus
-    as it was.
+    every output convolved before any file is written, so an unreachable T60
+    or a source that cannot be read or reverberated leaves the corpus as it
+    was.
     """
     if len(t60_list) == 0:
         raise ValueError("t60_list is empty")
@@ -585,16 +585,18 @@ def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     meta = {utt: float(t60_list[int(rng.integers(0, len(t60_list)))]) for utt in _corpus_utts(corpus_dir)}
     rirs = {t60: generate_rir(t60) for t60 in dict.fromkeys(meta.values())}
-    sources = {}
-    for utt in meta:
+    outs = {}
+    for utt, t60 in meta.items():
         src = corpus_dir / "distorted" / f"{utt}.wav"
         if not src.exists():
             src = corpus_dir / "clean" / f"{utt}.wav"
-        w = sources[utt] = dsp.read_wav(src)
-        if len(w) == 0:
-            raise ValueError(f"{src}: no samples to reverberate")
-    for utt, t60 in meta.items():
-        dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", apply_rir(sources[utt], rirs[t60]))
+        w = dsp.read_wav(src)
+        try:
+            outs[utt] = apply_rir(w, rirs[t60])
+        except ValueError as e:
+            raise ValueError(f"{src}: {e}") from None
+    for utt, out in outs.items():
+        dsp.write_wav(corpus_dir / "distorted" / f"{utt}.wav", out)
     return meta
 
 

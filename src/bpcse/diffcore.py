@@ -667,7 +667,7 @@ class Adam:
 
     A new optimizer holds no moments. A parameter's ``m`` and ``v`` are made
     at the first step at which it has a grad, as ``(1-b1)*g`` and
-    ``(1-b2)*g*g``, which is what that update makes of zero moments; ``t``
+    ``(1-b2)*g*g``, which is what the update makes of zero moments; ``t``
     counts every step, so the bias correction is that of the step.
     """
 
@@ -687,35 +687,35 @@ class Adam:
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
         for n, p in live.items():
-            update = self._update
-            if n not in self._m:
+            fresh = n not in self._m
+            if fresh:
                 self._m[n], self._v[n] = np.empty(p.shape), np.empty(p.shape)
-                update = self._first_update
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
             m, v = self._m[n].reshape(-1), self._v[n].reshape(-1)
             for lo in range(0, data.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, data.size)
-                update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c)
+                self._update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c, fresh)
 
-    def _update(self, p, g, m, v, s, r, b1c, b2c):
-        """One Adam update of ``p``, ``m`` and ``v`` in place; ``s`` and ``r`` are scratch of the same shape."""
-        m *= ADAM_BETA1
-        np.multiply(g, 1 - ADAM_BETA1, out=s)
-        m += s
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=s)
-        s *= 1 - ADAM_BETA2
-        v += s
-        self._descend(p, m, v, s, r, b1c, b2c)
+    def _update(self, p, g, m, v, s, r, b1c, b2c, fresh):
+        """One Adam update of ``p``, ``m`` and ``v`` in place; ``s`` and ``r`` are scratch of the same shape.
 
-    def _first_update(self, p, g, m, v, s, r, b1c, b2c):
-        """``_update`` from zero moments, without reading them: ``m`` and ``v`` are written, not updated."""
-        np.multiply(g, 1 - ADAM_BETA1, out=m)
-        np.multiply(g, g, out=v)
-        v *= 1 - ADAM_BETA2
-        self._descend(p, m, v, s, r, b1c, b2c)
-
-    def _descend(self, p, m, v, s, r, b1c, b2c):
+        ``fresh`` moments are unset and are written as the update makes them of
+        zeros, ``(1-b1)*g`` and ``(1-b2)*g*g``, without being read: updating
+        zero-filled arrays fresh from the OS would fault each of their pages
+        in twice, to read and then to write.
+        """
+        if fresh:
+            np.multiply(g, 1 - ADAM_BETA1, out=m)
+            np.multiply(g, g, out=v)
+            v *= 1 - ADAM_BETA2
+        else:
+            m *= ADAM_BETA1
+            np.multiply(g, 1 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=s)
+            s *= 1 - ADAM_BETA2
+            v += s
         np.divide(m, b1c, out=s)
         s *= self.lr
         np.divide(v, b2c, out=r)

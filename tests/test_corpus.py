@@ -691,7 +691,7 @@ class TestPipeline:
             corpus.reverb_corpus(tmp_path, [0.3, 0.01], seed=1)
         assert [f.read_bytes() for f in wavs] == before
 
-    @pytest.mark.parametrize("content, problem", [(b"RIFF garbage", "not a WAVE file"), (None, "no samples")])
+    @pytest.mark.parametrize("content, problem", [(b"RIFF garbage", "not a WAVE file"), (None, "clean signal is empty")])
     def test_malformed_source_named_and_corpus_untouched(self, tmp_path, content, problem):
         corpus.synth_corpus(tmp_path, n_utts=4, seed=3)
         corpus.mix_corpus(tmp_path, [5.0], seed=4)
