@@ -3,11 +3,11 @@
 The encoder is ``ENCODER_LAYERS`` (2) BLSTM layers over the
 ``dsp.N_MEL_FILTERS``-dim log-mel fbank. Each direction of each layer is a
 single ``diffcore.lstm_sequence`` graph node with a hand-written BPTT
-backward, so the encoder adds a handful of nodes per layer to the graph
-whatever the utterance length; the attention decoder still steps
-``diffcore.lstm_cell`` once per output label. The projection, the CTC head
-and the decoder's output layer are each one ``diffcore.linear`` node, which
-adds the bias in place.
+backward, and the whole teacher-forced attention decoder, its cross-entropy
+included, is one ``diffcore.attention_decoder`` node, so the recognizer adds
+the same handful of nodes to the graph whatever the utterance length and
+label count. The projection and the CTC head are each one
+``diffcore.linear`` node, which adds the bias in place.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -52,6 +52,7 @@ class AsrConfig:
     embed_dim: int = 32
 
     def __post_init__(self):
+        dc.check_sizes(self, ("encoder_hidden", "proj_dim", "embed_dim"))
         self.vocab = tuple(self.vocab)
         if self.vocab[:3] != SPECIALS:
             raise ValueError(f"vocab must start with {SPECIALS}, got {self.vocab[:3]}")
@@ -110,33 +111,11 @@ class AsrModel:
         return dc.linear(hidden, self.params["ctc.w"], self.params["ctc.b"])
 
     def attention_loss(self, hidden: dc.Tensor, labels):
-        """Teacher-forced decoder cross-entropy, averaged over steps.
-
-        A single-layer LSTM consumes the previous label embedding plus the
-        previous attention context; dot-product attention over the encoder
-        frames produces the next context; both feed the output layer.
-        """
+        """Teacher-forced decoder cross-entropy, averaged over steps: one ``diffcore.attention_decoder`` node."""
         if len(labels) == 0:
             raise ValueError("attention decoder needs a nonempty label sequence")
-        p = self.params
-        cfg = self.cfg
-        tokens_in = [SOS, *labels]
-        targets = [*labels, EOS]
-        d = cfg.proj_dim
-        h_dec = dc.Tensor(np.zeros((1, d)))
-        c_dec = dc.Tensor(np.zeros((1, d)))
-        ctx = dc.Tensor(np.zeros((1, d)))
-        rows = []
-        for tok in tokens_in:
-            emb = p["dec.embed"][[tok]]
-            step_in = dc.concat([emb, ctx], axis=1)
-            h_dec, c_dec = dc.lstm_cell(
-                step_in, h_dec, c_dec, p["dec.lstm.W"], p["dec.lstm.U"], p["dec.lstm.b"]
-            )
-            weights = dc.softmax(dc.matmul(h_dec, dc.transpose(hidden)))
-            ctx = dc.matmul(weights, hidden)
-            rows.append(dc.linear(dc.concat([h_dec, ctx], axis=1), p["dec.out.w"], p["dec.out.b"]))
-        return dc.cross_entropy(dc.concat(rows, axis=0), targets)
+        dec = [self.params[f"dec.{n}"] for n in ("embed", "lstm.W", "lstm.U", "lstm.b", "out.w", "out.b")]
+        return dc.attention_decoder(hidden, *dec, [SOS, *labels], [*labels, EOS])
 
     def asr_loss(self, hidden: dc.Tensor, labels, lam) -> dc.Tensor:
         """lam * CTC + (1 - lam) * attention loss."""

@@ -182,11 +182,6 @@ def mix_at_snr(clean: dsp.Waveform, noise: dsp.Waveform, snr_db: float) -> dsp.W
     return dsp.Waveform(mixed)
 
 
-def measure_snr(clean: dsp.Waveform, mixed: dsp.Waveform) -> float:
-    noise = mixed.samples - clean.samples
-    return 10.0 * math.log10(np.mean(clean.samples**2) / np.mean(noise**2))
-
-
 def make_noise(kind: str, n: int, rng) -> dsp.Waveform:
     """Seeded synthetic noise: white, pink (1/f), or slowly modulated tones.
 

@@ -9,8 +9,8 @@ Inside a :func:`no_grad` block ops record no parents and no backward closure,
 so inference keeps no graph and frees each activation once it is used; the
 NaN/Inf check still runs on every output. A :class:`Parameter` whose
 ``requires_grad`` is off is frozen: it passes gradient on to its inputs but
-gets none itself, and ``matmul``, ``linear``, ``conv1d``, ``attention``
-and ``lstm_sequence`` skip computing it.
+gets none itself, and ``matmul``, ``linear``, ``conv1d`` and the fused ops
+skip computing it.
 
 ``backward()`` consumes its graph, as PyTorch's does by default: once an
 interior node has passed its grad on, the node drops its grad, its backward
@@ -24,16 +24,15 @@ works), and leaves and tensors made under ``no_grad`` are not touched.
 The ops are the ones the models and the stage-two feature bridge run:
 ``add`` and ``mul`` (also ``+`` and ``*``), ``matmul``, ``linear``
 (``x @ W + b`` as one node that adds the bias in place, the only way the
-models add a bias to a product), ``relu``, ``sigmoid``, ``tanh``,
-``softplus``, ``log``, ``expm1``, ``softmax`` and ``layer_norm`` over the
-last axis, ``concat``, ``take`` (indexing, also ``x[key]``), the 2-D
-``transpose``, ``conv1d`` ("same" padding, odd kernel), ``l1_loss`` and
-``cross_entropy``. Two fused ops have a hand-written backward: multi-head
-scaled dot-product self-attention (``attention``) over a
-``(heads, T, d_head)`` layout, and a whole-sequence LSTM (``lstm_sequence``,
-BPTT) under the BLSTM layer ``blstm_layer``; ``lstm_cell`` is one LSTM step
-built from the primitives. The tests' gradcheck reduction, ``tsum``, lives
-with the tests.
+models add a bias to a product), ``relu``, ``softplus``, ``log``,
+``expm1``, ``layer_norm`` over the last axis, ``concat``, ``conv1d``
+("same" padding, odd kernel) and ``l1_loss``. Three fused ops have a
+hand-written backward: multi-head self-attention (``attention``), a
+whole-sequence LSTM (``lstm_sequence``, BPTT) under the BLSTM layer
+``blstm_layer``, and the recognizer's teacher-forced attention decoder with
+its cross-entropy (``attention_decoder``, BPTT), whose LSTM steps share
+``lstm_sequence``'s gate arithmetic. The graph primitives the tests' oracles
+are built from live with the tests.
 
 Also here: the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
@@ -165,9 +164,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __getitem__(self, key):
-        return take(self, key)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -291,26 +287,6 @@ def relu(x):
     return _node(data, (x,), backward, "relu")
 
 
-def sigmoid(x):
-    x = _lift(x)
-    data = expit(x.data)
-
-    def backward(g):
-        _accum(x, g * data * (1.0 - data))
-
-    return _node(data, (x,), backward, "sigmoid")
-
-
-def tanh(x):
-    x = _lift(x)
-    data = np.tanh(x.data)
-
-    def backward(g):
-        _accum(x, g * (1.0 - data * data))
-
-    return _node(data, (x,), backward, "tanh")
-
-
 def softplus(x):
     x = _lift(x)
     data = np.logaddexp(0.0, x.data)
@@ -339,20 +315,6 @@ def expm1(x):
         _accum(x, g * (data + 1.0))
 
     return _node(data, (x,), backward, "expm1")
-
-
-def softmax(x):
-    """Softmax over the last axis."""
-    x = _lift(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        _accum(x, data * (g - dot))
-
-    return _node(data, (x,), backward, "softmax")
 
 
 def layer_norm(x, gain, bias):
@@ -390,28 +352,6 @@ def concat(tensors, axis=0):
             _accum(t, g[tuple(idx)])
 
     return _node(data, tensors, backward, "concat")
-
-
-def take(x, key):
-    """Basic or integer-array indexing; the slice primitive."""
-    x = _lift(x)
-    data = np.array(x.data[key])
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, key, g)
-        _accum(x, gx)
-
-    return _node(data, (x,), backward, "slice")
-
-
-def transpose(x):
-    x = _lift(x)
-
-    def backward(g):
-        _accum(x, g.T)
-
-    return _node(x.data.T, (x,), backward, "transpose")
 
 
 def conv1d(x, w, b):
@@ -462,28 +402,6 @@ def l1_loss(a, b):
         _accum(b, -g * sign)
 
     return _node(data, (a, b), backward, "l1_loss")
-
-
-def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of integer targets under row softmax."""
-    logits = _lift(logits)
-    targets = np.asarray(targets, dtype=np.int64)
-    n, v = logits.shape
-    if targets.shape != (n,):
-        raise ValueError(f"cross_entropy targets shape {targets.shape} does not match logits {logits.shape}")
-    if np.any(targets < 0) or np.any(targets >= v):
-        raise ValueError("cross_entropy target index out of range")
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits.data - m).sum(axis=1))
-    data = np.mean(lse - logits.data[np.arange(n), targets])
-
-    def backward(g):
-        p = np.exp(logits.data - m)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(n), targets] -= 1.0
-        _accum(logits, g * p / n)
-
-    return _node(data, (logits,), backward, "cross_entropy")
 
 
 # ---------------------------------------------------------------------------
@@ -552,27 +470,54 @@ def init_lstm_params(rng, input_dim, hidden, prefix):
     }
 
 
-def lstm_cell(x, h, c, W, U, b):
-    """One LSTM step; x (1, Din), h and c (1, H). Gate order i, f, g, o."""
-    hidden = h.shape[1]
-    pre = add(add(matmul(x, W), matmul(h, U)), b)
-    i = sigmoid(pre[:, :hidden])
-    f = sigmoid(pre[:, hidden : 2 * hidden])
-    g = tanh(pre[:, 2 * hidden : 3 * hidden])
-    o = sigmoid(pre[:, 3 * hidden :])
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+def _lstm_step(pre, c, act, c_out, tanh_c_out, h_out):
+    """One LSTM step from pre-activation ``pre`` (4H,) and cell state ``c`` (H,), gate order i, f, g, o.
+
+    Writes the activated gates, the new cell state, its tanh and the new hidden
+    state into the last four arguments.
+    """
+    hidden = c_out.size
+    gate_g = slice(2 * hidden, 3 * hidden)
+    expit(pre, out=act)
+    act[gate_g] = np.tanh(pre[gate_g])
+    c = np.multiply(act[hidden : 2 * hidden], c, out=c_out)
+    c += act[:hidden] * act[gate_g]
+    np.multiply(act[3 * hidden :], np.tanh(c, out=tanh_c_out), out=h_out)
+
+
+def _lstm_gate_grads(gates, tanh_c):
+    """d(gate)/d(pre-activation) (sigmoid' for i, f, o; tanh' for g) and d(c)/d(h) of stored steps."""
+    hidden = tanh_c.shape[1]
+    gate_g = slice(2 * hidden, 3 * hidden)
+    dgate = gates * (1.0 - gates)
+    dgate[:, gate_g] = 1.0 - gates[:, gate_g] * gates[:, gate_g]
+    return dgate, gates[:, 3 * hidden :] * (1.0 - tanh_c * tanh_c)
+
+
+def _lstm_step_backward(dh, dc, act, dgate, dc_from_h, c_prev, tanh_c, dpre):
+    """Backward of one :func:`_lstm_step` from the grads ``dh`` and ``dc`` of its outputs.
+
+    The other arguments are the step's rows of the stored gates, of
+    :func:`_lstm_gate_grads`, of the cell state it was given and of its tanh.
+    Writes the pre-activation's grad into ``dpre``; returns the given cell state's.
+    """
+    hidden = dh.size
+    dc = dh * dc_from_h + dc
+    dpre[:hidden] = dc * act[2 * hidden : 3 * hidden]
+    dpre[hidden : 2 * hidden] = dc * c_prev
+    dpre[2 * hidden : 3 * hidden] = dc * act[:hidden]
+    dpre[3 * hidden :] = dh * tanh_c
+    dpre *= dgate
+    return dc * act[hidden : 2 * hidden]
 
 
 def lstm_sequence(xs, W, U, b, reverse=False):
     """LSTM over a whole sequence xs (T, Din) -> (T, H) from a zero state, as one node.
 
-    The arithmetic of each step is that of :func:`lstm_cell`: pre-activation
-    ``(x@W + h@U) + b``, gate order i, f, g, o. Row ``t`` of the output is the
-    hidden state after frame ``t``; with ``reverse`` the frames are consumed
-    last to first. The backward pass is hand-written BPTT over the stored
-    gates and cell states.
+    Each step's pre-activation is ``(x@W + h@U) + b``, gate order i, f, g, o
+    (:func:`_lstm_step`). Row ``t`` of the output is the hidden state after
+    frame ``t``; with ``reverse`` the frames are consumed last to first. The
+    backward pass is hand-written BPTT over the stored gates and cell states.
     """
     xs, W, U, b = _lift(xs), _lift(W), _lift(U), _lift(b)
     t, din = xs.shape
@@ -581,46 +526,27 @@ def lstm_sequence(xs, W, U, b, reverse=False):
         raise ValueError("lstm_sequence needs at least one frame")
     if W.shape != (din, 4 * hidden) or U.shape != (hidden, 4 * hidden) or b.data.size != 4 * hidden:
         raise ValueError(f"lstm_sequence shape mismatch: xs {xs.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
-    gate_g = slice(2 * hidden, 3 * hidden)
     order = range(t - 1, -1, -1) if reverse else range(t)
     xw = xs.data @ W.data
     Ud, bd = U.data, b.data.reshape(-1)
     gates = np.empty((t, 4 * hidden))  # activated i, f, g, o
-    cs, tanh_c, hs = np.empty((3, t, hidden))
-    h = c = np.zeros(hidden)
+    tanh_c = np.empty((t, hidden))
+    # frame i reads the state in row i + into and writes its own to row i + out, so the zero state is row 0 or t
+    into, out = (1, 0) if reverse else (0, 1)
+    hs, cs = np.zeros((2, t + 1, hidden))
     for i in order:
-        pre = (xw[i] + h @ Ud) + bd
-        act = expit(pre, out=gates[i])
-        act[gate_g] = np.tanh(pre[gate_g])
-        c = np.multiply(act[hidden : 2 * hidden], c, out=cs[i])
-        c += act[:hidden] * act[gate_g]
-        h = np.multiply(act[3 * hidden :], np.tanh(c, out=tanh_c[i]), out=hs[i])
+        _lstm_step((xw[i] + hs[i + into] @ Ud) + bd, cs[i + into], gates[i], cs[i + out], tanh_c[i], hs[i + out])
+    h_prev, c_prev, hs = hs[into : into + t], cs[into : into + t], hs[out : out + t]
 
     def backward(g):
-        # state entering each frame: the previous frame's in processing order, zero for the first
-        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
-        if reverse:
-            h_prev[:-1], c_prev[:-1] = hs[1:], cs[1:]
-        else:
-            h_prev[1:], c_prev[1:] = hs[:-1], cs[:-1]
-        gi, gf, gg, go = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        # d(gate)/d(pre-activation): sigmoid' for i, f, o and tanh' for g
-        dgate = gates * (1.0 - gates)
-        dgate[:, gate_g] = 1.0 - gg * gg
-        dc_from_h = go * (1.0 - tanh_c * tanh_c)
+        dgate, dc_from_h = _lstm_gate_grads(gates, tanh_c)
         dpre = np.empty_like(gates)
         dh_next = dc_next = np.zeros(hidden)
         for i in reversed(order):
-            dh = g[i] + dh_next
-            dc = dh * dc_from_h[i] + dc_next
-            row = dpre[i]
-            row[:hidden] = dc * gg[i]
-            row[hidden : 2 * hidden] = dc * c_prev[i]
-            row[gate_g] = dc * gi[i]
-            row[3 * hidden :] = dh * tanh_c[i]
-            row *= dgate[i]
-            dc_next = dc * gf[i]
-            dh_next = row @ Ud.T
+            dc_next = _lstm_step_backward(
+                g[i] + dh_next, dc_next, gates[i], dgate[i], dc_from_h[i], c_prev[i], tanh_c[i], dpre[i]
+            )
+            dh_next = dpre[i] @ Ud.T
         if xs.requires_grad:
             _accum(xs, dpre @ W.data.T)
         if W.requires_grad:
@@ -640,6 +566,90 @@ def blstm_layer(xs, params, prefix):
         xs, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.U"], params[f"{prefix}.bwd.b"], reverse=True
     )
     return concat([fwd, bwd], axis=1)
+
+
+def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
+    """Teacher-forced mean cross-entropy of an attention LSTM decoder over ``hidden`` (T, d), as one node.
+
+    Step ``i`` feeds ``[embed[tokens[i]], ctx]`` to an LSTM step of width d
+    (pre-activation ``[emb, ctx] @ W + h @ U + b``), attends over the frames
+    with ``softmax(hidden @ h)`` for the next ``ctx``, and scores
+    ``[h, ctx] @ out_w + out_b`` against ``targets[i]``; h, c and ctx start at
+    zero. The context feeds the next step's input (Luong et al., EMNLP 2015).
+    Label ids outside ``[0, V)`` are rejected before any work is done. The
+    backward pass is hand-written BPTT and skips operands that need no grad.
+    """
+    hidden, embed, W, U, b, out_w, out_b = map(_lift, (hidden, embed, W, U, b, out_w, out_b))
+    tokens, targets = np.asarray(tokens, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+    (t, d), (v, e), n = hidden.shape, embed.shape, len(tokens)
+    got = (tokens.shape, targets.shape, W.shape, U.shape, b.data.size, out_w.shape, out_b.shape)
+    if n < 1 or got != ((n,), (n,), (e + d, 4 * d), (d, 4 * d), 4 * d, (2 * d, v), (v,)):
+        raise ValueError(
+            f"attention_decoder shape mismatch: hidden {hidden.shape}, embed {embed.shape}, W {W.shape}, U {U.shape}, "
+            f"b {b.shape}, out_w {out_w.shape}, out_b {out_b.shape}, tokens {tokens.shape}, targets {targets.shape}"
+        )
+    for label in (*tokens, *targets):
+        if not 0 <= label < v:
+            raise ValueError(f"attention_decoder: label id {label} outside vocab of size {v}")
+    H, Ud, We, Wc = hidden.data, U.data, W.data[:e], W.data[e:]
+    xe = embed.data[tokens] @ We  # the embedding's share of every step's pre-activation
+    bd = b.data.reshape(-1)
+    gates = np.empty((n, 4 * d))  # activated i, f, g, o
+    tanh_c, att = np.empty((n, d)), np.empty((n, t))
+    cs = np.zeros((n + 1, d))  # row i: the cell state entering step i
+    hc = np.zeros((n + 1, 2 * d))  # row i: the [h, ctx] entering step i; row i + 1: the one it outputs
+    for i in range(n):
+        pre = ((xe[i] + hc[i, d:] @ Wc) + hc[i, :d] @ Ud) + bd
+        _lstm_step(pre, cs[i], gates[i], cs[i + 1], tanh_c[i], hc[i + 1, :d])
+        a = np.matmul(H, hc[i + 1, :d], out=att[i])
+        a -= a.max()
+        np.exp(a, out=a)
+        a /= a.sum()
+        np.matmul(a, H, out=hc[i + 1, d:])
+    z = hc[1:] @ out_w.data  # the output logits, shifted to a row maximum of zero
+    z += out_b.data
+    z -= z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    data = np.mean(lse[:, 0] - z[np.arange(n), targets])
+
+    def backward(g):
+        p = np.exp(z - lse)
+        p[np.arange(n), targets] -= 1.0
+        dlogits = g * p / n
+        if out_w.requires_grad:
+            _accum(out_w, hc[1:].T @ dlogits)
+        if out_b.requires_grad:
+            _accum(out_b, dlogits.sum(axis=0))
+        if not any(x.requires_grad for x in (hidden, embed, W, U, b)):
+            return
+        dhc = dlogits @ out_w.data.T  # each step's [h, ctx] grad from its output row
+        dh_out, dctx = dhc[:, :d], dhc[:, d:]
+        dgate, dc_from_h = _lstm_gate_grads(gates, tanh_c)
+        dpre, dscores = np.empty_like(gates), np.empty_like(att)
+        dh_next = dc_next = np.zeros(d)
+        for i in reversed(range(n)):
+            if i + 1 < n:
+                dctx[i] += dpre[i + 1] @ Wc.T  # the context fed into the next step
+            a = att[i]
+            datt = H @ dctx[i]
+            ds = np.multiply(a, datt - datt @ a, out=dscores[i])
+            dh = (dh_out[i] + dh_next) + ds @ H
+            dc_next = _lstm_step_backward(dh, dc_next, gates[i], dgate[i], dc_from_h[i], cs[i], tanh_c[i], dpre[i])
+            dh_next = dpre[i] @ Ud.T
+        if hidden.requires_grad:
+            _accum(hidden, att.T @ dctx + dscores.T @ hc[1:, :d])
+        if embed.requires_grad:
+            dembed = np.zeros_like(embed.data)
+            np.add.at(dembed, tokens, dpre @ We.T)
+            _accum(embed, dembed)
+        if W.requires_grad:
+            _accum(W, np.concatenate([embed.data[tokens], hc[:-1, d:]], axis=1).T @ dpre)
+        if U.requires_grad:
+            _accum(U, hc[:-1, :d].T @ dpre)
+        if b.requires_grad:
+            _accum(b, dpre.sum(axis=0).reshape(b.shape))
+
+    return _node(data, (hidden, embed, W, U, b, out_w, out_b), backward, "attention_decoder")
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +825,14 @@ def restore_params(path, params, arrays):
             )
     for name, arr in arrays.items():
         params[name].data[...] = arr
+
+
+def check_sizes(cfg, names):
+    """Raise a ``ValueError`` naming the first field in ``names`` of the config ``cfg`` that is not a positive int."""
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{type(cfg).__name__}.{name} is {value!r}; it must be a positive int")
 
 
 def load_model(path, kind, model_cls, config_cls):

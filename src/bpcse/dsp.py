@@ -215,11 +215,14 @@ def read_wav(path) -> Waveform:
                 raise ValueError(f"{path}: expected 16-bit PCM, got {8 * f.getsampwidth()}-bit")
             if f.getframerate() != SAMPLE_RATE:
                 raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz, got {f.getframerate()} Hz")
-            raw = f.readframes(f.getnframes())
+            n = f.getnframes()
+            raw = f.readframes(n)
     except EOFError:
         raise ValueError(f"{path}: not a WAV file: it ends inside its header") from None
     except wave.Error as e:
         raise ValueError(f"{path}: not a WAV file: {e}") from None
+    if len(raw) != 2 * n:
+        raise ValueError(f"{path}: truncated: its header promises {2 * n} data bytes, the file holds {len(raw)}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples)
 

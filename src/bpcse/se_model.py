@@ -43,6 +43,7 @@ class SeConfig:
     heads: int = 4
 
     def __post_init__(self):
+        dc.check_sizes(self, ("conv_layers", "attention_blocks", "d_model", "heads"))
         if self.d_model % self.heads:
             raise ValueError(f"d_model {self.d_model} not divisible by heads {self.heads}")
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import bpcse.diffcore as dc
 from bpcse import asr_model as am
 from bpcse import dsp
 from bpcse.se_model import SeConfig, SeModel
-from gradcheck_ops import tsum
+from gradcheck_ops import attention_decoder_by_steps, graph_nodes, tsum
 
 MEL = dsp.N_MEL_FILTERS  # the recognizer's input width
 
@@ -105,6 +106,7 @@ BAD_CONFIGS = [
     (lambda meta: meta["config"].update(ctc_weight=0.5), r"'config' is invalid: .*'ctc_weight'"),
     (lambda meta: meta["config"]["vocab"].append("B"), r"'config' is invalid: .*'B' at position 6 repeats position 4"),
     (lambda meta: meta["config"]["vocab"].append(7), r"'config' is invalid: .*label 7 at position 6 is not a string"),
+    (lambda meta: meta["config"].update(proj_dim=0), r"'config' is invalid: AsrConfig\.proj_dim is 0"),
 ]
 
 
@@ -241,6 +243,13 @@ class TestEncoder:
         with pytest.raises(ValueError, match=problem):
             am.AsrConfig(vocab=am.make_vocab(labels))
 
+    @pytest.mark.parametrize("field", ["encoder_hidden", "proj_dim", "embed_dim"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, True, "4", None])
+    def test_size_that_is_not_a_positive_int_named(self, field, bad):
+        problem = rf"AsrConfig\.{field} is {re.escape(repr(bad))}; it must be a positive int"
+        with pytest.raises(ValueError, match=problem):
+            am.AsrConfig(vocab=am.make_vocab(("A",)), **{field: bad})
+
     @pytest.mark.parametrize("field", ["n_mels", "encoder_layers", "ctc_weight", "scheme_name"])
     def test_fixed_settings_are_not_config_fields(self, field):
         with pytest.raises(TypeError, match=field):
@@ -291,6 +300,28 @@ class TestAttentionDecoder:
         hidden = model.encode(dc.Tensor(np.zeros((3, MEL))))
         with pytest.raises(ValueError, match="nonempty"):
             model.attention_loss(hidden, [])
+
+    def test_equals_step_graph_oracle(self):
+        model = am.AsrModel(tiny_cfg(), seed=3)
+        hidden = dc.Tensor(np.random.default_rng(5).normal(0, 1, (6, 6)))
+        p = model.params
+        operands = [p[n] for n in ("dec.embed", "dec.lstm.W", "dec.lstm.U", "dec.lstm.b", "dec.out.w", "dec.out.b")]
+        want = attention_decoder_by_steps(hidden, *operands, [am.SOS, 3, 5, 3], [3, 5, 3, am.EOS]).item()
+        assert abs(model.attention_loss(hidden, [3, 5, 3]).item() - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("bad", [-1, 6, 99])
+    def test_label_outside_vocab_named(self, bad):
+        model = am.AsrModel(tiny_cfg(), seed=0)
+        hidden = model.encode(dc.Tensor(np.zeros((3, MEL))))
+        with pytest.raises(ValueError, match=rf"label id {bad} outside vocab of size 6"):
+            model.attention_loss(hidden, [3, bad])
+
+    def test_graph_size_does_not_grow_with_labels(self):
+        model = am.AsrModel(tiny_cfg(), seed=1)
+        model.freeze()
+        feats = dc.Tensor(np.random.default_rng(6).normal(0, 1, (12, MEL)), requires_grad=True)
+        sizes = {len(graph_nodes(model.asr_loss(model.encode(feats), [3, 4, 5][:n] * 2, lam=0.5))) for n in (1, 2, 3)}
+        assert len(sizes) == 1
 
     def test_gradcheck_four_frames_two_labels(self):
         model = am.AsrModel(tiny_cfg(), seed=4)
@@ -474,7 +505,7 @@ class TestUtilities:
     @pytest.mark.parametrize(
         "edit, problem",
         BAD_CONFIGS,
-        ids=["missing", "list", "unknown_field", "removed_field", "repeated_label", "non_string_label"],
+        ids=["missing", "list", "unknown_field", "removed_field", "repeated_label", "non_string_label", "zero_width"],
     )
     def test_checkpoint_bad_config_rejected(self, tmp_path, edit, problem):
         path = tmp_path / "asr.ckpt"

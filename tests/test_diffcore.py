@@ -8,7 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpcse.diffcore as dc
-from gradcheck_ops import tsum
+from gradcheck_ops import (
+    attention_decoder_by_steps,
+    cross_entropy,
+    graph_nodes,
+    lstm_cell,
+    sigmoid,
+    softmax,
+    take,
+    tanh,
+    transpose,
+    tsum,
+)
 
 
 def t(arr, grad=True):
@@ -40,7 +51,7 @@ class TestPrimitiveGradients:
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
         self.check(lambda: tsum(dc.matmul(a, b) * dc.matmul(a, b)), [a, b])
 
-    @pytest.mark.parametrize("op", [dc.relu, dc.sigmoid, dc.tanh, dc.softplus, dc.expm1])
+    @pytest.mark.parametrize("op", [dc.relu, sigmoid, tanh, dc.softplus, dc.expm1])
     def test_unary(self, op):
         rng = np.random.default_rng(4)
         x = rand(rng, 3, 5)
@@ -56,7 +67,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(6)
         x = rand(rng, 4, 6)
         w = t(rng.uniform(-1, 1, (4, 6)), grad=False)
-        self.check(lambda: tsum(dc.softmax(x) * w), [x])
+        self.check(lambda: tsum(softmax(x) * w), [x])
 
     def test_layer_norm(self):
         rng = np.random.default_rng(7)
@@ -71,19 +82,19 @@ class TestPrimitiveGradients:
     def test_slice(self):
         rng = np.random.default_rng(10)
         x = rand(rng, 5, 6)
-        self.check(lambda: tsum(x[1:4, 2:] * x[1:4, 2:]), [x])
+        self.check(lambda: tsum(take(x, np.s_[1:4, 2:]) * take(x, np.s_[1:4, 2:])), [x])
 
     def test_slice_integer_rows(self):
         rng = np.random.default_rng(11)
         x = rand(rng, 5, 3)
         idx = np.array([0, 2, 2, 4])
-        self.check(lambda: tsum(x[idx] * x[idx]), [x])
+        self.check(lambda: tsum(take(x, idx) * take(x, idx)), [x])
 
     def test_reshape_transpose(self):
         rng = np.random.default_rng(12)
         x = rand(rng, 4, 6)
         w = t(rng.uniform(-1, 1, (6, 4)), grad=False)
-        self.check(lambda: tsum(dc.transpose(x) * w), [x])
+        self.check(lambda: tsum(transpose(x) * w), [x])
 
     def test_mean_sum_axis(self):
         rng = np.random.default_rng(13)
@@ -104,7 +115,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(17)
         x = rand(rng, 5, 4)
         targets = np.array([0, 3, 1, 2, 2])
-        self.check(lambda: dc.cross_entropy(x, targets), [x])
+        self.check(lambda: cross_entropy(x, targets), [x])
 
 
 def backward_keeping_interior_grads(root):
@@ -132,16 +143,6 @@ def backward_keeping_interior_grads(root):
             node._backward(node.grad)
 
 
-def graph_nodes(root):
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack.extend(node._parents)
-    return list(seen.values())
-
-
 class TestContracts:
     def test_backward_frees_interior_grads_and_leaf_grads_are_unchanged(self):
         rng = np.random.default_rng(21)
@@ -149,9 +150,9 @@ class TestContracts:
 
         def build():
             x, w, b, k, kb, g = leaves = [t(a) for a in arrays]
-            h = dc.tanh(dc.linear(x, w, b))  # shared by three consumers below
-            mixed = dc.concat([dc.softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
-            return dc.add(tsum(mixed * mixed), tsum(dc.relu(h)[1:4])), leaves
+            h = tanh(dc.linear(x, w, b))  # shared by three consumers below
+            mixed = dc.concat([softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
+            return dc.add(tsum(mixed * mixed), tsum(take(dc.relu(h), np.s_[1:4]))), leaves
 
         want_root, want_leaves = build()
         backward_keeping_interior_grads(want_root)
@@ -165,7 +166,7 @@ class TestContracts:
     def test_backward_releases_activations_the_caller_does_not_hold(self):
         rng = np.random.default_rng(22)
         x, w, b, g = leaves = [t(rng.normal(size=s)) for s in [(5, 3), (3, 4), (4,), (5, 4)]]
-        loss = dc.l1_loss(dc.softmax(dc.tanh(dc.linear(x, w, b)) * g), np.zeros((5, 4)))
+        loss = dc.l1_loss(softmax(tanh(dc.linear(x, w, b)) * g), np.zeros((5, 4)))
         activations = [weakref.ref(n.data) for n in graph_nodes(loss) if n._backward is not None and n is not loss]
         value = loss.item()
         loss.backward()
@@ -184,7 +185,7 @@ class TestContracts:
 
     def test_consumed_tensor_cannot_join_a_new_graph_or_backward(self):
         x = t(np.array([[0.5, -1.0]]))
-        h = dc.tanh(x)
+        h = tanh(x)
         first, second = tsum(h * 2.0), tsum(h * 3.0)  # second is built before first consumes h
         first.backward()
         grad = x.grad.copy()
@@ -229,7 +230,7 @@ class TestContracts:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(18)
-        y = dc.softmax(t(rng.normal(0, 5, (10, 7))))
+        y = softmax(t(rng.normal(0, 5, (10, 7))))
         assert np.max(np.abs(y.data.sum(axis=1) - 1.0)) < 1e-12
 
     def test_fanout_accumulates_both_contributions(self):
@@ -267,7 +268,7 @@ class TestContracts:
             rng = np.random.default_rng(123)
             x = t(rng.normal(size=(4, 5)))
             w = t(rng.normal(size=(5, 3)))
-            out = tsum(dc.tanh(dc.matmul(x, w)))
+            out = tsum(tanh(dc.matmul(x, w)))
             out.backward()
             return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -371,7 +372,7 @@ def lstm_by_cells(xs, W, U, b, reverse=False):
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     outs = [None] * t_len
     for i in order:
-        h, c = dc.lstm_cell(xs[i : i + 1, :], h, c, W, U, b)
+        h, c = lstm_cell(take(xs, np.s_[i : i + 1]), h, c, W, U, b)
         outs[i] = h
     return dc.concat(outs, axis=0)
 
@@ -449,7 +450,7 @@ class TestLstm:
         x = t(np.ones((1, 3)))
         h = dc.Tensor(np.zeros((1, 4)))
         c = dc.Tensor(np.zeros((1, 4)))
-        h2, c2 = dc.lstm_cell(x, h, c, p["cell.W"], p["cell.U"], p["cell.b"])
+        h2, c2 = lstm_cell(x, h, c, p["cell.W"], p["cell.U"], p["cell.b"])
         assert np.all(h2.data == 0)
         assert np.all(c2.data == 0)
 
@@ -461,8 +462,8 @@ class TestLstm:
         x = t(rng.normal(size=(1, 3)))
         out = dc.blstm_layer(x, params, "l")
         zero = dc.Tensor(np.zeros((1, 4)))
-        hf, _ = dc.lstm_cell(x, zero, zero, params["l.fwd.W"], params["l.fwd.U"], params["l.fwd.b"])
-        hb, _ = dc.lstm_cell(x, zero, zero, params["l.bwd.W"], params["l.bwd.U"], params["l.bwd.b"])
+        hf, _ = lstm_cell(x, zero, zero, params["l.fwd.W"], params["l.fwd.U"], params["l.fwd.b"])
+        hb, _ = lstm_cell(x, zero, zero, params["l.bwd.W"], params["l.bwd.U"], params["l.bwd.b"])
         assert np.allclose(out.data, np.concatenate([hf.data, hb.data], axis=1))
 
     def test_blstm_gradcheck_three_frames(self):
@@ -481,8 +482,8 @@ def attention_by_heads(q, k, v, heads):
     outs = []
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        scores = dc.matmul(q[:, sl], dc.transpose(k[:, sl])) * (1.0 / np.sqrt(dh))
-        outs.append(dc.matmul(dc.softmax(scores), v[:, sl]))
+        scores = dc.matmul(take(q, np.s_[:, sl]), transpose(take(k, np.s_[:, sl]))) * (1.0 / np.sqrt(dh))
+        outs.append(dc.matmul(softmax(scores), take(v, np.s_[:, sl])))
     return dc.concat(outs, axis=1)
 
 
@@ -543,6 +544,93 @@ class TestAttention:
         assert q.grad is not None and k.grad is not None and v.grad is None
 
 
+DECODER_OPERANDS = ("hidden", "embed", "W", "U", "b", "out_w", "out_b")
+
+
+def decoder_arrays(rng, t_len, d, e, v):
+    """Random ``attention_decoder`` operands in ``DECODER_OPERANDS`` order."""
+    shapes = [(t_len, d), (v, e), (e + d, 4 * d), (d, 4 * d), (1, 4 * d), (2 * d, v), (v,)]
+    return [rng.normal(0, 0.8, shape) for shape in shapes]
+
+
+def decoder_value_and_grads(run, arrays, requires, tokens, targets):
+    tensors = [t(a.copy(), grad=r) for a, r in zip(arrays, requires)]
+    loss = run(*tensors, tokens, targets)
+    loss.backward()
+    return loss.data, [x.grad for x in tensors]
+
+
+class TestAttentionDecoder:
+    def test_attention_decoder_gradcheck(self):
+        rng = np.random.default_rng(70)
+        tensors = [t(a) for a in decoder_arrays(rng, 5, 3, 2, 6)]
+        tokens, targets = [1, 4, 3, 4], [4, 3, 4, 2]
+        worst = dc.gradcheck(lambda: dc.attention_decoder(*tensors, tokens, targets), tensors)
+        assert worst < 1e-4
+
+    @given(
+        t_len=st.integers(1, 12),
+        n_labels=st.integers(1, 8),
+        d=st.integers(1, 5),
+        e=st.integers(1, 4),
+        v=st.integers(3, 7),
+        trainable=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_attention_decoder_equals_step_graph(self, t_len, n_labels, d, e, v, trainable, seed):
+        rng = np.random.default_rng(seed)
+        arrays = decoder_arrays(rng, t_len, d, e, v)
+        tokens, targets = (list(rng.integers(0, v, n_labels)) for _ in range(2))
+        requires = [True] + [trainable] * 6
+        fused, fused_grads = decoder_value_and_grads(dc.attention_decoder, arrays, requires, tokens, targets)
+        oracle, oracle_grads = decoder_value_and_grads(attention_decoder_by_steps, arrays, requires, tokens, targets)
+        assert rel_err(fused, oracle) <= 1e-12
+        for name, got, want, required in zip(DECODER_OPERANDS, fused_grads, oracle_grads, requires):
+            assert (got is None) == (not required), name
+            if required:
+                assert got.shape == want.shape and rel_err(got, want) <= 1e-12, name
+
+    def test_attention_decoder_is_one_node(self):
+        rng = np.random.default_rng(71)
+        tensors = [t(a) for a in decoder_arrays(rng, 4, 3, 2, 5)]
+        loss = dc.attention_decoder(*tensors, [0, 3], [3, 1])
+        assert loss.shape == () and loss._op == "attention_decoder"
+        assert [id(p) for p in loss._parents] == [id(x) for x in tensors]
+
+    def test_frozen_decoder_passes_grad_to_hidden_only(self):
+        rng = np.random.default_rng(72)
+        arrays = decoder_arrays(rng, 6, 3, 2, 5)
+        grads = {}
+        for trainable in (True, False):
+            requires = [True] + [trainable] * 6
+            grads[trainable] = decoder_value_and_grads(dc.attention_decoder, arrays, requires, [0, 3, 4], [3, 4, 1])[1]
+        assert all(g is None for g in grads[False][1:])
+        assert np.array_equal(grads[True][0], grads[False][0])
+
+    def test_attention_decoder_rejects_bad_shapes(self):
+        rng = np.random.default_rng(73)
+        tensors = [t(a) for a in decoder_arrays(rng, 4, 3, 2, 5)]
+        tensors[2] = t(np.zeros((4, 12)))
+        with pytest.raises(ValueError, match=r"shape mismatch: .*W \(4, 12\)"):
+            dc.attention_decoder(*tensors, [0], [1])
+        tensors[2] = t(np.zeros((5, 12)))
+        with pytest.raises(ValueError, match=r"tokens \(2,\), targets \(1,\)"):
+            dc.attention_decoder(*tensors, [0, 1], [1])
+        with pytest.raises(ValueError, match=r"tokens \(0,\)"):
+            dc.attention_decoder(*tensors, [], [])
+
+    @pytest.mark.parametrize("bad", [-1, 5, 99])
+    @pytest.mark.parametrize("where", ["tokens", "targets"])
+    def test_label_id_outside_vocab_named(self, bad, where):
+        rng = np.random.default_rng(74)
+        tensors = [t(a) for a in decoder_arrays(rng, 4, 3, 2, 5)]
+        ids = {"tokens": [0, 2], "targets": [2, 1]}
+        ids[where][1] = bad
+        with pytest.raises(ValueError, match=rf"label id {bad} outside vocab of size 5"):
+            dc.attention_decoder(*tensors, ids["tokens"], ids["targets"])
+
+
 def grad_recorded():
     """Whether ops currently build a graph, seen from the outside."""
     return dc.mul(t(np.ones(1)), 2.0).requires_grad
@@ -555,7 +643,7 @@ class TestNoGrad:
         p = dc.init_lstm_params(rng, 3, 2, "cell")
         with dc.no_grad():
             outs = [
-                dc.tanh(dc.matmul(x, x.data.T)),
+                tanh(dc.matmul(x, x.data.T)),
                 dc.linear(x, x.data.T, x.data[:, 0]),
                 dc.attention(x, x, x, 3),
                 dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]),
@@ -569,9 +657,9 @@ class TestNoGrad:
     def test_same_values_as_with_graph(self):
         rng = np.random.default_rng(41)
         x = rand(rng, 4, 6)
-        want = dc.softmax(dc.attention(x, x, x, 2)).data
+        want = softmax(dc.attention(x, x, x, 2)).data
         with dc.no_grad():
-            got = dc.softmax(dc.attention(x, x, x, 2)).data
+            got = softmax(dc.attention(x, x, x, 2)).data
         assert np.array_equal(got, want)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -862,6 +950,9 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+UNARY = {"tanh": tanh, "sigmoid": sigmoid, "softplus": dc.softplus, "relu": dc.relu, "softmax": softmax}
+
+
 @st.composite
 def composed_graph(draw):
     """A random small op pipeline over two input tensors."""
@@ -889,10 +980,8 @@ class TestRandomGraphProperty:
                     cur = dc.add(cur, y)
                 elif op == "matmul":
                     cur = dc.matmul(cur, y)
-                elif op == "softmax":
-                    cur = dc.softmax(cur)
                 else:
-                    cur = getattr(dc, op)(cur)
+                    cur = UNARY[op](cur)
             return tsum(cur * cur)
 
         assert dc.gradcheck(f, tensors) < 1e-4

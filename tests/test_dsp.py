@@ -251,6 +251,15 @@ class TestWavIo:
         with pytest.raises(ValueError, match=rf"bad\.wav: not a WAV file: .*{problem}"):
             dsp.read_wav(p)
 
+    @pytest.mark.parametrize("cut", [100, 101])
+    def test_file_cut_inside_its_data_named(self, tmp_path, cut):
+        p = tmp_path / "cut.wav"
+        dsp.write_wav(p, rand_wave(np.random.default_rng(6), 1000))
+        p.write_bytes(p.read_bytes()[:-cut])
+        problem = rf"cut\.wav: truncated: its header promises 2000 data bytes, the file holds {2000 - cut}$"
+        with pytest.raises(ValueError, match=problem):
+            dsp.read_wav(p)
+
 
 def test_phase_combination_recovers_complex():
     rng = np.random.default_rng(5)

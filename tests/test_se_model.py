@@ -55,6 +55,13 @@ class TestForwardContracts:
         assert not [n for n in params if n.endswith(".bk")]
         assert {f"block{i}.bq" for i in range(TINY.attention_blocks)} <= set(params)
 
+    @pytest.mark.parametrize("field", ["conv_layers", "attention_blocks", "d_model", "heads"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, True, "4", None])
+    def test_size_that_is_not_a_positive_int_named(self, field, bad):
+        problem = rf"SeConfig\.{field} is {re.escape(repr(bad))}; it must be a positive int"
+        with pytest.raises(ValueError, match=problem):
+            SeConfig(**{field: bad})
+
     def test_dmodel_heads_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
             SeConfig(d_model=10, heads=4)
@@ -230,8 +237,9 @@ class TestCheckpoint:
             (lambda meta: meta.update(config=[1, 2]), r"'config' is \[1, 2\]; it must be a JSON object"),
             (lambda meta: meta["config"].update(extra=1), r"'config' is invalid: .*'extra'"),
             (lambda meta: meta["config"].update(n_bins=257), r"'config' is invalid: .*'n_bins'"),
+            (lambda meta: meta["config"].update(heads=0), r"'config' is invalid: SeConfig\.heads is 0"),
         ],
-        ids=["missing", "list", "unknown_field", "removed_field"],
+        ids=["missing", "list", "unknown_field", "removed_field", "zero_heads"],
     )
     def test_bad_config_rejected(self, tmp_path, edit, problem):
         path = self._saved(tmp_path)
