@@ -9,12 +9,13 @@ Modules:
     se_model  -- transformer encoder speech enhancement network
     asr_model -- BLSTM/CTC/attention broad-class recognizer
 
-Runtime imports: ``numpy``, ``scipy.special`` (``expit`` in diffcore) and
-``scipy.fft`` (``apply_rir``'s convolution in corpus). ``scipy.signal`` is
-not among them: with the ``scipy.stats`` it loads, it is about 450 modules
-and 48 MB of resident memory that every process would pay for one
-``fftconvolve`` call, which ``apply_rir`` makes from ``scipy.fft`` directly.
-Code that needs ``scipy.signal`` imports it inside the function that uses it.
+Runtime imports: ``numpy`` alone. ``scipy.fft`` and ``scipy.special`` each
+load scipy's array-API layer with ``numpy.f2py``, ``numpy.testing`` and
+``numpy.ma``: about 320 modules and 25 MB of resident memory that every
+process would pay for. So ``diffcore`` computes its sigmoid in numpy and
+``corpus.apply_rir`` convolves through ``np.fft``. Code that needs scipy
+(say ``scipy.signal.resample_poly`` for a STOI score) imports it inside the
+function that uses it. The tests use scipy as their oracle.
 """
 
 __version__ = "0.1.0"

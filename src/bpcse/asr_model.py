@@ -196,12 +196,9 @@ def ctc_loss(logits: dc.Tensor, labels) -> dc.Tensor:
     giving the classic softmax-minus-occupancy gradient on the logits.
     """
     t_len, v = logits.shape
-    labels = [int(l) for l in labels]
-    for l in labels:
-        if not 0 <= l < v:
-            raise ValueError(f"label id {l} outside vocab of size {v}")
-        if l == BLANK:
-            raise ValueError("labels must not contain the blank id")
+    labels = dc._label_ids(labels, v, "ctc_loss")
+    if BLANK in labels:
+        raise ValueError("labels must not contain the blank id")
     if t_len < min_frames_for(labels):
         raise ValueError(
             f"no valid alignment: {t_len} frames cannot carry {len(labels)} labels "

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from . import bpc, dsp
 
@@ -300,14 +299,31 @@ def generate_rir(t60_s: float) -> dsp.Waveform:
     )
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n: ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 2 * n  # a power of two within a factor of two of n is always a candidate
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
     """Full convolution truncated to len(w), then peak-renormalized.
 
-    The convolution is the product of real FFTs at ``next_fast_len`` of the
-    full length, or a plain product when either input has one sample: the
-    same calls ``scipy.signal.fftconvolve`` makes, so the output equals
-    ``fftconvolve(w, rir)[:len(w)]`` bit for bit without importing
-    :mod:`scipy.signal`.
+    The convolution is the product of ``np.fft`` real FFTs at
+    ``_next_fast_len`` of the full length, or a plain product when either
+    input has one sample: the calls ``scipy.signal.fftconvolve`` makes, and
+    numpy's pocketfft gives the same bits at those lengths, so the output
+    equals ``fftconvolve(w, rir)[:len(w)]`` bit for bit without importing
+    scipy.
     """
     if len(w) == 0:
         raise ValueError("clean signal is empty")
@@ -318,9 +334,9 @@ def apply_rir(w: dsp.Waveform, rir: dsp.Waveform) -> dsp.Waveform:
     if min(len(w), len(rir)) == 1:
         out = w.samples * rir.samples[0]
     else:
-        size = scipy.fft.next_fast_len(len(w) + len(rir) - 1, real=True)
-        spec = scipy.fft.rfft(w.samples, size) * scipy.fft.rfft(rir.samples, size)
-        out = scipy.fft.irfft(spec, size)[: len(w)]
+        size = _next_fast_len(len(w) + len(rir) - 1)
+        spec = np.fft.rfft(w.samples, size) * np.fft.rfft(rir.samples, size)
+        out = np.fft.irfft(spec, size)[: len(w)]
     return dsp.normalize(dsp.Waveform(out))
 
 

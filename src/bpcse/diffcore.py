@@ -32,7 +32,9 @@ whole-sequence LSTM (``lstm_sequence``, BPTT) under the BLSTM layer
 ``blstm_layer``, and the recognizer's teacher-forced attention decoder with
 its cross-entropy (``attention_decoder``, BPTT), whose LSTM steps share
 ``lstm_sequence``'s gate arithmetic. The graph primitives the tests' oracles
-are built from live with the tests.
+are built from live with the tests. The LSTM gates and the ``softplus`` grad
+take their sigmoid from ``_sigmoid``, ``1 / (1 + exp(-x))`` in numpy computed
+in place, so the module imports numpy alone.
 
 Also here: the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
@@ -47,10 +49,10 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 CKPT_MAGIC = "BPCSE-CKPT-1"
 LAYER_NORM_EPS = 1e-5
@@ -199,6 +201,27 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _sigmoid(x, out):
+    """``1 / (1 + exp(-x))`` written into ``out``; saturates to exactly 0 and 1 with no overflow warning."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def _label_ids(labels, vocab_size, op):
+    """``labels`` as an int64 array; a ValueError names ``op`` and the first id that is not an integer in range."""
+    ids = []
+    for label in labels:
+        try:
+            ids.append(operator.index(label))
+        except TypeError:
+            raise ValueError(f"{op}: label id {label!r} is not an integer") from None
+        if not 0 <= ids[-1] < vocab_size:
+            raise ValueError(f"{op}: label id {label} outside vocab of size {vocab_size}")
+    return np.array(ids, dtype=np.int64)
+
+
 def _node(data, parents, backward, op):
     needs = _grad_enabled.get() and any(p.requires_grad for p in parents)
     if needs:
@@ -292,7 +315,7 @@ def softplus(x):
     data = np.logaddexp(0.0, x.data)
 
     def backward(g):
-        _accum(x, g * expit(x.data))
+        _accum(x, g * _sigmoid(x.data, np.empty_like(x.data)))
 
     return _node(data, (x,), backward, "softplus")
 
@@ -478,7 +501,7 @@ def _lstm_step(pre, c, act, c_out, tanh_c_out, h_out):
     """
     hidden = c_out.size
     gate_g = slice(2 * hidden, 3 * hidden)
-    expit(pre, out=act)
+    _sigmoid(pre, act)
     act[gate_g] = np.tanh(pre[gate_g])
     c = np.multiply(act[hidden : 2 * hidden], c, out=c_out)
     c += act[:hidden] * act[gate_g]
@@ -576,21 +599,20 @@ def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
     with ``softmax(hidden @ h)`` for the next ``ctx``, and scores
     ``[h, ctx] @ out_w + out_b`` against ``targets[i]``; h, c and ctx start at
     zero. The context feeds the next step's input (Luong et al., EMNLP 2015).
-    Label ids outside ``[0, V)`` are rejected before any work is done. The
-    backward pass is hand-written BPTT and skips operands that need no grad.
+    A label id that is not an integer in ``[0, V)`` is rejected before any
+    work is done. The backward pass is hand-written BPTT and skips operands
+    that need no grad.
     """
     hidden, embed, W, U, b, out_w, out_b = map(_lift, (hidden, embed, W, U, b, out_w, out_b))
-    tokens, targets = np.asarray(tokens, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-    (t, d), (v, e), n = hidden.shape, embed.shape, len(tokens)
+    (t, d), (v, e) = hidden.shape, embed.shape
+    tokens, targets = _label_ids(tokens, v, "attention_decoder"), _label_ids(targets, v, "attention_decoder")
+    n = len(tokens)
     got = (tokens.shape, targets.shape, W.shape, U.shape, b.data.size, out_w.shape, out_b.shape)
     if n < 1 or got != ((n,), (n,), (e + d, 4 * d), (d, 4 * d), 4 * d, (2 * d, v), (v,)):
         raise ValueError(
             f"attention_decoder shape mismatch: hidden {hidden.shape}, embed {embed.shape}, W {W.shape}, U {U.shape}, "
             f"b {b.shape}, out_w {out_w.shape}, out_b {out_b.shape}, tokens {tokens.shape}, targets {targets.shape}"
         )
-    for label in (*tokens, *targets):
-        if not 0 <= label < v:
-            raise ValueError(f"attention_decoder: label id {label} outside vocab of size {v}")
     H, Ud, We, Wc = hidden.data, U.data, W.data[:e], W.data[e:]
     xe = embed.data[tokens] @ We  # the embedding's share of every step's pre-activation
     bd = b.data.reshape(-1)

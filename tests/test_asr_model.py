@@ -147,6 +147,17 @@ class TestCtcLoss:
         with pytest.raises(ValueError, match="blank"):
             am.ctc_loss(dc.Tensor(np.zeros((3, 3))), [0])
 
+    @pytest.mark.parametrize("bad", [3.9, 2.0, np.float64(1.5), "1"])
+    def test_non_integer_label_named(self, bad):
+        with pytest.raises(ValueError, match=rf"ctc_loss: label id {re.escape(repr(bad))} is not an integer"):
+            am.ctc_loss(dc.Tensor(np.zeros((4, 5))), [1, bad])
+
+    def test_numpy_integer_labels_accepted(self):
+        logits = np.random.default_rng(3).normal(0, 1, (6, 5))
+        want = am.ctc_loss(dc.Tensor(logits), [1, 3, 3]).item()
+        for labels in (np.array([1, 3, 3]), [np.int32(1), np.uint8(3), 3]):
+            assert am.ctc_loss(dc.Tensor(logits), labels).item() == want
+
     def test_gradcheck(self):
         rng = np.random.default_rng(1)
         logits = dc.Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
@@ -315,6 +326,12 @@ class TestAttentionDecoder:
         hidden = model.encode(dc.Tensor(np.zeros((3, MEL))))
         with pytest.raises(ValueError, match=rf"label id {bad} outside vocab of size 6"):
             model.attention_loss(hidden, [3, bad])
+
+    def test_non_integer_label_named(self):
+        model = am.AsrModel(tiny_cfg(), seed=0)
+        hidden = model.encode(dc.Tensor(np.zeros((3, MEL))))
+        with pytest.raises(ValueError, match=r"attention_decoder: label id 3\.9 is not an integer"):
+            model.attention_loss(hidden, [4, 3.9])
 
     def test_graph_size_does_not_grow_with_labels(self):
         model = am.AsrModel(tiny_cfg(), seed=1)

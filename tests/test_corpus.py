@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy.signal import fftconvolve
 
 from bpcse import bpc, corpus, dsp
@@ -391,6 +392,11 @@ class TestApplyRir:
         out = corpus.apply_rir(dsp.Waveform(w), dsp.Waveform(rir))
         want = dsp.normalize(dsp.Waveform(fftconvolve(w, rir)[:n]))
         assert np.array_equal(out.samples, want.samples)
+
+    def test_fast_len_is_scipys_for_every_length_to_2_17(self):
+        got = [corpus._next_fast_len(n) for n in range(1, 2**17 + 1)]
+        want = [scipy.fft.next_fast_len(n, real=True) for n in range(1, 2**17 + 1)]
+        assert got == want
 
     def test_empty_clean_rejected(self):
         with pytest.raises(ValueError, match="clean signal is empty"):

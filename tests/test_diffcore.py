@@ -1,11 +1,14 @@
 import json
+import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import bpcse.diffcore as dc
 from gradcheck_ops import (
@@ -391,6 +394,21 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
 
 
+class TestSigmoid:
+    """``_sigmoid``, the numpy sigmoid of the LSTM gates and the softplus grad, against scipy's ``expit``."""
+
+    def test_close_to_expit_over_800(self):
+        x = np.linspace(-800.0, 800.0, 400_001)
+        # expit is the same formula over libm's exp; np.exp may differ from that by
+        # one ulp, which can flip the rounding of 1 + exp(-x): two epsilons relative
+        np.testing.assert_allclose(dc._sigmoid(x, np.empty_like(x)), expit(x), rtol=2 * np.finfo(float).eps, atol=0)
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dc._sigmoid(np.array([-1000.0, 1000.0]), np.empty(2)).tolist() == [0.0, 1.0]
+
+
 class TestLstm:
     def make_params(self, rng, din, h):
         return dc.init_lstm_params(rng, din, h, "cell")
@@ -561,6 +579,21 @@ def decoder_value_and_grads(run, arrays, requires, tokens, targets):
 
 
 class TestAttentionDecoder:
+    @pytest.mark.parametrize("bad", [3.9, 2.0, np.float32(1.5)])
+    @pytest.mark.parametrize("where", ["tokens", "targets"])
+    def test_non_integer_label_id_named(self, bad, where):
+        rng = np.random.default_rng(75)
+        tensors = [t(a) for a in decoder_arrays(rng, 4, 3, 2, 5)]
+        ids = {"tokens": [0, 2], "targets": [2, 1]}
+        ids[where][1] = bad
+        with pytest.raises(ValueError, match=rf"label id {re.escape(repr(bad))} is not an integer"):
+            dc.attention_decoder(*tensors, ids["tokens"], ids["targets"])
+
+    def test_numpy_integer_label_ids_accepted(self):
+        tensors = [t(a) for a in decoder_arrays(np.random.default_rng(76), 4, 3, 2, 5)]
+        want = dc.attention_decoder(*tensors, [0, 2], [2, 1]).item()
+        assert dc.attention_decoder(*tensors, np.array([0, 2]), [np.int16(2), np.uint64(1)]).item() == want
+
     def test_attention_decoder_gradcheck(self):
         rng = np.random.default_rng(70)
         tensors = [t(a) for a in decoder_arrays(rng, 5, 3, 2, 6)]
