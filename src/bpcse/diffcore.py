@@ -26,13 +26,19 @@ The ops are the ones the models and the stage-two feature bridge run:
 (``x @ W + b`` as one node that adds the bias in place, the only way the
 models add a bias to a product), ``relu``, ``softplus``, ``log``,
 ``expm1``, ``layer_norm`` over the last axis, ``concat``, ``conv1d``
-("same" padding, odd kernel) and ``l1_loss``. Three fused ops have a
-hand-written backward: multi-head self-attention (``attention``), a
-whole-sequence LSTM (``lstm_sequence``, BPTT) under the BLSTM layer
-``blstm_layer``, and the recognizer's teacher-forced attention decoder with
+("same" padding, odd kernel) and ``l1_loss``. Four fused ops have a
+hand-written backward: the two halves of a pre-norm transformer block,
+``attention_sublayer`` (``h + wo·attn(qkv(LN1(h)))``, multi-head
+self-attention) and ``feed_forward_sublayer`` (``h + w2·relu(w1·LN2(h))``);
+a whole-sequence LSTM (``lstm_sequence``, BPTT) under the BLSTM layer
+``blstm_layer``; and the recognizer's teacher-forced attention decoder with
 its cross-entropy (``attention_decoder``, BPTT), whose LSTM steps share
-``lstm_sequence``'s gate arithmetic. The graph primitives the tests' oracles
-are built from live with the tests. The LSTM gates and the ``softplus`` grad
+``lstm_sequence``'s gate arithmetic. The sublayers keep their layer norm's
+row statistics, not its output, and recompute the output in backward with
+the helpers ``layer_norm`` uses; attention scores are made
+``ATTENTION_ROWS`` query rows at a time, and without a graph one such block
+of scores is all that exists. The graph primitives the tests' oracles are
+built from, multi-head ``attention`` among them, live with the tests. The LSTM gates and the ``softplus`` grad
 take their sigmoid from ``_sigmoid``, ``1 / (1 + exp(-x))`` in numpy computed
 in place, so the module imports numpy alone.
 
@@ -222,8 +228,13 @@ def _label_ids(labels, vocab_size, op):
     return np.array(ids, dtype=np.int64)
 
 
+def _records(parents):
+    """Whether an op on ``parents`` builds a graph node: grad mode is on and some parent requires grad."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, backward, op):
-    needs = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    needs = _records(parents)
     if needs:
         for p in parents:
             if p._backward is _CONSUMED:
@@ -340,24 +351,40 @@ def expm1(x):
     return _node(data, (x,), backward, "expm1")
 
 
+def _layer_norm_stats(x):
+    """Mean and inverse standard deviation of each row of ``x`` over its last axis, kept dims."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    xc *= xc
+    return mu, 1.0 / np.sqrt(xc.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+
+
+def _layer_norm_apply(x, mu, inv, gain, bias):
+    """Layer norm of ``x`` from its row statistics: the output ``xhat * gain + bias`` and ``xhat``."""
+    xhat = x - mu
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat
+
+
+def _layer_norm_backward(g, xhat, inv, gain, bias):
+    """Accumulate the grads of the ``gain`` and ``bias`` tensors from output grad ``g``; return the input's."""
+    lead = tuple(range(g.ndim - 1))
+    _accum(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
+    _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
+    dxhat = g * gain.data
+    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+
 def layer_norm(x, gain, bias):
     """Normalize over the last axis, then scale and shift."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    n = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    mu, inv = _layer_norm_stats(x.data)
+    data, xhat = _layer_norm_apply(x.data, mu, inv, gain.data, bias.data)
 
     def backward(g):
-        lead = tuple(range(g.ndim - 1))
-        _accum(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
-        _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
-        dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        _accum(x, dx)
+        _accum(x, _layer_norm_backward(g, xhat, inv, gain, bias))
 
     return _node(data, (x, gain, bias), backward, "layer_norm")
 
@@ -428,55 +455,147 @@ def l1_loss(a, b):
 
 
 # ---------------------------------------------------------------------------
-# attention
+# transformer sublayers
 
 
-def attention(q, k, v, heads):
-    """Multi-head scaled dot-product self-attention over q, k, v (T, d) -> (T, d), as one node.
+# Query rows whose attention scores are made at once: without a graph, a
+# block's scores take heads * ATTENTION_ROWS * T floats, not heads * T * T.
+ATTENTION_ROWS = 64
 
-    Head ``h`` attends with columns ``h*dh : (h+1)*dh`` of q, k and v, where
-    ``dh = d // heads``: ``softmax(q_h @ k_h.T / sqrt(dh)) @ v_h``, and the head
-    outputs are concatenated in head order. All heads are computed at once in
-    a ``(heads, T, dh)`` layout; the backward pass is hand-written and keeps
-    only the attention weights.
+
+def _attention_rows(qh, kh, vh, weights, out):
+    """``softmax(qh @ kh.T / sqrt(dh)) @ vh`` per head for one block of query rows, written into ``out``.
+
+    ``qh`` is (heads, rows, dh), ``kh`` and ``vh`` are (heads, T, dh); the
+    attention weights are written into ``weights`` (heads, rows, T).
     """
-    q, k, v = _lift(q), _lift(k), _lift(v)
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ValueError(f"attention needs q, k and v of one (T, d) shape, got {q.shape}, {k.shape}, {v.shape}")
-    t, d = q.shape
-    if heads < 1 or d % heads:
-        raise ValueError(f"attention width {d} is not divisible into {heads} heads")
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-
-    def split(x):  # (T, d) -> (heads, T, dh)
-        return x.reshape(t, heads, dh).transpose(1, 0, 2)
-
-    def merge(x):  # (heads, T, dh) -> (T, d), C-ordered so that later reductions sum in row order
-        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    weights = qh @ kh.transpose(0, 2, 1)
-    weights *= scale
+    np.matmul(qh, kh.transpose(0, 2, 1), out=weights)
+    weights *= 1.0 / np.sqrt(qh.shape[-1])
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    data = merge(weights @ vh)
+    np.matmul(weights, vh, out=out)
+
+
+def attention_sublayer(h, params, prefix, heads):
+    """The attention half of a pre-norm transformer block over h (T, d) -> (T, d), as one node.
+
+    Computes ``h + attn(q, k, v) @ wo + bo`` with ``x = LN1(h)`` (gain and bias
+    ``{prefix}.ln1.g`` and ``.ln1.b``), ``q = x @ wq + bq``, ``k = x @ wk`` and
+    ``v = x @ wv + bv``, every weight read from ``params`` as
+    ``{prefix}.<name>``. Head ``i`` of ``attn`` attends with columns
+    ``i*dh : (i+1)*dh``, where ``dh = d // heads``: ``softmax(q_i @ k_i.T /
+    sqrt(dh)) @ v_i``, the head outputs concatenated in head order. Scores
+    are made ``ATTENTION_ROWS`` query rows at a time; without a graph one
+    block buffer is reused, with one the blocks fill the full (heads, T, T)
+    weights that backward reads. The node keeps q, k, v, the weights, the
+    attention output and LN1's row statistics; backward recomputes ``x``.
+    """
+    h = _lift(h)
+    gain, bias, wq, bq, wk, wv, bv, wo, bo = operands = [
+        params[f"{prefix}.{name}"] for name in ("ln1.g", "ln1.b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+    ]
+    t, d = h.shape
+    if heads < 1 or d % heads:
+        raise ValueError(f"attention width {d} is not divisible into {heads} heads")
+    dh = d // heads
+    mu, inv = _layer_norm_stats(h.data)
+    x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
+    q = x @ wq.data
+    q += bq.data
+    k = x @ wk.data
+    v = x @ wv.data
+    v += bv.data
+    del x
+
+    def split(a):  # (T, d) -> (heads, T, dh), a view
+        return a.reshape(t, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):  # (heads, T, dh) -> (T, d), C-ordered so that later reductions sum in row order
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
+
+    keep = _records((h, *operands))
+    attn = np.empty((t, d))
+    qh, kh, vh, ah = split(q), split(k), split(v), split(attn)
+    weights = np.empty((heads, t if keep else min(t, ATTENTION_ROWS), t))
+    for lo in range(0, t, ATTENTION_ROWS):
+        rows = slice(lo, min(lo + ATTENTION_ROWS, t))
+        block = weights[:, rows] if keep else weights[:, : rows.stop - lo]
+        _attention_rows(qh[:, rows], kh, vh, block, ah[:, rows])
+    data = attn @ wo.data
+    data += bo.data
+    data += h.data
 
     def backward(g):
-        gh = split(g)
-        if v.requires_grad:
-            _accum(v, merge(weights.transpose(0, 2, 1) @ gh))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        dweights = gh @ vh.transpose(0, 2, 1)
-        dscores = (weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))) * scale
-        if q.requires_grad:
-            _accum(q, merge(dscores @ kh))
-        if k.requires_grad:
-            _accum(k, merge((qh.transpose(0, 2, 1) @ dscores).transpose(0, 2, 1)))
+        if wo.requires_grad:
+            _accum(wo, attn.T @ g)
+        if bo.requires_grad:
+            _accum(bo, g.sum(axis=0))
+        gh = split(g @ wo.data.T)
+        dv = merge(weights.transpose(0, 2, 1) @ gh)
+        dscores = gh @ vh.transpose(0, 2, 1)
+        dscores -= (dscores * weights).sum(axis=-1, keepdims=True)
+        dscores *= weights
+        dscores *= 1.0 / np.sqrt(dh)
+        dq = merge(dscores @ kh)
+        dk = merge((qh.transpose(0, 2, 1) @ dscores).transpose(0, 2, 1))
+        del dscores
+        x, xhat = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)
+        for w, b, dy in ((wq, bq, dq), (wk, None, dk), (wv, bv, dv)):
+            if w.requires_grad:
+                _accum(w, x.T @ dy)
+            if b is not None and b.requires_grad:
+                _accum(b, dy.sum(axis=0))
+        dx = dq @ wq.data.T
+        dx += dk @ wk.data.T
+        dx += dv @ wv.data.T
+        dh_in = _layer_norm_backward(dx, xhat, inv, gain, bias)
+        dh_in += g
+        _accum(h, dh_in)
 
-    return _node(data, (q, k, v), backward, "attention")
+    return _node(data, (h, *operands), backward, "attention_sublayer")
+
+
+def feed_forward_sublayer(h, params, prefix):
+    """The feed-forward half of a pre-norm transformer block over h (T, d) -> (T, d), as one node.
+
+    Computes ``h + relu(x @ w1 + b1) @ w2 + b2`` with ``x = LN2(h)`` (gain
+    and bias ``{prefix}.ln2.g`` and ``.ln2.b``), the weights read from
+    ``params`` as ``{prefix}.ff.w1``, ``.ff.b1``, ``.ff.w2`` and ``.ff.b2``.
+    The hidden layer is rectified in place; the node keeps it and LN2's row
+    statistics, and backward recomputes ``x``.
+    """
+    h = _lift(h)
+    gain, bias, w1, b1, w2, b2 = operands = [
+        params[f"{prefix}.{name}"] for name in ("ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+    ]
+    mu, inv = _layer_norm_stats(h.data)
+    x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
+    hidden = x @ w1.data
+    hidden += b1.data
+    del x
+    np.maximum(hidden, 0.0, out=hidden)
+    data = hidden @ w2.data
+    data += b2.data
+    data += h.data
+
+    def backward(g):
+        if w2.requires_grad:
+            _accum(w2, hidden.T @ g)
+        if b2.requires_grad:
+            _accum(b2, g.sum(axis=0))
+        dhidden = g @ w2.data.T
+        dhidden *= hidden > 0
+        x, xhat = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)
+        if w1.requires_grad:
+            _accum(w1, x.T @ dhidden)
+        if b1.requires_grad:
+            _accum(b1, dhidden.sum(axis=0))
+        dh_in = _layer_norm_backward(dhidden @ w1.data.T, xhat, inv, gain, bias)
+        dh_in += g
+        _accum(h, dh_in)
+
+    return _node(data, (h, *operands), backward, "feed_forward_sublayer")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ class Spectrogram:
     """Time-frequency matrix of shape (T, 257).
 
     ``kind`` is one of "complex", "magnitude" (non-negative |X|), or "log1p"
-    (log(1 + |X|), also non-negative).
+    (log(1 + |X|), also non-negative). Every value is finite: a ValueError
+    names the kind and the first frame holding a NaN or an infinity.
     """
 
     frames: np.ndarray
@@ -62,6 +63,9 @@ class Spectrogram:
         self.frames = np.asarray(self.frames, dtype=dtype)
         if self.frames.ndim != 2 or self.frames.shape[1] != N_BINS:
             raise ValueError(f"spectrogram must have shape (T, {N_BINS}), got {self.frames.shape}")
+        if not np.isfinite(self.frames).all():
+            frame = int(np.argmin(np.isfinite(self.frames).all(axis=1)))
+            raise ValueError(f"{self.kind} spectrogram has non-finite values in frame {frame}")
         if self.kind != "complex" and np.any(self.frames < 0):
             raise ValueError(f"{self.kind} spectrogram must be non-negative")
 

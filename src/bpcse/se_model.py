@@ -7,15 +7,18 @@ a feed-forward of width ``4 * d_model``, each with a residual connection
 and layer norm) refine the sequence. Keys have no bias: softmax over keys
 is shift-invariant, so one would do nothing. A final linear projection with
 softplus keeps outputs non-negative, as log1p features must be. Every
-affine projection is one ``diffcore.linear`` node, which adds its bias in
-place. Inputs longer than ``MAX_FRAMES`` are rejected, because the T x T
-attention weights would otherwise grow without bound.
+affine projection outside the blocks is one ``diffcore.linear`` node, which
+adds its bias in place. Inputs longer than ``MAX_FRAMES`` are rejected,
+because the T x T attention weights a training step keeps would otherwise
+grow without bound.
 
-The attention of each block, all heads together, is one
-``diffcore.attention`` graph node. ``enhance`` runs the forward pass under
-``diffcore.no_grad()``, so inference builds no graph and each activation,
-the T x T attention weights included, is freed as soon as the next layer
-has used it.
+Each block is two graph nodes: ``diffcore.attention_sublayer`` (layer
+norm, projections, all heads' attention, output projection and residual)
+and ``diffcore.feed_forward_sublayer`` (layer norm, both feed-forward
+layers and residual), each with a hand-written backward. ``enhance`` runs
+the forward pass under ``diffcore.no_grad()``, so inference builds no graph,
+frees each activation as soon as the next layer has used it, and makes the
+attention scores ``diffcore.ATTENTION_ROWS`` query rows at a time.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ import numpy as np
 from . import diffcore as dc
 from . import dsp
 
-# Longest input, in STFT frames (about 33 s at the 16 ms hop). Attention is
-# quadratic in T: one block's weights take heads * T^2 * 8 bytes, 134 MB at
-# T = 2048 and the paper's 4 heads, and a training step keeps them for all
-# 8 blocks, about 1.1 GB, until backward() frees each block's as it passes it.
+# Longest input, in STFT frames (about 33 s at the 16 ms hop). Training is
+# quadratic in T: one block's attention weights take heads * T^2 * 8 bytes,
+# 134 MB at T = 2048 and the paper's 4 heads, and a training step keeps them
+# for all 8 blocks, about 1.1 GB, until backward() frees each block's as it
+# passes it. Inference holds heads * ATTENTION_ROWS * T scores at a time,
+# 4.2 MB at T = 2048.
 MAX_FRAMES = 2048
 CONV_KERNEL = 3
 
@@ -49,10 +54,12 @@ class SeConfig:
 
 
 def sinusoidal_positions(t: int, d: int) -> np.ndarray:
+    """(t, d) positions: column 2i is sin(pos / 10000^(2i/d)), column 2i + 1 its cos."""
     pos = np.arange(t)[:, None]
-    i = np.arange(d)[None, :]
-    angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
-    pe = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
+    rates = np.power(10000.0, np.arange(0, d, 2) / d)
+    pe = np.empty((t, d))
+    pe[:, 0::2] = np.sin(pos / rates)
+    pe[:, 1::2] = np.cos(pos / rates[: d // 2])
     return pe
 
 
@@ -100,13 +107,6 @@ class SeModel:
         glorot("out.w", d, dsp.N_BINS)
         zeros("out.b", dsp.N_BINS)
 
-    def _attend(self, x, block):
-        p = self.params
-        q = dc.linear(x, p[f"{block}.wq"], p[f"{block}.bq"])
-        k = dc.matmul(x, p[f"{block}.wk"])
-        v = dc.linear(x, p[f"{block}.wv"], p[f"{block}.bv"])
-        return dc.linear(dc.attention(q, k, v, self.cfg.heads), p[f"{block}.wo"], p[f"{block}.bo"])
-
     def forward(self, x: dc.Tensor) -> dc.Tensor:
         """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""
         p = self.params
@@ -121,10 +121,7 @@ class SeModel:
         h = h + dc.Tensor(sinusoidal_positions(h.shape[0], cfg.d_model))
         for i in range(cfg.attention_blocks):
             b = f"block{i}"
-            h = h + self._attend(dc.layer_norm(h, p[f"{b}.ln1.g"], p[f"{b}.ln1.b"]), b)
-            ff_in = dc.layer_norm(h, p[f"{b}.ln2.g"], p[f"{b}.ln2.b"])
-            ff = dc.linear(dc.relu(dc.linear(ff_in, p[f"{b}.ff.w1"], p[f"{b}.ff.b1"])), p[f"{b}.ff.w2"], p[f"{b}.ff.b2"])
-            h = h + ff
+            h = dc.feed_forward_sublayer(dc.attention_sublayer(h, p, b, cfg.heads), p, b)
         h = dc.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
         return dc.softplus(dc.linear(h, p["out.w"], p["out.b"]))
 

@@ -1,9 +1,11 @@
 """What only the tests need: graph primitives for the op-by-op oracles, the gradcheck reduction, a graph walk.
 
-The oracles of the fused ops (``attention``, ``lstm_sequence``,
-``attention_decoder``) build the graph each op replaces from these
-primitives, each one node with its own backward rule. ``tsum`` is the sum the
-gradcheck tests reduce their outputs with.
+The oracles of the fused ops (``attention_sublayer``,
+``feed_forward_sublayer``, ``lstm_sequence``, ``attention_decoder``) build
+the graph each op replaces from these primitives, each one node with its own
+backward rule; multi-head ``attention``, the one node the attention
+sublayer's oracle attends with, is checked in turn against a per-head graph
+of them. ``tsum`` is the sum the gradcheck tests reduce their outputs with.
 """
 
 import numpy as np
@@ -126,6 +128,75 @@ def lstm_cell(x, h, c, W, U, b):
     c_new = dc.add(dc.mul(f, c), dc.mul(i, g))
     h_new = dc.mul(o, tanh(c_new))
     return h_new, c_new
+
+
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product self-attention over q, k, v (T, d) -> (T, d), as one node.
+
+    Head ``h`` attends with columns ``h*dh : (h+1)*dh`` of q, k and v, where
+    ``dh = d // heads``: ``softmax(q_h @ k_h.T / sqrt(dh)) @ v_h``, and the head
+    outputs are concatenated in head order. All heads are computed at once in
+    a ``(heads, T, dh)`` layout, the full (heads, T, T) weights included; the
+    backward pass is hand-written and keeps only the attention weights.
+    """
+    q, k, v = dc._lift(q), dc._lift(k), dc._lift(v)
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ValueError(f"attention needs q, k and v of one (T, d) shape, got {q.shape}, {k.shape}, {v.shape}")
+    t, d = q.shape
+    if heads < 1 or d % heads:
+        raise ValueError(f"attention width {d} is not divisible into {heads} heads")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):  # (T, d) -> (heads, T, dh)
+        return x.reshape(t, heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # (heads, T, dh) -> (T, d)
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    weights = qh @ kh.transpose(0, 2, 1)
+    weights *= scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = merge(weights @ vh)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            dc._accum(v, merge(weights.transpose(0, 2, 1) @ gh))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dweights = gh @ vh.transpose(0, 2, 1)
+        dscores = (weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))) * scale
+        if q.requires_grad:
+            dc._accum(q, merge(dscores @ kh))
+        if k.requires_grad:
+            dc._accum(k, merge((qh.transpose(0, 2, 1) @ dscores).transpose(0, 2, 1)))
+
+    return dc._node(data, (q, k, v), backward, "attention")
+
+
+def attention_sublayer_by_ops(h, params, prefix, heads):
+    """Op-by-op oracle for ``attention_sublayer``: layer norm, three projections, ``attention``, projection, residual."""
+
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    x = dc.layer_norm(h, p("ln1.g"), p("ln1.b"))
+    q, k, v = dc.linear(x, p("wq"), p("bq")), dc.matmul(x, p("wk")), dc.linear(x, p("wv"), p("bv"))
+    return dc.add(h, dc.linear(attention(q, k, v, heads), p("wo"), p("bo")))
+
+
+def feed_forward_sublayer_by_ops(h, params, prefix):
+    """Op-by-op oracle for ``feed_forward_sublayer``: layer norm, linear, relu, linear, residual."""
+
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    x = dc.layer_norm(h, p("ln2.g"), p("ln2.b"))
+    return dc.add(h, dc.linear(dc.relu(dc.linear(x, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2")))
 
 
 def attention_decoder_by_steps(hidden, embed, W, U, b, out_w, out_b, tokens, targets):

@@ -6,14 +6,17 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import bpcse.diffcore as dc
 from gradcheck_ops import (
+    attention,
     attention_decoder_by_steps,
+    attention_sublayer_by_ops,
     cross_entropy,
+    feed_forward_sublayer_by_ops,
     graph_nodes,
     lstm_cell,
     sigmoid,
@@ -506,12 +509,14 @@ def attention_by_heads(q, k, v, heads):
 
 
 class TestAttention:
+    """The multi-head ``attention`` oracle of ``attention_sublayer`` against its per-head graph."""
+
     @pytest.mark.parametrize("t_len, heads", [(1, 1), (4, 2), (3, 3)])
     def test_attention_gradcheck(self, t_len, heads):
         rng = np.random.default_rng(30 + t_len)
         q, k, v = (rand(rng, t_len, 2 * heads) for _ in range(3))
         w = t(rng.uniform(-1, 1, (t_len, 2 * heads)), grad=False)
-        assert dc.gradcheck(lambda: tsum(dc.attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
+        assert dc.gradcheck(lambda: tsum(attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -525,7 +530,7 @@ class TestAttention:
         arrays = [rng.normal(0, 2, (t_len, heads * d_head)) for _ in range(3)]
         weights = rng.normal(size=(t_len, heads * d_head))
         results = []
-        for run in (dc.attention, attention_by_heads):
+        for run in (attention, attention_by_heads):
             qkv = [t(a.copy()) for a in arrays]
             out = run(*qkv, heads)
             tsum(out * weights).backward()
@@ -539,7 +544,7 @@ class TestAttention:
     def test_attention_is_one_node(self):
         rng = np.random.default_rng(31)
         q, k, v = (rand(rng, 5, 4) for _ in range(3))
-        out = dc.attention(q, k, v, 2)
+        out = attention(q, k, v, 2)
         assert out.shape == (5, 4)
         assert out._op == "attention"
         assert [id(p) for p in out._parents] == [id(q), id(k), id(v)]
@@ -548,18 +553,115 @@ class TestAttention:
         rng = np.random.default_rng(32)
         q = rand(rng, 5, 6)
         with pytest.raises(ValueError, match="6 is not divisible into 4 heads"):
-            dc.attention(q, q, q, 4)
+            attention(q, q, q, 4)
         with pytest.raises(ValueError, match=r"\(5, 6\), \(5, 6\), \(4, 6\)"):
-            dc.attention(q, q, rand(rng, 4, 6), 2)
+            attention(q, q, rand(rng, 4, 6), 2)
         with pytest.raises(ValueError, match=r"\(5, 6\), \(5, 3\), \(5, 6\)"):
-            dc.attention(q, rand(rng, 5, 3), q, 3)
+            attention(q, rand(rng, 5, 3), q, 3)
 
     def test_only_required_inputs_get_grads(self):
         rng = np.random.default_rng(33)
         q, k = rand(rng, 3, 4), rand(rng, 3, 4)
         v = t(rng.normal(size=(3, 4)), grad=False)
-        tsum(dc.attention(q, k, v, 2)).backward()
+        tsum(attention(q, k, v, 2)).backward()
         assert q.grad is not None and k.grad is not None and v.grad is None
+
+
+ATTENTION_NAMES = ("ln1.g", "ln1.b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+FEED_FORWARD_NAMES = ("ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
+
+
+def block_params(rng, d, requires_grad=True):
+    """Random weights of one pre-norm block of width d, named as ``SeModel`` names block ``blk``."""
+    square, row = (d, d), (d,)
+    shapes = dict.fromkeys(ATTENTION_NAMES + FEED_FORWARD_NAMES, row)
+    shapes.update({"wq": square, "wk": square, "wv": square, "wo": square})
+    shapes.update({"ff.w1": (d, 4 * d), "ff.b1": (4 * d,), "ff.w2": (4 * d, d)})
+    params = {}
+    for name, shape in shapes.items():
+        params[f"blk.{name}"] = p = dc.Parameter(rng.normal(0, 0.7, shape), f"blk.{name}")
+        p.requires_grad = requires_grad
+    return params
+
+
+def sublayer_runs(heads):
+    """(fused, oracle, weight names) for each sublayer, each run called as ``run(h, params)``."""
+    return [
+        (
+            lambda h, p: dc.attention_sublayer(h, p, "blk", heads),
+            lambda h, p: attention_sublayer_by_ops(h, p, "blk", heads),
+            ATTENTION_NAMES,
+        ),
+        (
+            lambda h, p: dc.feed_forward_sublayer(h, p, "blk"),
+            lambda h, p: feed_forward_sublayer_by_ops(h, p, "blk"),
+            FEED_FORWARD_NAMES,
+        ),
+    ]
+
+
+class TestTransformerSublayers:
+    """The two fused halves of a pre-norm block against the op-by-op graphs they replace."""
+
+    def test_attention_sublayer_gradcheck(self, monkeypatch):
+        monkeypatch.setattr(dc, "ATTENTION_ROWS", 2)  # blocks of 2, 2 and 1 query rows
+        rng = np.random.default_rng(80)
+        params, h, w = block_params(rng, 4), rand(rng, 5, 4), t(rng.uniform(-1, 1, (5, 4)), grad=False)
+        tensors = [h, *(params[f"blk.{n}"] for n in ATTENTION_NAMES)]
+        assert dc.gradcheck(lambda: tsum(dc.attention_sublayer(h, params, "blk", 2) * w), tensors) < 1e-4
+
+    def test_feed_forward_sublayer_gradcheck(self):
+        rng = np.random.default_rng(81)
+        params, h, w = block_params(rng, 3), rand(rng, 4, 3), t(rng.uniform(-1, 1, (4, 3)), grad=False)
+        tensors = [h, *(params[f"blk.{n}"] for n in FEED_FORWARD_NAMES)]
+        assert dc.gradcheck(lambda: tsum(dc.feed_forward_sublayer(h, params, "blk") * w), tensors) < 1e-4
+
+    @given(
+        t_len=st.integers(1, 3 * dc.ATTENTION_ROWS).filter(lambda n: n % dc.ATTENTION_ROWS),
+        heads=st.integers(1, 3),
+        d_head=st.integers(1, 3),
+        trainable=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(t_len=dc.ATTENTION_ROWS - 1, heads=2, d_head=2, trainable=True, seed=0)
+    @example(t_len=dc.ATTENTION_ROWS + 1, heads=2, d_head=2, trainable=True, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_equal_to_op_by_op_graph(self, t_len, heads, d_head, trainable, seed):
+        rng = np.random.default_rng(seed)
+        d = heads * d_head
+        params = block_params(rng, d, trainable)
+        h0, weights = rng.normal(0, 2, (t_len, d)), rng.normal(size=(t_len, d))
+        for fused, oracle, names in sublayer_runs(heads):
+            results = []
+            for run in (fused, oracle):
+                for p in params.values():
+                    p.grad = None
+                h = t(h0.copy())
+                out = run(h, params)
+                tsum(out * weights).backward()
+                results.append((out.data, h.grad, [params[f"blk.{n}"].grad for n in names]))
+            (got, got_dh, got_grads), (want, want_dh, want_grads) = results
+            assert rel_err(got, want) <= 1e-12
+            assert rel_err(got_dh, want_dh) <= 1e-12
+            for name, g, w in zip(names, got_grads, want_grads):
+                assert (g is None) == (not trainable), name
+                if trainable:
+                    assert g.shape == w.shape and rel_err(g, w) <= 1e-12, name
+
+    def test_each_is_one_node(self):
+        rng = np.random.default_rng(82)
+        params = block_params(rng, 4)
+        h = rand(rng, 3, 4)
+        for op, (run, _, names) in zip(("attention_sublayer", "feed_forward_sublayer"), sublayer_runs(2)):
+            out = run(h, params)
+            assert out.shape == (3, 4) and out._op == op
+            assert [id(p) for p in out._parents] == [id(h), *(id(params[f"blk.{n}"]) for n in names)]
+
+    def test_heads_not_dividing_width_named(self):
+        rng = np.random.default_rng(83)
+        params = block_params(rng, 6)
+        with pytest.raises(ValueError, match="6 is not divisible into 4 heads"):
+            dc.attention_sublayer(rand(rng, 3, 6), params, "blk", 4)
 
 
 DECODER_OPERANDS = ("hidden", "embed", "W", "U", "b", "out_w", "out_b")
@@ -674,26 +776,35 @@ class TestNoGrad:
         rng = np.random.default_rng(40)
         x = rand(rng, 4, 3)
         p = dc.init_lstm_params(rng, 3, 2, "cell")
+        p.update(block_params(rng, 3))
         with dc.no_grad():
             outs = [
                 tanh(dc.matmul(x, x.data.T)),
                 dc.linear(x, x.data.T, x.data[:, 0]),
-                dc.attention(x, x, x, 3),
+                dc.attention_sublayer(x, p, "blk", 3),
+                dc.feed_forward_sublayer(x, p, "blk"),
                 dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]),
             ]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == ()
             assert out._backward is None
-        assert outs[2]._op == "attention"
+        assert outs[2]._op == "attention_sublayer"
 
     def test_same_values_as_with_graph(self):
+        # the graph keeps every block of attention weights, no_grad reuses one block's buffer
         rng = np.random.default_rng(41)
-        x = rand(rng, 4, 6)
-        want = softmax(dc.attention(x, x, x, 2)).data
-        with dc.no_grad():
-            got = softmax(dc.attention(x, x, x, 2)).data
-        assert np.array_equal(got, want)
+        params = block_params(rng, 6)
+        for t_len in (5, 2 * dc.ATTENTION_ROWS + 7):
+            x = rand(rng, t_len, 6)
+
+            def block():
+                return dc.feed_forward_sublayer(dc.attention_sublayer(x, params, "blk", 2), params, "blk").data
+
+            want = block()
+            with dc.no_grad():
+                got = block()
+            assert np.array_equal(got, want)
 
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_nonfinite_output_still_trips_graph_error(self):

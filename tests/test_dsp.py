@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +144,25 @@ class TestLog1p:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             dsp.Spectrogram(-np.ones((1, 257)), kind="magnitude")
+
+
+@pytest.mark.parametrize(
+    "kind, bad", [(kind, bad) for kind in dsp.KINDS for bad in (np.nan, np.inf, -np.inf)] + [("complex", complex(0.0, np.inf))]
+)
+def test_non_finite_frame_named(kind, bad):
+    frames = np.ones((6, 257), dtype=complex if kind == "complex" else float)
+    frames[3, 100] = bad
+    frames[5, 0] = bad
+    with pytest.raises(ValueError, match=rf"^{kind} spectrogram has non-finite values in frame 3$"):
+        dsp.Spectrogram(frames, kind=kind)
+
+
+@pytest.mark.parametrize("kind", dsp.KINDS)
+def test_finite_frames_whose_sum_overflows_accepted(kind):
+    frames = np.full((2, 257), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dsp.Spectrogram(frames, kind=kind).frames.shape == (2, 257)
 
 
 class TestMelFilterbank:

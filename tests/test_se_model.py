@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,8 +103,67 @@ class TestInference:
         model = SeModel(TINY, seed=5)
         x = dc.Tensor(np.random.default_rng(7).uniform(0, 2, (5, 257)))
         counts = op_counts(se_loss(model.forward(x), np.zeros((5, 257))))
-        assert counts["attention"] == TINY.attention_blocks
-        assert not {"softmax", "slice", "transpose", "concat"} & set(counts)
+        assert counts["attention_sublayer"] == counts["feed_forward_sublayer"] == TINY.attention_blocks
+        # inside the blocks there is nothing else: the one layer norm is the final one, the relus are the stem's
+        assert counts["layer_norm"] == 1 and counts["relu"] == TINY.conv_layers
+        assert not {"matmul", "attention", "softmax", "slice", "transpose", "concat"} & set(counts)
+
+    def test_enhance_holds_one_block_of_scores(self):
+        cfg = SeConfig(d_model=8, heads=4, conv_layers=1, attention_blocks=1)
+        model = SeModel(cfg, seed=5)
+        t = 16 * dc.ATTENTION_ROWS - 24
+        spec = log1p_spec(np.random.default_rng(8), t)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.enhance(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        full_scores = cfg.heads * t * t * 8
+        assert peak < full_scores, f"enhance peaked at {peak / full_scores:.2f} of one full score matrix"
+
+
+def held_after_forward(cfg, x):
+    """Bytes that ``SeModel(cfg).forward(x)`` leaves allocated while its graph is alive."""
+    model = SeModel(cfg, seed=5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = model.forward(dc.Tensor(x))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return held
+
+
+class TestTrainingMemory:
+    def test_forward_holds_only_the_designed_arrays_per_block(self):
+        t, d, heads = 70, 32, 2
+        x = np.random.default_rng(9).uniform(0, 2, (t, 257))
+        one, three = (
+            held_after_forward(SeConfig(d_model=d, heads=heads, conv_layers=1, attention_blocks=n), x) for n in (1, 3)
+        )
+        per_block = (three - one) / 2
+        # attention: q, k, v, weights, attention output, LN1 mean and inverse std, the sublayer's output;
+        # feed-forward: the rectified hidden layer, LN2 mean and inverse std, the sublayer's output
+        attention = 4 * t * d + heads * t * t + 2 * t + t * d
+        feed_forward = 4 * t * d + 2 * t + t * d
+        designed = 8 * (attention + feed_forward)
+        # 8 KiB covers the Python objects of the two nodes (tensors, closures, array headers), about 4.5 KiB
+        assert per_block <= designed + 8192, f"a block holds {per_block:.0f} bytes, designed {designed}"
+
+
+@pytest.mark.parametrize("t, d", [(1, 1), (1, 2), (6, 5), (33, 9), (50, 256), (2048, 256), (17, 255)])
+def test_sinusoidal_positions_equal_the_full_angle_formula(t, d):
+    """sin on even columns, cos on odd ones, bit for bit what evaluating both on every angle gives."""
+    pos = np.arange(t)[:, None]
+    i = np.arange(d)[None, :]
+    angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
+    want = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
+    assert np.array_equal(sinusoidal_positions(t, d), want)
 
 
 class TestResidualPathOracle:
