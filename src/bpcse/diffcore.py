@@ -26,21 +26,29 @@ The ops are the ones the models and the stage-two feature bridge run:
 (``x @ W + b`` as one node that adds the bias in place, the only way the
 models add a bias to a product), ``relu``, ``softplus``, ``log``,
 ``expm1``, ``layer_norm`` over the last axis, ``concat``, ``conv1d``
-("same" padding, odd kernel) and ``l1_loss``. Four fused ops have a
-hand-written backward: the two halves of a pre-norm transformer block,
-``attention_sublayer`` (``h + wo·attn(qkv(LN1(h)))``, multi-head
-self-attention) and ``feed_forward_sublayer`` (``h + w2·relu(w1·LN2(h))``);
-a whole-sequence LSTM (``lstm_sequence``, BPTT) under the BLSTM layer
-``blstm_layer``; and the recognizer's teacher-forced attention decoder with
-its cross-entropy (``attention_decoder``, BPTT), whose LSTM steps share
+("same" padding, odd kernel; one GEMM per kernel tap over shifted rows of
+the input, so the forward pass copies no windows of it) and ``l1_loss``.
+Four fused ops have a hand-written backward: the two halves of a pre-norm
+transformer block, ``attention_sublayer`` (``h + wo·attn(qkv(LN1(h)))``,
+multi-head self-attention) and ``feed_forward_sublayer``
+(``h + w2·relu(w1·LN2(h))``); a whole-sequence LSTM (``lstm_sequence``,
+BPTT) under the BLSTM layer ``blstm_layer``; and the recognizer's
+teacher-forced attention decoder with its cross-entropy
+(``attention_decoder``, BPTT), whose LSTM steps share
 ``lstm_sequence``'s gate arithmetic. The sublayers keep their layer norm's
 row statistics, not its output, and recompute the output in backward with
 the helpers ``layer_norm`` uses; attention scores are made
 ``ATTENTION_ROWS`` query rows at a time, and without a graph one such block
-of scores is all that exists. The graph primitives the tests' oracles are
-built from, multi-head ``attention`` among them, live with the tests. The LSTM gates and the ``softplus`` grad
-take their sigmoid from ``_sigmoid``, ``1 / (1 + exp(-x))`` in numpy computed
-in place, so the module imports numpy alone.
+of scores is all that exists. Without a graph the attention sublayer also
+writes each block's output over the q rows it has read and its output
+projection into k's buffer; in both modes the feed-forward sublayer writes
+its output into its layer norm's output, which neither keeps. Both check
+every weight's shape against the input's width before any work. The graph
+primitives the tests' oracles are built from, multi-head ``attention`` and
+a sliding-window ``conv1d`` among them, live with the tests. The LSTM
+gates and the ``softplus`` grad take their sigmoid from ``_sigmoid``,
+``1 / (1 + exp(-x))`` in numpy computed in place, so the module imports
+numpy alone.
 
 Also here: the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
@@ -404,34 +412,54 @@ def concat(tensors, axis=0):
     return _node(data, tensors, backward, "concat")
 
 
+def _taps(t, k):
+    """Each tap ``kk`` of a width-``k`` "same" convolution over ``t`` frames, with the output and input rows it joins.
+
+    Tap ``kk`` adds input row ``i + kk - k // 2`` into output row ``i``; a
+    tap that reaches no frame is left out.
+    """
+    for kk in range(k):
+        s = kk - k // 2
+        if abs(s) < t:
+            yield kk, slice(max(-s, 0), t - max(s, 0)), slice(max(s, 0), t - max(-s, 0))
+
+
 def conv1d(x, w, b):
     """1-D "same" convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,).
 
-    K is odd and the input is zero-padded by K // 2 frames at each end, so the output is (T, Cout).
+    K is odd and the input is zero-padded by K // 2 frames at each end, so the
+    output is (T, Cout). The forward pass sums one GEMM per tap,
+    ``x[rows] @ w[:, :, kk].T``, into the output, the centre tap first, so it
+    copies neither the padded input nor its windows. Backward forms the
+    input grad the same way and each tap's weight grad as
+    ``g[rows].T @ x[rows]``.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
-    t, cin = x.shape
-    cout, cin_w, k = w.shape
-    if cin != cin_w:
-        raise ValueError(f"conv1d channel mismatch: input {x.shape} vs weight {w.shape}")
+    if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
+        raise ValueError(f"conv1d shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
+    t, k = x.shape[0], w.shape[2]
     if k % 2 == 0:
         raise ValueError(f"conv1d kernel width {k} is even; \"same\" padding needs an odd width")
     if t < 1:
         raise ValueError("conv1d needs at least one frame")
     pad = k // 2
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (t, cin, k)
-    data = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))  # (t, cout)
+    data = x.data @ w.data[:, :, pad].T
+    for kk, out_rows, in_rows in _taps(t, k):
+        if kk != pad:
+            data[out_rows] += x.data[in_rows] @ w.data[:, :, kk].T
     data += b.data
 
     def backward(g):
         if w.requires_grad:
-            _accum(w, np.tensordot(g, windows, axes=([0], [0])))
+            gw = np.zeros(w.shape)
+            for kk, out_rows, in_rows in _taps(t, k):
+                gw[:, :, kk] = g[out_rows].T @ x.data[in_rows]
+            _accum(w, gw)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                gxp[kk : kk + t] += g @ w.data[:, :, kk]
-            _accum(x, gxp[pad : pad + t])
+            gx = np.zeros(x.shape)
+            for kk, out_rows, in_rows in _taps(t, k):
+                gx[in_rows] += g[out_rows] @ w.data[:, :, kk]
+            _accum(x, gx)
         if b.requires_grad:
             _accum(b, g.sum(axis=0))
 
@@ -477,6 +505,28 @@ def _attention_rows(qh, kh, vh, weights, out):
     np.matmul(weights, vh, out=out)
 
 
+def _sublayer_input(h, op):
+    """``h`` as a tensor; a ValueError names ``op`` unless it is (T, d)."""
+    h = _lift(h)
+    if h.data.ndim != 2:
+        raise ValueError(f"{op} input must be (T, d), got shape {h.shape}")
+    return h
+
+
+def _sublayer_operands(params, prefix, op, shapes):
+    """``params[f"{prefix}.{name}"]`` for each name of ``shapes``, in order.
+
+    A ValueError names ``op`` and the first operand whose shape is not the one ``shapes`` gives.
+    """
+    operands = []
+    for name, shape in shapes.items():
+        p = params[f"{prefix}.{name}"]
+        if p.shape != shape:
+            raise ValueError(f"{op}: {prefix}.{name} has shape {p.shape}, expected {shape}")
+        operands.append(p)
+    return operands
+
+
 def attention_sublayer(h, params, prefix, heads):
     """The attention half of a pre-norm transformer block over h (T, d) -> (T, d), as one node.
 
@@ -490,14 +540,23 @@ def attention_sublayer(h, params, prefix, heads):
     block buffer is reused, with one the blocks fill the full (heads, T, T)
     weights that backward reads. The node keeps q, k, v, the weights, the
     attention output and LN1's row statistics; backward recomputes ``x``.
+    Without a graph nothing is kept: each row block's attention output
+    overwrites the q rows it has consumed, and the output projection is
+    written into k's buffer, so the op holds h, q, k, v and one block of
+    scores. Every operand's shape is checked against h's width ``d``
+    before any work.
     """
-    h = _lift(h)
-    gain, bias, wq, bq, wk, wv, bv, wo, bo = operands = [
-        params[f"{prefix}.{name}"] for name in ("ln1.g", "ln1.b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
-    ]
+    h = _sublayer_input(h, "attention_sublayer")
     t, d = h.shape
     if heads < 1 or d % heads:
         raise ValueError(f"attention width {d} is not divisible into {heads} heads")
+    row, square = (d,), (d, d)
+    shapes = {
+        "ln1.g": row, "ln1.b": row, "wq": square, "bq": row, "wk": square,
+        "wv": square, "bv": row, "wo": square, "bo": row,
+    }
+    operands = _sublayer_operands(params, prefix, "attention_sublayer", shapes)
+    gain, bias, wq, bq, wk, wv, bv, wo, bo = operands
     dh = d // heads
     mu, inv = _layer_norm_stats(h.data)
     x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
@@ -515,14 +574,14 @@ def attention_sublayer(h, params, prefix, heads):
         return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(t, d)
 
     keep = _records((h, *operands))
-    attn = np.empty((t, d))
+    attn = np.empty((t, d)) if keep else q
     qh, kh, vh, ah = split(q), split(k), split(v), split(attn)
     weights = np.empty((heads, t if keep else min(t, ATTENTION_ROWS), t))
     for lo in range(0, t, ATTENTION_ROWS):
         rows = slice(lo, min(lo + ATTENTION_ROWS, t))
         block = weights[:, rows] if keep else weights[:, : rows.stop - lo]
         _attention_rows(qh[:, rows], kh, vh, block, ah[:, rows])
-    data = attn @ wo.data
+    data = np.matmul(attn, wo.data, out=None if keep else k)
     data += bo.data
     data += h.data
 
@@ -562,20 +621,24 @@ def feed_forward_sublayer(h, params, prefix):
     Computes ``h + relu(x @ w1 + b1) @ w2 + b2`` with ``x = LN2(h)`` (gain
     and bias ``{prefix}.ln2.g`` and ``.ln2.b``), the weights read from
     ``params`` as ``{prefix}.ff.w1``, ``.ff.b1``, ``.ff.w2`` and ``.ff.b2``.
-    The hidden layer is rectified in place; the node keeps it and LN2's row
-    statistics, and backward recomputes ``x``.
+    The hidden layer is rectified in place and the output is written into
+    ``x``'s buffer; the node keeps the hidden layer and LN2's row
+    statistics, and backward recomputes ``x``. Every operand's shape is
+    checked against h's width ``d`` and the hidden width (``ff.w1``'s
+    columns) before any work.
     """
-    h = _lift(h)
-    gain, bias, w1, b1, w2, b2 = operands = [
-        params[f"{prefix}.{name}"] for name in ("ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
-    ]
+    h = _sublayer_input(h, "feed_forward_sublayer")
+    d = h.shape[1]
+    f = params[f"{prefix}.ff.w1"].shape[-1:]  # (hidden width,); () for a 0-d w1, which the (d, f) check names
+    shapes = {"ln2.g": (d,), "ln2.b": (d,), "ff.w1": (d, *f), "ff.b1": f, "ff.w2": (*f, d), "ff.b2": (d,)}
+    operands = _sublayer_operands(params, prefix, "feed_forward_sublayer", shapes)
+    gain, bias, w1, b1, w2, b2 = operands
     mu, inv = _layer_norm_stats(h.data)
     x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
     hidden = x @ w1.data
     hidden += b1.data
-    del x
     np.maximum(hidden, 0.0, out=hidden)
-    data = hidden @ w2.data
+    data = np.matmul(hidden, w2.data, out=x)
     data += b2.data
     data += h.data
 

@@ -108,23 +108,29 @@ def istft(s: Spectrogram) -> Waveform:
     The overlap-added signal is divided by the overlap-added squared window,
     so an unmodified STFT inverts essentially exactly; modified magnitudes
     reconstruct to within ~1e-3 relative RMS on the interior (Hamming at 50%
-    overlap is not exactly COLA).
+    overlap is not exactly COLA). The inverse FFT is windowed and the sum
+    divided in place, by HOP-long window sums, so the only whole-signal
+    arrays are the inverse FFT and the output.
     """
     if s.kind != "complex":
         raise ValueError(f"istft needs a complex spectrogram, got kind {s.kind!r}")
     window = np.hamming(WINDOW_LEN)
-    segs = np.fft.irfft(s.frames, n=WINDOW_LEN, axis=1) * window
+    segs = np.fft.irfft(s.frames, n=WINDOW_LEN, axis=1)
+    segs *= window
     # HOP is half of WINDOW_LEN, so each HOP-long block of the output sums
     # exactly two frames: the first half of frame b and the second half of
     # frame b - 1 (the first and last blocks get one each).
     acc = np.zeros((s.num_frames + 1, HOP))
     acc[:-1] += segs[:, :HOP]
     acc[1:] += segs[:, HOP:]
+    # Each block is divided by the squared-window halves its frames put in it.
+    # A Hamming window's square is at least 0.0064, so no sum comes near zero.
     sq = window * window
-    wsq = np.zeros((s.num_frames + 1, HOP))
-    wsq[:-1] += sq[:HOP]
-    wsq[1:] += sq[HOP:]
-    return Waveform((acc / np.maximum(wsq, 1e-12)).ravel())
+    head, tail = sq[:HOP], sq[HOP:]
+    acc[0] /= head
+    acc[1:-1] /= head + tail
+    acc[-1] /= tail
+    return Waveform(acc.ravel())
 
 
 def magnitude(s: Spectrogram) -> Spectrogram:
@@ -150,7 +156,12 @@ def expm1_decompress(s: Spectrogram) -> Spectrogram:
 
 
 def combine_with_phase(mag: Spectrogram, reference: Spectrogram) -> Spectrogram:
-    """Attach the phase of ``reference`` (complex) to ``mag`` (magnitude)."""
+    """Attach the phase of ``reference`` (complex) to ``mag`` (magnitude).
+
+    The phase is the unit phasor ``z / |z|`` of each reference bin ``z``,
+    and 1 where ``|z| = 0``, as ``exp(1j * angle(0))`` is; it is scaled by
+    the magnitude in place.
+    """
     if mag.kind != "magnitude":
         raise ValueError(f"expected magnitude spectrogram, got {mag.kind!r}")
     if reference.kind != "complex":
@@ -159,8 +170,11 @@ def combine_with_phase(mag: Spectrogram, reference: Spectrogram) -> Spectrogram:
         raise ValueError(
             f"shape mismatch: {mag.frames.shape} vs {reference.frames.shape}"
         )
-    phase = np.exp(1j * np.angle(reference.frames))
-    return Spectrogram(mag.frames * phase, kind="complex")
+    z = reference.frames
+    size = np.abs(z)
+    out = np.divide(z, size, out=np.ones_like(z), where=size > 0)
+    out *= mag.frames
+    return Spectrogram(out, kind="complex")
 
 
 def hz_to_mel(f):

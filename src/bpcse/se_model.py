@@ -17,8 +17,9 @@ norm, projections, all heads' attention, output projection and residual)
 and ``diffcore.feed_forward_sublayer`` (layer norm, both feed-forward
 layers and residual), each with a hand-written backward. ``enhance`` runs
 the forward pass under ``diffcore.no_grad()``, so inference builds no graph,
-frees each activation as soon as the next layer has used it, and makes the
-attention scores ``diffcore.ATTENTION_ROWS`` query rows at a time.
+frees each activation as soon as the next layer has used it (a block's
+input before its feed-forward half runs), and makes the attention scores
+``diffcore.ATTENTION_ROWS`` query rows at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ from . import dsp
 # quadratic in T: one block's attention weights take heads * T^2 * 8 bytes,
 # 134 MB at T = 2048 and the paper's 4 heads, and a training step keeps them
 # for all 8 blocks, about 1.1 GB, until backward() frees each block's as it
-# passes it. Inference holds heads * ATTENTION_ROWS * T scores at a time,
-# 4.2 MB at T = 2048.
+# passes it. Inference is linear in T: it holds heads * ATTENTION_ROWS * T
+# scores at a time, 4.2 MB at T = 2048, and enhance at T = 2048 has at most
+# 25.3 MB allocated at once (tracemalloc, paper config), nearly all of it the
+# feed-forward's input, its layer-norm output and its 4 * d_model-wide hidden
+# layer.
 MAX_FRAMES = 2048
 CONV_KERNEL = 3
 
@@ -121,7 +125,8 @@ class SeModel:
         h = h + dc.Tensor(sinusoidal_positions(h.shape[0], cfg.d_model))
         for i in range(cfg.attention_blocks):
             b = f"block{i}"
-            h = dc.feed_forward_sublayer(dc.attention_sublayer(h, p, b, cfg.heads), p, b)
+            h = dc.attention_sublayer(h, p, b, cfg.heads)
+            h = dc.feed_forward_sublayer(h, p, b)  # without a graph, the block's input is freed by now
         h = dc.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
         return dc.softplus(dc.linear(h, p["out.w"], p["out.b"]))
 

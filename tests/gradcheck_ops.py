@@ -5,7 +5,9 @@ The oracles of the fused ops (``attention_sublayer``,
 the graph each op replaces from these primitives, each one node with its own
 backward rule; multi-head ``attention``, the one node the attention
 sublayer's oracle attends with, is checked in turn against a per-head graph
-of them. ``tsum`` is the sum the gradcheck tests reduce their outputs with.
+of them. ``conv1d_by_windows`` is ``conv1d`` as one tensordot over a
+sliding-window copy of the padded input, the oracle of its tap-by-tap
+GEMMs. ``tsum`` is the sum the gradcheck tests reduce their outputs with.
 """
 
 import numpy as np
@@ -211,3 +213,27 @@ def attention_decoder_by_steps(hidden, embed, W, U, b, out_w, out_b, tokens, tar
         ctx = dc.matmul(weights, hidden)
         rows.append(dc.linear(dc.concat([h, ctx], axis=1), out_w, out_b))
     return cross_entropy(dc.concat(rows, axis=0), targets)
+
+
+def conv1d_by_windows(x, w, b):
+    """Oracle for ``conv1d``: one tensordot over a (T, Cin, K) sliding-window view of the zero-padded input."""
+    x, w, b = dc._lift(x), dc._lift(w), dc._lift(b)
+    t, k = x.shape[0], w.shape[2]
+    pad = k // 2
+    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (t, cin, k)
+    data = np.tensordot(windows, w.data, axes=([1, 2], [1, 2]))  # (t, cout)
+    data += b.data
+
+    def backward(g):
+        if w.requires_grad:
+            dc._accum(w, np.tensordot(g, windows, axes=([0], [0])))
+        if x.requires_grad:
+            gxp = np.zeros_like(xp)
+            for kk in range(k):
+                gxp[kk : kk + t] += g @ w.data[:, :, kk]
+            dc._accum(x, gxp[pad : pad + t])
+        if b.requires_grad:
+            dc._accum(b, g.sum(axis=0))
+
+    return dc._node(data, (x, w, b), backward, "conv1d")

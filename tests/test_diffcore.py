@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 import warnings
 import weakref
 
@@ -15,6 +14,7 @@ from gradcheck_ops import (
     attention,
     attention_decoder_by_steps,
     attention_sublayer_by_ops,
+    conv1d_by_windows,
     cross_entropy,
     feed_forward_sublayer_by_ops,
     graph_nodes,
@@ -26,6 +26,7 @@ from gradcheck_ops import (
     transpose,
     tsum,
 )
+from memory import traced
 
 
 def t(arr, grad=True):
@@ -211,18 +212,16 @@ class TestContracts:
         rng = np.random.default_rng(23)
         weights = [t(rng.uniform(0.9, 1.1, size)) for _ in range(n)]
         nbytes = 8 * size
-        tracemalloc.start()
-        try:
+
+        def chain_then_backward():
             y = t(np.ones(size), grad=False)
             for w in weights:
                 y = y * w
             loss = tsum(y)
             del y
-            tracemalloc.reset_peak()
             loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak, _ = traced(chain_then_backward)
         assert all(w.grad is not None for w in weights)
         assert peak < 1.5 * n * nbytes, f"peak {peak / nbytes:.1f} arrays for {n} products"
 
@@ -281,7 +280,7 @@ class TestContracts:
         assert run() == run()
 
 
-def linear_value_and_grads(run, arrays, requires, weights):
+def value_and_grads(run, arrays, requires, weights):
     """Value of sum(weights * run(x, W, b)) and the grads of x, W and b (None where not required)."""
     tensors = [t(a.copy(), grad=r) for a, r in zip(arrays, requires)]
     out = run(*tensors)
@@ -321,6 +320,49 @@ class TestConv1d:
         with pytest.raises(ValueError, match="at least one frame"):
             dc.conv1d(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
 
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [((4, 3), (2, 3, 3), (1,)), ((4, 3), (2, 3, 3), (1, 2)), ((4, 3), (2, 3, 3), (5,)), ((4, 3), (2, 4, 3), (2,))],
+    )
+    def test_operand_of_another_shape_named(self, x_shape, w_shape, b_shape):
+        problem = f"conv1d shape mismatch: x {x_shape}, w {w_shape}, b {b_shape}"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            dc.conv1d(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)))
+
+    @given(
+        t_len=st.integers(1, 9),
+        cin=st.integers(1, 6),
+        cout=st.integers(1, 6),
+        k=st.sampled_from([1, 3, 5]),
+        requires=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(t_len=1, cin=2, cout=3, k=5, requires=(True, True, True), seed=0)  # taps beyond both ends
+    @example(t_len=2, cin=257, cout=4, k=3, requires=(False, True, False), seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_sliding_window_oracle(self, t_len, cin, cout, k, requires, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(0, 2, shape) for shape in ((t_len, cin), (cout, cin, k), (cout,))]
+        weights = rng.normal(size=(t_len, cout))
+        got, got_grads = value_and_grads(dc.conv1d, arrays, requires, weights)
+        want, want_grads = value_and_grads(conv1d_by_windows, arrays, requires, weights)
+        assert rel_err(got, want) <= 1e-12
+        for g, w, required in zip(got_grads, want_grads, requires):
+            assert (g is None) == (w is None) == (not required)
+            assert g is None or (g.shape == w.shape and rel_err(g, w) <= 1e-12)
+
+    def test_no_grad_forward_allocates_less_than_a_window_copy(self):
+        """At the SE stem's first layer (Cin = 257 bins to 256 channels), conv1d without a graph allocates
+        its output, one tap's product and one tap's weights, not a (T, Cin * K) copy of the windows."""
+        t_len, cin, cout, k = 625, 257, 256, 3
+        rng = np.random.default_rng(9)
+        x, w, b = rand(rng, t_len, cin), rand(rng, cout, cin, k), rand(rng, cout)
+        with dc.no_grad():
+            out, peak, _ = traced(lambda: dc.conv1d(x, w, b))
+        window_copy = 8 * t_len * cin * k
+        assert out.shape == (t_len, cout)
+        assert peak < window_copy, f"peak {peak / window_copy:.2f} of the window copy"
+
 
 class TestLinear:
     def test_linear_gradcheck(self):
@@ -341,8 +383,8 @@ class TestLinear:
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(0, 2, shape) for shape in ((t_len, n_in), (n_in, n_out), (n_out,))]
         weights = rng.normal(size=(t_len, n_out))
-        fused, fused_grads = linear_value_and_grads(dc.linear, arrays, requires, weights)
-        oracle, oracle_grads = linear_value_and_grads(matmul_then_add, arrays, requires, weights)
+        fused, fused_grads = value_and_grads(dc.linear, arrays, requires, weights)
+        oracle, oracle_grads = value_and_grads(matmul_then_add, arrays, requires, weights)
         assert np.array_equal(fused, oracle)
         for got, want, required in zip(fused_grads, oracle_grads, requires):
             assert (got is None) == (want is None) == (not required)
@@ -656,6 +698,49 @@ class TestTransformerSublayers:
             out = run(h, params)
             assert out.shape == (3, 4) and out._op == op
             assert [id(p) for p in out._parents] == [id(h), *(id(params[f"blk.{n}"]) for n in names)]
+
+    @pytest.mark.parametrize(
+        "name, shape, expected",
+        [
+            ("ln1.g", (1,), (8,)),
+            ("bq", (1,), (8,)),
+            ("wq", (8, 9), (8, 8)),
+            ("wo", (8,), (8, 8)),
+            ("ln2.b", (8, 1), (8,)),
+            ("ff.w1", (8,), (8, 8)),
+            ("ff.b1", (1,), (32,)),
+            ("ff.w2", (32, 9), (32, 8)),
+            ("ff.b2", (1,), (8,)),
+        ],
+    )
+    def test_operand_of_another_shape_named(self, name, shape, expected):
+        rng = np.random.default_rng(85)
+        params = block_params(rng, 8)
+        params[f"blk.{name}"] = dc.Parameter(np.ones(shape), f"blk.{name}")
+        fused, _, names = sublayer_runs(2)[name not in ATTENTION_NAMES]
+        assert name in names
+        with pytest.raises(ValueError, match=re.escape(f"blk.{name} has shape {shape}, expected {expected}")):
+            fused(rand(rng, 3, 8), params)
+
+    def test_input_not_a_matrix_named(self):
+        rng = np.random.default_rng(86)
+        params = block_params(rng, 4)
+        for op, (fused, _, _) in zip(("attention_sublayer", "feed_forward_sublayer"), sublayer_runs(2)):
+            with pytest.raises(ValueError, match=re.escape(f"{op} input must be (T, d), got shape (4,)")):
+                fused(rand(rng, 4), params)
+
+    def test_no_grad_attention_holds_four_arrays_and_one_score_block(self):
+        """Without a graph the attention output overwrites q and the output projection k, so the op
+        allocates LN1's output, q, k and v, and one block of scores, never a fifth (T, d) array."""
+        t_len, d, heads = 3 * dc.ATTENTION_ROWS + 5, 64, 4
+        rng = np.random.default_rng(87)
+        params, h = block_params(rng, d), rand(rng, t_len, d)
+        with dc.no_grad():
+            out, peak, _ = traced(lambda: dc.attention_sublayer(h, params, "blk", heads))
+        array, scores = 8 * t_len * d, 8 * heads * dc.ATTENTION_ROWS * t_len
+        assert out.shape == (t_len, d)
+        # a quarter array covers the row statistics, the softmax row maxima and sums, and the Python objects
+        assert peak <= 4 * array + scores + array // 4, f"peak {(peak - scores) / array:.2f} arrays and a score block"
 
     def test_heads_not_dividing_width_named(self):
         rng = np.random.default_rng(83)

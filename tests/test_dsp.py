@@ -37,6 +37,11 @@ def istft_by_frames(s):
     return acc / np.maximum(wsq, 1e-12)
 
 
+def phase_by_angle(mag, reference):
+    """Reference phase combination: ``mag * exp(1j * angle(reference))``."""
+    return mag * np.exp(1j * np.angle(reference))
+
+
 class TestStft:
     def test_zero_signal_single_frame(self):
         s = dsp.stft(dsp.Waveform(np.zeros(512)))
@@ -99,6 +104,13 @@ class TestIstft:
         modified = dsp.combine_with_phase(dsp.expm1_decompress(changed), noisy)
         for s in (noisy, modified):
             assert np.array_equal(dsp.istft(s).samples, istft_by_frames(s))
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 625])
+    def test_random_frames_equal_per_frame_loop_bit_for_bit(self, t):
+        rng = np.random.default_rng(t)
+        frames = rng.normal(size=(t, dsp.N_BINS)) + 1j * rng.normal(size=(t, dsp.N_BINS))
+        s = dsp.Spectrogram(frames, kind="complex")
+        assert np.array_equal(dsp.istft(s).samples, istft_by_frames(s))
 
     @pytest.mark.parametrize("t", [1, 2, 5, 62])
     def test_output_length(self, t):
@@ -280,6 +292,25 @@ class TestWavIo:
         problem = rf"cut\.wav: truncated: its header promises 2000 data bytes, the file holds {2000 - cut}$"
         with pytest.raises(ValueError, match=problem):
             dsp.read_wav(p)
+
+
+@given(t=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_phase_combination_equals_angle_formula(t, seed):
+    """The unit phasor z / |z| stays within 1e-15 * mag of exp(1j * angle(z)); a zero bin gets phase 1."""
+    rng = np.random.default_rng(seed)
+    shape = (t, dsp.N_BINS)
+    scale = 10.0 ** rng.uniform(-100, 100, shape)
+    z = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    z[rng.random(shape) < 0.1] = 0.0
+    z.real[rng.random(shape) < 0.1] = 0.0
+    z.imag[rng.random(shape) < 0.1] = 0.0
+    z[0, 0] = 0.0
+    mag = np.abs(rng.normal(size=shape)) * 10.0 ** rng.uniform(-5, 5, shape)
+    got = dsp.combine_with_phase(dsp.Spectrogram(mag, kind="magnitude"), dsp.Spectrogram(z, kind="complex")).frames
+    assert np.all(np.abs(got - phase_by_angle(mag, z)) <= 1e-15 * mag)
+    zero = z == 0
+    assert np.array_equal(got[zero], mag[zero].astype(complex))
 
 
 def test_phase_combination_recovers_complex():

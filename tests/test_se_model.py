@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 import bpcse.diffcore as dc
 from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
+from memory import traced
 
 TINY = SeConfig(d_model=8, heads=2, attention_blocks=2)
 
@@ -113,28 +113,26 @@ class TestInference:
         model = SeModel(cfg, seed=5)
         t = 16 * dc.ATTENTION_ROWS - 24
         spec = log1p_spec(np.random.default_rng(8), t)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            model.enhance(spec)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(lambda: model.enhance(spec))
         full_scores = cfg.heads * t * t * 8
         assert peak < full_scores, f"enhance peaked at {peak / full_scores:.2f} of one full score matrix"
+
+    def test_enhance_frees_each_sublayer_input(self):
+        """A block's input is freed once its attention sublayer has run, so enhance peaks in the
+        feed-forward at six (T, d) arrays: its input, its layer-norm output and the 4d-wide hidden layer."""
+        cfg = SeConfig(d_model=256, heads=1, conv_layers=1, attention_blocks=1)
+        model = SeModel(cfg, seed=5)
+        t = 3 * dc.ATTENTION_ROWS + 5
+        spec = log1p_spec(np.random.default_rng(10), t)
+        _, peak, _ = traced(lambda: model.enhance(spec))
+        array = 8 * t * cfg.d_model
+        assert peak <= 6.5 * array, f"enhance peaked at {peak / array:.2f} (T, d) arrays"
 
 
 def held_after_forward(cfg, x):
     """Bytes that ``SeModel(cfg).forward(x)`` leaves allocated while its graph is alive."""
     model = SeModel(cfg, seed=5)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = model.forward(dc.Tensor(x))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    out, _, held = traced(lambda: model.forward(dc.Tensor(x)))
     assert out.requires_grad
     return held
 
