@@ -13,9 +13,11 @@ Runtime imports: ``numpy`` alone. ``scipy.fft`` and ``scipy.special`` each
 load scipy's array-API layer with ``numpy.f2py``, ``numpy.testing`` and
 ``numpy.ma``: about 320 modules and 25 MB of resident memory that every
 process would pay for. So ``diffcore`` computes its sigmoid in numpy and
-``corpus.apply_rir`` convolves through ``np.fft``. Code that needs scipy
-(say ``scipy.signal.resample_poly`` for a STOI score) imports it inside the
-function that uses it. The tests use scipy as their oracle.
+``corpus.apply_rir`` convolves through ``np.fft``. scipy is a test
+dependency only, so no module imports it, not even inside a function: a
+runtime install has no scipy. What scipy would give (say
+``scipy.signal.resample_poly`` for a STOI score) is written in numpy, and the
+tests use scipy as its oracle.
 """
 
 __version__ = "0.1.0"

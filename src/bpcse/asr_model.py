@@ -18,10 +18,10 @@ state-reversed emissions and labels, and flipped back it gives beta plus
 each frame's own emission log-probability, which the occupancy subtracts.
 ``asr_loss`` mixes the two heads as ``lam * CTC + (1 - lam) * attention``;
 every caller passes ``lam``. Decoding is greedy CTC (per-frame argmax,
-collapse repeats, drop blanks) with optional attention rescoring of the
-hypothesis, run under ``diffcore.no_grad()``. ``freeze()`` turns
-``requires_grad`` off on every parameter, so a frozen recognizer still
-passes gradient to its input features but computes no weight grads.
+collapse repeats, drop blanks), run under ``diffcore.no_grad()``.
+``freeze()`` turns ``requires_grad`` off on every parameter, so a frozen
+recognizer still passes gradient to its input features but computes no
+weight grads.
 """
 
 from __future__ import annotations
@@ -129,18 +129,10 @@ class AsrModel:
             hidden, labels
         )
 
-    def decode(self, hidden: dc.Tensor, rescore=False):
-        """Greedy CTC labels, optionally with CTC/attention hypothesis scores; builds no graph."""
+    def decode(self, hidden: dc.Tensor):
+        """Greedy CTC label ids; builds no graph."""
         with dc.no_grad():
-            logits = self.ctc_logits(hidden)
-            ids = decode_greedy(logits.data)
-            if not rescore:
-                return ids
-            scores = {"ctc_logprob": -float(ctc_loss(logits, ids).data) if ids else 0.0}
-            if ids:
-                att = self.attention_loss(hidden, ids)
-                scores["attention_logprob"] = -float(att.data) * (len(ids) + 1)
-        return ids, scores
+            return decode_greedy(self.ctc_logits(hidden).data)
 
     def ids_to_labels(self, ids):
         return [self.cfg.vocab[i] for i in ids]

@@ -3,17 +3,18 @@
 Three ways to group phones into coarse classes:
 
 * ``manner_scheme``  -- how airflow is obstructed (9 classes over the core
-  IPA chart; 5 classes for the English subset: vowel, stop, fricative,
-  nasal, silence),
-* ``place_scheme``   -- where airflow is obstructed (10 classes over the
-  core chart, 9 for English),
+  IPA chart; 5 classes for English: vowel, stop, fricative, nasal,
+  silence),
+* ``place_scheme``   -- where airflow is obstructed (9 classes, English
+  inventories only),
 * ``cluster_confusion`` -- data-driven grouping by agglomerative
   average-linkage merging of a phone confusion matrix, in exact integer
   arithmetic with cached cluster-pair totals (O(n^2 log n) big-integer
   operations for n phones; 87 phones take tens of milliseconds).
 
-The phone table ships as ``data/ipa_table.tsv`` so inventories stay
-auditable and extensible.
+An inventory's language is ``"ipa"`` (the core chart) or ``"en"``
+(English); any other raises. The phone table ships as
+``data/ipa_table.tsv`` so inventories stay auditable and extensible.
 """
 
 from __future__ import annotations
@@ -37,18 +38,6 @@ MANNER_CLASSES = (
     "lateral_fricative",
     "approximant",
     "lateral_approximant",
-)
-PLACE_CLASSES = (
-    "vowel",
-    "bilabial",
-    "labiodental",
-    "dental_alveolar_postalveolar",
-    "retroflex",
-    "palatal",
-    "velar",
-    "uvular",
-    "pharyngeal",
-    "glottal",
 )
 ENGLISH_MANNER_CLASSES = ("vowel", "stop", "fricative", "nasal", "silence")
 ENGLISH_PLACE_CLASSES = (
@@ -76,6 +65,8 @@ class PhoneInventory:
             raise ValueError("inventory must be nonempty")
         if len(set(self.phones)) != len(self.phones):
             raise ValueError("inventory contains duplicate phones")
+        if self.language not in ("ipa", "en"):
+            raise ValueError(f"inventory language must be 'ipa' or 'en', got {self.language!r}")
 
 
 @dataclass
@@ -159,13 +150,6 @@ def full_ipa_inventory() -> PhoneInventory:
     return PhoneInventory(phones, language="ipa")
 
 
-def english_inventory() -> PhoneInventory:
-    """English/TIMIT-style subset, including ``w`` and the ``sil`` symbol."""
-    table = _load_table()
-    phones = tuple(p for p, r in table.items() if r["english"] == "1")
-    return PhoneInventory(phones, language="en")
-
-
 def _knowledge_scheme(inv: PhoneInventory, column: str, order, name: str) -> BpcScheme:
     table = _load_table()
     mapping = {}
@@ -189,10 +173,10 @@ def manner_scheme(inv: PhoneInventory) -> BpcScheme:
 
 
 def place_scheme(inv: PhoneInventory) -> BpcScheme:
-    """Place-of-articulation grouping (10-way core chart, 9-way English)."""
-    if inv.language == "en":
-        return _knowledge_scheme(inv, "english_place", ENGLISH_PLACE_CLASSES, "place")
-    return _knowledge_scheme(inv, "place", PLACE_CLASSES, "place")
+    """Place-of-articulation grouping of an English inventory (9-way)."""
+    if inv.language != "en":
+        raise ValueError(f"place classes exist for English inventories only, not language {inv.language!r}")
+    return _knowledge_scheme(inv, "english_place", ENGLISH_PLACE_CLASSES, "place")
 
 
 def cluster_confusion(m: ConfusionMatrix, k: int) -> BpcScheme:

@@ -45,7 +45,8 @@ projection into k's buffer; in both modes the feed-forward sublayer writes
 its output into its layer norm's output, which neither keeps. Both check
 every weight's shape against the input's width before any work. The graph
 primitives the tests' oracles are built from, multi-head ``attention`` and
-a sliding-window ``conv1d`` among them, live with the tests. The LSTM
+a sliding-window ``conv1d`` among them, live with the tests, and so does
+the central finite-difference ``gradcheck``. The LSTM
 gates and the ``softplus`` grad take their sigmoid from ``_sigmoid``,
 ``1 / (1 + exp(-x))`` in numpy computed in place, so the module imports
 numpy alone.
@@ -54,8 +55,7 @@ Also here: the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
 and ``ADAM_EPS``), which creates a parameter's moments at its first grad and
 updates each parameter in place in cache-sized chunks with no full-size
-temporaries; strict checkpoint serialization; and the central
-finite-difference gradient checker the test suite leans on.
+temporaries; and strict checkpoint serialization.
 """
 
 from __future__ import annotations
@@ -1061,48 +1061,3 @@ def load_model(path, kind, model_cls, config_cls):
     model = model_cls(cfg)
     restore_params(path, model.params, arrays)
     return model
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-GRADCHECK_EPS = 1e-5  # central-difference step
-GRADCHECK_ATOL = 5e-6  # absolute differences below this are finite-difference noise
-
-
-def gradcheck(f, tensors, max_coords=None):
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``f()`` must rebuild the graph from the current ``.data`` of ``tensors``
-    and return a scalar Tensor. When ``max_coords`` is set, that many
-    coordinates per tensor are sampled (from one ``default_rng(0)`` stream
-    across the tensors) instead of sweeping all of them. Differences below
-    ``GRADCHECK_ATOL`` are ignored as FD noise.
-    """
-    out = f()
-    for t in tensors:
-        t.grad = None
-    out.backward()
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
-
-    worst = 0.0
-    rng = np.random.default_rng(0)
-    for t, an in zip(tensors, analytic):
-        flat = t.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + GRADCHECK_EPS
-            hi = float(f().data)
-            flat[idx] = orig - GRADCHECK_EPS
-            lo = float(f().data)
-            flat[idx] = orig
-            fd = (hi - lo) / (2 * GRADCHECK_EPS)
-            a = an.reshape(-1)[idx]
-            diff = abs(a - fd)
-            if diff > GRADCHECK_ATOL:
-                worst = max(worst, diff / max(abs(a), abs(fd)))
-    return worst

@@ -143,8 +143,6 @@ def log1p_compress(s: Spectrogram) -> Spectrogram:
     """Entry-wise log(1 + x); keeps outputs non-negative."""
     if s.kind != "magnitude":
         raise ValueError(f"log1p_compress needs a magnitude spectrogram, got {s.kind!r}")
-    if np.any(s.frames < 0):
-        raise ValueError("log1p_compress input has negative entries")
     return Spectrogram(np.log1p(s.frames), kind="log1p")
 
 

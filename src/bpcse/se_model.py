@@ -148,4 +148,4 @@ class SeModel:
 
 def se_loss(enhanced: dc.Tensor, clean) -> dc.Tensor:
     """Mean absolute spectral difference."""
-    return dc.l1_loss(enhanced, clean if isinstance(clean, dc.Tensor) else dc.Tensor(clean))
+    return dc.l1_loss(enhanced, clean)

@@ -1,4 +1,7 @@
-"""What only the tests need: graph primitives for the op-by-op oracles, the gradcheck reduction, a graph walk.
+"""What only the tests need: the gradient checker, graph primitives for the op-by-op oracles, a graph walk.
+
+``gradcheck`` compares each op's hand-written backward with central
+differences.
 
 The oracles of the fused ops (``attention_sublayer``,
 ``feed_forward_sublayer``, ``lstm_sequence``, ``attention_decoder``) build
@@ -14,6 +17,46 @@ import numpy as np
 from scipy.special import expit
 
 import bpcse.diffcore as dc
+
+GRADCHECK_EPS = 1e-5  # central-difference step
+GRADCHECK_ATOL = 5e-6  # absolute differences below this are finite-difference noise
+
+
+def gradcheck(f, tensors, max_coords=None):
+    """Worst relative error between analytic and central-difference gradients.
+
+    ``f()`` must rebuild the graph from the current ``.data`` of ``tensors``
+    and return a scalar Tensor. When ``max_coords`` is set, that many
+    coordinates per tensor are sampled (from one ``default_rng(0)`` stream
+    across the tensors) instead of sweeping all of them. Differences below
+    ``GRADCHECK_ATOL`` are ignored as FD noise.
+    """
+    out = f()
+    for t in tensors:
+        t.grad = None
+    out.backward()
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+
+    worst = 0.0
+    rng = np.random.default_rng(0)
+    for t, an in zip(tensors, analytic):
+        flat = t.data.reshape(-1)
+        coords = np.arange(flat.size)
+        if max_coords is not None and flat.size > max_coords:
+            coords = rng.choice(flat.size, size=max_coords, replace=False)
+        for idx in coords:
+            orig = flat[idx]
+            flat[idx] = orig + GRADCHECK_EPS
+            hi = float(f().data)
+            flat[idx] = orig - GRADCHECK_EPS
+            lo = float(f().data)
+            flat[idx] = orig
+            fd = (hi - lo) / (2 * GRADCHECK_EPS)
+            a = an.reshape(-1)[idx]
+            diff = abs(a - fd)
+            if diff > GRADCHECK_ATOL:
+                worst = max(worst, diff / max(abs(a), abs(fd)))
+    return worst
 
 
 def tsum(x, axis=None):

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpcse import bpc
+from bpcse import bpc, corpus
+
+# An explicit English inventory: TIMIT-style phones, the semivowel w and silence.
+ENGLISH = bpc.PhoneInventory(
+    tuple("p b t d k ɡ m n ŋ f v θ ð s z ʃ ʒ h ɹ j l i u ɪ ʊ e o ə ɛ ɜ ʌ ɔ æ ɑ w sil".split()), "en"
+)
 
 
 def cluster_by_pairs(m: bpc.ConfusionMatrix, k: int) -> bpc.BpcScheme:
@@ -66,10 +71,10 @@ class TestInventories:
         inv = bpc.full_ipa_inventory()
         assert len(set(inv.phones)) == len(inv.phones)
 
-    def test_english_subset_includes_sil(self):
-        inv = bpc.english_inventory()
-        assert "sil" in inv.phones
-        assert inv.language == "en"
+    @pytest.mark.parametrize("language", ["EN", "english", "", "fr"])
+    def test_unknown_language_rejected(self, language):
+        with pytest.raises(ValueError, match=f"language must be 'ipa' or 'en', got {language!r}"):
+            bpc.PhoneInventory(("p", "s"), language)
 
 
 class TestMannerScheme:
@@ -88,7 +93,7 @@ class TestMannerScheme:
             assert any(v == c for v in s.mapping.values())
 
     def test_english_variant_has_exactly_five_classes(self):
-        s = bpc.manner_scheme(bpc.english_inventory())
+        s = bpc.manner_scheme(ENGLISH)
         assert s.classes == ("vowel", "stop", "fricative", "nasal", "silence")
         assert s.label_of("p") == "stop"
         assert s.label_of("sil") == "silence"
@@ -100,12 +105,12 @@ class TestMannerScheme:
 
 class TestPlaceScheme:
     def test_definitional_labels(self):
-        s = bpc.place_scheme(bpc.full_ipa_inventory())
+        s = bpc.place_scheme(corpus.toy_inventory())
         assert s.label_of("p") == "bilabial"
         assert s.label_of("f") == "labiodental"
 
     def test_vowels_form_one_class(self):
-        inv = bpc.full_ipa_inventory()
+        inv = corpus.toy_inventory()
         s = bpc.place_scheme(inv)
         m = bpc.manner_scheme(inv)
         vowels = [p for p in inv.phones if m.label_of(p) == "vowel"]
@@ -113,16 +118,14 @@ class TestPlaceScheme:
         non_vowels = [p for p in inv.phones if m.label_of(p) != "vowel"]
         assert "vowel" not in {s.label_of(p) for p in non_vowels}
 
-    def test_full_partition_ten_classes(self):
-        s = bpc.place_scheme(bpc.full_ipa_inventory())
-        assert s.classes == bpc.PLACE_CLASSES
-        assert len(s.classes) == 10
-
     def test_english_partition_nine_classes(self):
-        inv = bpc.english_inventory()
-        s = bpc.place_scheme(inv)
-        assert len(s.classes) == 9
-        assert set(s.mapping) == set(inv.phones)
+        s = bpc.place_scheme(ENGLISH)
+        assert s.classes == bpc.ENGLISH_PLACE_CLASSES
+        assert set(s.mapping) == set(ENGLISH.phones)
+
+    def test_core_chart_inventory_rejected(self):
+        with pytest.raises(ValueError, match="English inventories only, not language 'ipa'"):
+            bpc.place_scheme(bpc.full_ipa_inventory())
 
 
 class TestClusterConfusion:
@@ -263,9 +266,8 @@ class TestTranscriptToBpc:
     @settings(max_examples=40, deadline=None)
     def test_no_adjacent_duplicates(self, seed, length):
         rng = np.random.default_rng(seed)
-        inv = bpc.english_inventory()
-        s = bpc.manner_scheme(inv)
-        phones = list(rng.choice(inv.phones, size=length))
+        s = bpc.manner_scheme(ENGLISH)
+        phones = list(rng.choice(ENGLISH.phones, size=length))
         out = bpc.transcript_to_bpc(phones, s)
         assert all(x != y for x, y in zip(out, out[1:]))
 

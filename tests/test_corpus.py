@@ -545,7 +545,7 @@ class TestFrameLabels:
 
 class TestManifest:
     def scheme(self):
-        return bpc.manner_scheme(bpc.english_inventory())
+        return bpc.manner_scheme(corpus.toy_inventory())
 
     def test_empty_corpus_gives_empty_manifest(self, tmp_path):
         (tmp_path / "clean").mkdir()

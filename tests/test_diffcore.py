@@ -17,6 +17,7 @@ from gradcheck_ops import (
     conv1d_by_windows,
     cross_entropy,
     feed_forward_sublayer_by_ops,
+    gradcheck,
     graph_nodes,
     lstm_cell,
     sigmoid,
@@ -41,7 +42,7 @@ class TestPrimitiveGradients:
     """Central finite differences against every primitive's backward rule."""
 
     def check(self, f, tensors, tol=1e-4):
-        assert dc.gradcheck(f, tensors) < tol
+        assert gradcheck(f, tensors) < tol
 
     def test_add(self):
         rng = np.random.default_rng(0)
@@ -369,7 +370,7 @@ class TestLinear:
         rng = np.random.default_rng(50)
         x, W, b = rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)
         w = t(rng.uniform(-1, 1, (4, 5)), grad=False)
-        assert dc.gradcheck(lambda: tsum(dc.linear(x, W, b) * w), [x, W, b]) < 1e-4
+        assert gradcheck(lambda: tsum(dc.linear(x, W, b) * w), [x, W, b]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -468,7 +469,7 @@ class TestLstm:
         w = t(rng.uniform(-1, 1, (t_len, 2)), grad=False)
         args = (xs, p["cell.W"], p["cell.U"], p["cell.b"])
         f = lambda: tsum(dc.lstm_sequence(*args, reverse=reverse) * w)
-        assert dc.gradcheck(f, list(args)) < 1e-4
+        assert gradcheck(f, list(args)) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -536,7 +537,7 @@ class TestLstm:
         params.update(dc.init_lstm_params(rng, 2, 3, "l.bwd"))
         x = rand(rng, 3, 2)
         tensors = [x, *params.values()]
-        assert dc.gradcheck(lambda: tsum(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
+        assert gradcheck(lambda: tsum(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
 
 
 def attention_by_heads(q, k, v, heads):
@@ -558,7 +559,7 @@ class TestAttention:
         rng = np.random.default_rng(30 + t_len)
         q, k, v = (rand(rng, t_len, 2 * heads) for _ in range(3))
         w = t(rng.uniform(-1, 1, (t_len, 2 * heads)), grad=False)
-        assert dc.gradcheck(lambda: tsum(attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
+        assert gradcheck(lambda: tsum(attention(q, k, v, heads) * w), [q, k, v]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -650,13 +651,13 @@ class TestTransformerSublayers:
         rng = np.random.default_rng(80)
         params, h, w = block_params(rng, 4), rand(rng, 5, 4), t(rng.uniform(-1, 1, (5, 4)), grad=False)
         tensors = [h, *(params[f"blk.{n}"] for n in ATTENTION_NAMES)]
-        assert dc.gradcheck(lambda: tsum(dc.attention_sublayer(h, params, "blk", 2) * w), tensors) < 1e-4
+        assert gradcheck(lambda: tsum(dc.attention_sublayer(h, params, "blk", 2) * w), tensors) < 1e-4
 
     def test_feed_forward_sublayer_gradcheck(self):
         rng = np.random.default_rng(81)
         params, h, w = block_params(rng, 3), rand(rng, 4, 3), t(rng.uniform(-1, 1, (4, 3)), grad=False)
         tensors = [h, *(params[f"blk.{n}"] for n in FEED_FORWARD_NAMES)]
-        assert dc.gradcheck(lambda: tsum(dc.feed_forward_sublayer(h, params, "blk") * w), tensors) < 1e-4
+        assert gradcheck(lambda: tsum(dc.feed_forward_sublayer(h, params, "blk") * w), tensors) < 1e-4
 
     @given(
         t_len=st.integers(1, 3 * dc.ATTENTION_ROWS).filter(lambda n: n % dc.ATTENTION_ROWS),
@@ -785,7 +786,7 @@ class TestAttentionDecoder:
         rng = np.random.default_rng(70)
         tensors = [t(a) for a in decoder_arrays(rng, 5, 3, 2, 6)]
         tokens, targets = [1, 4, 3, 4], [4, 3, 4, 2]
-        worst = dc.gradcheck(lambda: dc.attention_decoder(*tensors, tokens, targets), tensors)
+        worst = gradcheck(lambda: dc.attention_decoder(*tensors, tokens, targets), tensors)
         assert worst < 1e-4
 
     @given(
@@ -1213,4 +1214,4 @@ class TestRandomGraphProperty:
                     cur = UNARY[op](cur)
             return tsum(cur * cur)
 
-        assert dc.gradcheck(f, tensors) < 1e-4
+        assert gradcheck(f, tensors) < 1e-4

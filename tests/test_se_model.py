@@ -6,6 +6,7 @@ import pytest
 import bpcse.diffcore as dc
 from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
+from gradcheck_ops import gradcheck
 from memory import traced
 
 TINY = SeConfig(d_model=8, heads=2, attention_blocks=2)
@@ -247,7 +248,7 @@ class TestGradients:
         clean = rng.uniform(0, 1.5, (4, 257))
         tensors = list(model.params.values())
 
-        worst = dc.gradcheck(
+        worst = gradcheck(
             lambda: se_loss(model.forward(x), clean),
             tensors,
             max_coords=6,
