@@ -4,8 +4,9 @@ Modules:
     dsp       -- STFT/iSTFT, log1p compression, mel filterbank, WAV I/O
     corpus    -- toy utterance synthesis, SNR mixing, room reverberation, manifests
     bpc       -- phone inventories and broad-phonetic-class schemes
-    diffcore  -- reverse-mode autodiff tensors, no_grad mode, fused transformer
-                 sublayer, LSTM and attention-decoder ops, Adam, checkpoints
+    diffcore  -- reverse-mode autodiff tensors, no_grad mode, every graph op:
+                 fused transformer sublayer, BLSTM layer, attention-decoder
+                 and CTC ops; Glorot init, Adam, checkpoints
     se_model  -- transformer encoder speech enhancement network
     asr_model -- BLSTM/CTC/attention broad-class recognizer
 

@@ -1,24 +1,22 @@
 """Broad-class recognizer: BLSTM encoder, CTC head, attention decoder.
 
 The encoder is ``ENCODER_LAYERS`` (2) BLSTM layers over the
-``dsp.N_MEL_FILTERS``-dim log-mel fbank. Each direction of each layer is a
-single ``diffcore.lstm_sequence`` graph node with a hand-written BPTT
-backward, and the whole teacher-forced attention decoder, its cross-entropy
-included, is one ``diffcore.attention_decoder`` node, so the recognizer adds
-the same handful of nodes to the graph whatever the utterance length and
-label count. The projection and the CTC head are each one
-``diffcore.linear`` node, which adds the bias in place.
+``dsp.N_MEL_FILTERS``-dim log-mel fbank. Each layer is a single
+``diffcore.blstm_layer`` graph node with a hand-written BPTT backward, the
+CTC loss is one ``diffcore.ctc_loss`` node (alpha-beta occupancies for its
+gradient), and the whole teacher-forced attention decoder, its
+cross-entropy included, is one ``diffcore.attention_decoder`` node, so the
+recognizer adds the same handful of nodes to the graph whatever the
+utterance length and label count. The projection and the CTC head are each
+one ``diffcore.linear`` node, which adds the bias in place. The weights are
+drawn by ``diffcore.glorot``, the biases are zero, and the CTC blank id is
+``diffcore.BLANK``.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
-mode. The CTC loss is a custom graph op: forward alpha recursion in log
-space for the value, alpha-beta occupancies for the analytic gradient. Beta
-is not a second recursion: the same forward recursion runs on the time- and
-state-reversed emissions and labels, and flipped back it gives beta plus
-each frame's own emission log-probability, which the occupancy subtracts.
-``asr_loss`` mixes the two heads as ``lam * CTC + (1 - lam) * attention``;
-every caller passes ``lam``. Decoding is greedy CTC (per-frame argmax,
-collapse repeats, drop blanks), run under ``diffcore.no_grad()``.
+mode. ``asr_loss`` mixes the two heads as
+``lam * CTC + (1 - lam) * attention``; every caller passes ``lam``. Decoding is greedy CTC (per-frame
+argmax, collapse repeats, drop blanks), run under ``diffcore.no_grad()``.
 ``freeze()`` turns ``requires_grad`` off on every parameter, so a frozen
 recognizer still passes gradient to its input features but computes no
 weight grads.
@@ -32,9 +30,9 @@ import numpy as np
 
 from . import diffcore as dc
 from . import dsp
+from .diffcore import BLANK
 
 ENCODER_LAYERS = 2
-BLANK = 0
 SOS = 1
 EOS = 2
 SPECIALS = ("<blank>", "<sos>", "<eos>")
@@ -74,24 +72,15 @@ class AsrModel:
             self.params.update(dc.init_lstm_params(rng, din, h, f"enc{layer}.fwd"))
             self.params.update(dc.init_lstm_params(rng, din, h, f"enc{layer}.bwd"))
 
-        def glorot(name, rows, cols):
-            s = np.sqrt(6.0 / (rows + cols))
-            self.params[name] = dc.Parameter(rng.uniform(-s, s, (rows, cols)), name)
-
-        def zeros(name, *shape):
-            self.params[name] = dc.Parameter(np.zeros(shape), name)
-
-        v = len(cfg.vocab)
-        glorot("proj.w", 2 * h, cfg.proj_dim)
-        zeros("proj.b", cfg.proj_dim)
-        glorot("ctc.w", cfg.proj_dim, v)
-        zeros("ctc.b", v)
-        glorot("dec.embed", v, cfg.embed_dim)
-        self.params.update(
-            dc.init_lstm_params(rng, cfg.embed_dim + cfg.proj_dim, cfg.proj_dim, "dec.lstm")
-        )
-        glorot("dec.out.w", 2 * cfg.proj_dim, v)
-        zeros("dec.out.b", v)
+        p, v = self.params, len(cfg.vocab)
+        p["proj.w"] = dc.glorot(rng, (2 * h, cfg.proj_dim))
+        p["proj.b"] = dc.Parameter(np.zeros(cfg.proj_dim))
+        p["ctc.w"] = dc.glorot(rng, (cfg.proj_dim, v))
+        p["ctc.b"] = dc.Parameter(np.zeros(v))
+        p["dec.embed"] = dc.glorot(rng, (v, cfg.embed_dim))
+        p.update(dc.init_lstm_params(rng, cfg.embed_dim + cfg.proj_dim, cfg.proj_dim, "dec.lstm"))
+        p["dec.out.w"] = dc.glorot(rng, (2 * cfg.proj_dim, v))
+        p["dec.out.b"] = dc.Parameter(np.zeros(v))
 
     def freeze(self):
         """Stop gradient at every parameter; inputs still get theirs."""
@@ -100,8 +89,9 @@ class AsrModel:
 
     def encode(self, feats: dc.Tensor) -> dc.Tensor:
         """BLSTM stack then linear projection: (T, N_MEL_FILTERS) -> (T, proj_dim)."""
-        if feats.shape[1] != dsp.N_MEL_FILTERS:
-            raise ValueError(f"expected {dsp.N_MEL_FILTERS}-dim features, got shape {feats.shape}")
+        if len(feats.shape) != 2 or feats.shape[1] != dsp.N_MEL_FILTERS:
+            n = dsp.N_MEL_FILTERS
+            raise ValueError(f"expected {n}-dim features of shape (T, {n}), got shape {feats.shape}")
         h = feats
         for layer in range(ENCODER_LAYERS):
             h = dc.blstm_layer(h, self.params, f"enc{layer}")
@@ -121,13 +111,7 @@ class AsrModel:
         """lam * CTC + (1 - lam) * attention loss."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
-        if lam == 1.0:
-            return ctc_loss(self.ctc_logits(hidden), labels)
-        if lam == 0.0:
-            return self.attention_loss(hidden, labels)
-        return lam * ctc_loss(self.ctc_logits(hidden), labels) + (1.0 - lam) * self.attention_loss(
-            hidden, labels
-        )
+        return lam * dc.ctc_loss(self.ctc_logits(hidden), labels) + (1.0 - lam) * self.attention_loss(hidden, labels)
 
     def decode(self, hidden: dc.Tensor):
         """Greedy CTC label ids; builds no graph."""
@@ -150,71 +134,6 @@ class AsrModel:
     @classmethod
     def load(cls, path) -> "AsrModel":
         return dc.load_model(path, "asr", cls, AsrConfig)
-
-
-# ---------------------------------------------------------------------------
-# CTC
-
-
-def min_frames_for(labels) -> int:
-    """Shortest input that still admits a CTC alignment."""
-    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
-    return len(labels) + repeats
-
-
-def _ctc_forward(lp, ext):
-    """CTC log forward variables (T, S) of the blank-extended labels ``ext`` with emissions ``lp`` (T, S).
-
-    Two ``-inf`` states pad the state axis in front, so "move" (s-1 -> s) and
-    "skip" (s-2 -> s, into a label unlike the one two states back) are plain
-    slices of the previous row.
-    """
-    t_len, s_len = lp.shape
-    skip_ok = np.zeros(s_len, dtype=bool)
-    skip_ok[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-    alpha = np.full((t_len, s_len + 2), -np.inf)
-    alpha[0, 2:4] = lp[0, :2]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        skip = np.where(skip_ok, prev[:-2], -np.inf)
-        alpha[t, 2:] = np.logaddexp(np.logaddexp(prev[2:], prev[1:-1]), skip) + lp[t]
-    return alpha[:, 2:]
-
-
-def ctc_loss(logits: dc.Tensor, labels) -> dc.Tensor:
-    """Negative log total alignment probability (log-space forward algorithm).
-
-    Differentiable: the backward rule uses alpha-beta state occupancies,
-    giving the classic softmax-minus-occupancy gradient on the logits.
-    """
-    t_len, v = logits.shape
-    labels = dc._label_ids(labels, v, "ctc_loss")
-    if BLANK in labels:
-        raise ValueError("labels must not contain the blank id")
-    if t_len < min_frames_for(labels):
-        raise ValueError(
-            f"no valid alignment: {t_len} frames cannot carry {len(labels)} labels "
-            f"(need at least {min_frames_for(labels)})"
-        )
-
-    ext = np.full(2 * len(labels) + 1, BLANK)  # the labels with a blank before, between and after them
-    ext[1::2] = labels
-    logp = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    lp = logp[:, ext]
-    alpha = _ctc_forward(lp, ext)
-    log_z = np.logaddexp.reduce(alpha[-1, -2:])  # end in the last label or the final blank
-    if not np.isfinite(log_z):
-        raise ValueError("no valid alignment has nonzero probability")
-
-    def backward(g):
-        rev = _ctc_forward(lp[::-1, ::-1], ext[::-1])[::-1, ::-1]  # beta + lp
-        occupancy = np.exp(alpha + rev - lp - log_z)  # (T, S)
-        gamma = np.zeros_like(logp)
-        np.add.at(gamma.T, ext, occupancy.T)
-        dc._accum(logits, g * (np.exp(logp) - gamma))
-
-    return dc._node(-log_z, (logits,), backward, "ctc_loss")
 
 
 def decode_greedy(logits: np.ndarray):

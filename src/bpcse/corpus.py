@@ -120,6 +120,11 @@ class Manifest:
             raise ValueError(f"unrecognized manifest schema {doc.get('schema')!r}")
         if not isinstance(doc.get("entries"), list):
             raise ValueError("manifest lacks an 'entries' list")
+        scheme, seed = doc.get("scheme", ""), doc.get("seed")
+        if not isinstance(scheme, str):
+            raise ValueError(f"manifest field 'scheme' is {scheme!r}; it must be a string")
+        if seed is not None and type(seed) is not int:
+            raise ValueError(f"manifest field 'seed' is {seed!r}; it must be an integer or null")
         entries = []
         for i, d in enumerate(doc["entries"]):
             if not isinstance(d, dict):
@@ -132,7 +137,7 @@ class Manifest:
                         f"manifest entry {i} ({d['utt_id']!r}) field {name!r} is {d[name]!r}; it must be {must}"
                     )
             entries.append(ManifestEntry(**{name: d[name] for name in _MANIFEST_FIELD_CHECKS}))
-        return cls(entries, doc.get("scheme", ""), doc.get("seed"))
+        return cls(entries, scheme, seed)
 
     def save(self, path) -> None:
         path = Path(path)
@@ -611,17 +616,38 @@ def reverb_corpus(corpus_dir, t60_list, seed: int) -> dict:
     return meta
 
 
+def _read_mix_meta(path) -> dict:
+    """The ``{utt_id: snr_db}`` object of a ``mix_meta.json``.
+
+    A ValueError names the path, and the utterance of any SNR that a manifest
+    would reject.
+    """
+    try:
+        meta = json.loads(path.read_text("utf-8"))
+    except ValueError as e:  # malformed JSON or UTF-8
+        raise ValueError(f"{path}: not UTF-8 JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: {meta!r} is not a JSON object of SNRs by utterance")
+    ok, must = _MANIFEST_FIELD_CHECKS["snr_db"]
+    for utt, snr in meta.items():
+        if not ok(snr):
+            raise ValueError(f"{path}: the SNR of utterance {utt!r} is {snr!r}; it must be {must}")
+    return meta
+
+
 def build_manifest(corpus_dir, scheme: bpc.BpcScheme, seed: int | None = None) -> Manifest:
     """Scan a corpus directory into a manifest, deriving BPC transcripts.
 
     Requires clean/distorted/transcript triples for every utterance and
-    fails naming the utt_id of any incomplete pair.
+    fails naming the utt_id of any incomplete pair. A side file that a
+    manifest cannot carry, a ``mix_meta.json`` or a transcript, fails naming
+    the file and the utterance.
     """
     corpus_dir = Path(corpus_dir)
     snr_meta = {}
     meta_path = corpus_dir / "mix_meta.json"
     if meta_path.exists():
-        snr_meta = json.loads(meta_path.read_text("utf-8"))
+        snr_meta = _read_mix_meta(meta_path)
     entries = []
     for utt in _corpus_utts(corpus_dir):
         missing = [
@@ -631,8 +657,12 @@ def build_manifest(corpus_dir, scheme: bpc.BpcScheme, seed: int | None = None) -
         ]
         if missing:
             raise ValueError(f"utterance {utt!r} is missing {', '.join(missing)}")
-        phones = (corpus_dir / "transcripts" / f"{utt}.txt").read_text("utf-8").split()
-        labels = bpc.transcript_to_bpc(phones, scheme)
+        transcript = corpus_dir / "transcripts" / f"{utt}.txt"
+        try:
+            phones = transcript.read_text("utf-8").split()
+            labels = bpc.transcript_to_bpc(phones, scheme)
+        except ValueError as e:  # not UTF-8, or a phone the scheme lacks
+            raise ValueError(f"utterance {utt!r} ({transcript}): {e}") from None
         clean_path = corpus_dir / "clean" / f"{utt}.wav"
         clean = dsp.read_wav(clean_path)
         try:

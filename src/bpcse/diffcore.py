@@ -24,34 +24,35 @@ works), and leaves and tensors made under ``no_grad`` are not touched.
 The ops are the ones the models and the stage-two feature bridge run:
 ``add`` and ``mul`` (also ``+`` and ``*``), ``matmul``, ``linear``
 (``x @ W + b`` as one node that adds the bias in place, the only way the
-models add a bias to a product), ``relu``, ``softplus``, ``log``,
-``expm1``, ``layer_norm`` over the last axis, ``concat``, ``conv1d``
-("same" padding, odd kernel; one GEMM per kernel tap over shifted rows of
-the input, so the forward pass copies no windows of it) and ``l1_loss``.
-Four fused ops have a hand-written backward: the two halves of a pre-norm
-transformer block, ``attention_sublayer`` (``h + wo·attn(qkv(LN1(h)))``,
-multi-head self-attention) and ``feed_forward_sublayer``
-(``h + w2·relu(w1·LN2(h))``); a whole-sequence LSTM (``lstm_sequence``,
-BPTT) under the BLSTM layer ``blstm_layer``; and the recognizer's
-teacher-forced attention decoder with its cross-entropy
-(``attention_decoder``, BPTT), whose LSTM steps share
-``lstm_sequence``'s gate arithmetic. The sublayers keep their layer norm's
-row statistics, not its output, and recompute the output in backward with
-the helpers ``layer_norm`` uses; attention scores are made
-``ATTENTION_ROWS`` query rows at a time, and without a graph one such block
-of scores is all that exists. Without a graph the attention sublayer also
-writes each block's output over the q rows it has read and its output
-projection into k's buffer; in both modes the feed-forward sublayer writes
-its output into its layer norm's output, which neither keeps. Both check
-every weight's shape against the input's width before any work. The graph
-primitives the tests' oracles are built from, multi-head ``attention`` and
-a sliding-window ``conv1d`` among them, live with the tests, and so does
-the central finite-difference ``gradcheck``. The LSTM
-gates and the ``softplus`` grad take their sigmoid from ``_sigmoid``,
-``1 / (1 + exp(-x))`` in numpy computed in place, so the module imports
-numpy alone.
+models add a bias to a product), ``relu``, ``softplus``, ``log``, ``expm1``,
+``layer_norm`` over the last axis, ``conv1d`` ("same" padding, odd kernel;
+one GEMM per kernel tap over shifted rows of the input, so the forward pass
+copies no windows of it) and ``l1_loss``. Five fused ops have a hand-written
+backward: the two halves of a pre-norm transformer block,
+``attention_sublayer`` (``h + wo·attn(qkv(LN1(h)))``, multi-head
+self-attention) and ``feed_forward_sublayer`` (``h + w2·relu(w1·LN2(h))``);
+the recognizer's BLSTM layer (``blstm_layer``, BPTT over both directions);
+its teacher-forced attention decoder with its cross-entropy
+(``attention_decoder``, BPTT), whose LSTM steps share ``blstm_layer``'s gate
+arithmetic; and its ``ctc_loss`` (alpha-beta occupancies, blank id
+``BLANK``). This module is the only one that builds a graph node. The
+sublayers keep their layer norm's row statistics, not its output, and
+recompute the output in backward with the helpers ``layer_norm`` uses;
+attention scores are made ``ATTENTION_ROWS`` query rows at a time, and
+without a graph one such block of scores is all that exists. Without a graph
+the attention sublayer also writes each block's output over the q rows it
+has read and its output projection into k's buffer; in both modes the
+feed-forward sublayer writes its output into its layer norm's output, which
+neither keeps. Both check every weight's shape against the input's width
+before any work. The graph primitives the tests' oracles are built from,
+multi-head ``attention``, ``concat`` and a sliding-window ``conv1d`` among
+them, live with the tests, and so does the central finite-difference
+``gradcheck``. The LSTM gates and the ``softplus`` grad take their sigmoid
+from ``_sigmoid``, ``1 / (1 + exp(-x))`` in numpy computed in place, so the
+module imports numpy alone.
 
-Also here: the Adam optimizer, whose one setting is the learning rate (the
+Also here: ``glorot``, which draws every weight matrix and conv kernel of
+both models; the Adam optimizer, whose one setting is the learning rate (the
 moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
 and ``ADAM_EPS``), which creates a parameter's moments at its first grad and
 updates each parameter in place in cache-sized chunks with no full-size
@@ -63,6 +64,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import json
+import math
 import operator
 from pathlib import Path
 
@@ -185,14 +187,23 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named model weight; a frozen one has ``requires_grad`` off."""
+    """A model weight; a frozen one has ``requires_grad`` off. Its name is its key in the model's ``params``."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name):
+    def __init__(self, data):
         # C-contiguous, so that Adam can update it in place through flat chunks
         super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
-        self.name = name
+
+
+def glorot(rng, shape):
+    """A :class:`Parameter` drawn as ``rng.uniform(-s, s, shape)``, ``s = sqrt(6 / (fan_in + fan_out))`` (Glorot).
+
+    A matrix (rows, cols) has fans rows and cols; a conv weight (out, in, k)
+    has fans in * k and out * k.
+    """
+    s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+    return Parameter(rng.uniform(-s, s, shape))
 
 
 def _lift(v):
@@ -395,21 +406,6 @@ def layer_norm(x, gain, bias):
         _accum(x, _layer_norm_backward(g, xhat, inv, gain, bias))
 
     return _node(data, (x, gain, bias), backward, "layer_norm")
-
-
-def concat(tensors, axis=0):
-    tensors = [_lift(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
-
-    return _node(data, tensors, backward, "concat")
 
 
 def _taps(t, k):
@@ -666,12 +662,10 @@ def feed_forward_sublayer(h, params, prefix):
 
 
 def init_lstm_params(rng, input_dim, hidden, prefix):
-    s = np.sqrt(6.0 / (input_dim + 4 * hidden))
-    u = np.sqrt(6.0 / (hidden + 4 * hidden))
     return {
-        f"{prefix}.W": Parameter(rng.uniform(-s, s, (input_dim, 4 * hidden)), f"{prefix}.W"),
-        f"{prefix}.U": Parameter(rng.uniform(-u, u, (hidden, 4 * hidden)), f"{prefix}.U"),
-        f"{prefix}.b": Parameter(np.zeros((1, 4 * hidden)), f"{prefix}.b"),
+        f"{prefix}.W": glorot(rng, (input_dim, 4 * hidden)),
+        f"{prefix}.U": glorot(rng, (hidden, 4 * hidden)),
+        f"{prefix}.b": Parameter(np.zeros((1, 4 * hidden))),
     }
 
 
@@ -716,61 +710,73 @@ def _lstm_step_backward(dh, dc, act, dgate, dc_from_h, c_prev, tanh_c, dpre):
     return dc * act[hidden : 2 * hidden]
 
 
-def lstm_sequence(xs, W, U, b, reverse=False):
-    """LSTM over a whole sequence xs (T, Din) -> (T, H) from a zero state, as one node.
+def blstm_layer(xs, params, prefix):
+    """Bidirectional LSTM over xs (T, Din) -> (T, 2H) from zero states, as one node.
 
+    The forward LSTM reads its weights from ``params`` as ``{prefix}.fwd.W``,
+    ``.fwd.U`` and ``.fwd.b`` and consumes the frames first to last; the
+    backward one reads ``{prefix}.bwd.*`` and consumes them last to first.
     Each step's pre-activation is ``(x@W + h@U) + b``, gate order i, f, g, o
-    (:func:`_lstm_step`). Row ``t`` of the output is the hidden state after
-    frame ``t``; with ``reverse`` the frames are consumed last to first. The
-    backward pass is hand-written BPTT over the stored gates and cell states.
+    (:func:`_lstm_step`). Row ``t`` of the output is the forward hidden state
+    after frame ``t``, then the backward one after frame ``t``. Both
+    directions write into one (T + 2, 2H) hidden-state buffer whose first and
+    last rows are the zero states they start from, and the output is a view
+    of the rows between. The backward pass is hand-written BPTT over the
+    stored gates and cell states. Every weight's shape is checked against the
+    input's width and the rows of ``fwd.U`` before any work.
     """
-    xs, W, U, b = _lift(xs), _lift(W), _lift(U), _lift(b)
+    xs = _lift(xs)
+    if xs.data.ndim != 2:
+        raise ValueError(f"blstm_layer input must be (T, Din), got shape {xs.shape}")
     t, din = xs.shape
-    hidden = U.shape[0]
     if t < 1:
-        raise ValueError("lstm_sequence needs at least one frame")
-    if W.shape != (din, 4 * hidden) or U.shape != (hidden, 4 * hidden) or b.data.size != 4 * hidden:
-        raise ValueError(f"lstm_sequence shape mismatch: xs {xs.shape}, W {W.shape}, U {U.shape}, b {b.shape}")
-    order = range(t - 1, -1, -1) if reverse else range(t)
-    xw = xs.data @ W.data
-    Ud, bd = U.data, b.data.reshape(-1)
-    gates = np.empty((t, 4 * hidden))  # activated i, f, g, o
-    tanh_c = np.empty((t, hidden))
-    # frame i reads the state in row i + into and writes its own to row i + out, so the zero state is row 0 or t
-    into, out = (1, 0) if reverse else (0, 1)
-    hs, cs = np.zeros((2, t + 1, hidden))
-    for i in order:
-        _lstm_step((xw[i] + hs[i + into] @ Ud) + bd, cs[i + into], gates[i], cs[i + out], tanh_c[i], hs[i + out])
-    h_prev, c_prev, hs = hs[into : into + t], cs[into : into + t], hs[out : out + t]
+        raise ValueError("blstm_layer needs at least one frame")
+    u = params[f"{prefix}.fwd.U"].shape
+    if len(u) != 2:
+        raise ValueError(f"blstm_layer: {prefix}.fwd.U has shape {u}, expected (H, 4H)")
+    h = u[0]
+    shapes = {}
+    for d in ("fwd", "bwd"):
+        shapes.update({f"{d}.W": (din, 4 * h), f"{d}.U": (h, 4 * h), f"{d}.b": (1, 4 * h)})
+    operands = _sublayer_operands(params, prefix, "blstm_layer", shapes)
+    # per direction: its (W, U, b), its columns of the buffers, its frame order and the offset of
+    # the row it reads the previous state from; frame i writes its state to row i + 1
+    directions = (
+        (operands[:3], slice(0, h), range(t), 0),
+        (operands[3:], slice(h, 2 * h), range(t - 1, -1, -1), 2),
+    )
+    hs, cs = np.zeros((t + 2, 2 * h)), np.zeros((t + 2, 2 * h))  # the hidden and cell states
+    gates = np.empty((2, t, 4 * h))  # activated i, f, g, o
+    tanh_c = np.empty((2, t, h))
+    for ((W, U, b), cols, order, into), gk, tk in zip(directions, gates, tanh_c):
+        xw, Ud, bd = xs.data @ W.data, U.data, b.data.reshape(-1)
+        hd, cd = hs[:, cols], cs[:, cols]
+        for i in order:
+            _lstm_step((xw[i] + hd[i + into] @ Ud) + bd, cd[i + into], gk[i], cd[i + 1], tk[i], hd[i + 1])
 
     def backward(g):
-        dgate, dc_from_h = _lstm_gate_grads(gates, tanh_c)
-        dpre = np.empty_like(gates)
-        dh_next = dc_next = np.zeros(hidden)
-        for i in reversed(order):
-            dc_next = _lstm_step_backward(
-                g[i] + dh_next, dc_next, gates[i], dgate[i], dc_from_h[i], c_prev[i], tanh_c[i], dpre[i]
-            )
-            dh_next = dpre[i] @ Ud.T
-        if xs.requires_grad:
-            _accum(xs, dpre @ W.data.T)
-        if W.requires_grad:
-            _accum(W, xs.data.T @ dpre)
-        if U.requires_grad:
-            _accum(U, h_prev.T @ dpre)
-        if b.requires_grad:
-            _accum(b, dpre.sum(axis=0).reshape(b.shape))
+        dxs = 0.0
+        for ((W, U, b), cols, order, into), gk, tk in zip(directions, gates, tanh_c):
+            dgate, dc_from_h = _lstm_gate_grads(gk, tk)
+            dpre = np.empty_like(gk)
+            gd, hd, cd, Ud = g[:, cols], hs[:, cols], cs[:, cols], U.data
+            dh_next = dc_next = np.zeros(h)
+            for i in reversed(order):
+                dc_next = _lstm_step_backward(
+                    gd[i] + dh_next, dc_next, gk[i], dgate[i], dc_from_h[i], cd[i + into], tk[i], dpre[i]
+                )
+                dh_next = dpre[i] @ Ud.T
+            if xs.requires_grad:
+                dxs = dxs + dpre @ W.data.T
+            if W.requires_grad:
+                _accum(W, xs.data.T @ dpre)
+            if U.requires_grad:
+                _accum(U, hd[into : into + t].T @ dpre)
+            if b.requires_grad:
+                _accum(b, dpre.sum(axis=0, keepdims=True))
+        _accum(xs, dxs)
 
-    return _node(hs, (xs, W, U, b), backward, "lstm_sequence")
-
-
-def blstm_layer(xs, params, prefix):
-    """Bidirectional LSTM over xs (T, Din) -> (T, 2H); per-frame concat."""
-    fwd = lstm_sequence(xs, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.U"], params[f"{prefix}.fwd.b"])
-    bwd = lstm_sequence(
-        xs, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.U"], params[f"{prefix}.bwd.b"], reverse=True
-    )
-    return concat([fwd, bwd], axis=1)
+    return _node(hs[1 : t + 1], (xs, *operands), backward, "blstm_layer")
 
 
 def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
@@ -854,6 +860,80 @@ def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
             _accum(b, dpre.sum(axis=0).reshape(b.shape))
 
     return _node(data, (hidden, embed, W, U, b, out_w, out_b), backward, "attention_decoder")
+
+
+# CTC's blank label id
+BLANK = 0
+
+
+def min_frames_for(labels) -> int:
+    """Shortest input that still admits a CTC alignment."""
+    repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+    return len(labels) + repeats
+
+
+def _ctc_forward(lp, ext):
+    """CTC log forward variables (T, S) of the blank-extended labels ``ext`` with emissions ``lp`` (T, S).
+
+    Two ``-inf`` states pad the state axis in front, so "move" (s-1 -> s) and
+    "skip" (s-2 -> s, into a label unlike the one two states back) are plain
+    slices of the previous row.
+    """
+    t_len, s_len = lp.shape
+    skip_ok = np.zeros(s_len, dtype=bool)
+    skip_ok[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    alpha = np.full((t_len, s_len + 2), -np.inf)
+    alpha[0, 2:4] = lp[0, :2]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        skip = np.where(skip_ok, prev[:-2], -np.inf)
+        alpha[t, 2:] = np.logaddexp(np.logaddexp(prev[2:], prev[1:-1]), skip) + lp[t]
+    return alpha[:, 2:]
+
+
+def ctc_loss(logits, labels):
+    """CTC loss of ``logits`` (T, V) for ``labels``: the negative log total alignment probability, as one node.
+
+    The value is the log-space forward algorithm; the backward rule uses
+    alpha-beta state occupancies, giving the classic softmax-minus-occupancy
+    gradient on the logits. Beta is not a second recursion: the same forward
+    recursion runs on the time- and state-reversed emissions and labels, and
+    flipped back it gives beta plus each frame's own emission
+    log-probability, which the occupancy subtracts. A label id that is not an
+    integer in ``[1, V)`` (``BLANK`` is 0), or labels that no alignment of T
+    frames can carry, are rejected before any work is done.
+    """
+    logits = _lift(logits)
+    if logits.data.ndim != 2:
+        raise ValueError(f"ctc_loss logits must be (T, V), got shape {logits.shape}")
+    t_len, v = logits.shape
+    labels = _label_ids(labels, v, "ctc_loss")
+    if BLANK in labels:
+        raise ValueError("labels must not contain the blank id")
+    if t_len < min_frames_for(labels):
+        raise ValueError(
+            f"no valid alignment: {t_len} frames cannot carry {len(labels)} labels "
+            f"(need at least {min_frames_for(labels)})"
+        )
+
+    ext = np.full(2 * len(labels) + 1, BLANK)  # the labels with a blank before, between and after them
+    ext[1::2] = labels
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    lp = logp[:, ext]
+    alpha = _ctc_forward(lp, ext)
+    log_z = np.logaddexp.reduce(alpha[-1, -2:])  # end in the last label or the final blank
+    if not np.isfinite(log_z):
+        raise ValueError("no valid alignment has nonzero probability")
+
+    def backward(g):
+        rev = _ctc_forward(lp[::-1, ::-1], ext[::-1])[::-1, ::-1]  # beta + lp
+        occupancy = np.exp(alpha + rev - lp - log_z)  # (T, S)
+        gamma = np.zeros_like(logp)
+        np.add.at(gamma.T, ext, occupancy.T)
+        _accum(logits, g * (np.exp(logp) - gamma))
+
+    return _node(-log_z, (logits,), backward, "ctc_loss")
 
 
 # ---------------------------------------------------------------------------

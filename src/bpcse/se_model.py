@@ -74,19 +74,13 @@ class SeModel:
         rng = np.random.default_rng(seed)
 
         def glorot(name, *shape):
-            fan_in, fan_out = shape[-1], shape[0] if len(shape) > 1 else shape[-1]
-            if len(shape) == 3:  # conv weight (out, in, k)
-                fan_in, fan_out = shape[1] * shape[2], shape[0] * shape[2]
-            elif len(shape) == 2:
-                fan_in, fan_out = shape[0], shape[1]
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            self.params[name] = dc.Parameter(rng.uniform(-s, s, shape), name)
+            self.params[name] = dc.glorot(rng, shape)
 
         def zeros(name, *shape):
-            self.params[name] = dc.Parameter(np.zeros(shape), name)
+            self.params[name] = dc.Parameter(np.zeros(shape))
 
         def ones(name, *shape):
-            self.params[name] = dc.Parameter(np.ones(shape), name)
+            self.params[name] = dc.Parameter(np.ones(shape))
 
         d, ff = cfg.d_model, 4 * cfg.d_model
         for i in range(cfg.conv_layers):
@@ -115,8 +109,8 @@ class SeModel:
         """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""
         p = self.params
         cfg = self.cfg
-        if x.shape[1] != dsp.N_BINS:
-            raise ValueError(f"expected {dsp.N_BINS} bins, got input shape {x.shape}")
+        if len(x.shape) != 2 or x.shape[1] != dsp.N_BINS:
+            raise ValueError(f"expected {dsp.N_BINS} bins, an input of shape (T, {dsp.N_BINS}), got shape {x.shape}")
         if x.shape[0] > MAX_FRAMES:
             raise ValueError(f"input has {x.shape[0]} frames; SE accepts at most MAX_FRAMES = {MAX_FRAMES}")
         h = x

@@ -4,13 +4,15 @@
 differences.
 
 The oracles of the fused ops (``attention_sublayer``,
-``feed_forward_sublayer``, ``lstm_sequence``, ``attention_decoder``) build
+``feed_forward_sublayer``, ``blstm_layer``, ``attention_decoder``) build
 the graph each op replaces from these primitives, each one node with its own
-backward rule; multi-head ``attention``, the one node the attention
-sublayer's oracle attends with, is checked in turn against a per-head graph
-of them. ``conv1d_by_windows`` is ``conv1d`` as one tensordot over a
-sliding-window copy of the padded input, the oracle of its tap-by-tap
-GEMMs. ``tsum`` is the sum the gradcheck tests reduce their outputs with.
+backward rule; ``concat`` joins their outputs along an axis. Multi-head
+``attention``, the one node the attention sublayer's oracle attends with, is
+checked in turn against a per-head graph of them. ``conv1d_by_windows`` is
+``conv1d`` as one tensordot over a sliding-window copy of the padded input,
+the oracle of its tap-by-tap GEMMs. The oracle of ``ctc_loss``, two separate
+recursions, lives with its tests. ``tsum`` is the sum the gradcheck tests
+reduce their outputs with.
 """
 
 import numpy as np
@@ -162,6 +164,21 @@ def cross_entropy(logits, targets):
     return dc._node(data, (logits,), backward, "cross_entropy")
 
 
+def concat(tensors, axis=0):
+    tensors = [dc._lift(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            dc._accum(t, g[tuple(idx)])
+
+    return dc._node(data, tensors, backward, "concat")
+
+
 def lstm_cell(x, h, c, W, U, b):
     """One LSTM step from the primitives; x (1, Din), h and c (1, H). Gate order i, f, g, o."""
     hidden = h.shape[1]
@@ -173,6 +190,26 @@ def lstm_cell(x, h, c, W, U, b):
     c_new = dc.add(dc.mul(f, c), dc.mul(i, g))
     h_new = dc.mul(o, tanh(c_new))
     return h_new, c_new
+
+
+def lstm_by_cells(xs, W, U, b, reverse=False):
+    """One direction of ``blstm_layer`` op by op: one ``lstm_cell`` per frame from zero states, rows concatenated."""
+    t_len, _ = xs.shape
+    hidden = U.shape[0]
+    h = dc.Tensor(np.zeros((1, hidden)))
+    c = dc.Tensor(np.zeros((1, hidden)))
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    outs = [None] * t_len
+    for i in order:
+        h, c = lstm_cell(take(xs, np.s_[i : i + 1]), h, c, W, U, b)
+        outs[i] = h
+    return concat(outs, axis=0)
+
+
+def blstm_layer_by_cells(xs, params, prefix):
+    """Op-by-op oracle for ``blstm_layer``: ``lstm_by_cells`` forward and reversed, joined frame by frame."""
+    fwd, bwd = ([params[f"{prefix}.{d}.{n}"] for n in "WUb"] for d in ("fwd", "bwd"))
+    return concat([lstm_by_cells(xs, *fwd), lstm_by_cells(xs, *bwd, reverse=True)], axis=1)
 
 
 def attention(q, k, v, heads):
@@ -250,12 +287,12 @@ def attention_decoder_by_steps(hidden, embed, W, U, b, out_w, out_b, tokens, tar
     h, c, ctx = (dc.Tensor(np.zeros((1, d))) for _ in range(3))
     rows = []
     for tok in tokens:
-        step_in = dc.concat([take(embed, [tok]), ctx], axis=1)
+        step_in = concat([take(embed, [tok]), ctx], axis=1)
         h, c = lstm_cell(step_in, h, c, W, U, b)
         weights = softmax(dc.matmul(h, transpose(hidden)))
         ctx = dc.matmul(weights, hidden)
-        rows.append(dc.linear(dc.concat([h, ctx], axis=1), out_w, out_b))
-    return cross_entropy(dc.concat(rows, axis=0), targets)
+        rows.append(dc.linear(concat([h, ctx], axis=1), out_w, out_b))
+    return cross_entropy(concat(rows, axis=0), targets)
 
 
 def conv1d_by_windows(x, w, b):

@@ -113,13 +113,13 @@ BAD_CONFIGS = [
 class TestCtcLoss:
     def test_single_frame_uniform(self):
         logits = dc.Tensor(np.zeros((1, 2)))
-        loss = am.ctc_loss(logits, [1])
+        loss = dc.ctc_loss(logits, [1])
         assert abs(loss.item() - (-math.log(0.5))) < 1e-12
 
     def test_certain_path_zero_loss(self):
         logits = np.full((3, 3), -100.0)
         logits[:, 1] = 100.0
-        loss = am.ctc_loss(dc.Tensor(logits), [1])
+        loss = dc.ctc_loss(dc.Tensor(logits), [1])
         assert abs(loss.item()) < 1e-6
 
     def test_matches_brute_force_small_batch(self):
@@ -129,40 +129,51 @@ class TestCtcLoss:
             v = int(rng.integers(2, 5))
             n_lab = int(rng.integers(0, min(3, t_len) + 1))
             labels = list(rng.integers(1, v, n_lab))
-            if t_len < am.min_frames_for(labels):
+            if t_len < dc.min_frames_for(labels):
                 continue
             logits = rng.normal(0, 2, (t_len, v))
-            got = am.ctc_loss(dc.Tensor(logits), labels).item()
+            got = dc.ctc_loss(dc.Tensor(logits), labels).item()
             want = brute_force_ctc(logits, labels)
             assert abs(got - want) < 1e-6
 
     def test_infeasible_alignment_rejected(self):
         with pytest.raises(ValueError, match="no valid alignment"):
-            am.ctc_loss(dc.Tensor(np.zeros((1, 3))), [1, 2])
+            dc.ctc_loss(dc.Tensor(np.zeros((1, 3))), [1, 2])
         # repeated labels need a separating blank frame
         with pytest.raises(ValueError, match="no valid alignment"):
-            am.ctc_loss(dc.Tensor(np.zeros((2, 3))), [1, 1])
+            dc.ctc_loss(dc.Tensor(np.zeros((2, 3))), [1, 1])
 
     def test_blank_in_labels_rejected(self):
         with pytest.raises(ValueError, match="blank"):
-            am.ctc_loss(dc.Tensor(np.zeros((3, 3))), [0])
+            dc.ctc_loss(dc.Tensor(np.zeros((3, 3))), [0])
 
     @pytest.mark.parametrize("bad", [3.9, 2.0, np.float64(1.5), "1"])
     def test_non_integer_label_named(self, bad):
         with pytest.raises(ValueError, match=rf"ctc_loss: label id {re.escape(repr(bad))} is not an integer"):
-            am.ctc_loss(dc.Tensor(np.zeros((4, 5))), [1, bad])
+            dc.ctc_loss(dc.Tensor(np.zeros((4, 5))), [1, bad])
 
     def test_numpy_integer_labels_accepted(self):
         logits = np.random.default_rng(3).normal(0, 1, (6, 5))
-        want = am.ctc_loss(dc.Tensor(logits), [1, 3, 3]).item()
+        want = dc.ctc_loss(dc.Tensor(logits), [1, 3, 3]).item()
         for labels in (np.array([1, 3, 3]), [np.int32(1), np.uint8(3), 3]):
-            assert am.ctc_loss(dc.Tensor(logits), labels).item() == want
+            assert dc.ctc_loss(dc.Tensor(logits), labels).item() == want
 
     def test_gradcheck(self):
         rng = np.random.default_rng(1)
         logits = dc.Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
-        worst = gradcheck(lambda: am.ctc_loss(logits, [1, 2]), [logits])
+        worst = gradcheck(lambda: dc.ctc_loss(logits, [1, 2]), [logits])
         assert worst < 1e-4
+
+    def test_plain_array_is_lifted(self):
+        logits = np.random.default_rng(4).normal(0, 1, (4, 5))
+        loss = dc.ctc_loss(logits, [1, 2])
+        assert not loss.requires_grad
+        assert loss.item() == dc.ctc_loss(dc.Tensor(logits), [1, 2]).item()
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 5, 1)])
+    def test_logits_of_another_rank_named(self, shape):
+        with pytest.raises(ValueError, match=rf"ctc_loss logits must be \(T, V\), got shape {re.escape(str(shape))}"):
+            dc.ctc_loss(dc.Tensor(np.zeros(shape)), [1])
 
     @given(seed=st.integers(0, 100000))
     @settings(max_examples=40, deadline=None)
@@ -171,9 +182,9 @@ class TestCtcLoss:
         t_len = int(rng.integers(3, 12))
         logits = dc.Tensor(rng.uniform(-50, 50, (t_len, 5)), requires_grad=True)
         labels = list(rng.integers(1, 5, min(3, t_len)))
-        if t_len < am.min_frames_for(labels):
+        if t_len < dc.min_frames_for(labels):
             labels = labels[:1]
-        loss = am.ctc_loss(logits, labels)
+        loss = dc.ctc_loss(logits, labels)
         loss.backward()
         assert np.isfinite(loss.data)
         assert np.all(np.isfinite(logits.grad))
@@ -188,11 +199,11 @@ class TestCtcLoss:
     @settings(max_examples=80, deadline=None)
     def test_equals_two_recursions(self, t_len, v, draws, scale, seed):
         labels = [1 + d % (v - 1) for d in draws]  # repeats are common at small vocab sizes
-        while am.min_frames_for(labels) > t_len:
+        while dc.min_frames_for(labels) > t_len:
             labels.pop()
         arrays = np.random.default_rng(seed).normal(0, scale, (t_len, v))
         results = []
-        for run in (am.ctc_loss, ctc_by_two_recursions):
+        for run in (dc.ctc_loss, ctc_by_two_recursions):
             logits = dc.Tensor(arrays.copy(), requires_grad=True)
             loss = run(logits, labels)
             loss.backward()
@@ -204,7 +215,7 @@ class TestCtcLoss:
     def test_empty_labels_all_blank_probability(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(0, 1, (4, 3))
-        got = am.ctc_loss(dc.Tensor(logits), []).item()
+        got = dc.ctc_loss(dc.Tensor(logits), []).item()
         want = brute_force_ctc(logits, [])
         assert abs(got - want) < 1e-9
 
@@ -282,6 +293,12 @@ class TestEncoder:
         model = am.AsrModel(tiny_cfg(), seed=0)
         with pytest.raises(ValueError, match=f"{MEL}-dim"):
             model.encode(dc.Tensor(np.zeros((4, 7))))
+
+    @pytest.mark.parametrize("shape", [(MEL,), (4, MEL, 1)])
+    def test_input_of_another_rank_named(self, shape):
+        model = am.AsrModel(tiny_cfg(), seed=0)
+        with pytest.raises(ValueError, match=rf"of shape \(T, {MEL}\), got shape {re.escape(str(shape))}"):
+            model.encode(dc.Tensor(np.zeros(shape)))
 
     def test_gradcheck_two_layers_three_frames(self):
         model = am.AsrModel(tiny_cfg(), seed=1)
@@ -361,7 +378,7 @@ class TestAsrLoss:
         self.labels = [3, 4]
 
     def test_lambda_one_is_ctc(self):
-        want = am.ctc_loss(self.model.ctc_logits(self.hidden), self.labels).item()
+        want = dc.ctc_loss(self.model.ctc_logits(self.hidden), self.labels).item()
         assert self.model.asr_loss(self.hidden, self.labels, lam=1.0).item() == want
 
     def test_lambda_zero_is_attention(self):
@@ -369,7 +386,7 @@ class TestAsrLoss:
         assert self.model.asr_loss(self.hidden, self.labels, lam=0.0).item() == want
 
     def test_lambda_half_is_mean(self):
-        c = am.ctc_loss(self.model.ctc_logits(self.hidden), self.labels).item()
+        c = dc.ctc_loss(self.model.ctc_logits(self.hidden), self.labels).item()
         a = self.model.attention_loss(self.hidden, self.labels).item()
         got = self.model.asr_loss(self.hidden, self.labels, lam=0.5).item()
         assert abs(got - (0.5 * c + 0.5 * a)) < 1e-12

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -587,6 +588,49 @@ class TestManifest:
         (tmp_path / "transcripts" / "utt0000.txt").write_text("sil qq sil", "utf-8")
         with pytest.raises(ValueError, match="qq"):
             corpus.build_manifest(tmp_path, self.scheme())
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[1, 2]", r": \[1, 2\] is not a JSON object"),
+            ('{"utt0000": "loud"}', r": the SNR of utterance 'utt0000' is 'loud'; it must be a finite number or null"),
+            ('{"utt0000": NaN}', r": the SNR of utterance 'utt0000' is nan"),
+            ('{"utt0000": 5.0', r": not UTF-8 JSON: Expecting"),
+        ],
+        ids=["list", "string_snr", "nan_snr", "malformed"],
+    )
+    def test_bad_mix_meta_names_the_file(self, tmp_path, text, problem):
+        corpus.synth_corpus(tmp_path, n_utts=1, seed=0)
+        corpus.mix_corpus(tmp_path, [0.0], seed=1)
+        path = tmp_path / "mix_meta.json"
+        path.write_text(text, "utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + problem):
+            corpus.build_manifest(tmp_path, self.scheme())
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [(b"sil x sil", "phone 'x' not in scheme 'manner'"), (b"sil \xff sil", "'utf-8' codec can't decode byte 0xff")],
+        ids=["unknown_phone", "not_utf8"],
+    )
+    def test_bad_transcript_names_the_file_and_utt(self, tmp_path, content, problem):
+        corpus.synth_corpus(tmp_path, n_utts=2, seed=0)
+        corpus.mix_corpus(tmp_path, [0.0], seed=1)
+        path = tmp_path / "transcripts" / "utt0001.txt"
+        path.write_bytes(content)
+        problem = rf"utterance 'utt0001' \({re.escape(str(path))}\): {problem}"
+        with pytest.raises(ValueError, match=problem):
+            corpus.build_manifest(tmp_path, self.scheme())
+
+    @pytest.mark.parametrize(
+        "field, value, must",
+        [("scheme", 3, "a string"), ("scheme", None, "a string"), ("seed", "x", "an integer or null"),
+         ("seed", True, "an integer or null"), ("seed", 2.0, "an integer or null")],
+    )
+    def test_scheme_or_seed_of_wrong_type_named(self, field, value, must):
+        doc = json.loads(corpus.Manifest([], "manner", 3).to_json())
+        doc[field] = value
+        with pytest.raises(ValueError, match=rf"manifest field '{field}' is {re.escape(repr(value))}; it must be {must}$"):
+            corpus.Manifest.from_json(json.dumps(doc))
 
     def test_json_roundtrip(self, tmp_path):
         corpus.synth_corpus(tmp_path, n_utts=2, seed=0)

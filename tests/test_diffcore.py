@@ -14,6 +14,8 @@ from gradcheck_ops import (
     attention,
     attention_decoder_by_steps,
     attention_sublayer_by_ops,
+    blstm_layer_by_cells,
+    concat,
     conv1d_by_windows,
     cross_entropy,
     feed_forward_sublayer_by_ops,
@@ -85,7 +87,7 @@ class TestPrimitiveGradients:
     def test_concat(self):
         rng = np.random.default_rng(9)
         a, b = rand(rng, 2, 3), rand(rng, 4, 3)
-        self.check(lambda: tsum(dc.concat([a, b], axis=0) * dc.concat([a, b], axis=0)), [a, b])
+        self.check(lambda: tsum(concat([a, b], axis=0) * concat([a, b], axis=0)), [a, b])
 
     def test_slice(self):
         rng = np.random.default_rng(10)
@@ -159,7 +161,7 @@ class TestContracts:
         def build():
             x, w, b, k, kb, g = leaves = [t(a) for a in arrays]
             h = tanh(dc.linear(x, w, b))  # shared by three consumers below
-            mixed = dc.concat([softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
+            mixed = concat([softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
             return dc.add(tsum(mixed * mixed), tsum(take(dc.relu(h), np.s_[1:4]))), leaves
 
         want_root, want_leaves = build()
@@ -412,26 +414,12 @@ class TestLinear:
             dc.linear(rand(rng, 3), W, rand(rng, 2))
 
 
-def lstm_by_cells(xs, W, U, b, reverse=False):
-    """Op-by-op oracle for ``lstm_sequence``: one ``lstm_cell`` per frame, outputs concatenated."""
-    t_len, _ = xs.shape
-    hidden = U.shape[0]
-    h = dc.Tensor(np.zeros((1, hidden)))
-    c = dc.Tensor(np.zeros((1, hidden)))
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    outs = [None] * t_len
-    for i in order:
-        h, c = lstm_cell(take(xs, np.s_[i : i + 1]), h, c, W, U, b)
-        outs[i] = h
-    return dc.concat(outs, axis=0)
-
-
-def lstm_value_and_grads(run, xs, params, weights):
-    """Value of sum(weights * run(...)) and the grads of xs, W, U and b."""
+def blstm_value_and_grads(run, xs, params, weights):
+    """Value of sum(weights * run(xs, params, "l")) and the grads of xs and every weight."""
     tensors = [xs, *params.values()]
     for tensor in tensors:
         tensor.grad = None
-    out = run(xs, *params.values())
+    out = run(xs, params, "l")
     tsum(out * weights).backward()
     return out.data.copy(), [tensor.grad.copy() for tensor in tensors]
 
@@ -455,60 +443,82 @@ class TestSigmoid:
             assert dc._sigmoid(np.array([-1000.0, 1000.0]), np.empty(2)).tolist() == [0.0, 1.0]
 
 
-class TestLstm:
-    def make_params(self, rng, din, h):
-        return dc.init_lstm_params(rng, din, h, "cell")
+class TestGlorot:
+    @pytest.mark.parametrize(
+        "shape, bound", [((3, 7), np.sqrt(6.0 / (3 + 7))), ((5, 4, 3), np.sqrt(6.0 / (4 * 3 + 5 * 3)))], ids=["matrix", "conv"]
+    )
+    def test_draws_uniform_within_the_glorot_bound(self, shape, bound):
+        p = dc.glorot(np.random.default_rng(7), shape)
+        assert isinstance(p, dc.Parameter) and p.requires_grad
+        assert np.array_equal(p.data, np.random.default_rng(7).uniform(-bound, bound, shape))
 
-    @pytest.mark.parametrize("reverse", [False, True])
+
+def blstm_params(rng, din, hidden):
+    """Weights of a BLSTM layer ``l`` with biases off zero, so that their grads are exercised."""
+    params = {**dc.init_lstm_params(rng, din, hidden, "l.fwd"), **dc.init_lstm_params(rng, din, hidden, "l.bwd")}
+    for d in ("fwd", "bwd"):
+        params[f"l.{d}.b"].data[:] = rng.uniform(-1, 1, params[f"l.{d}.b"].shape)
+    return params
+
+
+class TestLstm:
     @pytest.mark.parametrize("t_len", [1, 4])
-    def test_lstm_sequence_gradcheck(self, reverse, t_len):
+    def test_blstm_layer_gradcheck(self, t_len):
         rng = np.random.default_rng(20 + t_len)
-        p = self.make_params(rng, 3, 2)
-        p["cell.b"].data[:] = rng.uniform(-0.5, 0.5, p["cell.b"].shape)  # exercise the bias grad off zero
+        params = blstm_params(rng, 3, 2)
         xs = rand(rng, t_len, 3)
-        w = t(rng.uniform(-1, 1, (t_len, 2)), grad=False)
-        args = (xs, p["cell.W"], p["cell.U"], p["cell.b"])
-        f = lambda: tsum(dc.lstm_sequence(*args, reverse=reverse) * w)
-        assert gradcheck(f, list(args)) < 1e-4
+        w = t(rng.uniform(-1, 1, (t_len, 4)), grad=False)
+        assert gradcheck(lambda: tsum(dc.blstm_layer(xs, params, "l") * w), [xs, *params.values()]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
         din=st.integers(1, 5),
         hidden=st.integers(1, 5),
-        reverse=st.booleans(),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_lstm_sequence_equals_cell_loop(self, t_len, din, hidden, reverse, seed):
+    def test_blstm_layer_equals_cell_loops(self, t_len, din, hidden, seed):
         rng = np.random.default_rng(seed)
-        params = self.make_params(rng, din, hidden)
-        params["cell.b"].data[:] = rng.uniform(-1, 1, params["cell.b"].shape)
+        params = blstm_params(rng, din, hidden)
         xs = rand(rng, t_len, din)
-        weights = rng.normal(size=(t_len, hidden))
-        fused = lstm_value_and_grads(lambda *a: dc.lstm_sequence(*a, reverse=reverse), xs, params, weights)
-        oracle = lstm_value_and_grads(lambda *a: lstm_by_cells(*a, reverse=reverse), xs, params, weights)
+        weights = rng.normal(size=(t_len, 2 * hidden))
+        fused = blstm_value_and_grads(dc.blstm_layer, xs, params, weights)
+        oracle = blstm_value_and_grads(blstm_layer_by_cells, xs, params, weights)
         assert rel_err(fused[0], oracle[0]) <= 1e-12
         for got, want in zip(fused[1], oracle[1]):
             assert got.shape == want.shape
             assert rel_err(got, want) <= 1e-12
 
-    def test_lstm_sequence_is_one_node(self):
+    def test_blstm_layer_is_one_node(self):
         rng = np.random.default_rng(21)
-        p = self.make_params(rng, 3, 2)
-        out = dc.lstm_sequence(rand(rng, 5, 3), p["cell.W"], p["cell.U"], p["cell.b"])
-        assert out.shape == (5, 2)
-        assert len(out._parents) == 4
+        out = dc.blstm_layer(rand(rng, 5, 3), blstm_params(rng, 3, 2), "l")
+        assert out.shape == (5, 2 * 2)
+        assert out._op == "blstm_layer"
+        assert len(out._parents) == 7
+        assert all(p._op == "leaf" for p in out._parents)
+        buffer = out.data.base  # both directions' states, the zero states they start from in its end rows
+        assert buffer.shape == (5 + 2, 2 * 2) and np.shares_memory(out.data, buffer)
+        assert not buffer[[0, -1]].any()
 
-    def test_lstm_sequence_rejects_bad_shapes(self):
+    def test_blstm_layer_rejects_bad_shapes(self):
         rng = np.random.default_rng(22)
-        p = self.make_params(rng, 3, 2)
-        with pytest.raises(ValueError, match=r"\(5, 4\)"):
-            dc.lstm_sequence(rand(rng, 5, 4), p["cell.W"], p["cell.U"], p["cell.b"])
-        with pytest.raises(ValueError, match="at least one frame"):
-            dc.lstm_sequence(rand(rng, 0, 3), p["cell.W"], p["cell.U"], p["cell.b"])
+        for name, shape, expected in [
+            ("fwd.U", (8,), r"\(H, 4H\)"),
+            ("fwd.W", (4, 8), r"\(3, 8\)"),
+            ("bwd.U", (2, 4), r"\(2, 8\)"),
+            ("bwd.b", (8,), r"\(1, 8\)"),
+        ]:
+            params = blstm_params(rng, 3, 2)
+            params[f"l.{name}"] = dc.Parameter(np.ones(shape))
+            with pytest.raises(ValueError, match=rf"blstm_layer: l\.{re.escape(name)} has shape .*expected {expected}"):
+                dc.blstm_layer(rand(rng, 5, 3), params, "l")
+        with pytest.raises(ValueError, match=r"blstm_layer input must be \(T, Din\), got shape \(5,\)"):
+            dc.blstm_layer(rand(rng, 5), blstm_params(rng, 3, 2), "l")
+        with pytest.raises(ValueError, match="blstm_layer needs at least one frame"):
+            dc.blstm_layer(rand(rng, 0, 3), blstm_params(rng, 3, 2), "l")
 
     def test_zero_weights_zero_state(self):
-        p = self.make_params(np.random.default_rng(0), 3, 4)
+        p = dc.init_lstm_params(np.random.default_rng(0), 3, 4, "cell")
         for v in p.values():
             v.data[:] = 0.0
         x = t(np.ones((1, 3)))
@@ -548,7 +558,7 @@ def attention_by_heads(q, k, v, heads):
         sl = slice(h * dh, (h + 1) * dh)
         scores = dc.matmul(take(q, np.s_[:, sl]), transpose(take(k, np.s_[:, sl]))) * (1.0 / np.sqrt(dh))
         outs.append(dc.matmul(softmax(scores), take(v, np.s_[:, sl])))
-    return dc.concat(outs, axis=1)
+    return concat(outs, axis=1)
 
 
 class TestAttention:
@@ -622,7 +632,7 @@ def block_params(rng, d, requires_grad=True):
     shapes.update({"ff.w1": (d, 4 * d), "ff.b1": (4 * d,), "ff.w2": (4 * d, d)})
     params = {}
     for name, shape in shapes.items():
-        params[f"blk.{name}"] = p = dc.Parameter(rng.normal(0, 0.7, shape), f"blk.{name}")
+        params[f"blk.{name}"] = p = dc.Parameter(rng.normal(0, 0.7, shape))
         p.requires_grad = requires_grad
     return params
 
@@ -717,7 +727,7 @@ class TestTransformerSublayers:
     def test_operand_of_another_shape_named(self, name, shape, expected):
         rng = np.random.default_rng(85)
         params = block_params(rng, 8)
-        params[f"blk.{name}"] = dc.Parameter(np.ones(shape), f"blk.{name}")
+        params[f"blk.{name}"] = dc.Parameter(np.ones(shape))
         fused, _, names = sublayer_runs(2)[name not in ATTENTION_NAMES]
         assert name in names
         with pytest.raises(ValueError, match=re.escape(f"blk.{name} has shape {shape}, expected {expected}")):
@@ -861,7 +871,7 @@ class TestNoGrad:
     def test_ops_record_nothing(self):
         rng = np.random.default_rng(40)
         x = rand(rng, 4, 3)
-        p = dc.init_lstm_params(rng, 3, 2, "cell")
+        p = blstm_params(rng, 3, 2)
         p.update(block_params(rng, 3))
         with dc.no_grad():
             outs = [
@@ -869,7 +879,7 @@ class TestNoGrad:
                 dc.linear(x, x.data.T, x.data[:, 0]),
                 dc.attention_sublayer(x, p, "blk", 3),
                 dc.feed_forward_sublayer(x, p, "blk"),
-                dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]),
+                dc.blstm_layer(x, p, "l"),
             ]
         for out in outs:
             assert not out.requires_grad
@@ -916,12 +926,12 @@ class TestFrozenParameters:
         xs, w = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
         input_grads = []
         for frozen in (False, True):
-            p = dc.init_lstm_params(np.random.default_rng(43), 3, 2, "cell")
-            proj = dc.Parameter(np.random.default_rng(44).normal(size=(2, 2)), "proj")
+            p = blstm_params(np.random.default_rng(43), 3, 1)
+            proj = dc.Parameter(np.random.default_rng(44).normal(size=(2, 2)))
             for q in [*p.values(), proj]:
                 q.requires_grad = not frozen
             x = t(xs)
-            out = dc.matmul(dc.lstm_sequence(x, p["cell.W"], p["cell.U"], p["cell.b"]), proj)
+            out = dc.matmul(dc.blstm_layer(x, p, "l"), proj)
             tsum(out * w).backward()
             assert all((q.grad is None) == frozen for q in [*p.values(), proj])
             input_grads.append(x.grad)
@@ -980,7 +990,7 @@ class TestAdam:
         init = [rng.normal(size=shape) for shape, _ in specs]
         sides = []
         for cls in (dc.Adam, AdamByArrays):
-            params = {f"p{i}": dc.Parameter(a.copy(), f"p{i}") for i, a in enumerate(init)}
+            params = {f"p{i}": dc.Parameter(a.copy()) for i, a in enumerate(init)}
             for p, (_, kind) in zip(params.values(), specs):
                 p.requires_grad = kind != "frozen"
             sides.append((params, cls(params, lr=lr)))
@@ -1009,7 +1019,7 @@ class TestAdam:
 
     def test_moments_are_made_at_the_first_grad(self):
         rng = np.random.default_rng(61)
-        params = {n: dc.Parameter(rng.normal(size=s), n) for n, s in [("a", (3, 4)), ("b", (dc.ADAM_CHUNK + 3,))]}
+        params = {n: dc.Parameter(rng.normal(size=s)) for n, s in [("a", (3, 4)), ("b", (dc.ADAM_CHUNK + 3,))]}
         opt = dc.Adam(params, lr=0.1)
         assert opt._m == {} and opt._v == {}
         g = params["a"].grad = rng.normal(size=(3, 4))
@@ -1028,7 +1038,7 @@ class TestAdam:
         ]
         sides = []
         for cls in (dc.Adam, AdamByArrays):
-            params = {n: dc.Parameter(a.copy(), n) for n, a in init.items()}
+            params = {n: dc.Parameter(a.copy()) for n, a in init.items()}
             opt = cls(params, lr=0.01)
             for step_grads in grads:
                 for n, p in params.items():
@@ -1047,9 +1057,9 @@ class TestAdam:
         """A Parameter built from a view holds a C-contiguous copy of it, which Adam updates like the oracle."""
         rng = np.random.default_rng(60)
         base = rng.normal(size=(4, 6))
-        p = dc.Parameter(view(base), "w")
+        p = dc.Parameter(view(base))
         assert p.data.flags.c_contiguous and np.array_equal(p.data, view(base))
-        oracle_p = dc.Parameter(view(base), "w")
+        oracle_p = dc.Parameter(view(base))
         opt, oracle = dc.Adam({"w": p}, lr=0.1), AdamByArrays({"w": oracle_p}, lr=0.1)
         before = base.copy()
         for _ in range(3):
@@ -1060,7 +1070,7 @@ class TestAdam:
         assert np.array_equal(base, before)  # the view the parameter was built from is left alone
 
     def test_grad_of_another_shape_names_the_parameter(self):
-        p = dc.Parameter(np.ones(3), "block0.bq")
+        p = dc.Parameter(np.ones(3))
         opt = dc.Adam({"block0.bq": p}, lr=0.1)
         p.grad = np.ones(1)  # broadcasts against (3,), so only the shape check catches it
         with pytest.raises(ValueError, match=r"'block0\.bq' has shape \(1,\), its data \(3,\)"):
@@ -1068,14 +1078,14 @@ class TestAdam:
         assert np.all(p.data == 1.0) and opt.t == 0
 
     def test_zero_grad_leaves_parameter(self):
-        p = dc.Parameter(np.ones(3), "p")
+        p = dc.Parameter(np.ones(3))
         opt = dc.Adam({"p": p}, lr=0.1)
         p.grad = np.zeros(3)
         opt.step()
         assert np.all(p.data == 1.0)
 
     def test_frozen_parameter_untouched(self):
-        p = dc.Parameter(np.ones(3), "p")
+        p = dc.Parameter(np.ones(3))
         p.requires_grad = False
         opt = dc.Adam({"p": p}, lr=0.1)
         p.grad = np.ones(3)
@@ -1085,7 +1095,7 @@ class TestAdam:
     def test_single_step_hand_calculation(self):
         # one step with constant grad g: theta' = theta - lr * g / (|g| + eps)
         g = 0.3
-        p = dc.Parameter(np.array([2.0]), "p")
+        p = dc.Parameter(np.array([2.0]))
         opt = dc.Adam({"p": p}, lr=0.01)
         p.grad = np.array([g])
         opt.step()
@@ -1097,8 +1107,8 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         params = {
-            "a.w": dc.Parameter(rng.normal(size=(3, 4)), "a.w"),
-            "b": dc.Parameter(rng.normal(size=(5,)), "b"),
+            "a.w": dc.Parameter(rng.normal(size=(3, 4))),
+            "b": dc.Parameter(rng.normal(size=(5,))),
         }
         path = tmp_path / "model.ckpt"
         dc.save_checkpoint(path, params, {"kind": "test", "seed": 7})
@@ -1122,7 +1132,7 @@ class TestCheckpoint:
             dc.load_checkpoint(path)
 
     def test_restore_params_is_all_or_nothing(self):
-        params = {"a": dc.Parameter(np.zeros(3), "a"), "b": dc.Parameter(np.zeros(2), "b")}
+        params = {"a": dc.Parameter(np.zeros(3)), "b": dc.Parameter(np.zeros(2))}
         with pytest.raises(ValueError, match=r"m\.ckpt.*'b'.*\(3,\).*\(2,\)"):
             dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.ones(3)})
         with pytest.raises(ValueError, match=r"m\.ckpt.*'c'"):

@@ -1,8 +1,10 @@
-"""Census of the graph ops in ``diffcore``: each one has a caller in the package or the benchmark, and a gradcheck.
+"""Census of the graph ops: each one lives in ``diffcore``, has a caller in the package or the benchmark, and a gradcheck.
 
-An op is a top-level ``diffcore`` function that calls ``_node``. One that no
-model, pipeline stage or benchmark workload calls is dead code that the
-tests alone keep alive; ops only the tests need live in
+An op is a top-level function of a ``src/`` module that calls ``_node``.
+Only ``diffcore`` knows how a graph node is built, so every op is in it and
+no other module reads a private ``diffcore`` name. An op that no model,
+pipeline stage or benchmark workload calls is dead code that the tests
+alone keep alive; ops only the tests need live in
 ``tests/gradcheck_ops.py``. Every op's hand-written backward is checked
 against central differences: it is named in a test function that calls
 ``gradcheck``, directly or through a helper of its test module.
@@ -12,7 +14,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DIFFCORE = ROOT / "src" / "bpcse" / "diffcore.py"
+PACKAGE = {path.stem: ast.parse(path.read_text("utf-8")) for path in sorted((ROOT / "src" / "bpcse").glob("*.py"))}
 CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
@@ -39,20 +41,58 @@ def calls_node(function):
     return "_node" in called_names(function)
 
 
-def diffcore_ops():
-    """The top-level functions of ``diffcore`` that call ``_node``, by name."""
-    tree = ast.parse(DIFFCORE.read_text("utf-8"))
-    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef) and calls_node(node)}
+def graph_ops():
+    """The top-level functions of the ``src/`` modules that call ``_node``, as ``{"module.name": node}``."""
+    return {
+        f"{module}.{node.name}": node
+        for module, tree in PACKAGE.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and calls_node(node)
+    }
+
+
+def ops_by_name():
+    return {q.split(".", 1)[1]: node for q, node in graph_ops().items()}
+
+
+def private_diffcore_reads(tree):
+    """Each private ``diffcore`` name ``tree`` imports, or reads as ``alias._name`` through an import of the module."""
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("diffcore"):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name.endswith("diffcore")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            if node.attr.startswith("_"):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
 
 
 def test_the_census_finds_the_ops():
-    assert {"matmul", "linear", "attention_sublayer", "feed_forward_sublayer", "lstm_sequence", "attention_decoder"} <= set(
-        diffcore_ops()
-    )
+    ops = {"matmul", "linear", "attention_sublayer", "feed_forward_sublayer", "blstm_layer", "attention_decoder", "ctc_loss"}
+    assert {f"diffcore.{name}" for name in ops} <= set(graph_ops())
+
+
+def test_the_census_finds_private_reads():
+    tree = ast.parse("from . import diffcore as dc\nfrom .diffcore import BLANK, _lift\ndc._node(1)\ndc.Tensor\nx._node")
+    assert sorted(private_diffcore_reads(tree)) == ["_lift", "dc._node"]
+
+
+def test_only_diffcore_builds_graph_nodes():
+    outside = sorted(q for q in graph_ops() if not q.startswith("diffcore."))
+    assert not outside, f"src/ functions outside diffcore that call _node: {outside}; move the op into diffcore"
+
+
+def test_no_module_reads_private_diffcore_names():
+    reads = {m: private_diffcore_reads(tree) for m, tree in PACKAGE.items() if m != "diffcore"}
+    reads = {m: names for m, names in reads.items() if names}
+    assert not reads, f"modules that read private diffcore names: {reads}; give diffcore the op instead"
 
 
 def test_every_op_has_a_caller_outside_its_own_definition():
-    ops = diffcore_ops()
+    ops = ops_by_name()
     references = {name: 0 for name in ops}
     for path in CALLERS:
         for name in names_in(ast.parse(path.read_text("utf-8"))):
@@ -61,7 +101,7 @@ def test_every_op_has_a_caller_outside_its_own_definition():
     for name, definition in ops.items():
         references[name] -= sum(n == name for n in names_in(definition))
     dead = sorted(name for name, n in references.items() if n < 1)
-    assert not dead, f"diffcore ops with no caller in src/ or bench/: {dead}; delete them or move them to the tests"
+    assert not dead, f"graph ops with no caller in src/ or bench/: {dead}; delete them or move them to the tests"
 
 
 def test_every_op_is_named_in_a_gradcheck_test():
@@ -72,5 +112,5 @@ def test_every_op_is_named_in_a_gradcheck_test():
         for f in functions:
             if f.name.startswith("test") and checkers & set(called_names(f)):
                 checked.update(names_in(f))
-    missing = sorted(set(diffcore_ops()) - checked)
-    assert not missing, f"diffcore ops named in no test function that calls gradcheck: {missing}"
+    missing = sorted(set(ops_by_name()) - checked)
+    assert not missing, f"graph ops named in no test function that calls gradcheck: {missing}"

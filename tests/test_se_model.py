@@ -36,6 +36,12 @@ class TestForwardContracts:
         with pytest.raises(ValueError, match="257"):
             model.forward(dc.Tensor(np.zeros((4, 100))))
 
+    @pytest.mark.parametrize("shape", [(257,), (4, 257, 1)])
+    def test_input_of_another_rank_named(self, shape):
+        model = SeModel(TINY, seed=0)
+        with pytest.raises(ValueError, match=rf"of shape \(T, 257\), got shape {re.escape(str(shape))}"):
+            model.forward(dc.Tensor(np.zeros(shape)))
+
     def test_paper_defaults(self):
         cfg = SeConfig()
         assert (cfg.conv_layers, cfg.attention_blocks, cfg.d_model, cfg.heads) == (4, 8, 256, 4)
