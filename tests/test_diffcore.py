@@ -462,13 +462,28 @@ def blstm_params(rng, din, hidden):
 
 
 class TestLstm:
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("t_len", [1, 4])
-    def test_blstm_layer_gradcheck(self, t_len):
+    def test_lstm_sequence_gradcheck(self, reverse, t_len):
+        """One LSTM sequence of ``blstm_layer`` alone: the forward one, or the reversed (``bwd``) one.
+
+        The loss weighs only that direction's output columns, so the input and that direction's
+        weights are checked by the gradient through it alone; the other direction's grads are zero.
+        """
         rng = np.random.default_rng(20 + t_len)
         params = blstm_params(rng, 3, 2)
         xs = rand(rng, t_len, 3)
-        w = t(rng.uniform(-1, 1, (t_len, 4)), grad=False)
-        assert gradcheck(lambda: tsum(dc.blstm_layer(xs, params, "l") * w), [xs, *params.values()]) < 1e-4
+        w = np.zeros((t_len, 4))
+        cols = slice(2, 4) if reverse else slice(0, 2)
+        w[:, cols] = rng.uniform(-1, 1, (t_len, 2))
+        w = t(w, grad=False)
+        used = "bwd" if reverse else "fwd"
+        own = [v for k, v in params.items() if k.startswith(f"l.{used}.")]
+        other = [v for k, v in params.items() if not k.startswith(f"l.{used}.")]
+        f = lambda: tsum(dc.blstm_layer(xs, params, "l") * w)
+        assert gradcheck(f, [xs, *own]) < 1e-4
+        for p in other:
+            assert p.grad is None or not np.any(p.grad)
 
     @given(
         t_len=st.integers(1, 7),
