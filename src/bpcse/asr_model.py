@@ -9,8 +9,8 @@ cross-entropy included, is one ``diffcore.attention_decoder`` node, so the
 recognizer adds the same handful of nodes to the graph whatever the
 utterance length and label count. The projection and the CTC head are each
 one ``diffcore.linear`` node, which adds the bias in place. The weights are
-drawn by ``diffcore.glorot``, the biases are zero, and the CTC blank id is
-``diffcore.BLANK``.
+made by ``diffcore.init_params`` from the tables the ops check, and the CTC
+blank id is ``diffcore.BLANK``.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -24,6 +24,7 @@ weight grads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -66,21 +67,13 @@ class AsrModel:
         self.cfg = cfg
         self.params: dict[str, dc.Parameter] = {}
         rng = np.random.default_rng(seed)
-        h = cfg.encoder_hidden
+        h, d, v = cfg.encoder_hidden, cfg.proj_dim, len(cfg.vocab)
         for layer in range(ENCODER_LAYERS):
             din = dsp.N_MEL_FILTERS if layer == 0 else 2 * h
-            self.params.update(dc.init_lstm_params(rng, din, h, f"enc{layer}.fwd"))
-            self.params.update(dc.init_lstm_params(rng, din, h, f"enc{layer}.bwd"))
-
-        p, v = self.params, len(cfg.vocab)
-        p["proj.w"] = dc.glorot(rng, (2 * h, cfg.proj_dim))
-        p["proj.b"] = dc.Parameter(np.zeros(cfg.proj_dim))
-        p["ctc.w"] = dc.glorot(rng, (cfg.proj_dim, v))
-        p["ctc.b"] = dc.Parameter(np.zeros(v))
-        p["dec.embed"] = dc.glorot(rng, (v, cfg.embed_dim))
-        p.update(dc.init_lstm_params(rng, cfg.embed_dim + cfg.proj_dim, cfg.proj_dim, "dec.lstm"))
-        p["dec.out.w"] = dc.glorot(rng, (2 * cfg.proj_dim, v))
-        p["dec.out.b"] = dc.Parameter(np.zeros(v))
+            self.params.update(dc.init_params(rng, f"enc{layer}", dc.blstm_layout(din, h)))
+        self.params.update(dc.init_params(rng, "proj", {"w": (2 * h, d), "b": (d,)}))
+        self.params.update(dc.init_params(rng, "ctc", {"w": (d, v), "b": (v,)}))
+        self.params.update(dc.init_params(rng, "dec", dc.decoder_layout(v, cfg.embed_dim, d)))
 
     def freeze(self):
         """Stop gradient at every parameter; inputs still get theirs."""
@@ -95,23 +88,26 @@ class AsrModel:
         h = feats
         for layer in range(ENCODER_LAYERS):
             h = dc.blstm_layer(h, self.params, f"enc{layer}")
-        return dc.linear(h, self.params["proj.w"], self.params["proj.b"])
+        return dc.linear(h, self.params, "proj")
 
     def ctc_logits(self, hidden: dc.Tensor) -> dc.Tensor:
-        return dc.linear(hidden, self.params["ctc.w"], self.params["ctc.b"])
+        return dc.linear(hidden, self.params, "ctc")
 
     def attention_loss(self, hidden: dc.Tensor, labels):
         """Teacher-forced decoder cross-entropy, averaged over steps: one ``diffcore.attention_decoder`` node."""
         if len(labels) == 0:
             raise ValueError("attention decoder needs a nonempty label sequence")
-        dec = [self.params[f"dec.{n}"] for n in ("embed", "lstm.W", "lstm.U", "lstm.b", "out.w", "out.b")]
-        return dc.attention_decoder(hidden, *dec, [SOS, *labels], [*labels, EOS])
+        for label in labels:
+            if isinstance(label, numbers.Integral) and 0 <= label < len(SPECIALS):
+                raise ValueError(f"label id {label!r} is {SPECIALS[label]!r}, not a transcript label")
+        return dc.attention_decoder(hidden, self.params, "dec", [SOS, *labels], [*labels, EOS])
 
     def asr_loss(self, hidden: dc.Tensor, labels, lam) -> dc.Tensor:
-        """lam * CTC + (1 - lam) * attention loss."""
+        """lam * CTC + (1 - lam) * attention loss; the attention loss, made first, checks the labels."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {lam}")
-        return lam * dc.ctc_loss(self.ctc_logits(hidden), labels) + (1.0 - lam) * self.attention_loss(hidden, labels)
+        attention = self.attention_loss(hidden, labels)
+        return lam * dc.ctc_loss(self.ctc_logits(hidden), labels) + (1.0 - lam) * attention
 
     def decode(self, hidden: dc.Tensor):
         """Greedy CTC label ids; builds no graph."""
@@ -122,11 +118,11 @@ class AsrModel:
         return [self.cfg.vocab[i] for i in ids]
 
     def labels_to_ids(self, labels):
-        index = {s: i for i, s in enumerate(self.cfg.vocab)}
+        index = {s: i for i, s in enumerate(self.cfg.vocab) if i >= len(SPECIALS)}
         try:
             return [index[l] for l in labels]
         except KeyError as e:
-            raise ValueError(f"label {e.args[0]!r} not in vocab") from None
+            raise ValueError(f"label {e.args[0]!r} not in vocab as a transcript label") from None
 
     def save(self, path, seed=None):
         dc.save_checkpoint(path, self.params, {"kind": "asr", "config": asdict(self.cfg), "seed": seed})

@@ -43,20 +43,24 @@ without a graph one such block of scores is all that exists. Without a graph
 the attention sublayer also writes each block's output over the q rows it
 has read and its output projection into k's buffer; in both modes the
 feed-forward sublayer writes its output into its layer norm's output, which
-neither keeps. Both check every weight's shape against the input's width
-before any work. The graph primitives the tests' oracles are built from,
+neither keeps. The graph primitives the tests' oracles are built from,
 multi-head ``attention``, ``concat`` and a sliding-window ``conv1d`` among
 them, live with the tests, and so does the central finite-difference
 ``gradcheck``. The LSTM gates and the ``softplus`` grad take their sigmoid
 from ``_sigmoid``, ``1 / (1 + exp(-x))`` in numpy computed in place, so the
 module imports numpy alone.
 
-Also here: ``glorot``, which draws every weight matrix and conv kernel of
-both models; the Adam optimizer, whose one setting is the learning rate (the
-moment decays and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2``
-and ``ADAM_EPS``), which creates a parameter's moments at its first grad and
-updates each parameter in place in cache-sized chunks with no full-size
-temporaries; and strict checkpoint serialization.
+An op that owns weights takes ``(x, params, prefix, ...)`` and reads weight
+``name`` as ``params[f"{prefix}.{name}"]``. A fused op checks them against
+its layout table ``{name: shape}`` (``attention_layout``,
+``feed_forward_layout``, ``blstm_layout``, ``decoder_layout``) before any
+work, and the models make them from the same tables with ``init_params``.
+
+Also here: the Adam optimizer, whose one setting is the learning rate, a
+finite positive number (the moment decays and epsilon are the constants
+``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``), which creates a parameter's
+moments at its first grad and updates each parameter in place in cache-sized
+chunks with no full-size temporaries; and strict checkpoint serialization.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ import contextlib
 import contextvars
 import json
 import math
+import numbers
 import operator
 from pathlib import Path
 
@@ -196,14 +201,42 @@ class Parameter(Tensor):
         super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
 
 
-def glorot(rng, shape):
-    """A :class:`Parameter` drawn as ``rng.uniform(-s, s, shape)``, ``s = sqrt(6 / (fan_in + fan_out))`` (Glorot).
+def init_params(rng, prefix, layout):
+    """A :class:`Parameter` for each ``{prefix}.<name>`` of ``layout`` (``{name: shape}``), made in table order.
 
-    A matrix (rows, cols) has fans rows and cols; a conv weight (out, in, k)
-    has fans in * k and out * k.
+    A weight of rank 2 or more is drawn as ``rng.uniform(-s, s, shape)``,
+    ``s = sqrt(6 / (fan_in + fan_out))`` (Glorot): a matrix (rows, cols) has
+    fans rows and cols, a conv kernel (out, in, k) in * k and out * k. A
+    layer-norm gain ``g`` is ones, and every other vector zeros.
     """
-    s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
-    return Parameter(rng.uniform(-s, s, shape))
+    params = {}
+    for name, shape in layout.items():
+        if len(shape) >= 2:
+            s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            data = rng.uniform(-s, s, shape)
+        else:
+            data = np.ones(shape) if name.rsplit(".", 1)[-1] == "g" else np.zeros(shape)
+        params[f"{prefix}.{name}"] = Parameter(data)
+    return params
+
+
+def _operands(params, prefix, op, layout):
+    """``params[f"{prefix}.{name}"]`` for each name of ``layout``; a ValueError names ``op`` and a misshapen weight."""
+    operands = []
+    for name, shape in layout.items():
+        p = params[f"{prefix}.{name}"]
+        if p.shape != shape:
+            raise ValueError(f"{op}: {prefix}.{name} has shape {p.shape}, expected {shape}")
+        operands.append(p)
+    return operands
+
+
+def _matrix_shape(params, key, op, expected):
+    """The shape of the matrix ``params[key]``; a ValueError names ``op``, ``key`` and ``expected`` if it is not 2-D."""
+    shape = params[key].shape
+    if len(shape) != 2:
+        raise ValueError(f"{op}: {key} has shape {shape}, expected {expected}")
+    return shape
 
 
 def _lift(v):
@@ -311,11 +344,11 @@ def matmul(a, b):
     return _node(data, (a, b), backward, "matmul")
 
 
-def linear(x, W, b):
-    """``x @ W + b`` for x (T, n), W (n, m) and b (m,), as one node; the bias is added in place."""
-    x, W, b = _lift(x), _lift(W), _lift(b)
+def linear(x, params, prefix):
+    """``x @ W + b`` for x (T, n), W (n, m) ``{prefix}.w`` and b (m,) ``{prefix}.b``, as one node."""
+    x, W, b = _lift(x), params[f"{prefix}.w"], params[f"{prefix}.b"]
     if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
-        raise ValueError(f"linear shape mismatch: x {x.shape}, W {W.shape}, b {b.shape}")
+        raise ValueError(f"linear shape mismatch: x {x.shape}, {prefix}.w {W.shape}, {prefix}.b {b.shape}")
     data = x.data @ W.data
     data += b.data
 
@@ -390,15 +423,16 @@ def _layer_norm_apply(x, mu, inv, gain, bias):
 def _layer_norm_backward(g, xhat, inv, gain, bias):
     """Accumulate the grads of the ``gain`` and ``bias`` tensors from output grad ``g``; return the input's."""
     lead = tuple(range(g.ndim - 1))
-    _accum(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
-    _accum(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
+    _accum(gain, (g * xhat).sum(axis=lead))  # every caller checks that gain and bias are (d,)
+    _accum(bias, g.sum(axis=lead))
     dxhat = g * gain.data
     return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
 
-def layer_norm(x, gain, bias):
-    """Normalize over the last axis, then scale and shift."""
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+def layer_norm(x, params, prefix):
+    """Normalize over the last axis, then scale by the gain ``{prefix}.g`` and shift by the bias ``{prefix}.b``."""
+    x = _lift(x)
+    gain, bias = _operands(params, prefix, "layer_norm", {"g": x.shape[-1:], "b": x.shape[-1:]})
     mu, inv = _layer_norm_stats(x.data)
     data, xhat = _layer_norm_apply(x.data, mu, inv, gain.data, bias.data)
 
@@ -420,19 +454,20 @@ def _taps(t, k):
             yield kk, slice(max(-s, 0), t - max(s, 0)), slice(max(s, 0), t - max(-s, 0))
 
 
-def conv1d(x, w, b):
+def conv1d(x, params, prefix):
     """1-D "same" convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,).
 
-    K is odd and the input is zero-padded by K // 2 frames at each end, so the
+    w and b are read from ``params`` as ``{prefix}.w`` and ``{prefix}.b``. K
+    is odd and the input is zero-padded by K // 2 frames at each end, so the
     output is (T, Cout). The forward pass sums one GEMM per tap,
     ``x[rows] @ w[:, :, kk].T``, into the output, the centre tap first, so it
     copies neither the padded input nor its windows. Backward forms the
     input grad the same way and each tap's weight grad as
     ``g[rows].T @ x[rows]``.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
+    x, w, b = _lift(x), params[f"{prefix}.w"], params[f"{prefix}.b"]
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
-        raise ValueError(f"conv1d shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
+        raise ValueError(f"conv1d shape mismatch: x {x.shape}, {prefix}.w {w.shape}, {prefix}.b {b.shape}")
     t, k = x.shape[0], w.shape[2]
     if k % 2 == 0:
         raise ValueError(f"conv1d kernel width {k} is even; \"same\" padding needs an odd width")
@@ -501,26 +536,18 @@ def _attention_rows(qh, kh, vh, weights, out):
     np.matmul(weights, vh, out=out)
 
 
-def _sublayer_input(h, op):
-    """``h`` as a tensor; a ValueError names ``op`` unless it is (T, d)."""
+def _frames(h, op):
+    """``h`` as a tensor of frames; a ValueError names ``op`` unless it is (T, d)."""
     h = _lift(h)
     if h.data.ndim != 2:
         raise ValueError(f"{op} input must be (T, d), got shape {h.shape}")
     return h
 
 
-def _sublayer_operands(params, prefix, op, shapes):
-    """``params[f"{prefix}.{name}"]`` for each name of ``shapes``, in order.
-
-    A ValueError names ``op`` and the first operand whose shape is not the one ``shapes`` gives.
-    """
-    operands = []
-    for name, shape in shapes.items():
-        p = params[f"{prefix}.{name}"]
-        if p.shape != shape:
-            raise ValueError(f"{op}: {prefix}.{name} has shape {p.shape}, expected {shape}")
-        operands.append(p)
-    return operands
+def attention_layout(d):
+    """The weights of :func:`attention_sublayer` at width d, ``{name: shape}``."""
+    names = ("ln1.g", "ln1.b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+    return {name: (d, d) if name[0] == "w" else (d,) for name in names}
 
 
 def attention_sublayer(h, params, prefix, heads):
@@ -539,19 +566,14 @@ def attention_sublayer(h, params, prefix, heads):
     Without a graph nothing is kept: each row block's attention output
     overwrites the q rows it has consumed, and the output projection is
     written into k's buffer, so the op holds h, q, k, v and one block of
-    scores. Every operand's shape is checked against h's width ``d``
-    before any work.
+    scores. Every weight's shape is checked against ``attention_layout(d)``
+    for h's width ``d`` before any work.
     """
-    h = _sublayer_input(h, "attention_sublayer")
+    h = _frames(h, "attention_sublayer")
     t, d = h.shape
     if heads < 1 or d % heads:
         raise ValueError(f"attention width {d} is not divisible into {heads} heads")
-    row, square = (d,), (d, d)
-    shapes = {
-        "ln1.g": row, "ln1.b": row, "wq": square, "bq": row, "wk": square,
-        "wv": square, "bv": row, "wo": square, "bo": row,
-    }
-    operands = _sublayer_operands(params, prefix, "attention_sublayer", shapes)
+    operands = _operands(params, prefix, "attention_sublayer", attention_layout(d))
     gain, bias, wq, bq, wk, wv, bv, wo, bo = operands
     dh = d // heads
     mu, inv = _layer_norm_stats(h.data)
@@ -611,6 +633,11 @@ def attention_sublayer(h, params, prefix, heads):
     return _node(data, (h, *operands), backward, "attention_sublayer")
 
 
+def feed_forward_layout(d, f):
+    """The weights of :func:`feed_forward_sublayer` at width d and hidden width f, ``{name: shape}``."""
+    return {"ln2.g": (d,), "ln2.b": (d,), "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d), "ff.b2": (d,)}
+
+
 def feed_forward_sublayer(h, params, prefix):
     """The feed-forward half of a pre-norm transformer block over h (T, d) -> (T, d), as one node.
 
@@ -619,15 +646,14 @@ def feed_forward_sublayer(h, params, prefix):
     ``params`` as ``{prefix}.ff.w1``, ``.ff.b1``, ``.ff.w2`` and ``.ff.b2``.
     The hidden layer is rectified in place and the output is written into
     ``x``'s buffer; the node keeps the hidden layer and LN2's row
-    statistics, and backward recomputes ``x``. Every operand's shape is
-    checked against h's width ``d`` and the hidden width (``ff.w1``'s
-    columns) before any work.
+    statistics, and backward recomputes ``x``. Every weight's shape is
+    checked against ``feed_forward_layout(d, f)`` for h's width ``d`` and the
+    hidden width ``f`` (``ff.w1``'s columns) before any work.
     """
-    h = _sublayer_input(h, "feed_forward_sublayer")
+    h = _frames(h, "feed_forward_sublayer")
     d = h.shape[1]
-    f = params[f"{prefix}.ff.w1"].shape[-1:]  # (hidden width,); () for a 0-d w1, which the (d, f) check names
-    shapes = {"ln2.g": (d,), "ln2.b": (d,), "ff.w1": (d, *f), "ff.b1": f, "ff.w2": (*f, d), "ff.b2": (d,)}
-    operands = _sublayer_operands(params, prefix, "feed_forward_sublayer", shapes)
+    f = (params[f"{prefix}.ff.w1"].shape or (0,))[-1]  # the hidden width; the layout check names a 0-d w1
+    operands = _operands(params, prefix, "feed_forward_sublayer", feed_forward_layout(d, f))
     gain, bias, w1, b1, w2, b2 = operands
     mu, inv = _layer_norm_stats(h.data)
     x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
@@ -661,12 +687,10 @@ def feed_forward_sublayer(h, params, prefix):
 # recurrent cells
 
 
-def init_lstm_params(rng, input_dim, hidden, prefix):
-    return {
-        f"{prefix}.W": glorot(rng, (input_dim, 4 * hidden)),
-        f"{prefix}.U": glorot(rng, (hidden, 4 * hidden)),
-        f"{prefix}.b": Parameter(np.zeros((1, 4 * hidden))),
-    }
+def blstm_layout(din, h):
+    """The weights of :func:`blstm_layer` from width din to 2h, ``{name: shape}``: W, U and b of each direction."""
+    one = {"W": (din, 4 * h), "U": (h, 4 * h), "b": (4 * h,)}
+    return {f"{d}.{name}": shape for d in ("fwd", "bwd") for name, shape in one.items()}
 
 
 def _lstm_step(pre, c, act, c_out, tanh_c_out, h_out):
@@ -722,8 +746,8 @@ def blstm_layer(xs, params, prefix):
     directions write into one (T + 2, 2H) hidden-state buffer whose first and
     last rows are the zero states they start from, and the output is a view
     of the rows between. The backward pass is hand-written BPTT over the
-    stored gates and cell states. Every weight's shape is checked against the
-    input's width and the rows of ``fwd.U`` before any work.
+    stored gates and cell states. Every weight's shape is checked against
+    ``blstm_layout(Din, H)``, H the rows of ``fwd.U``, before any work.
     """
     xs = _lift(xs)
     if xs.data.ndim != 2:
@@ -731,14 +755,8 @@ def blstm_layer(xs, params, prefix):
     t, din = xs.shape
     if t < 1:
         raise ValueError("blstm_layer needs at least one frame")
-    u = params[f"{prefix}.fwd.U"].shape
-    if len(u) != 2:
-        raise ValueError(f"blstm_layer: {prefix}.fwd.U has shape {u}, expected (H, 4H)")
-    h = u[0]
-    shapes = {}
-    for d in ("fwd", "bwd"):
-        shapes.update({f"{d}.W": (din, 4 * h), f"{d}.U": (h, 4 * h), f"{d}.b": (1, 4 * h)})
-    operands = _sublayer_operands(params, prefix, "blstm_layer", shapes)
+    h = _matrix_shape(params, f"{prefix}.fwd.U", "blstm_layer", "(H, 4H)")[0]
+    operands = _operands(params, prefix, "blstm_layer", blstm_layout(din, h))
     # per direction: its (W, U, b), its columns of the buffers, its frame order and the offset of
     # the row it reads the previous state from; frame i writes its state to row i + 1
     directions = (
@@ -749,7 +767,7 @@ def blstm_layer(xs, params, prefix):
     gates = np.empty((2, t, 4 * h))  # activated i, f, g, o
     tanh_c = np.empty((2, t, h))
     for ((W, U, b), cols, order, into), gk, tk in zip(directions, gates, tanh_c):
-        xw, Ud, bd = xs.data @ W.data, U.data, b.data.reshape(-1)
+        xw, Ud, bd = xs.data @ W.data, U.data, b.data
         hd, cd = hs[:, cols], cs[:, cols]
         for i in order:
             _lstm_step((xw[i] + hd[i + into] @ Ud) + bd, cd[i + into], gk[i], cd[i + 1], tk[i], hd[i + 1])
@@ -773,13 +791,19 @@ def blstm_layer(xs, params, prefix):
             if U.requires_grad:
                 _accum(U, hd[into : into + t].T @ dpre)
             if b.requires_grad:
-                _accum(b, dpre.sum(axis=0, keepdims=True))
+                _accum(b, dpre.sum(axis=0))
         _accum(xs, dxs)
 
     return _node(hs[1 : t + 1], (xs, *operands), backward, "blstm_layer")
 
 
-def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
+def decoder_layout(v, e, d):
+    """The weights of :func:`attention_decoder` for v labels, width-e embeddings, width-d frames: ``{name: shape}``."""
+    lstm = {"lstm.W": (e + d, 4 * d), "lstm.U": (d, 4 * d), "lstm.b": (4 * d,)}
+    return {"embed": (v, e), **lstm, "out.w": (2 * d, v), "out.b": (v,)}
+
+
+def attention_decoder(hidden, params, prefix, tokens, targets):
     """Teacher-forced mean cross-entropy of an attention LSTM decoder over ``hidden`` (T, d), as one node.
 
     Step ``i`` feeds ``[embed[tokens[i]], ctx]`` to an LSTM step of width d
@@ -787,23 +811,23 @@ def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
     with ``softmax(hidden @ h)`` for the next ``ctx``, and scores
     ``[h, ctx] @ out_w + out_b`` against ``targets[i]``; h, c and ctx start at
     zero. The context feeds the next step's input (Luong et al., EMNLP 2015).
-    A label id that is not an integer in ``[0, V)`` is rejected before any
-    work is done. The backward pass is hand-written BPTT and skips operands
-    that need no grad.
+    Before any work, the weights ``{prefix}.embed``, ``.lstm.W``, ``.lstm.U``,
+    ``.lstm.b``, ``.out.w`` and ``.out.b`` are checked against
+    ``decoder_layout(V, E, d)``, (V, E) the shape of ``embed``, and the label
+    ids must be integers in ``[0, V)``, one target per token. The backward
+    pass is hand-written BPTT and skips operands that need no grad.
     """
-    hidden, embed, W, U, b, out_w, out_b = map(_lift, (hidden, embed, W, U, b, out_w, out_b))
-    (t, d), (v, e) = hidden.shape, embed.shape
+    hidden = _frames(hidden, "attention_decoder")
+    t, d = hidden.shape
+    v, e = _matrix_shape(params, f"{prefix}.embed", "attention_decoder", "(V, E)")
+    operands = _operands(params, prefix, "attention_decoder", decoder_layout(v, e, d))
+    embed, W, U, b, out_w, out_b = operands
     tokens, targets = _label_ids(tokens, v, "attention_decoder"), _label_ids(targets, v, "attention_decoder")
     n = len(tokens)
-    got = (tokens.shape, targets.shape, W.shape, U.shape, b.data.size, out_w.shape, out_b.shape)
-    if n < 1 or got != ((n,), (n,), (e + d, 4 * d), (d, 4 * d), 4 * d, (2 * d, v), (v,)):
-        raise ValueError(
-            f"attention_decoder shape mismatch: hidden {hidden.shape}, embed {embed.shape}, W {W.shape}, U {U.shape}, "
-            f"b {b.shape}, out_w {out_w.shape}, out_b {out_b.shape}, tokens {tokens.shape}, targets {targets.shape}"
-        )
-    H, Ud, We, Wc = hidden.data, U.data, W.data[:e], W.data[e:]
+    if n < 1 or len(targets) != n:
+        raise ValueError(f"attention_decoder needs one target per token, at least one: {n} tokens, {len(targets)} targets")
+    H, Ud, We, Wc, bd = hidden.data, U.data, W.data[:e], W.data[e:], b.data
     xe = embed.data[tokens] @ We  # the embedding's share of every step's pre-activation
-    bd = b.data.reshape(-1)
     gates = np.empty((n, 4 * d))  # activated i, f, g, o
     tanh_c, att = np.empty((n, d)), np.empty((n, t))
     cs = np.zeros((n + 1, d))  # row i: the cell state entering step i
@@ -857,9 +881,9 @@ def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
         if U.requires_grad:
             _accum(U, hc[:-1, :d].T @ dpre)
         if b.requires_grad:
-            _accum(b, dpre.sum(axis=0).reshape(b.shape))
+            _accum(b, dpre.sum(axis=0))
 
-    return _node(data, (hidden, embed, W, U, b, out_w, out_b), backward, "attention_decoder")
+    return _node(data, (hidden, *operands), backward, "attention_decoder")
 
 
 # CTC's blank label id
@@ -966,6 +990,8 @@ class Adam:
     """
 
     def __init__(self, params, lr):
+        if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+            raise ValueError(f"Adam learning rate is {lr!r}; it must be a finite positive number")
         self.params = dict(params)
         self.lr = lr
         self.t = 0

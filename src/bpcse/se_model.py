@@ -8,9 +8,10 @@ and layer norm) refine the sequence. Keys have no bias: softmax over keys
 is shift-invariant, so one would do nothing. A final linear projection with
 softplus keeps outputs non-negative, as log1p features must be. Every
 affine projection outside the blocks is one ``diffcore.linear`` node, which
-adds its bias in place. Inputs longer than ``MAX_FRAMES`` are rejected,
-because the T x T attention weights a training step keeps would otherwise
-grow without bound.
+adds its bias in place. Each op reads its weights from ``params`` by prefix,
+and ``diffcore.init_params`` makes them from the tables the ops check.
+Inputs longer than ``MAX_FRAMES`` are rejected, because the T x T attention
+weights a training step keeps would otherwise grow without bound.
 
 Each block is two graph nodes: ``diffcore.attention_sublayer`` (layer
 norm, projections, all heads' attention, output projection and residual)
@@ -72,38 +73,14 @@ class SeModel:
         self.cfg = cfg
         self.params: dict[str, dc.Parameter] = {}
         rng = np.random.default_rng(seed)
-
-        def glorot(name, *shape):
-            self.params[name] = dc.glorot(rng, shape)
-
-        def zeros(name, *shape):
-            self.params[name] = dc.Parameter(np.zeros(shape))
-
-        def ones(name, *shape):
-            self.params[name] = dc.Parameter(np.ones(shape))
-
-        d, ff = cfg.d_model, 4 * cfg.d_model
+        d = cfg.d_model
         for i in range(cfg.conv_layers):
-            glorot(f"conv{i}.w", d, dsp.N_BINS if i == 0 else d, CONV_KERNEL)
-            zeros(f"conv{i}.b", d)
+            conv = {"w": (d, dsp.N_BINS if i == 0 else d, CONV_KERNEL), "b": (d,)}
+            self.params.update(dc.init_params(rng, f"conv{i}", conv))
         for i in range(cfg.attention_blocks):
-            p = f"block{i}"
-            for m in ("wq", "wk", "wv", "wo"):
-                glorot(f"{p}.{m}", d, d)
-            for m in ("bq", "bv", "bo"):
-                zeros(f"{p}.{m}", d)
-            ones(f"{p}.ln1.g", d)
-            zeros(f"{p}.ln1.b", d)
-            glorot(f"{p}.ff.w1", d, ff)
-            zeros(f"{p}.ff.b1", ff)
-            glorot(f"{p}.ff.w2", ff, d)
-            zeros(f"{p}.ff.b2", d)
-            ones(f"{p}.ln2.g", d)
-            zeros(f"{p}.ln2.b", d)
-        ones("final_ln.g", d)
-        zeros("final_ln.b", d)
-        glorot("out.w", d, dsp.N_BINS)
-        zeros("out.b", dsp.N_BINS)
+            self.params.update(dc.init_params(rng, f"block{i}", dc.attention_layout(d) | dc.feed_forward_layout(d, 4 * d)))
+        self.params.update(dc.init_params(rng, "final_ln", {"g": (d,), "b": (d,)}))
+        self.params.update(dc.init_params(rng, "out", {"w": (d, dsp.N_BINS), "b": (dsp.N_BINS,)}))
 
     def forward(self, x: dc.Tensor) -> dc.Tensor:
         """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""
@@ -115,14 +92,14 @@ class SeModel:
             raise ValueError(f"input has {x.shape[0]} frames; SE accepts at most MAX_FRAMES = {MAX_FRAMES}")
         h = x
         for i in range(cfg.conv_layers):
-            h = dc.relu(dc.conv1d(h, p[f"conv{i}.w"], p[f"conv{i}.b"]))
+            h = dc.relu(dc.conv1d(h, p, f"conv{i}"))
         h = h + dc.Tensor(sinusoidal_positions(h.shape[0], cfg.d_model))
         for i in range(cfg.attention_blocks):
             b = f"block{i}"
             h = dc.attention_sublayer(h, p, b, cfg.heads)
             h = dc.feed_forward_sublayer(h, p, b)  # without a graph, the block's input is freed by now
-        h = dc.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
-        return dc.softplus(dc.linear(h, p["out.w"], p["out.b"]))
+        h = dc.layer_norm(h, p, "final_ln")
+        return dc.softplus(dc.linear(h, p, "out"))
 
     def enhance(self, spec: dsp.Spectrogram) -> dsp.Spectrogram:
         """Inference on a log1p spectrogram under ``diffcore.no_grad()``: no graph is kept."""

@@ -10,10 +10,16 @@ backward rule; ``concat`` joins their outputs along an axis. Multi-head
 ``attention``, the one node the attention sublayer's oracle attends with, is
 checked in turn against a per-head graph of them. ``conv1d_by_windows`` is
 ``conv1d`` as one tensordot over a sliding-window copy of the padded input,
-the oracle of its tap-by-tap GEMMs. The oracle of ``ctc_loss``, two separate
-recursions, lives with its tests. ``tsum`` is the sum the gradcheck tests
-reduce their outputs with.
+the oracle of its tap-by-tap GEMMs; it and ``attention_decoder_by_steps``
+take their weights as tensors, while the fused ops and the other oracles
+read them from a ``params`` dict by prefix. The oracle of ``ctc_loss``, two
+separate recursions, lives with its tests. ``tsum`` is the sum the gradcheck
+tests reduce their outputs with. ``ReadRecorder`` wraps a model's ``params``
+to record which weights a forward pass reads, and ``weights_digest`` pins a
+model's initial weights.
 """
+
+import hashlib
 
 import numpy as np
 from scipy.special import expit
@@ -260,15 +266,20 @@ def attention(q, k, v, heads):
     return dc._node(data, (q, k, v), backward, "attention")
 
 
+def affine(x, w, b):
+    """``x @ w + b`` as a ``matmul`` and an ``add`` node, for weights not named ``.w`` and ``.b`` as ``linear`` reads."""
+    return dc.add(dc.matmul(x, w), b)
+
+
 def attention_sublayer_by_ops(h, params, prefix, heads):
     """Op-by-op oracle for ``attention_sublayer``: layer norm, three projections, ``attention``, projection, residual."""
 
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    x = dc.layer_norm(h, p("ln1.g"), p("ln1.b"))
-    q, k, v = dc.linear(x, p("wq"), p("bq")), dc.matmul(x, p("wk")), dc.linear(x, p("wv"), p("bv"))
-    return dc.add(h, dc.linear(attention(q, k, v, heads), p("wo"), p("bo")))
+    x = dc.layer_norm(h, params, f"{prefix}.ln1")
+    q, k, v = affine(x, p("wq"), p("bq")), dc.matmul(x, p("wk")), affine(x, p("wv"), p("bv"))
+    return dc.add(h, affine(attention(q, k, v, heads), p("wo"), p("bo")))
 
 
 def feed_forward_sublayer_by_ops(h, params, prefix):
@@ -277,12 +288,15 @@ def feed_forward_sublayer_by_ops(h, params, prefix):
     def p(name):
         return params[f"{prefix}.{name}"]
 
-    x = dc.layer_norm(h, p("ln2.g"), p("ln2.b"))
-    return dc.add(h, dc.linear(dc.relu(dc.linear(x, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2")))
+    x = dc.layer_norm(h, params, f"{prefix}.ln2")
+    return dc.add(h, affine(dc.relu(affine(x, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2")))
 
 
 def attention_decoder_by_steps(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
-    """Op-by-op oracle for ``attention_decoder``: one ``lstm_cell``, attention and output row per label."""
+    """Op-by-op oracle for ``attention_decoder``: one ``lstm_cell``, attention and output row per label.
+
+    It takes the decoder's weights as tensors, in ``diffcore.decoder_layout`` order.
+    """
     d = hidden.shape[1]
     h, c, ctx = (dc.Tensor(np.zeros((1, d))) for _ in range(3))
     rows = []
@@ -291,8 +305,29 @@ def attention_decoder_by_steps(hidden, embed, W, U, b, out_w, out_b, tokens, tar
         h, c = lstm_cell(step_in, h, c, W, U, b)
         weights = softmax(dc.matmul(h, transpose(hidden)))
         ctx = dc.matmul(weights, hidden)
-        rows.append(dc.linear(concat([h, ctx], axis=1), out_w, out_b))
+        rows.append(affine(concat([h, ctx], axis=1), out_w, out_b))
     return cross_entropy(concat(rows, axis=0), targets)
+
+
+def weights_digest(params):
+    """sha256 over the sorted names and the raw float64 bytes of a model's weights; shapes are left out."""
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(name.encode())
+        digest.update(params[name].data.tobytes())
+    return digest.hexdigest()
+
+
+class ReadRecorder(dict):
+    """A model's ``params`` that records in ``read`` the key of every item read by subscript."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 def conv1d_by_windows(x, w, b):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -11,7 +12,7 @@ import bpcse.diffcore as dc
 from bpcse import asr_model as am
 from bpcse import dsp
 from bpcse.se_model import SeConfig, SeModel
-from gradcheck_ops import attention_decoder_by_steps, gradcheck, graph_nodes, tsum
+from gradcheck_ops import ReadRecorder, attention_decoder_by_steps, gradcheck, graph_nodes, tsum, weights_digest
 
 MEL = dsp.N_MEL_FILTERS  # the recognizer's input width
 
@@ -313,6 +314,21 @@ class TestEncoder:
         assert worst < 1e-4
 
 
+class TestWeights:
+    def test_initial_weights_are_pinned(self):
+        """Recorded when each weight was still created by a line of its own: a change to the names, the
+        draw order or the init rule of any weight changes the digest."""
+        digest = "82ba67c1f6a95daac429ab580a9d24b252d294df198325104426ba022b0d21a9"
+        assert weights_digest(am.AsrModel(tiny_cfg(), seed=0).params) == digest
+
+    def test_encode_and_asr_loss_read_every_weight(self):
+        model = am.AsrModel(tiny_cfg(), seed=0)
+        model.params = ReadRecorder(model.params)
+        hidden = model.encode(dc.Tensor(np.random.default_rng(10).normal(0, 1, (6, MEL))))
+        model.asr_loss(hidden, [3, 4], lam=0.5)
+        assert model.params.read == set(model.params)
+
+
 class TestAttentionDecoder:
     def test_uniform_outputs_log_vocab(self):
         model = am.AsrModel(tiny_cfg(), seed=2)
@@ -394,6 +410,15 @@ class TestAsrLoss:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError, match="lambda"):
             self.model.asr_loss(self.hidden, self.labels, lam=1.5)
+
+    @pytest.mark.parametrize("labels, bad", [([1, 2, 3], 1), ([3, np.int64(2)], np.int64(2)), ([4, 0], 0)])
+    def test_special_id_in_transcript_named(self, labels, bad):
+        """``<blank>``, ``<sos>`` and ``<eos>`` are no BPC labels; both losses reject them before either head runs."""
+        problem = re.escape(f"label id {bad!r} is {am.SPECIALS[bad]!r}, not a transcript label")
+        with pytest.raises(ValueError, match=problem):
+            self.model.asr_loss(self.hidden, labels, lam=0.5)
+        with pytest.raises(ValueError, match=problem):
+            self.model.attention_loss(self.hidden, labels)
 
     def test_frozen_params_still_pass_gradient_to_inputs(self):
         self.model.freeze()
@@ -508,6 +533,23 @@ class TestUtilities:
         assert model.ids_to_labels([3, 5]) == ["A", "C"]
         with pytest.raises(ValueError, match="not in vocab"):
             model.labels_to_ids(["Z"])
+
+    @pytest.mark.parametrize("special", am.SPECIALS)
+    def test_special_label_is_not_a_transcript_label(self, special):
+        model = am.AsrModel(tiny_cfg(), seed=0)
+        with pytest.raises(ValueError, match=rf"label {re.escape(repr(special))} not in vocab as a transcript label"):
+            model.labels_to_ids([special, "A"])
+
+    def test_checkpoint_with_row_vector_lstm_bias_rejected(self, tmp_path):
+        """Checkpoints once stored each LSTM bias as (1, 4H); the bias is (4H,) now, and such a file does not load."""
+        model = am.AsrModel(tiny_cfg(), seed=0)
+        arrays = {n: p.data for n, p in model.params.items()}
+        arrays["enc0.fwd.b"] = arrays["enc0.fwd.b"].reshape(1, -1)
+        path = tmp_path / "old.ckpt"
+        dc.save_checkpoint(path, arrays, {"kind": "asr", "config": dataclasses.asdict(model.cfg), "seed": 0})
+        problem = r"old\.ckpt: checkpoint tensor 'enc0\.fwd\.b' has shape \(1, 16\), the model expects \(16,\)"
+        with pytest.raises(ValueError, match=problem):
+            am.AsrModel.load(path)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         model = am.AsrModel(tiny_cfg(), seed=6)

@@ -40,6 +40,16 @@ def rand(rng, *shape):
     return t(rng.uniform(-1.5, 1.5, shape))
 
 
+def linear(x, W, b):
+    """``dc.linear`` of loose tensors, given to it as the weights ``l.w`` and ``l.b``."""
+    return dc.linear(x, {"l.w": W, "l.b": b}, "l")
+
+
+def conv1d(x, w, b):
+    """``dc.conv1d`` of loose tensors, given to it as the weights ``c.w`` and ``c.b``."""
+    return dc.conv1d(x, {"c.w": w, "c.b": b}, "c")
+
+
 class TestPrimitiveGradients:
     """Central finite differences against every primitive's backward rule."""
 
@@ -82,7 +92,18 @@ class TestPrimitiveGradients:
     def test_layer_norm(self):
         rng = np.random.default_rng(7)
         x, g, b = rand(rng, 3, 8), rand(rng, 8), rand(rng, 8)
-        self.check(lambda: tsum(dc.layer_norm(x, g, b) * dc.layer_norm(x, g, b)), [x, g, b])
+        params = {"ln.g": g, "ln.b": b}
+        self.check(lambda: tsum(dc.layer_norm(x, params, "ln") * dc.layer_norm(x, params, "ln")), [x, g, b])
+
+    def test_layer_norm_weight_of_another_shape_named(self):
+        rng = np.random.default_rng(8)
+        x = rand(rng, 3, 8)
+        for params, problem in [
+            ({"ln.g": rand(rng, 1), "ln.b": rand(rng, 8)}, r"ln\.g has shape \(1,\), expected \(8,\)"),
+            ({"ln.g": rand(rng, 8), "ln.b": rand(rng, 3, 8)}, r"ln\.b has shape \(3, 8\), expected \(8,\)"),
+        ]:
+            with pytest.raises(ValueError, match=rf"layer_norm: {problem}"):
+                dc.layer_norm(x, params, "ln")
 
     def test_concat(self):
         rng = np.random.default_rng(9)
@@ -114,7 +135,7 @@ class TestPrimitiveGradients:
     def test_conv1d(self):
         rng = np.random.default_rng(14)
         x, w, b = rand(rng, 6, 3), rand(rng, 4, 3, 3), rand(rng, 4)
-        self.check(lambda: tsum(dc.conv1d(x, w, b) * dc.conv1d(x, w, b)), [x, w, b])
+        self.check(lambda: tsum(conv1d(x, w, b) * conv1d(x, w, b)), [x, w, b])
 
     def test_l1_loss(self):
         rng = np.random.default_rng(16)
@@ -160,8 +181,8 @@ class TestContracts:
 
         def build():
             x, w, b, k, kb, g = leaves = [t(a) for a in arrays]
-            h = tanh(dc.linear(x, w, b))  # shared by three consumers below
-            mixed = concat([softmax(h * g), dc.conv1d(h, k, kb)], axis=1)
+            h = tanh(linear(x, w, b))  # shared by three consumers below
+            mixed = concat([softmax(h * g), conv1d(h, k, kb)], axis=1)
             return dc.add(tsum(mixed * mixed), tsum(take(dc.relu(h), np.s_[1:4]))), leaves
 
         want_root, want_leaves = build()
@@ -176,7 +197,7 @@ class TestContracts:
     def test_backward_releases_activations_the_caller_does_not_hold(self):
         rng = np.random.default_rng(22)
         x, w, b, g = leaves = [t(rng.normal(size=s)) for s in [(5, 3), (3, 4), (4,), (5, 4)]]
-        loss = dc.l1_loss(softmax(tanh(dc.linear(x, w, b)) * g), np.zeros((5, 4)))
+        loss = dc.l1_loss(softmax(tanh(linear(x, w, b)) * g), np.zeros((5, 4)))
         activations = [weakref.ref(n.data) for n in graph_nodes(loss) if n._backward is not None and n is not loss]
         value = loss.item()
         loss.backward()
@@ -303,7 +324,7 @@ class TestConv1d:
         x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3, k)), rng.normal(size=2)
         xp = np.pad(x, ((k // 2, k // 2), (0, 0)))
         want = np.array([[np.sum(xp[i : i + k].T * w[o]) + b[o] for o in range(2)] for i in range(4)])
-        got = dc.conv1d(t(x), t(w), t(b)).data
+        got = conv1d(t(x), t(w), t(b)).data
         assert got.shape == (4, 2) and np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_constant_input_gets_no_grad_and_weights_keep_theirs(self):
@@ -312,25 +333,25 @@ class TestConv1d:
         grads = []
         for x_needs_grad in (True, False):
             xt, wt, bt = t(x, grad=x_needs_grad), t(w), t(b)
-            tsum(dc.conv1d(xt, wt, bt) * g).backward()
+            tsum(conv1d(xt, wt, bt) * g).backward()
             assert (xt.grad is None) != x_needs_grad
             grads.append((wt.grad, bt.grad))
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
     def test_even_kernel_and_empty_input_rejected(self):
         with pytest.raises(ValueError, match="kernel width 4 is even"):
-            dc.conv1d(t(np.ones((5, 3))), t(np.ones((2, 3, 4))), t(np.ones(2)))
+            conv1d(t(np.ones((5, 3))), t(np.ones((2, 3, 4))), t(np.ones(2)))
         with pytest.raises(ValueError, match="at least one frame"):
-            dc.conv1d(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
+            conv1d(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
 
     @pytest.mark.parametrize(
         "x_shape, w_shape, b_shape",
         [((4, 3), (2, 3, 3), (1,)), ((4, 3), (2, 3, 3), (1, 2)), ((4, 3), (2, 3, 3), (5,)), ((4, 3), (2, 4, 3), (2,))],
     )
     def test_operand_of_another_shape_named(self, x_shape, w_shape, b_shape):
-        problem = f"conv1d shape mismatch: x {x_shape}, w {w_shape}, b {b_shape}"
+        problem = f"conv1d shape mismatch: x {x_shape}, c.w {w_shape}, c.b {b_shape}"
         with pytest.raises(ValueError, match=re.escape(problem)):
-            dc.conv1d(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)))
+            conv1d(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)))
 
     @given(
         t_len=st.integers(1, 9),
@@ -347,7 +368,7 @@ class TestConv1d:
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(0, 2, shape) for shape in ((t_len, cin), (cout, cin, k), (cout,))]
         weights = rng.normal(size=(t_len, cout))
-        got, got_grads = value_and_grads(dc.conv1d, arrays, requires, weights)
+        got, got_grads = value_and_grads(conv1d, arrays, requires, weights)
         want, want_grads = value_and_grads(conv1d_by_windows, arrays, requires, weights)
         assert rel_err(got, want) <= 1e-12
         for g, w, required in zip(got_grads, want_grads, requires):
@@ -361,7 +382,7 @@ class TestConv1d:
         rng = np.random.default_rng(9)
         x, w, b = rand(rng, t_len, cin), rand(rng, cout, cin, k), rand(rng, cout)
         with dc.no_grad():
-            out, peak, _ = traced(lambda: dc.conv1d(x, w, b))
+            out, peak, _ = traced(lambda: conv1d(x, w, b))
         window_copy = 8 * t_len * cin * k
         assert out.shape == (t_len, cout)
         assert peak < window_copy, f"peak {peak / window_copy:.2f} of the window copy"
@@ -372,7 +393,7 @@ class TestLinear:
         rng = np.random.default_rng(50)
         x, W, b = rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)
         w = t(rng.uniform(-1, 1, (4, 5)), grad=False)
-        assert gradcheck(lambda: tsum(dc.linear(x, W, b) * w), [x, W, b]) < 1e-4
+        assert gradcheck(lambda: tsum(linear(x, W, b) * w), [x, W, b]) < 1e-4
 
     @given(
         t_len=st.integers(1, 7),
@@ -386,7 +407,7 @@ class TestLinear:
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(0, 2, shape) for shape in ((t_len, n_in), (n_in, n_out), (n_out,))]
         weights = rng.normal(size=(t_len, n_out))
-        fused, fused_grads = value_and_grads(dc.linear, arrays, requires, weights)
+        fused, fused_grads = value_and_grads(linear, arrays, requires, weights)
         oracle, oracle_grads = value_and_grads(matmul_then_add, arrays, requires, weights)
         assert np.array_equal(fused, oracle)
         for got, want, required in zip(fused_grads, oracle_grads, requires):
@@ -396,7 +417,7 @@ class TestLinear:
     def test_linear_is_one_node(self):
         rng = np.random.default_rng(51)
         x, W, b = rand(rng, 4, 3), rand(rng, 3, 2), rand(rng, 2)
-        out = dc.linear(x, W, b)
+        out = linear(x, W, b)
         assert out.shape == (4, 2)
         assert out._op == "linear"
         assert [id(p) for p in out._parents] == [id(x), id(W), id(b)]
@@ -404,14 +425,14 @@ class TestLinear:
     def test_linear_rejects_bad_shapes(self):
         rng = np.random.default_rng(52)
         x, W = rand(rng, 4, 3), rand(rng, 3, 2)
-        with pytest.raises(ValueError, match=r"x \(4, 3\), W \(2, 3\), b \(2,\)"):
-            dc.linear(x, rand(rng, 2, 3), rand(rng, 2))
-        with pytest.raises(ValueError, match=r"b \(1, 2\)"):
-            dc.linear(x, W, rand(rng, 1, 2))
-        with pytest.raises(ValueError, match=r"b \(3,\)"):
-            dc.linear(x, W, rand(rng, 3))
+        with pytest.raises(ValueError, match=r"x \(4, 3\), l\.w \(2, 3\), l\.b \(2,\)"):
+            linear(x, rand(rng, 2, 3), rand(rng, 2))
+        with pytest.raises(ValueError, match=r"l\.b \(1, 2\)"):
+            linear(x, W, rand(rng, 1, 2))
+        with pytest.raises(ValueError, match=r"l\.b \(3,\)"):
+            linear(x, W, rand(rng, 3))
         with pytest.raises(ValueError, match=r"x \(3,\)"):
-            dc.linear(rand(rng, 3), W, rand(rng, 2))
+            linear(rand(rng, 3), W, rand(rng, 2))
 
 
 def blstm_value_and_grads(run, xs, params, weights):
@@ -448,14 +469,28 @@ class TestGlorot:
         "shape, bound", [((3, 7), np.sqrt(6.0 / (3 + 7))), ((5, 4, 3), np.sqrt(6.0 / (4 * 3 + 5 * 3)))], ids=["matrix", "conv"]
     )
     def test_draws_uniform_within_the_glorot_bound(self, shape, bound):
-        p = dc.glorot(np.random.default_rng(7), shape)
+        p = dc.init_params(np.random.default_rng(7), "m", {"w": shape})["m.w"]
         assert isinstance(p, dc.Parameter) and p.requires_grad
         assert np.array_equal(p.data, np.random.default_rng(7).uniform(-bound, bound, shape))
 
 
+class TestInitParams:
+    def test_draws_the_matrices_in_table_order_gains_one_vectors_zero(self):
+        layout = {"w": (3, 7), "ln.g": (7,), "b": (7,), "k": (5, 4, 3), "g": (2,), "bias": (4,)}
+        params = dc.init_params(np.random.default_rng(7), "m", layout)
+        assert list(params) == [f"m.{name}" for name in layout]
+        assert all(isinstance(p, dc.Parameter) and p.shape == layout[n[2:]] for n, p in params.items())
+        rng = np.random.default_rng(7)
+        for name, bound in (("w", np.sqrt(6.0 / (3 + 7))), ("k", np.sqrt(6.0 / (4 * 3 + 5 * 3)))):
+            # only the rank >= 2 weights draw, in table order
+            assert np.array_equal(params[f"m.{name}"].data, rng.uniform(-bound, bound, layout[name])), name
+        assert all(params[f"m.{name}"].data.tolist() == [1.0] * layout[name][0] for name in ("ln.g", "g"))
+        assert all(not params[f"m.{name}"].data.any() for name in ("b", "bias"))
+
+
 def blstm_params(rng, din, hidden):
     """Weights of a BLSTM layer ``l`` with biases off zero, so that their grads are exercised."""
-    params = {**dc.init_lstm_params(rng, din, hidden, "l.fwd"), **dc.init_lstm_params(rng, din, hidden, "l.bwd")}
+    params = dc.init_params(rng, "l", dc.blstm_layout(din, hidden))
     for d in ("fwd", "bwd"):
         params[f"l.{d}.b"].data[:] = rng.uniform(-1, 1, params[f"l.{d}.b"].shape)
     return params
@@ -521,7 +556,7 @@ class TestLstm:
             ("fwd.U", (8,), r"\(H, 4H\)"),
             ("fwd.W", (4, 8), r"\(3, 8\)"),
             ("bwd.U", (2, 4), r"\(2, 8\)"),
-            ("bwd.b", (8,), r"\(1, 8\)"),
+            ("bwd.b", (1, 8), r"\(8,\)"),  # the row-vector bias of older checkpoints
         ]:
             params = blstm_params(rng, 3, 2)
             params[f"l.{name}"] = dc.Parameter(np.ones(shape))
@@ -533,21 +568,19 @@ class TestLstm:
             dc.blstm_layer(rand(rng, 0, 3), blstm_params(rng, 3, 2), "l")
 
     def test_zero_weights_zero_state(self):
-        p = dc.init_lstm_params(np.random.default_rng(0), 3, 4, "cell")
+        p = dc.init_params(np.random.default_rng(0), "l", dc.blstm_layout(3, 4))
         for v in p.values():
             v.data[:] = 0.0
         x = t(np.ones((1, 3)))
         h = dc.Tensor(np.zeros((1, 4)))
         c = dc.Tensor(np.zeros((1, 4)))
-        h2, c2 = lstm_cell(x, h, c, p["cell.W"], p["cell.U"], p["cell.b"])
+        h2, c2 = lstm_cell(x, h, c, p["l.fwd.W"], p["l.fwd.U"], p["l.fwd.b"])
         assert np.all(h2.data == 0)
         assert np.all(c2.data == 0)
 
     def test_blstm_length_one_is_concat_of_cells(self):
         rng = np.random.default_rng(1)
-        params = {}
-        params.update(dc.init_lstm_params(rng, 3, 4, "l.fwd"))
-        params.update(dc.init_lstm_params(rng, 3, 4, "l.bwd"))
+        params = dc.init_params(rng, "l", dc.blstm_layout(3, 4))
         x = t(rng.normal(size=(1, 3)))
         out = dc.blstm_layer(x, params, "l")
         zero = dc.Tensor(np.zeros((1, 4)))
@@ -557,9 +590,7 @@ class TestLstm:
 
     def test_blstm_gradcheck_three_frames(self):
         rng = np.random.default_rng(2)
-        params = {}
-        params.update(dc.init_lstm_params(rng, 2, 3, "l.fwd"))
-        params.update(dc.init_lstm_params(rng, 2, 3, "l.bwd"))
+        params = dc.init_params(rng, "l", dc.blstm_layout(2, 3))
         x = rand(rng, 3, 2)
         tensors = [x, *params.values()]
         assert gradcheck(lambda: tsum(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
@@ -641,12 +672,8 @@ FEED_FORWARD_NAMES = ("ln2.g", "ln2.b", "ff.w1", "ff.b1", "ff.w2", "ff.b2")
 
 def block_params(rng, d, requires_grad=True):
     """Random weights of one pre-norm block of width d, named as ``SeModel`` names block ``blk``."""
-    square, row = (d, d), (d,)
-    shapes = dict.fromkeys(ATTENTION_NAMES + FEED_FORWARD_NAMES, row)
-    shapes.update({"wq": square, "wk": square, "wv": square, "wo": square})
-    shapes.update({"ff.w1": (d, 4 * d), "ff.b1": (4 * d,), "ff.w2": (4 * d, d)})
     params = {}
-    for name, shape in shapes.items():
+    for name, shape in (dc.attention_layout(d) | dc.feed_forward_layout(d, 4 * d)).items():
         params[f"blk.{name}"] = p = dc.Parameter(rng.normal(0, 0.7, shape))
         p.requires_grad = requires_grad
     return params
@@ -776,12 +803,19 @@ class TestTransformerSublayers:
 
 
 DECODER_OPERANDS = ("hidden", "embed", "W", "U", "b", "out_w", "out_b")
+DECODER_WEIGHTS = ("embed", "lstm.W", "lstm.U", "lstm.b", "out.w", "out.b")
 
 
 def decoder_arrays(rng, t_len, d, e, v):
     """Random ``attention_decoder`` operands in ``DECODER_OPERANDS`` order."""
-    shapes = [(t_len, d), (v, e), (e + d, 4 * d), (d, 4 * d), (1, 4 * d), (2 * d, v), (v,)]
+    shapes = [(t_len, d), (v, e), (e + d, 4 * d), (d, 4 * d), (4 * d,), (2 * d, v), (v,)]
     return [rng.normal(0, 0.8, shape) for shape in shapes]
+
+
+def attention_decoder(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
+    """``dc.attention_decoder`` called as its oracle is, the weights given to it as ``dec.<name>``."""
+    params = dict(zip((f"dec.{name}" for name in DECODER_WEIGHTS), (embed, W, U, b, out_w, out_b)))
+    return dc.attention_decoder(hidden, params, "dec", tokens, targets)
 
 
 def decoder_value_and_grads(run, arrays, requires, tokens, targets):
@@ -800,18 +834,18 @@ class TestAttentionDecoder:
         ids = {"tokens": [0, 2], "targets": [2, 1]}
         ids[where][1] = bad
         with pytest.raises(ValueError, match=rf"label id {re.escape(repr(bad))} is not an integer"):
-            dc.attention_decoder(*tensors, ids["tokens"], ids["targets"])
+            attention_decoder(*tensors, ids["tokens"], ids["targets"])
 
     def test_numpy_integer_label_ids_accepted(self):
         tensors = [t(a) for a in decoder_arrays(np.random.default_rng(76), 4, 3, 2, 5)]
-        want = dc.attention_decoder(*tensors, [0, 2], [2, 1]).item()
-        assert dc.attention_decoder(*tensors, np.array([0, 2]), [np.int16(2), np.uint64(1)]).item() == want
+        want = attention_decoder(*tensors, [0, 2], [2, 1]).item()
+        assert attention_decoder(*tensors, np.array([0, 2]), [np.int16(2), np.uint64(1)]).item() == want
 
     def test_attention_decoder_gradcheck(self):
         rng = np.random.default_rng(70)
         tensors = [t(a) for a in decoder_arrays(rng, 5, 3, 2, 6)]
         tokens, targets = [1, 4, 3, 4], [4, 3, 4, 2]
-        worst = gradcheck(lambda: dc.attention_decoder(*tensors, tokens, targets), tensors)
+        worst = gradcheck(lambda: attention_decoder(*tensors, tokens, targets), tensors)
         assert worst < 1e-4
 
     @given(
@@ -829,7 +863,7 @@ class TestAttentionDecoder:
         arrays = decoder_arrays(rng, t_len, d, e, v)
         tokens, targets = (list(rng.integers(0, v, n_labels)) for _ in range(2))
         requires = [True] + [trainable] * 6
-        fused, fused_grads = decoder_value_and_grads(dc.attention_decoder, arrays, requires, tokens, targets)
+        fused, fused_grads = decoder_value_and_grads(attention_decoder, arrays, requires, tokens, targets)
         oracle, oracle_grads = decoder_value_and_grads(attention_decoder_by_steps, arrays, requires, tokens, targets)
         assert rel_err(fused, oracle) <= 1e-12
         for name, got, want, required in zip(DECODER_OPERANDS, fused_grads, oracle_grads, requires):
@@ -840,7 +874,7 @@ class TestAttentionDecoder:
     def test_attention_decoder_is_one_node(self):
         rng = np.random.default_rng(71)
         tensors = [t(a) for a in decoder_arrays(rng, 4, 3, 2, 5)]
-        loss = dc.attention_decoder(*tensors, [0, 3], [3, 1])
+        loss = attention_decoder(*tensors, [0, 3], [3, 1])
         assert loss.shape == () and loss._op == "attention_decoder"
         assert [id(p) for p in loss._parents] == [id(x) for x in tensors]
 
@@ -850,21 +884,39 @@ class TestAttentionDecoder:
         grads = {}
         for trainable in (True, False):
             requires = [True] + [trainable] * 6
-            grads[trainable] = decoder_value_and_grads(dc.attention_decoder, arrays, requires, [0, 3, 4], [3, 4, 1])[1]
+            grads[trainable] = decoder_value_and_grads(attention_decoder, arrays, requires, [0, 3, 4], [3, 4, 1])[1]
         assert all(g is None for g in grads[False][1:])
         assert np.array_equal(grads[True][0], grads[False][0])
 
     def test_attention_decoder_rejects_bad_shapes(self):
         rng = np.random.default_rng(73)
-        tensors = [t(a) for a in decoder_arrays(rng, 4, 3, 2, 5)]
-        tensors[2] = t(np.zeros((4, 12)))
-        with pytest.raises(ValueError, match=r"shape mismatch: .*W \(4, 12\)"):
-            dc.attention_decoder(*tensors, [0], [1])
-        tensors[2] = t(np.zeros((5, 12)))
-        with pytest.raises(ValueError, match=r"tokens \(2,\), targets \(1,\)"):
-            dc.attention_decoder(*tensors, [0, 1], [1])
-        with pytest.raises(ValueError, match=r"tokens \(0,\)"):
-            dc.attention_decoder(*tensors, [], [])
+        arrays = decoder_arrays(rng, 4, 3, 2, 5)
+        for index, shape, problem in [
+            (1, (5,), r"dec\.embed has shape \(5,\), expected \(V, E\)"),
+            (2, (4, 12), r"dec\.lstm\.W has shape \(4, 12\), expected \(5, 12\)"),
+            (3, (3, 13), r"dec\.lstm\.U has shape \(3, 13\), expected \(3, 12\)"),
+            (4, (1, 12), r"dec\.lstm\.b has shape \(1, 12\), expected \(12,\)"),  # the bias of older checkpoints
+            (5, (6, 4), r"dec\.out\.w has shape \(6, 4\), expected \(6, 5\)"),
+            (6, (6,), r"dec\.out\.b has shape \(6,\), expected \(5,\)"),
+            (0, (4,), r"attention_decoder input must be \(T, d\), got shape \(4,\)"),
+        ]:
+            tensors = [t(a) for a in arrays]
+            tensors[index] = t(np.zeros(shape))
+            with pytest.raises(ValueError, match=problem):
+                attention_decoder(*tensors, [0], [1])
+        tensors = [t(a) for a in arrays]
+        for tokens, targets in [([0, 1], [1]), ([0], [1, 2]), ([], [])]:
+            counts = f"{len(tokens)} tokens, {len(targets)} targets"
+            with pytest.raises(ValueError, match=rf"attention_decoder needs one target per token, at least one: {counts}"):
+                attention_decoder(*tensors, tokens, targets)
+
+    def test_lstm_bias_of_the_right_size_and_another_shape_named(self):
+        """A (2, 8) bias holds the 4d = 16 values a d = 4 decoder needs, but not as one (16,) row."""
+        rng = np.random.default_rng(77)
+        tensors = [t(a) for a in decoder_arrays(rng, 4, 4, 2, 5)]
+        tensors[4] = t(rng.normal(size=(2, 8)))
+        with pytest.raises(ValueError, match=r"attention_decoder: dec\.lstm\.b has shape \(2, 8\), expected \(16,\)"):
+            attention_decoder(*tensors, [0, 3], [3, 1])
 
     @pytest.mark.parametrize("bad", [-1, 5, 99])
     @pytest.mark.parametrize("where", ["tokens", "targets"])
@@ -874,7 +926,7 @@ class TestAttentionDecoder:
         ids = {"tokens": [0, 2], "targets": [2, 1]}
         ids[where][1] = bad
         with pytest.raises(ValueError, match=rf"label id {bad} outside vocab of size 5"):
-            dc.attention_decoder(*tensors, ids["tokens"], ids["targets"])
+            attention_decoder(*tensors, ids["tokens"], ids["targets"])
 
 
 def grad_recorded():
@@ -891,7 +943,7 @@ class TestNoGrad:
         with dc.no_grad():
             outs = [
                 tanh(dc.matmul(x, x.data.T)),
-                dc.linear(x, x.data.T, x.data[:, 0]),
+                linear(x, dc.Tensor(x.data.T), dc.Tensor(x.data[:, 0])),
                 dc.attention_sublayer(x, p, "blk", 3),
                 dc.feed_forward_sublayer(x, p, "blk"),
                 dc.blstm_layer(x, p, "l"),
@@ -1091,6 +1143,11 @@ class TestAdam:
         with pytest.raises(ValueError, match=r"'block0\.bq' has shape \(1,\), its data \(3,\)"):
             opt.step()
         assert np.all(p.data == 1.0) and opt.t == 0
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1, 0.0, "0.1", None])
+    def test_learning_rate_not_finite_positive_named(self, lr):
+        with pytest.raises(ValueError, match=re.escape(f"Adam learning rate is {lr!r}; it must be a finite positive")):
+            dc.Adam({"w": dc.Parameter(np.ones(2))}, lr=lr)
 
     def test_zero_grad_leaves_parameter(self):
         p = dc.Parameter(np.ones(3))

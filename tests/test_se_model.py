@@ -6,7 +6,7 @@ import pytest
 import bpcse.diffcore as dc
 from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
-from gradcheck_ops import gradcheck
+from gradcheck_ops import ReadRecorder, gradcheck, weights_digest
 from memory import traced
 
 TINY = SeConfig(d_model=8, heads=2, attention_blocks=2)
@@ -56,6 +56,18 @@ class TestForwardContracts:
     def test_fixed_settings_are_not_config_fields(self, field):
         with pytest.raises(TypeError, match=field):
             SeConfig(**{field: 3})
+
+    def test_initial_weights_are_pinned(self):
+        """Recorded when each weight was still created by a line of its own: a change to the names, the
+        draw order or the init rule of any weight changes the digest."""
+        digest = "12b721f5b6c4a1639a2fef73a0a4bc615baacb7db73b2b7f6aa8de8d5238b1b9"
+        assert weights_digest(SeModel(TINY, seed=0).params) == digest
+
+    def test_forward_reads_every_weight(self):
+        model = SeModel(TINY, seed=0)
+        model.params = ReadRecorder(model.params)
+        model.forward(dc.Tensor(np.random.default_rng(2).uniform(0, 2, (5, 257))))
+        assert model.params.read == set(model.params)
 
     def test_keys_carry_no_bias(self):
         # softmax over keys is shift-invariant, so a key bias would get no gradient
