@@ -36,25 +36,29 @@ its teacher-forced attention decoder with its cross-entropy
 (``attention_decoder``, BPTT), whose LSTM steps share ``blstm_layer``'s gate
 arithmetic; and its ``ctc_loss`` (alpha-beta occupancies, blank id
 ``BLANK``). This module is the only one that builds a graph node. The
-sublayers keep their layer norm's row statistics, not its output, and
-recompute the output in backward with the helpers ``layer_norm`` uses;
-attention scores are made ``ATTENTION_ROWS`` query rows at a time, and
-without a graph one such block of scores is all that exists. Without a graph
-the attention sublayer also writes each block's output over the q rows it
-has read and its output projection into k's buffer; in both modes the
-feed-forward sublayer writes its output into its layer norm's output, which
-neither keeps. The graph primitives the tests' oracles are built from,
-multi-head ``attention``, ``concat`` and a sliding-window ``conv1d`` among
-them, live with the tests, and so does the central finite-difference
-``gradcheck``. The LSTM gates and the ``softplus`` grad take their sigmoid
-from ``_sigmoid``, ``1 / (1 + exp(-x))`` in numpy computed in place, so the
-module imports numpy alone.
+sublayers keep nothing of their layer norm and recompute it in backward
+with the helper ``layer_norm`` uses, which centres its input once.
+Attention scores are made
+``ATTENTION_ROWS`` query rows at a time and normalized after their product
+with v, and the feed-forward layers run ``FEED_FORWARD_ROWS`` rows at a
+time; without a graph one block of scores and one block of the hidden layer
+are all that exist. Without a graph the attention sublayer also writes each
+block's output over the q rows it has read and its output projection into
+k's buffer; in both modes the feed-forward sublayer writes its output into
+its layer norm's output, which neither keeps. The graph primitives the
+tests' oracles are built from, multi-head ``attention``, ``concat`` and a
+sliding-window ``conv1d`` among them, live with the tests, and so does the
+central finite-difference ``gradcheck``. The LSTM gates and the
+``softplus`` grad take their sigmoid from ``_sigmoid``, ``1 / (1 +
+exp(-x))`` in numpy computed in place, so the module imports numpy alone.
 
 An op that owns weights takes ``(x, params, prefix, ...)`` and reads weight
-``name`` as ``params[f"{prefix}.{name}"]``. A fused op checks them against
-its layout table ``{name: shape}`` (``attention_layout``,
-``feed_forward_layout``, ``blstm_layout``, ``decoder_layout``) before any
-work, and the models make them from the same tables with ``init_params``.
+``name`` as ``params[f"{prefix}.{name}"]``, which must be a :class:`Tensor`
+(a bare array is rejected, named with the op that read it). A fused op
+checks them against its layout table ``{name: shape}``
+(``attention_layout``, ``feed_forward_layout``, ``blstm_layout``,
+``decoder_layout``) before any work, and the models make them from the same
+tables with ``init_params``.
 
 Also here: the Adam optimizer, whose one setting is the learning rate, a
 finite positive number (the moment decays and epsilon are the constants
@@ -220,11 +224,19 @@ def init_params(rng, prefix, layout):
     return params
 
 
+def _weight(params, key, op):
+    """``params[key]``, which must be a :class:`Tensor`; a ValueError names ``op``, ``key`` and the type found."""
+    w = params[key]
+    if not isinstance(w, Tensor):
+        raise ValueError(f"{op}: {key} is of type {type(w).__name__}, not a diffcore Tensor")
+    return w
+
+
 def _operands(params, prefix, op, layout):
     """``params[f"{prefix}.{name}"]`` for each name of ``layout``; a ValueError names ``op`` and a misshapen weight."""
     operands = []
     for name, shape in layout.items():
-        p = params[f"{prefix}.{name}"]
+        p = _weight(params, f"{prefix}.{name}", op)
         if p.shape != shape:
             raise ValueError(f"{op}: {prefix}.{name} has shape {p.shape}, expected {shape}")
         operands.append(p)
@@ -233,7 +245,7 @@ def _operands(params, prefix, op, layout):
 
 def _matrix_shape(params, key, op, expected):
     """The shape of the matrix ``params[key]``; a ValueError names ``op``, ``key`` and ``expected`` if it is not 2-D."""
-    shape = params[key].shape
+    shape = _weight(params, key, op).shape
     if len(shape) != 2:
         raise ValueError(f"{op}: {key} has shape {shape}, expected {expected}")
     return shape
@@ -346,7 +358,7 @@ def matmul(a, b):
 
 def linear(x, params, prefix):
     """``x @ W + b`` for x (T, n), W (n, m) ``{prefix}.w`` and b (m,) ``{prefix}.b``, as one node."""
-    x, W, b = _lift(x), params[f"{prefix}.w"], params[f"{prefix}.b"]
+    x, W, b = _lift(x), _weight(params, f"{prefix}.w", "linear"), _weight(params, f"{prefix}.b", "linear")
     if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
         raise ValueError(f"linear shape mismatch: x {x.shape}, {prefix}.w {W.shape}, {prefix}.b {b.shape}")
     data = x.data @ W.data
@@ -403,21 +415,20 @@ def expm1(x):
     return _node(data, (x,), backward, "expm1")
 
 
-def _layer_norm_stats(x):
-    """Mean and inverse standard deviation of each row of ``x`` over its last axis, kept dims."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    xc *= xc
-    return mu, 1.0 / np.sqrt(xc.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+def _layer_norm_forward(x, gain, bias):
+    """Layer norm of ``x`` over its last axis: the output ``xhat * gain + bias``, ``xhat`` and ``inv``.
 
-
-def _layer_norm_apply(x, mu, inv, gain, bias):
-    """Layer norm of ``x`` from its row statistics: the output ``xhat * gain + bias`` and ``xhat``."""
-    xhat = x - mu
+    ``inv`` holds the inverse standard deviation of each row, kept dims.
+    ``x`` is centred once, and the centred rows give both the variance and
+    ``xhat``; the squares are made in the output's buffer.
+    """
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
-    out = xhat * gain
+    np.multiply(xhat, gain, out=out)
     out += bias
-    return out, xhat
+    return out, xhat, inv
 
 
 def _layer_norm_backward(g, xhat, inv, gain, bias):
@@ -433,8 +444,7 @@ def layer_norm(x, params, prefix):
     """Normalize over the last axis, then scale by the gain ``{prefix}.g`` and shift by the bias ``{prefix}.b``."""
     x = _lift(x)
     gain, bias = _operands(params, prefix, "layer_norm", {"g": x.shape[-1:], "b": x.shape[-1:]})
-    mu, inv = _layer_norm_stats(x.data)
-    data, xhat = _layer_norm_apply(x.data, mu, inv, gain.data, bias.data)
+    data, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
 
     def backward(g):
         _accum(x, _layer_norm_backward(g, xhat, inv, gain, bias))
@@ -465,7 +475,7 @@ def conv1d(x, params, prefix):
     input grad the same way and each tap's weight grad as
     ``g[rows].T @ x[rows]``.
     """
-    x, w, b = _lift(x), params[f"{prefix}.w"], params[f"{prefix}.b"]
+    x, w, b = _lift(x), _weight(params, f"{prefix}.w", "conv1d"), _weight(params, f"{prefix}.b", "conv1d")
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
         raise ValueError(f"conv1d shape mismatch: x {x.shape}, {prefix}.w {w.shape}, {prefix}.b {b.shape}")
     t, k = x.shape[0], w.shape[2]
@@ -520,20 +530,29 @@ def l1_loss(a, b):
 # Query rows whose attention scores are made at once: without a graph, a
 # block's scores take heads * ATTENTION_ROWS * T floats, not heads * T * T.
 ATTENTION_ROWS = 64
+# Rows the feed-forward sublayer runs at once: without a graph, its hidden
+# layer takes FEED_FORWARD_ROWS * f floats, not T * f (2 MiB at f = 1024).
+FEED_FORWARD_ROWS = 256
 
 
-def _attention_rows(qh, kh, vh, weights, out):
-    """``softmax(qh @ kh.T / sqrt(dh)) @ vh`` per head for one block of query rows, written into ``out``.
+def _attention_rows(qh, kh, vh, weights, out, keep):
+    """``softmax(qh @ kh.T) @ vh`` per head for one block of query rows, written into ``out``.
 
-    ``qh`` is (heads, rows, dh), ``kh`` and ``vh`` are (heads, T, dh); the
-    attention weights are written into ``weights`` (heads, rows, T).
+    ``qh`` is (heads, rows, dh) and already carries the score scale;
+    ``kh`` and ``vh`` are (heads, T, dh). The unnormalized exponentials E
+    are made in ``weights`` (heads, rows, T), and the output is ``(E @ vh) /
+    sum(E)``, so the division runs over (heads, rows, dh), not over the
+    scores. If ``keep``, ``weights`` is then normalized in place, as
+    backward reads it.
     """
     np.matmul(qh, kh.transpose(0, 2, 1), out=weights)
-    weights *= 1.0 / np.sqrt(qh.shape[-1])
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    total = weights.sum(axis=-1, keepdims=True)
     np.matmul(weights, vh, out=out)
+    out /= total
+    if keep:
+        weights /= total
 
 
 def _frames(h, op):
@@ -558,11 +577,14 @@ def attention_sublayer(h, params, prefix, heads):
     ``v = x @ wv + bv``, every weight read from ``params`` as
     ``{prefix}.<name>``. Head ``i`` of ``attn`` attends with columns
     ``i*dh : (i+1)*dh``, where ``dh = d // heads``: ``softmax(q_i @ k_i.T /
-    sqrt(dh)) @ v_i``, the head outputs concatenated in head order. Scores
-    are made ``ATTENTION_ROWS`` query rows at a time; without a graph one
-    block buffer is reused, with one the blocks fill the full (heads, T, T)
-    weights that backward reads. The node keeps q, k, v, the weights, the
-    attention output and LN1's row statistics; backward recomputes ``x``.
+    sqrt(dh)) @ v_i``, the head outputs concatenated in head order. q is
+    scaled by ``1 / sqrt(dh)`` once, so the scores need no scaling pass, and
+    each row of softmax weights is normalized after its product with v
+    (:func:`_attention_rows`). Scores are made ``ATTENTION_ROWS`` query rows
+    at a time; without a graph one block buffer is reused and never
+    normalized, with one the blocks fill the full (heads, T, T) weights that
+    backward reads. The node keeps the scaled q, k, v, the weights and the
+    attention output; backward recomputes ``x``.
     Without a graph nothing is kept: each row block's attention output
     overwrites the q rows it has consumed, and the output projection is
     written into k's buffer, so the op holds h, q, k, v and one block of
@@ -576,10 +598,11 @@ def attention_sublayer(h, params, prefix, heads):
     operands = _operands(params, prefix, "attention_sublayer", attention_layout(d))
     gain, bias, wq, bq, wk, wv, bv, wo, bo = operands
     dh = d // heads
-    mu, inv = _layer_norm_stats(h.data)
-    x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
+    scale = 1.0 / np.sqrt(dh)  # a power of two, so exact, when dh is a power of four (the paper's 64)
+    x = _layer_norm_forward(h.data, gain.data, bias.data)[0]
     q = x @ wq.data
     q += bq.data
+    q *= scale
     k = x @ wk.data
     v = x @ wv.data
     v += bv.data
@@ -598,7 +621,7 @@ def attention_sublayer(h, params, prefix, heads):
     for lo in range(0, t, ATTENTION_ROWS):
         rows = slice(lo, min(lo + ATTENTION_ROWS, t))
         block = weights[:, rows] if keep else weights[:, : rows.stop - lo]
-        _attention_rows(qh[:, rows], kh, vh, block, ah[:, rows])
+        _attention_rows(qh[:, rows], kh, vh, block, ah[:, rows], keep)
     data = np.matmul(attn, wo.data, out=None if keep else k)
     data += bo.data
     data += h.data
@@ -613,11 +636,11 @@ def attention_sublayer(h, params, prefix, heads):
         dscores = gh @ vh.transpose(0, 2, 1)
         dscores -= (dscores * weights).sum(axis=-1, keepdims=True)
         dscores *= weights
-        dscores *= 1.0 / np.sqrt(dh)
         dq = merge(dscores @ kh)
+        dq *= scale
         dk = merge((qh.transpose(0, 2, 1) @ dscores).transpose(0, 2, 1))
         del dscores
-        x, xhat = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)
+        x, xhat, inv = _layer_norm_forward(h.data, gain.data, bias.data)
         for w, b, dy in ((wq, bq, dq), (wk, None, dk), (wv, bv, dv)):
             if w.requires_grad:
                 _accum(w, x.T @ dy)
@@ -644,23 +667,32 @@ def feed_forward_sublayer(h, params, prefix):
     Computes ``h + relu(x @ w1 + b1) @ w2 + b2`` with ``x = LN2(h)`` (gain
     and bias ``{prefix}.ln2.g`` and ``.ln2.b``), the weights read from
     ``params`` as ``{prefix}.ff.w1``, ``.ff.b1``, ``.ff.w2`` and ``.ff.b2``.
-    The hidden layer is rectified in place and the output is written into
-    ``x``'s buffer; the node keeps the hidden layer and LN2's row
-    statistics, and backward recomputes ``x``. Every weight's shape is
+    Both layers run ``FEED_FORWARD_ROWS`` rows at a time: a block of the
+    hidden layer is made, rectified in place and multiplied by w2 into the
+    block's rows of ``x``, which it has consumed. With a graph the blocks
+    fill the full (T, f) hidden layer that backward reads; without one a
+    single (``FEED_FORWARD_ROWS``, f) buffer is reused, so the op holds h,
+    ``x`` and one hidden block. The node keeps the hidden layer, and
+    backward recomputes ``x``. Every weight's shape is
     checked against ``feed_forward_layout(d, f)`` for h's width ``d`` and the
     hidden width ``f`` (``ff.w1``'s columns) before any work.
     """
     h = _frames(h, "feed_forward_sublayer")
-    d = h.shape[1]
-    f = (params[f"{prefix}.ff.w1"].shape or (0,))[-1]  # the hidden width; the layout check names a 0-d w1
+    t, d = h.shape
+    w1_shape = _weight(params, f"{prefix}.ff.w1", "feed_forward_sublayer").shape
+    f = (w1_shape or (0,))[-1]  # the hidden width; the layout check names a 0-d w1
     operands = _operands(params, prefix, "feed_forward_sublayer", feed_forward_layout(d, f))
     gain, bias, w1, b1, w2, b2 = operands
-    mu, inv = _layer_norm_stats(h.data)
-    x = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)[0]
-    hidden = x @ w1.data
-    hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
-    data = np.matmul(hidden, w2.data, out=x)
+    data = _layer_norm_forward(h.data, gain.data, bias.data)[0]  # x, overwritten by the output
+    keep = _records((h, *operands))
+    hidden = np.empty((t if keep else min(t, FEED_FORWARD_ROWS), f))
+    for lo in range(0, t, FEED_FORWARD_ROWS):
+        rows = slice(lo, min(lo + FEED_FORWARD_ROWS, t))
+        block = hidden[rows] if keep else hidden[: rows.stop - lo]
+        np.matmul(data[rows], w1.data, out=block)
+        block += b1.data
+        np.maximum(block, 0.0, out=block)
+        np.matmul(block, w2.data, out=data[rows])
     data += b2.data
     data += h.data
 
@@ -671,7 +703,7 @@ def feed_forward_sublayer(h, params, prefix):
             _accum(b2, g.sum(axis=0))
         dhidden = g @ w2.data.T
         dhidden *= hidden > 0
-        x, xhat = _layer_norm_apply(h.data, mu, inv, gain.data, bias.data)
+        x, xhat, inv = _layer_norm_forward(h.data, gain.data, bias.data)
         if w1.requires_grad:
             _accum(w1, x.T @ dhidden)
         if b1.requires_grad:

@@ -19,8 +19,9 @@ and ``diffcore.feed_forward_sublayer`` (layer norm, both feed-forward
 layers and residual), each with a hand-written backward. ``enhance`` runs
 the forward pass under ``diffcore.no_grad()``, so inference builds no graph,
 frees each activation as soon as the next layer has used it (a block's
-input before its feed-forward half runs), and makes the attention scores
-``diffcore.ATTENTION_ROWS`` query rows at a time.
+input before its feed-forward half runs), makes the attention scores
+``diffcore.ATTENTION_ROWS`` query rows at a time and runs the feed-forward
+layers ``diffcore.FEED_FORWARD_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from . import dsp
 # 134 MB at T = 2048 and the paper's 4 heads, and a training step keeps them
 # for all 8 blocks, about 1.1 GB, until backward() frees each block's as it
 # passes it. Inference is linear in T: it holds heads * ATTENTION_ROWS * T
-# scores at a time, 4.2 MB at T = 2048, and enhance at T = 2048 has at most
-# 25.3 MB allocated at once (tracemalloc, paper config), nearly all of it the
-# feed-forward's input, its layer-norm output and its 4 * d_model-wide hidden
-# layer.
+# scores at a time, 4.2 MB at T = 2048, and one FEED_FORWARD_ROWS-row block
+# of the 4 * d_model-wide hidden layer, 2.1 MB. Enhance at T = 2048 has at
+# most 21.2 MB allocated at once (tracemalloc, paper config), nearly all of
+# it five (T, d_model) arrays of 4.2 MB in an attention sublayer: its input,
+# q, k, v and LN1's output or one block of scores.
 MAX_FRAMES = 2048
 CONV_KERNEL = 3
 

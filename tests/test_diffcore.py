@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
+from scipy.special import softmax as softmax_reference
 
 import bpcse.diffcore as dc
 from gradcheck_ops import (
@@ -488,6 +489,36 @@ class TestInitParams:
         assert all(not params[f"m.{name}"].data.any() for name in ("b", "bias"))
 
 
+# every op that reads weights from ``params``: (prefix, layout, input shape, call of the op on input and params)
+WEIGHT_READERS = {
+    "linear": ("l", {"w": (3, 2), "b": (2,)}, (4, 3), lambda x, p: dc.linear(x, p, "l")),
+    "conv1d": ("c", {"w": (2, 3, 3), "b": (2,)}, (4, 3), lambda x, p: dc.conv1d(x, p, "c")),
+    "layer_norm": ("n", {"g": (3,), "b": (3,)}, (4, 3), lambda x, p: dc.layer_norm(x, p, "n")),
+    "attention_sublayer": ("blk", dc.attention_layout(4), (3, 4), lambda x, p: dc.attention_sublayer(x, p, "blk", 2)),
+    "feed_forward_sublayer": (
+        "blk", dc.feed_forward_layout(4, 8), (3, 4), lambda x, p: dc.feed_forward_sublayer(x, p, "blk")
+    ),
+    "blstm_layer": ("l", dc.blstm_layout(3, 2), (4, 3), lambda x, p: dc.blstm_layer(x, p, "l")),
+    "attention_decoder": (
+        "dec", dc.decoder_layout(5, 2, 3), (4, 3), lambda x, p: dc.attention_decoder(x, p, "dec", [0, 2], [2, 1])
+    ),
+}
+
+
+class TestWeightReads:
+    @pytest.mark.parametrize("op, name", [(op, name) for op, reader in WEIGHT_READERS.items() for name in reader[1]])
+    def test_plain_array_weight_named(self, op, name):
+        """A weight that is a bare ndarray, as ``load_checkpoint`` returns them, is named with its op and its type."""
+        prefix, layout, shape, call = WEIGHT_READERS[op]
+        rng = np.random.default_rng(91)
+        params, x = dc.init_params(rng, prefix, layout), rand(rng, *shape)
+        assert call(x, params).data.size  # the weights as made are accepted
+        params[f"{prefix}.{name}"] = params[f"{prefix}.{name}"].data
+        problem = f"{op}: {prefix}.{name} is of type ndarray, not a diffcore Tensor"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            call(x, params)
+
+
 def blstm_params(rng, din, hidden):
     """Weights of a BLSTM layer ``l`` with biases off zero, so that their grads are exercised."""
     params = dc.init_params(rng, "l", dc.blstm_layout(din, hidden))
@@ -705,9 +736,10 @@ class TestTransformerSublayers:
         tensors = [h, *(params[f"blk.{n}"] for n in ATTENTION_NAMES)]
         assert gradcheck(lambda: tsum(dc.attention_sublayer(h, params, "blk", 2) * w), tensors) < 1e-4
 
-    def test_feed_forward_sublayer_gradcheck(self):
+    def test_feed_forward_sublayer_gradcheck(self, monkeypatch):
+        monkeypatch.setattr(dc, "FEED_FORWARD_ROWS", 2)  # blocks of 2, 2 and 1 rows
         rng = np.random.default_rng(81)
-        params, h, w = block_params(rng, 3), rand(rng, 4, 3), t(rng.uniform(-1, 1, (4, 3)), grad=False)
+        params, h, w = block_params(rng, 3), rand(rng, 5, 3), t(rng.uniform(-1, 1, (5, 3)), grad=False)
         tensors = [h, *(params[f"blk.{n}"] for n in FEED_FORWARD_NAMES)]
         assert gradcheck(lambda: tsum(dc.feed_forward_sublayer(h, params, "blk") * w), tensors) < 1e-4
 
@@ -732,7 +764,9 @@ class TestTransformerSublayers:
                 for p in params.values():
                     p.grad = None
                 h = t(h0.copy())
-                out = run(h, params)
+                with pytest.MonkeyPatch.context() as patch:  # a monkeypatch fixture would outlive one example
+                    patch.setattr(dc, "FEED_FORWARD_ROWS", 2)  # feed-forward blocks of 2 rows, the last short at odd T
+                    out = run(h, params)
                 tsum(out * weights).backward()
                 results.append((out.data, h.grad, [params[f"blk.{n}"].grad for n in names]))
             (got, got_dh, got_grads), (want, want_dh, want_grads) = results
@@ -794,6 +828,51 @@ class TestTransformerSublayers:
         assert out.shape == (t_len, d)
         # a quarter array covers the row statistics, the softmax row maxima and sums, and the Python objects
         assert peak <= 4 * array + scores + array // 4, f"peak {(peak - scores) / array:.2f} arrays and a score block"
+
+    def test_no_grad_feed_forward_holds_one_hidden_block(self):
+        """Without a graph the feed-forward works FEED_FORWARD_ROWS rows at a time and writes its output over
+        LN2's, so the op allocates LN2's output, one (FEED_FORWARD_ROWS, 4d) hidden block and a quarter
+        array, never a (T, 4d) hidden layer."""
+        t_len, d = 3 * dc.FEED_FORWARD_ROWS + 5, 64
+        rng = np.random.default_rng(88)
+        params, h = block_params(rng, d), rand(rng, t_len, d)
+        with dc.no_grad():
+            out, peak, _ = traced(lambda: dc.feed_forward_sublayer(h, params, "blk"))
+        array, block = 8 * t_len * d, 8 * dc.FEED_FORWARD_ROWS * 4 * d
+        assert out.shape == (t_len, d)
+        # a quarter array covers the row statistics, numpy's reduction buffers and the Python objects
+        assert peak <= array + block + array // 4, f"peak {(peak - block) / array:.2f} arrays and a hidden block"
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["graph", "no_grad"])
+    def test_softmax_of_scores_spread_over_700_is_finite_and_exact(self, keep):
+        """Each score row spans +-700 and has one dominant key; the unnormalized exponentials of the
+        row block neither overflow nor lose the output, which matches a reference softmax."""
+        heads, rows, t_len = 2, 5, 9
+        rng = np.random.default_rng(89)
+        scores = rng.uniform(-700, 650, (heads, rows, t_len))
+        scores[:, np.arange(rows), rng.integers(0, t_len, rows)] = 700.0
+        # with identity keys the scores are the queries themselves
+        kh, vh = np.broadcast_to(np.eye(t_len), (heads, t_len, t_len)), rng.normal(size=(heads, t_len, 3))
+        weights, out = np.empty((heads, rows, t_len)), np.empty((heads, rows, 3))
+        dc._attention_rows(scores.copy(), kh, vh, weights, out, keep)
+        want = softmax_reference(scores, axis=-1)
+        assert np.isfinite(out).all() and rel_err(out, want @ vh) <= 1e-12
+        if keep:
+            assert rel_err(weights, want) <= 1e-12
+
+    def test_graph_weights_at_head_width_64_equal_post_scaled_softmax(self):
+        """At dh = 64 the scale 1/8 is a power of two, so scaling q before the product gives the same
+        weights, bit for bit, as scaling the scores after it."""
+        heads, rows, t_len, dh = 2, 7, 11, 64
+        rng = np.random.default_rng(90)
+        qh, kh, vh = (rng.normal(0, 2, (heads, n, dh)) for n in (rows, t_len, t_len))
+        want = np.matmul(qh, kh.transpose(0, 2, 1)) * (1.0 / np.sqrt(dh))
+        want -= want.max(axis=-1, keepdims=True)
+        np.exp(want, out=want)
+        want /= want.sum(axis=-1, keepdims=True)
+        weights, out = np.empty((heads, rows, t_len)), np.empty((heads, rows, dh))
+        dc._attention_rows(qh * (1.0 / np.sqrt(dh)), kh, vh, weights, out, True)
+        assert np.array_equal(weights, want)
 
     def test_heads_not_dividing_width_named(self):
         rng = np.random.default_rng(83)
@@ -955,10 +1034,11 @@ class TestNoGrad:
         assert outs[2]._op == "attention_sublayer"
 
     def test_same_values_as_with_graph(self):
-        # the graph keeps every block of attention weights, no_grad reuses one block's buffer
+        # the graph keeps every block of attention weights and of the feed-forward's hidden layer,
+        # no_grad reuses one block's buffer of each
         rng = np.random.default_rng(41)
         params = block_params(rng, 6)
-        for t_len in (5, 2 * dc.ATTENTION_ROWS + 7):
+        for t_len in (5, 2 * dc.ATTENTION_ROWS + 7, dc.FEED_FORWARD_ROWS + 7):
             x = rand(rng, t_len, 6)
 
             def block():

@@ -1,0 +1,143 @@
+"""Same-process A/B of two ``bpcse`` source trees on the benchmark's enhance or train_joint episodes.
+
+    python3 tools/ab_episodes.py BASE_SRC CHANGE_SRC --workload enhance --pairs 12
+
+BASE_SRC and CHANGE_SRC are ``src/`` directories, say of the parent commit
+(``git archive``) and of the working tree. Each tree's ``bpcse`` is imported
+under its own package name (``bpcse_base``, ``bpcse_change``), and
+``bench/workloads.py`` is loaded once against each, so both sides run the
+benchmark's own inputs and checks in one process. Every pair runs one
+episode of each side, alternating which side goes first, and times it in
+process CPU time after the episode's start (the weight reset of
+train_joint). Two benchmark runs in separate processes drift apart with
+the host by more than a few percent; two episodes run back to back in one
+process drift together, so the paired ratio resolves a smaller change.
+
+The script prints where each side's package was loaded from and under
+which name, each pair's times and ratio (change / base), then the
+median ratio, the number of pairs in which the change was faster, and the
+largest difference between the two sides' outputs: per unit, the largest
+absolute difference of the numbers the workload checks (step losses; or the
+waveform's segment sums and energies), over the largest of their magnitudes.
+
+The repository's own ``src/`` stays first on ``sys.path``, because ``bpc``
+reads its phone table through ``importlib.resources.files("bpcse")``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ("diffcore", "dsp", "bpc", "corpus", "asr_model", "se_model")
+WORKLOADS = ("enhance", "train_joint")
+SIDES = ("base", "change")
+
+
+def load_workloads(src, side):
+    """``bench/workloads.py`` bound to the ``bpcse`` package under ``src``, imported as ``bpcse_<side>``."""
+    package = f"bpcse_{side}"
+    pkg_dir = Path(src).resolve() / "bpcse"
+    spec = importlib.util.spec_from_file_location(package, pkg_dir / "__init__.py",
+                                                  submodule_search_locations=[str(pkg_dir)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[package] = pkg
+    spec.loader.exec_module(pkg)
+    bound = {"bpcse": pkg, **{f"bpcse.{m}": importlib.import_module(f"{package}.{m}") for m in MODULES}}
+    saved = {name: sys.modules.get(name) for name in bound}
+    sys.modules.update(bound)  # what ``from bpcse import ...`` in workloads.py finds
+    try:
+        name = f"workloads_{side}"
+        wspec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(wspec)
+        sys.modules[name] = workloads
+        wspec.loader.exec_module(workloads)
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                del sys.modules[name]
+            else:
+                sys.modules[name] = module
+    return workloads
+
+
+def run_episode(workload, state, no_trace):
+    """One episode's CPU seconds and the observed output of each unit."""
+    workload.start_episode(state)
+    start = time.process_time()
+    observed = [workload.observe(workload.run_unit(state, i, no_trace)) for i in range(workload.units_per_episode)]
+    return time.process_time() - start, observed
+
+
+def numbers(observed):
+    """The floats of one unit's observed output, in order."""
+    if isinstance(observed, dict):
+        return [x for v in observed.values() for x in numbers(v)]
+    if isinstance(observed, (list, tuple)):
+        return [x for v in observed for x in numbers(v)]
+    return [float(observed)]
+
+
+def output_difference(base, change):
+    """The largest, over units, of the largest absolute difference over the largest magnitude."""
+    worst = 0.0
+    for b, c in zip(base, change):
+        b, c = numbers(b), numbers(c)
+        scale = max(abs(x) for x in b) or 1.0
+        worst = max(worst, max(abs(x - y) for x, y in zip(b, c)) / scale)
+    return worst
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base_src", help="the src/ directory of the base tree")
+    p.add_argument("change_src", help="the src/ directory of the changed tree")
+    p.add_argument("--workload", choices=WORKLOADS, required=True)
+    p.add_argument("--pairs", type=int, default=12)
+    p.add_argument("--seed", type=int, default=1, help="picks the benchmark's input set, seed mod 16")
+    p.add_argument("--scale", choices=("paper", "tiny"), default="paper")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error(f"--pairs is {args.pairs}; it must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # one BLAS thread, as the benchmark runs; read when numpy loads
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import harness
+
+    sides = {}
+    for side, src in zip(SIDES, (args.base_src, args.change_src)):
+        workloads = load_workloads(src, side)
+        print(f"{side}: {Path(workloads.se_model.__file__).parent} as {workloads.se_model.__package__}")
+        scale = workloads.PAPER if args.scale == "paper" else workloads.TINY
+        workload = workloads.make(args.workload, scale, args.seed % workloads.REFERENCE_SLOTS, None)
+        sides[side] = (workload, workload.setup())
+    ratios, outputs = [], {}
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        seconds = {}
+        for side in order:
+            seconds[side], outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
+        ratios.append(seconds["change"] / seconds["base"])
+        print(f"pair {pair + 1}: base {seconds['base']:.3f} s, change {seconds['change']:.3f} s, "
+              f"ratio {ratios[-1]:.4f} ({order[0]} first)")
+    faster = sum(r < 1.0 for r in ratios)
+    print(f"{args.workload}: change/base CPU time ratio median {statistics.median(ratios):.4f} "
+          f"over {len(ratios)} pairs; change faster in {faster}/{len(ratios)}")
+    print(f"largest output difference, relative: {output_difference(outputs['base'], outputs['change']):.3g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
