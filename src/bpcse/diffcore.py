@@ -60,11 +60,15 @@ checks them against its layout table ``{name: shape}``
 ``decoder_layout``) before any work, and the models make them from the same
 tables with ``init_params``.
 
-Also here: the Adam optimizer, whose one setting is the learning rate, a
-finite positive number (the moment decays and epsilon are the constants
-``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``), which creates a parameter's
-moments at its first grad and updates each parameter in place in cache-sized
-chunks with no full-size temporaries; and strict checkpoint serialization.
+Also here: the Adam optimizer over :class:`Parameter` objects, whose one
+setting is the learning rate, a finite positive number (the moment decays
+and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``), which creates a parameter's moments at its first grad and
+updates each parameter in place in cache-sized chunks with no full-size
+temporaries. It stores the moments without their ``(1-beta)`` factors and
+folds the bias corrections into a per-step scale and epsilon, so a steady
+step is ten passes over each chunk with one sqrt and one divide per
+element. And strict checkpoint serialization.
 """
 
 from __future__ import annotations
@@ -996,8 +1000,8 @@ def ctc_loss(logits, labels):
 # optimization
 
 
-# Elements per in-place Adam update: the six 256 KiB slices one chunk touches
-# (parameter, grad, m, v and two scratch buffers) stay in a core's L2 cache.
+# Elements per in-place Adam update: the five 256 KiB slices one chunk touches
+# (parameter, grad, the two moments and one scratch buffer) stay in a core's L2 cache.
 ADAM_CHUNK = 1 << 15
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -1005,39 +1009,55 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction; frozen parameters are never touched.
+    """Adam with bias correction (Kingma & Ba, 2015); frozen parameters are never touched.
 
-    ``step`` updates every parameter, and its moments ``m`` and ``v``, in place
-    in chunks of ``ADAM_CHUNK`` elements through two preallocated scratch
-    buffers, so no full-size temporary is made (a :class:`Parameter` is always
-    C-contiguous, so its flat view is its data). The arithmetic of
-    each element is ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)``, in that order, with
-    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` for b1, b2 and eps.
+    ``params`` maps names to :class:`Parameter` objects; any other entry is
+    rejected, named. ``step`` updates every parameter, and its moments, in
+    place in chunks of ``ADAM_CHUNK`` elements through one preallocated
+    scratch buffer, so no full-size temporary is made. It works through the
+    flat view of ``.data``, so a parameter whose data is not C-contiguous
+    (possible only if it was reassigned) is rejected, named.
 
-    A new optimizer holds no moments. A parameter's ``m`` and ``v`` are made
-    at the first step at which it has a grad, as ``(1-b1)*g`` and
-    ``(1-b2)*g*g``, which is what the update makes of zero moments; ``t``
-    counts every step, so the bias correction is that of the step.
+    The moments are stored without their ``(1-b)`` factors, ``M = m/(1-b1)``
+    and ``V = v/(1-b2)`` of the textbook ``m`` and ``v``, with ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS`` for b1, b2 and eps. The bias corrections
+    fold into two per-step scalars, ``s = lr*(1-b1)/((1-b1^t)*c)`` and
+    ``eps' = eps/c`` with ``c = sqrt((1-b2)/(1-b2^t))``, so each element
+    makes ``M = b1*M + g``, ``V = b2*V + g*g``,
+    ``p -= M/(sqrt(V) + eps') * s``, in that order: ten passes over a chunk,
+    one sqrt and one divide. This is the textbook update
+    ``p -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)`` rearranged, equal to
+    it up to rounding.
+
+    A new optimizer holds no moments. A parameter's ``M`` and ``V`` are made
+    at the first step at which it has a grad, as ``g`` and ``g*g``, which is
+    what the update makes of zero moments; ``t`` counts every step, so the
+    bias correction is that of the step.
     """
 
     def __init__(self, params, lr):
         if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
             raise ValueError(f"Adam learning rate is {lr!r}; it must be a finite positive number")
         self.params = dict(params)
+        for n, p in self.params.items():
+            if not isinstance(p, Parameter):
+                raise ValueError(f"Adam: entry {n!r} is of type {type(p).__name__}, not a diffcore Parameter")
         self.lr = lr
         self.t = 0
         self._m, self._v = {}, {}
-        self._scratch = np.empty((2, ADAM_CHUNK))
+        self._scratch = np.empty(ADAM_CHUNK)
 
     def step(self):
         live = {n: p for n, p in self.params.items() if p.requires_grad and p.grad is not None}
         for n, p in live.items():
             if p.grad.shape != p.shape:
                 raise ValueError(f"Adam: grad of parameter {n!r} has shape {p.grad.shape}, its data {p.shape}")
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"Adam: data of parameter {n!r} is not C-contiguous, so it cannot be updated in place")
         self.t += 1
-        b1c = 1.0 - ADAM_BETA1**self.t
-        b2c = 1.0 - ADAM_BETA2**self.t
+        c = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2**self.t))
+        scale = self.lr * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1**self.t) * c)
+        eps = ADAM_EPS / c
         for n, p in live.items():
             fresh = n not in self._m
             if fresh:
@@ -1046,34 +1066,30 @@ class Adam:
             m, v = self._m[n].reshape(-1), self._v[n].reshape(-1)
             for lo in range(0, data.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, data.size)
-                self._update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], *self._scratch[:, : hi - lo], b1c, b2c, fresh)
+                self._update(data[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi], self._scratch[: hi - lo], scale, eps, fresh)
 
-    def _update(self, p, g, m, v, s, r, b1c, b2c, fresh):
-        """One Adam update of ``p``, ``m`` and ``v`` in place; ``s`` and ``r`` are scratch of the same shape.
+    @staticmethod
+    def _update(p, g, m, v, s, scale, eps, fresh):
+        """One Adam update of ``p`` and its moments ``m`` and ``v`` in place; ``s`` is scratch of the same shape.
 
         ``fresh`` moments are unset and are written as the update makes them of
-        zeros, ``(1-b1)*g`` and ``(1-b2)*g*g``, without being read: updating
-        zero-filled arrays fresh from the OS would fault each of their pages
-        in twice, to read and then to write.
+        zeros, ``g`` and ``g*g``, without being read: updating zero-filled
+        arrays fresh from the OS would fault each of their pages in twice, to
+        read and then to write.
         """
         if fresh:
-            np.multiply(g, 1 - ADAM_BETA1, out=m)
+            np.copyto(m, g)
             np.multiply(g, g, out=v)
-            v *= 1 - ADAM_BETA2
         else:
             m *= ADAM_BETA1
-            np.multiply(g, 1 - ADAM_BETA1, out=s)
-            m += s
+            m += g
             v *= ADAM_BETA2
             np.multiply(g, g, out=s)
-            s *= 1 - ADAM_BETA2
             v += s
-        np.divide(m, b1c, out=s)
-        s *= self.lr
-        np.divide(v, b2c, out=r)
-        np.sqrt(r, out=r)
-        r += ADAM_EPS
-        s /= r
+        np.sqrt(v, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= scale
         p -= s
 
     def zero_grad(self):

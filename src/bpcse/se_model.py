@@ -62,11 +62,10 @@ class SeConfig:
 
 def sinusoidal_positions(t: int, d: int) -> np.ndarray:
     """(t, d) positions: column 2i is sin(pos / 10000^(2i/d)), column 2i + 1 its cos."""
-    pos = np.arange(t)[:, None]
-    rates = np.power(10000.0, np.arange(0, d, 2) / d)
+    angles = np.arange(t)[:, None] / np.power(10000.0, np.arange(0, d, 2) / d)
     pe = np.empty((t, d))
-    pe[:, 0::2] = np.sin(pos / rates)
-    pe[:, 1::2] = np.cos(pos / rates[: d // 2])
+    np.sin(angles, out=pe[:, 0::2])
+    np.cos(angles[:, : d // 2], out=pe[:, 1::2])
     return pe
 
 

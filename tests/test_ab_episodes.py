@@ -24,7 +24,18 @@ def test_same_tree_on_both_sides_gives_equal_outputs(workload):
     lines = done.stdout.splitlines()[2:]
     assert [line.split(":")[0] for line in lines[:2]] == ["pair 1", "pair 2"]
     assert "(base first)" in lines[0] and "(change first)" in lines[1]
-    assert re.fullmatch(rf"{workload}: change/base CPU time ratio median \d+\.\d{{4}} over 2 pairs; "
-                        r"change faster in [0-2]/2", lines[2])
+    for line, side in zip(lines[2:4], ["base", "change"]):
+        assert re.fullmatch(rf"{side}: episode CPU time median \d+\.\d{{3}} s, IQR \d+\.\d{{3}} s", line)
+    ratio = r"\d+\.\d{4}"
+    assert re.fullmatch(rf"{workload}: change/base CPU time ratio median {ratio} \(quartiles {ratio}, {ratio}\) "
+                        r"over 2 pairs; change faster in [0-2]/2", lines[4])
     # two imports of one tree run the same arithmetic
-    assert lines[3] == "largest output difference, relative: 0"
+    assert lines[5] == "largest output difference, relative: 0"
+
+
+def test_one_pair_refused():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_episodes.py"), "src", "src", "--workload", "enhance", "--pairs", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and "--pairs is 1; it must be at least 2, to give a spread" in done.stderr

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bpcse.diffcore as dc
@@ -198,6 +198,7 @@ class TestCtcLoss:
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=80, deadline=None)
+    @example(t_len=2, v=2, draws=[1], scale=3.0, seed=757861)  # grads of 1.4e-6, each a difference of near-ones
     def test_equals_two_recursions(self, t_len, v, draws, scale, seed):
         labels = [1 + d % (v - 1) for d in draws]  # repeats are common at small vocab sizes
         while dc.min_frames_for(labels) > t_len:
@@ -211,7 +212,10 @@ class TestCtcLoss:
             results.append((loss.data, logits.grad))
         (loss, grad), (want_loss, want_grad) = results
         assert loss.tobytes() == want_loss.tobytes()
-        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        # each grad is softmax - occupancy, so it is bounded by its parts, not by its possibly cancelled size
+        probabilities = np.exp(arrays - arrays.max(axis=1, keepdims=True))
+        probabilities /= probabilities.sum(axis=1, keepdims=True)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(probabilities)
 
     def test_empty_labels_all_blank_probability(self):
         rng = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 import weakref
@@ -1086,7 +1087,11 @@ class TestFrozenParameters:
 
 
 class AdamByArrays:
-    """Oracle for ``Adam``: the whole-array update, each term a full-size temporary."""
+    """Oracle for ``Adam``: its arithmetic on whole arrays, each term a full-size temporary.
+
+    The moments are kept without their (1 - beta) factors, and the bias
+    corrections are folded into a step size and epsilon, as ``Adam`` does.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -1096,6 +1101,22 @@ class AdamByArrays:
         self.t = 0
         self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        c = math.sqrt((1.0 - self.beta2) / (1.0 - self.beta2**self.t))
+        scale = self.lr * (1.0 - self.beta1) / ((1.0 - self.beta1**self.t) * c)
+        eps = self.eps / c
+        for n, p in self.params.items():
+            if not p.requires_grad or p.grad is None:
+                continue
+            m = self._m[n] = self.beta1 * self._m[n] + p.grad
+            v = self._v[n] = self.beta2 * self._v[n] + p.grad * p.grad
+            p.data -= m / (np.sqrt(v) + eps) * scale
+
+
+class AdamTextbook(AdamByArrays):
+    """The textbook Adam update (Kingma & Ba, 2015, Algorithm 1), with its moments m and v."""
 
     def step(self):
         self.t += 1
@@ -1172,8 +1193,8 @@ class TestAdam:
         g = params["a"].grad = rng.normal(size=(3, 4))
         opt.step()
         assert set(opt._m) == set(opt._v) == {"a"}
-        assert opt._m["a"].tobytes() == ((1 - dc.ADAM_BETA1) * g).tobytes()
-        assert opt._v["a"].tobytes() == ((g * g) * (1 - dc.ADAM_BETA2)).tobytes()  # the order _update uses
+        assert opt._m["a"].tobytes() == g.tobytes()  # stored without the (1 - beta) factors
+        assert opt._v["a"].tobytes() == (g * g).tobytes()
 
     def test_parameter_first_stepped_late_equals_oracle(self):
         """A parameter whose first grad comes at step 2 starts from zero moments with step 2's bias correction."""
@@ -1215,6 +1236,67 @@ class TestAdam:
             oracle.step()
         assert np.array_equal(p.data, oracle_p.data) and not np.array_equal(p.data, view(before))
         assert np.array_equal(base, before)  # the view the parameter was built from is left alone
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.1])
+    def test_tracks_the_textbook_update_over_25_steps(self, lr):
+        """Folding the bias corrections into a step size and epsilon changes each update only by rounding.
+
+        Each step may round p and its update differently, so after ``steps``
+        steps an element may differ by a few ``steps * eps64 * (|p| + lr)``;
+        seeds 0-29 at both rates read at most 1.1 of it. Grads span 1e-9 to
+        1e2, so some elements are ruled by epsilon and some by sqrt(v).
+        """
+        rng = np.random.default_rng(63)
+        shapes = [(7, 3), (3, 20000), (2 * dc.ADAM_CHUNK + 5,)]
+        init = [rng.normal(size=shape) for shape in shapes]
+        sides = []
+        for cls in (dc.Adam, AdamTextbook):
+            params = {f"p{i}": dc.Parameter(a.copy()) for i, a in enumerate(init)}
+            sides.append((params, cls(params, lr=lr)))
+        steps = 25
+        for _ in range(steps):
+            grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-9, 3) for shape in shapes]
+            for params, opt in sides:
+                for p, g in zip(params.values(), grads):
+                    p.grad = g
+                opt.step()
+        (params, _), (want_params, _) = sides
+        for n, p in params.items():
+            want = want_params[n].data
+            bound = 4 * steps * np.finfo(np.float64).eps * (np.abs(want) + lr)
+            assert np.all(np.abs(p.data - want) <= bound), n
+
+    @pytest.mark.parametrize(
+        "entry, kind",
+        [
+            (lambda: dc.Tensor(np.ones((3, 2)).T, requires_grad=True), "Tensor"),
+            (lambda: np.ones(3), "ndarray"),
+        ],
+        ids=["tensor", "ndarray"],
+    )
+    def test_entry_that_is_not_a_parameter_named(self, entry, kind):
+        with pytest.raises(ValueError, match=rf"Adam: entry 'block0\.wq' is of type {kind}, not a diffcore Parameter"):
+            dc.Adam({"ok": dc.Parameter(np.ones(2)), "block0.wq": entry()}, lr=0.1)
+
+    def test_parameter_whose_data_is_not_c_contiguous_named(self):
+        p = dc.Parameter(np.ones((3, 2)))
+        opt = dc.Adam({"out.w": p}, lr=0.1)
+        p.data = np.arange(6.0).reshape(3, 2).T
+        p.grad = np.ones((2, 3))
+        before = p.data.copy()
+        with pytest.raises(ValueError, match=r"Adam: data of parameter 'out\.w' is not C-contiguous"):
+            opt.step()
+        assert np.array_equal(p.data, before) and opt.t == 0 and opt._m == {}
+
+    def test_steady_step_allocates_at_most_one_chunk(self):
+        """Each parameter is updated through the optimizer's own scratch, so a step makes no full-size temporary."""
+        rng = np.random.default_rng(64)
+        p = dc.Parameter(rng.normal(size=(4 * dc.ADAM_CHUNK + 9,)))
+        opt = dc.Adam({"w": p}, lr=0.1)
+        p.grad = rng.normal(size=p.shape)
+        opt.step()  # makes the moments
+        _, peak, held = traced(opt.step)
+        assert held <= 4096 and peak <= 8 * dc.ADAM_CHUNK, f"a step peaked at {peak} bytes"
 
     def test_grad_of_another_shape_names_the_parameter(self):
         p = dc.Parameter(np.ones(3))

@@ -175,12 +175,18 @@ class TestTrainingMemory:
 
 @pytest.mark.parametrize("t, d", [(1, 1), (1, 2), (6, 5), (33, 9), (50, 256), (2048, 256), (17, 255)])
 def test_sinusoidal_positions_equal_the_full_angle_formula(t, d):
-    """sin on even columns, cos on odd ones, bit for bit what evaluating both on every angle gives."""
+    """sin on even columns, cos on odd ones, bit for bit what evaluating both on every angle gives,
+    and what dividing the positions by the rates once for sin and once for cos gives."""
     pos = np.arange(t)[:, None]
     i = np.arange(d)[None, :]
     angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
     want = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
-    assert np.array_equal(sinusoidal_positions(t, d), want)
+    rates = np.power(10000.0, np.arange(0, d, 2) / d)
+    two_rates = np.empty((t, d))
+    two_rates[:, 0::2] = np.sin(pos / rates)
+    two_rates[:, 1::2] = np.cos(pos / rates[: d // 2])
+    got = sinusoidal_positions(t, d)
+    assert np.array_equal(got, want) and np.array_equal(got, two_rates)
 
 
 class TestResidualPathOracle:

@@ -14,11 +14,15 @@ the host by more than a few percent; two episodes run back to back in one
 process drift together, so the paired ratio resolves a smaller change.
 
 The script prints where each side's package was loaded from and under
-which name, each pair's times and ratio (change / base), then the
-median ratio, the number of pairs in which the change was faster, and the
-largest difference between the two sides' outputs: per unit, the largest
-absolute difference of the numbers the workload checks (step losses; or the
-waveform's segment sums and energies), over the largest of their magnitudes.
+which name, each pair's times and ratio (change / base), then each side's
+median episode time and its interquartile range (IQR), the median ratio
+with its quartiles, the number of pairs in which the change was faster,
+and the largest difference between the two sides' outputs: per unit, the
+largest absolute difference of the numbers the workload checks (step
+losses; or the waveform's segment sums and energies), over the largest of
+their magnitudes. Quartiles interpolate linearly between the sorted
+values (numpy's default percentile), so a spread needs at least two pairs.
+A claimed gain should clear the base's IQR.
 
 The repository's own ``src/`` stays first on ``sys.path``, because ``bpc``
 reads its phone table through ``importlib.resources.files("bpcse")``.
@@ -95,6 +99,11 @@ def output_difference(base, change):
     return worst
 
 
+def quartiles(xs):
+    """The first quartile, median and third quartile of ``xs`` (at least two numbers), linearly interpolated."""
+    return statistics.quantiles(xs, n=4, method="inclusive")
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base_src", help="the src/ directory of the base tree")
@@ -104,8 +113,8 @@ def parse_args(argv):
     p.add_argument("--seed", type=int, default=1, help="picks the benchmark's input set, seed mod 16")
     p.add_argument("--scale", choices=("paper", "tiny"), default="paper")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error(f"--pairs is {args.pairs}; it must be at least 1")
+    if args.pairs < 2:
+        p.error(f"--pairs is {args.pairs}; it must be at least 2, to give a spread")
     return args
 
 
@@ -123,17 +132,22 @@ def main(argv=None) -> int:
         scale = workloads.PAPER if args.scale == "paper" else workloads.TINY
         workload = workloads.make(args.workload, scale, args.seed % workloads.REFERENCE_SLOTS, None)
         sides[side] = (workload, workload.setup())
-    ratios, outputs = [], {}
+    ratios, outputs, seconds = [], {}, {side: [] for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        seconds = {}
         for side in order:
-            seconds[side], outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
-        ratios.append(seconds["change"] / seconds["base"])
-        print(f"pair {pair + 1}: base {seconds['base']:.3f} s, change {seconds['change']:.3f} s, "
+            episode_s, outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
+            seconds[side].append(episode_s)
+        base_s, change_s = seconds["base"][-1], seconds["change"][-1]
+        ratios.append(change_s / base_s)
+        print(f"pair {pair + 1}: base {base_s:.3f} s, change {change_s:.3f} s, "
               f"ratio {ratios[-1]:.4f} ({order[0]} first)")
+    for side in SIDES:
+        q1, median, q3 = quartiles(seconds[side])
+        print(f"{side}: episode CPU time median {median:.3f} s, IQR {q3 - q1:.3f} s")
+    q1, median, q3 = quartiles(ratios)
     faster = sum(r < 1.0 for r in ratios)
-    print(f"{args.workload}: change/base CPU time ratio median {statistics.median(ratios):.4f} "
+    print(f"{args.workload}: change/base CPU time ratio median {median:.4f} (quartiles {q1:.4f}, {q3:.4f}) "
           f"over {len(ratios)} pairs; change faster in {faster}/{len(ratios)}")
     print(f"largest output difference, relative: {output_difference(outputs['base'], outputs['change']):.3g}")
     return 0
