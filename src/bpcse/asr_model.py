@@ -8,9 +8,9 @@ gradient), and the whole teacher-forced attention decoder, its
 cross-entropy included, is one ``diffcore.attention_decoder`` node, so the
 recognizer adds the same handful of nodes to the graph whatever the
 utterance length and label count. The projection and the CTC head are each
-one ``diffcore.linear`` node, which adds the bias in place. The weights are
-made by ``diffcore.init_params`` from the tables the ops check, and the CTC
-blank id is ``diffcore.BLANK``.
+one ``diffcore.linear`` node, which adds the bias in place. Each weight is
+made by ``diffcore.init_params`` from the layout table of the op that reads
+it, and the CTC blank id is ``diffcore.BLANK``.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -71,8 +71,8 @@ class AsrModel:
         for layer in range(ENCODER_LAYERS):
             din = dsp.N_MEL_FILTERS if layer == 0 else 2 * h
             self.params.update(dc.init_params(rng, f"enc{layer}", dc.blstm_layout(din, h)))
-        self.params.update(dc.init_params(rng, "proj", {"w": (2 * h, d), "b": (d,)}))
-        self.params.update(dc.init_params(rng, "ctc", {"w": (d, v), "b": (v,)}))
+        self.params.update(dc.init_params(rng, "proj", dc.linear_layout(2 * h, d)))
+        self.params.update(dc.init_params(rng, "ctc", dc.linear_layout(d, v)))
         self.params.update(dc.init_params(rng, "dec", dc.decoder_layout(v, cfg.embed_dim, d)))
 
     def freeze(self):

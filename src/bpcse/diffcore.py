@@ -53,12 +53,15 @@ central finite-difference ``gradcheck``. The LSTM gates and the
 exp(-x))`` in numpy computed in place, so the module imports numpy alone.
 
 An op that owns weights takes ``(x, params, prefix, ...)`` and reads weight
-``name`` as ``params[f"{prefix}.{name}"]``, which must be a :class:`Tensor`
-(a bare array is rejected, named with the op that read it). A fused op
-checks them against its layout table ``{name: shape}``
-(``attention_layout``, ``feed_forward_layout``, ``blstm_layout``,
-``decoder_layout``) before any work, and the models make them from the same
-tables with ``init_params``.
+``name`` as ``params[f"{prefix}.{name}"]``, a :class:`Tensor` (a bare array is
+rejected, named with the op). Before any work it checks them with
+``_operands`` against its layout table ``{name: shape}`` (``linear_layout``,
+``conv1d_layout``, ``layer_norm_layout``, ``attention_layout``,
+``feed_forward_layout``, ``blstm_layout``, ``decoder_layout``), and the models
+make them from the same tables with ``init_params``. A size the input does not
+give (H of ``blstm_layer``) is read from one weight by ``_dims``, which names
+the dims it expects. Every op on frames, ``ctc_loss`` too, checks with
+``_frames`` that its input is (T, d), T >= 1.
 
 Also here: the Adam optimizer over :class:`Parameter` objects, whose one
 setting is the learning rate, a finite positive number (the moment decays
@@ -247,16 +250,24 @@ def _operands(params, prefix, op, layout):
     return operands
 
 
-def _matrix_shape(params, key, op, expected):
-    """The shape of the matrix ``params[key]``; a ValueError names ``op``, ``key`` and ``expected`` if it is not 2-D."""
+def _dims(params, key, op, names):
+    """The shape of ``params[key]``, one size per name in ``names``; a ValueError names ``op``, ``key`` and them."""
     shape = _weight(params, key, op).shape
-    if len(shape) != 2:
-        raise ValueError(f"{op}: {key} has shape {shape}, expected {expected}")
+    if len(shape) != len(names):
+        raise ValueError(f"{op}: {key} has shape {shape}, expected ({', '.join(names)})")
     return shape
 
 
 def _lift(v):
     return v if isinstance(v, Tensor) else Tensor(v)
+
+
+def _frames(h, op):
+    """``h`` as a tensor of frames; a ValueError names ``op`` unless it is (T, d) with T >= 1."""
+    h = _lift(h)
+    if h.data.ndim != 2 or not h.shape[0]:
+        raise ValueError(f"{op} input must be (T, d) with at least one frame, got shape {h.shape}")
+    return h
 
 
 def _accum(t, g):
@@ -360,11 +371,16 @@ def matmul(a, b):
     return _node(data, (a, b), backward, "matmul")
 
 
+def linear_layout(n, m):
+    """The weights of :func:`linear` from width n to m, ``{name: shape}``."""
+    return {"w": (n, m), "b": (m,)}
+
+
 def linear(x, params, prefix):
-    """``x @ W + b`` for x (T, n), W (n, m) ``{prefix}.w`` and b (m,) ``{prefix}.b``, as one node."""
-    x, W, b = _lift(x), _weight(params, f"{prefix}.w", "linear"), _weight(params, f"{prefix}.b", "linear")
-    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != (W.shape[1],):
-        raise ValueError(f"linear shape mismatch: x {x.shape}, {prefix}.w {W.shape}, {prefix}.b {b.shape}")
+    """``x @ W + b`` for x (T, n), W ``{prefix}.w`` and b ``{prefix}.b`` of ``linear_layout(n, m)``, as one node."""
+    x = _frames(x, "linear")
+    m = _dims(params, f"{prefix}.w", "linear", ("n", "m"))[1]
+    W, b = _operands(params, prefix, "linear", linear_layout(x.shape[1], m))
     data = x.data @ W.data
     data += b.data
 
@@ -437,17 +453,21 @@ def _layer_norm_forward(x, gain, bias):
 
 def _layer_norm_backward(g, xhat, inv, gain, bias):
     """Accumulate the grads of the ``gain`` and ``bias`` tensors from output grad ``g``; return the input's."""
-    lead = tuple(range(g.ndim - 1))
-    _accum(gain, (g * xhat).sum(axis=lead))  # every caller checks that gain and bias are (d,)
-    _accum(bias, g.sum(axis=lead))
+    _accum(gain, (g * xhat).sum(axis=0))  # every caller checks that x is (T, d), gain and bias (d,)
+    _accum(bias, g.sum(axis=0))
     dxhat = g * gain.data
     return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
 
+def layer_norm_layout(d):
+    """The weights of :func:`layer_norm` at width d, ``{name: shape}``: its gain and its bias."""
+    return {"g": (d,), "b": (d,)}
+
+
 def layer_norm(x, params, prefix):
-    """Normalize over the last axis, then scale by the gain ``{prefix}.g`` and shift by the bias ``{prefix}.b``."""
-    x = _lift(x)
-    gain, bias = _operands(params, prefix, "layer_norm", {"g": x.shape[-1:], "b": x.shape[-1:]})
+    """Normalize each frame of x (T, d), then apply gain ``{prefix}.g`` and bias ``.b`` of ``layer_norm_layout(d)``."""
+    x = _frames(x, "layer_norm")
+    gain, bias = _operands(params, prefix, "layer_norm", layer_norm_layout(x.shape[1]))
     data, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
 
     def backward(g):
@@ -468,6 +488,11 @@ def _taps(t, k):
             yield kk, slice(max(-s, 0), t - max(s, 0)), slice(max(s, 0), t - max(-s, 0))
 
 
+def conv1d_layout(cin, cout, k):
+    """The weights of :func:`conv1d` from cin to cout channels with kernel width k, ``{name: shape}``."""
+    return {"w": (cout, cin, k), "b": (cout,)}
+
+
 def conv1d(x, params, prefix):
     """1-D "same" convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,).
 
@@ -477,16 +502,15 @@ def conv1d(x, params, prefix):
     ``x[rows] @ w[:, :, kk].T``, into the output, the centre tap first, so it
     copies neither the padded input nor its windows. Backward forms the
     input grad the same way and each tap's weight grad as
-    ``g[rows].T @ x[rows]``.
+    ``g[rows].T @ x[rows]``. The weights are checked against
+    ``conv1d_layout(Cin, Cout, K)``, Cout and K read from w.
     """
-    x, w, b = _lift(x), _weight(params, f"{prefix}.w", "conv1d"), _weight(params, f"{prefix}.b", "conv1d")
-    if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
-        raise ValueError(f"conv1d shape mismatch: x {x.shape}, {prefix}.w {w.shape}, {prefix}.b {b.shape}")
-    t, k = x.shape[0], w.shape[2]
+    x = _frames(x, "conv1d")
+    t, cin = x.shape
+    cout, _, k = _dims(params, f"{prefix}.w", "conv1d", ("Cout", "Cin", "K"))
+    w, b = _operands(params, prefix, "conv1d", conv1d_layout(cin, cout, k))
     if k % 2 == 0:
         raise ValueError(f"conv1d kernel width {k} is even; \"same\" padding needs an odd width")
-    if t < 1:
-        raise ValueError("conv1d needs at least one frame")
     pad = k // 2
     data = x.data @ w.data[:, :, pad].T
     for kk, out_rows, in_rows in _taps(t, k):
@@ -557,14 +581,6 @@ def _attention_rows(qh, kh, vh, weights, out, keep):
     out /= total
     if keep:
         weights /= total
-
-
-def _frames(h, op):
-    """``h`` as a tensor of frames; a ValueError names ``op`` unless it is (T, d)."""
-    h = _lift(h)
-    if h.data.ndim != 2:
-        raise ValueError(f"{op} input must be (T, d), got shape {h.shape}")
-    return h
 
 
 def attention_layout(d):
@@ -677,14 +693,12 @@ def feed_forward_sublayer(h, params, prefix):
     fill the full (T, f) hidden layer that backward reads; without one a
     single (``FEED_FORWARD_ROWS``, f) buffer is reused, so the op holds h,
     ``x`` and one hidden block. The node keeps the hidden layer, and
-    backward recomputes ``x``. Every weight's shape is
-    checked against ``feed_forward_layout(d, f)`` for h's width ``d`` and the
-    hidden width ``f`` (``ff.w1``'s columns) before any work.
+    backward recomputes ``x``. Every weight's shape is checked against
+    ``feed_forward_layout(d, f)``, f the columns of ``ff.w1``, before any work.
     """
     h = _frames(h, "feed_forward_sublayer")
     t, d = h.shape
-    w1_shape = _weight(params, f"{prefix}.ff.w1", "feed_forward_sublayer").shape
-    f = (w1_shape or (0,))[-1]  # the hidden width; the layout check names a 0-d w1
+    f = _dims(params, f"{prefix}.ff.w1", "feed_forward_sublayer", ("d", "f"))[1]
     operands = _operands(params, prefix, "feed_forward_sublayer", feed_forward_layout(d, f))
     gain, bias, w1, b1, w2, b2 = operands
     data = _layer_norm_forward(h.data, gain.data, bias.data)[0]  # x, overwritten by the output
@@ -785,13 +799,9 @@ def blstm_layer(xs, params, prefix):
     stored gates and cell states. Every weight's shape is checked against
     ``blstm_layout(Din, H)``, H the rows of ``fwd.U``, before any work.
     """
-    xs = _lift(xs)
-    if xs.data.ndim != 2:
-        raise ValueError(f"blstm_layer input must be (T, Din), got shape {xs.shape}")
+    xs = _frames(xs, "blstm_layer")
     t, din = xs.shape
-    if t < 1:
-        raise ValueError("blstm_layer needs at least one frame")
-    h = _matrix_shape(params, f"{prefix}.fwd.U", "blstm_layer", "(H, 4H)")[0]
+    h = _dims(params, f"{prefix}.fwd.U", "blstm_layer", ("H", "4H"))[0]
     operands = _operands(params, prefix, "blstm_layer", blstm_layout(din, h))
     # per direction: its (W, U, b), its columns of the buffers, its frame order and the offset of
     # the row it reads the previous state from; frame i writes its state to row i + 1
@@ -847,15 +857,14 @@ def attention_decoder(hidden, params, prefix, tokens, targets):
     with ``softmax(hidden @ h)`` for the next ``ctx``, and scores
     ``[h, ctx] @ out_w + out_b`` against ``targets[i]``; h, c and ctx start at
     zero. The context feeds the next step's input (Luong et al., EMNLP 2015).
-    Before any work, the weights ``{prefix}.embed``, ``.lstm.W``, ``.lstm.U``,
-    ``.lstm.b``, ``.out.w`` and ``.out.b`` are checked against
+    Before any work, the weights ``{prefix}.<name>`` are checked against
     ``decoder_layout(V, E, d)``, (V, E) the shape of ``embed``, and the label
     ids must be integers in ``[0, V)``, one target per token. The backward
     pass is hand-written BPTT and skips operands that need no grad.
     """
     hidden = _frames(hidden, "attention_decoder")
     t, d = hidden.shape
-    v, e = _matrix_shape(params, f"{prefix}.embed", "attention_decoder", "(V, E)")
+    v, e = _dims(params, f"{prefix}.embed", "attention_decoder", ("V", "E"))
     operands = _operands(params, prefix, "attention_decoder", decoder_layout(v, e, d))
     embed, W, U, b, out_w, out_b = operands
     tokens, targets = _label_ids(tokens, v, "attention_decoder"), _label_ids(targets, v, "attention_decoder")
@@ -963,9 +972,7 @@ def ctc_loss(logits, labels):
     integer in ``[1, V)`` (``BLANK`` is 0), or labels that no alignment of T
     frames can carry, are rejected before any work is done.
     """
-    logits = _lift(logits)
-    if logits.data.ndim != 2:
-        raise ValueError(f"ctc_loss logits must be (T, V), got shape {logits.shape}")
+    logits = _frames(logits, "ctc_loss")
     t_len, v = logits.shape
     labels = _label_ids(labels, v, "ctc_loss")
     if BLANK in labels:

@@ -9,7 +9,7 @@ is shift-invariant, so one would do nothing. A final linear projection with
 softplus keeps outputs non-negative, as log1p features must be. Every
 affine projection outside the blocks is one ``diffcore.linear`` node, which
 adds its bias in place. Each op reads its weights from ``params`` by prefix,
-and ``diffcore.init_params`` makes them from the tables the ops check.
+and ``diffcore.init_params`` makes them from the op's own layout table.
 Inputs longer than ``MAX_FRAMES`` are rejected, because the T x T attention
 weights a training step keeps would otherwise grow without bound.
 
@@ -75,13 +75,12 @@ class SeModel:
         self.params: dict[str, dc.Parameter] = {}
         rng = np.random.default_rng(seed)
         d = cfg.d_model
-        for i in range(cfg.conv_layers):
-            conv = {"w": (d, dsp.N_BINS if i == 0 else d, CONV_KERNEL), "b": (d,)}
-            self.params.update(dc.init_params(rng, f"conv{i}", conv))
+        for i, cin in enumerate([dsp.N_BINS] + [d] * (cfg.conv_layers - 1)):
+            self.params.update(dc.init_params(rng, f"conv{i}", dc.conv1d_layout(cin, d, CONV_KERNEL)))
         for i in range(cfg.attention_blocks):
             self.params.update(dc.init_params(rng, f"block{i}", dc.attention_layout(d) | dc.feed_forward_layout(d, 4 * d)))
-        self.params.update(dc.init_params(rng, "final_ln", {"g": (d,), "b": (d,)}))
-        self.params.update(dc.init_params(rng, "out", {"w": (d, dsp.N_BINS), "b": (dsp.N_BINS,)}))
+        self.params.update(dc.init_params(rng, "final_ln", dc.layer_norm_layout(d)))
+        self.params.update(dc.init_params(rng, "out", dc.linear_layout(d, dsp.N_BINS)))
 
     def forward(self, x: dc.Tensor) -> dc.Tensor:
         """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""

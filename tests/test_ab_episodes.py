@@ -1,6 +1,8 @@
 """Smoke test of ``tools/ab_episodes.py``: an A/A run at the benchmark's TINY scale."""
 
+import importlib.util
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,27 @@ def test_same_tree_on_both_sides_gives_equal_outputs(workload):
                         r"over 2 pairs; change faster in [0-2]/2", lines[4])
     # two imports of one tree run the same arithmetic
     assert lines[5] == "largest output difference, relative: 0"
+
+
+def test_each_side_imports_its_modules_from_its_own_tree(tmp_path, monkeypatch):
+    """A/A over the tree and a copy of it: every ``bpcse_<side>`` module, the six the benchmark imports among
+    them, is loaded from that side's tree, and the workloads and the models share that side's ``diffcore``."""
+    trees = {"base": ROOT / "src", "change": tmp_path / "src"}
+    shutil.copytree(ROOT / "src" / "bpcse", trees["change"] / "bpcse", ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # where workloads.py finds harness
+    spec = importlib.util.spec_from_file_location("ab_episodes", ROOT / "tools" / "ab_episodes.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    try:
+        for side, src in trees.items():
+            workloads, package = ab.load_workloads(src, side), f"bpcse_{side}"
+            modules = {n: m for n, m in sys.modules.items() if n == package or n.startswith(f"{package}.")}
+            assert {f"{package}.{m}" for m in ("diffcore", "dsp", "bpc", "corpus", "asr_model", "se_model")} <= set(modules)
+            assert {Path(m.__file__).parent for m in modules.values()} == {(src / "bpcse").resolve()}
+            assert workloads.dc is modules[f"{package}.diffcore"] is workloads.se_model.dc is workloads.asr_model.dc
+    finally:
+        for name in [n for n in sys.modules if n.startswith(("bpcse_", "workloads_"))]:
+            del sys.modules[name]
 
 
 def test_one_pair_refused():

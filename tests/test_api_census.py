@@ -18,45 +18,32 @@ not callers: a name only the tests need lives in the tests.
 
 import ast
 from collections import Counter
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = {path.stem: ast.parse(path.read_text("utf-8")) for path in sorted((ROOT / "src" / "bpcse").glob("*.py"))}
-BENCH = [ast.parse(path.read_text("utf-8")) for path in sorted((ROOT / "bench").rglob("*.py"))]
+from census import BENCH, PACKAGE, reads
 
 KEPT = {  # name: the ROADMAP item that calls it first
     "asr_model.AsrModel.decode": 1,  # the census also counts checkpoint code's bytes.decode for it
     "asr_model.decode_greedy": 1,
     "asr_model.label_error_rate": 1,
     "asr_model.levenshtein": 1,
-    "asr_model.deep_feature_loss": 2,
-    "asr_model.AsrModel.save": 3,
-    "asr_model.AsrModel.load": 3,
-    "asr_model.AsrModel.ids_to_labels": 3,
-    "asr_model.AsrModel.labels_to_ids": 3,
-    "se_model.SeModel.save": 3,
-    "se_model.SeModel.load": 3,
-    "corpus.Manifest.save": 3,
-    "corpus.Manifest.load": 3,
-    "corpus.Manifest.from_json": 3,
-    "diffcore.CKPT_MAGIC": 3,
-    "diffcore.save_checkpoint": 3,
-    "diffcore.load_checkpoint": 3,
-    "diffcore.restore_params": 3,
-    "diffcore.load_model": 3,
-    "bpc.place_scheme": 6,
-    "bpc.ENGLISH_PLACE_CLASSES": 6,
+    "asr_model.deep_feature_loss": 3,
+    "asr_model.AsrModel.save": 4,
+    "asr_model.AsrModel.load": 4,
+    "asr_model.AsrModel.ids_to_labels": 4,
+    "asr_model.AsrModel.labels_to_ids": 4,
+    "se_model.SeModel.save": 4,
+    "se_model.SeModel.load": 4,
+    "corpus.Manifest.save": 4,
+    "corpus.Manifest.load": 4,
+    "corpus.Manifest.from_json": 4,
+    "diffcore.CKPT_MAGIC": 4,
+    "diffcore.save_checkpoint": 4,
+    "diffcore.load_checkpoint": 4,
+    "diffcore.restore_params": 4,
+    "diffcore.load_model": 4,
+    "bpc.place_scheme": 8,
+    "bpc.ENGLISH_PLACE_CLASSES": 8,
 }
-
-
-def reads(trees):
-    """Every name ``trees`` read, bare or as an attribute; assignment targets are not reads."""
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                yield node.id
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                yield node.attr
 
 
 def public_definitions(modules):

@@ -171,11 +171,6 @@ class TestCtcLoss:
         assert not loss.requires_grad
         assert loss.item() == dc.ctc_loss(dc.Tensor(logits), [1, 2]).item()
 
-    @pytest.mark.parametrize("shape", [(5,), (4, 5, 1)])
-    def test_logits_of_another_rank_named(self, shape):
-        with pytest.raises(ValueError, match=rf"ctc_loss logits must be \(T, V\), got shape {re.escape(str(shape))}"):
-            dc.ctc_loss(dc.Tensor(np.zeros(shape)), [1])
-
     @given(seed=st.integers(0, 100000))
     @settings(max_examples=40, deadline=None)
     def test_no_nans_for_bounded_logits(self, seed):

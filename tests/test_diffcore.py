@@ -97,16 +97,6 @@ class TestPrimitiveGradients:
         params = {"ln.g": g, "ln.b": b}
         self.check(lambda: tsum(dc.layer_norm(x, params, "ln") * dc.layer_norm(x, params, "ln")), [x, g, b])
 
-    def test_layer_norm_weight_of_another_shape_named(self):
-        rng = np.random.default_rng(8)
-        x = rand(rng, 3, 8)
-        for params, problem in [
-            ({"ln.g": rand(rng, 1), "ln.b": rand(rng, 8)}, r"ln\.g has shape \(1,\), expected \(8,\)"),
-            ({"ln.g": rand(rng, 8), "ln.b": rand(rng, 3, 8)}, r"ln\.b has shape \(3, 8\), expected \(8,\)"),
-        ]:
-            with pytest.raises(ValueError, match=rf"layer_norm: {problem}"):
-                dc.layer_norm(x, params, "ln")
-
     def test_concat(self):
         rng = np.random.default_rng(9)
         a, b = rand(rng, 2, 3), rand(rng, 4, 3)
@@ -346,15 +336,6 @@ class TestConv1d:
         with pytest.raises(ValueError, match="at least one frame"):
             conv1d(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
 
-    @pytest.mark.parametrize(
-        "x_shape, w_shape, b_shape",
-        [((4, 3), (2, 3, 3), (1,)), ((4, 3), (2, 3, 3), (1, 2)), ((4, 3), (2, 3, 3), (5,)), ((4, 3), (2, 4, 3), (2,))],
-    )
-    def test_operand_of_another_shape_named(self, x_shape, w_shape, b_shape):
-        problem = f"conv1d shape mismatch: x {x_shape}, c.w {w_shape}, c.b {b_shape}"
-        with pytest.raises(ValueError, match=re.escape(problem)):
-            conv1d(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)))
-
     @given(
         t_len=st.integers(1, 9),
         cin=st.integers(1, 6),
@@ -424,18 +405,6 @@ class TestLinear:
         assert out._op == "linear"
         assert [id(p) for p in out._parents] == [id(x), id(W), id(b)]
 
-    def test_linear_rejects_bad_shapes(self):
-        rng = np.random.default_rng(52)
-        x, W = rand(rng, 4, 3), rand(rng, 3, 2)
-        with pytest.raises(ValueError, match=r"x \(4, 3\), l\.w \(2, 3\), l\.b \(2,\)"):
-            linear(x, rand(rng, 2, 3), rand(rng, 2))
-        with pytest.raises(ValueError, match=r"l\.b \(1, 2\)"):
-            linear(x, W, rand(rng, 1, 2))
-        with pytest.raises(ValueError, match=r"l\.b \(3,\)"):
-            linear(x, W, rand(rng, 3))
-        with pytest.raises(ValueError, match=r"x \(3,\)"):
-            linear(rand(rng, 3), W, rand(rng, 2))
-
 
 def blstm_value_and_grads(run, xs, params, weights):
     """Value of sum(weights * run(xs, params, "l")) and the grads of xs and every weight."""
@@ -492,9 +461,9 @@ class TestInitParams:
 
 # every op that reads weights from ``params``: (prefix, layout, input shape, call of the op on input and params)
 WEIGHT_READERS = {
-    "linear": ("l", {"w": (3, 2), "b": (2,)}, (4, 3), lambda x, p: dc.linear(x, p, "l")),
-    "conv1d": ("c", {"w": (2, 3, 3), "b": (2,)}, (4, 3), lambda x, p: dc.conv1d(x, p, "c")),
-    "layer_norm": ("n", {"g": (3,), "b": (3,)}, (4, 3), lambda x, p: dc.layer_norm(x, p, "n")),
+    "linear": ("l", dc.linear_layout(3, 2), (4, 3), lambda x, p: dc.linear(x, p, "l")),
+    "conv1d": ("c", dc.conv1d_layout(3, 2, 3), (4, 3), lambda x, p: dc.conv1d(x, p, "c")),
+    "layer_norm": ("n", dc.layer_norm_layout(3), (4, 3), lambda x, p: dc.layer_norm(x, p, "n")),
     "attention_sublayer": ("blk", dc.attention_layout(4), (3, 4), lambda x, p: dc.attention_sublayer(x, p, "blk", 2)),
     "feed_forward_sublayer": (
         "blk", dc.feed_forward_layout(4, 8), (3, 4), lambda x, p: dc.feed_forward_sublayer(x, p, "blk")
@@ -504,6 +473,33 @@ WEIGHT_READERS = {
         "dec", dc.decoder_layout(5, 2, 3), (4, 3), lambda x, p: dc.attention_decoder(x, p, "dec", [0, 2], [2, 1])
     ),
 }
+
+
+# every op that takes frames (T, d): the weight readers and ctc_loss, whose frames are its logits
+FRAME_READERS = {**WEIGHT_READERS, "ctc_loss": ("", {}, (4, 5), lambda x, p: dc.ctc_loss(x, []))}
+# the weight each op reads its free sizes from, and the names of its dims
+SIZE_READS = {("linear", "w"): "(n, m)", ("conv1d", "w"): "(Cout, Cin, K)", ("feed_forward_sublayer", "ff.w1"): "(d, f)",
+              ("blstm_layer", "fwd.U"): "(H, 4H)", ("attention_decoder", "embed"): "(V, E)"}
+# per op, at the sizes of WEIGHT_READERS: (weight, a shape it must not have, the shape its error expects). The
+# (2, 3) w of linear has m = 3 and x gives n = 3; (1, 8) is the row-vector LSTM bias of older checkpoints;
+# (2, 6) holds the 4d = 12 values of the decoder's bias, but not as one row
+OTHER_SHAPES = {
+    "linear": [("w", (2, 3), "(3, 3)"), ("b", (1, 2), "(2,)"), ("b", (3,), "(2,)")],
+    "conv1d": [("w", (2, 4, 3), "(2, 3, 3)"), ("b", (1,), "(2,)"), ("b", (1, 2), "(2,)"), ("b", (5,), "(2,)")],
+    "layer_norm": [("g", (1,), "(3,)"), ("b", (4, 3), "(3,)")],
+    "attention_sublayer": [("ln1.g", (1,), "(4,)"), ("bq", (1,), "(4,)"), ("wq", (4, 5), "(4, 4)"), ("wo", (4,), "(4, 4)")],
+    "feed_forward_sublayer": [("ff.w1", (4,), "(d, f)"), ("ff.b1", (1,), "(8,)"), ("ff.w2", (8, 5), "(8, 4)"), ("ff.b2", (1,), "(4,)")],
+    "blstm_layer": [("fwd.U", (8,), "(H, 4H)"), ("fwd.W", (4, 8), "(3, 8)"), ("bwd.U", (2, 4), "(2, 8)"), ("bwd.b", (1, 8), "(8,)")],
+    "attention_decoder": [
+        ("embed", (5,), "(V, E)"), ("lstm.W", (4, 12), "(5, 12)"), ("lstm.U", (3, 13), "(3, 12)"), ("lstm.b", (1, 12), "(12,)"),
+        ("lstm.b", (2, 6), "(12,)"), ("out.w", (6, 4), "(6, 5)"), ("out.b", (6,), "(5,)"),
+    ],
+}
+# (op, weight, shape, expected): every weight with an extra axis, then the other shapes
+MISSHAPEN = [
+    (op, name, (*shape, 1), SIZE_READS.get((op, name), str(shape)))
+    for op, (_, layout, _, _) in WEIGHT_READERS.items() for name, shape in layout.items()
+] + [(op, *case) for op, cases in OTHER_SHAPES.items() for case in cases]
 
 
 class TestWeightReads:
@@ -518,6 +514,27 @@ class TestWeightReads:
         problem = f"{op}: {prefix}.{name} is of type ndarray, not a diffcore Tensor"
         with pytest.raises(ValueError, match=re.escape(problem)):
             call(x, params)
+
+    @pytest.mark.parametrize(
+        "op, name, shape, expected", MISSHAPEN, ids=[f"{op}-{name}-{'x'.join(map(str, s))}" for op, name, s, _ in MISSHAPEN]
+    )
+    def test_operand_of_another_shape_named(self, op, name, shape, expected):
+        prefix, layout, x_shape, call = WEIGHT_READERS[op]
+        rng = np.random.default_rng(92)
+        params, x = dc.init_params(rng, prefix, layout), rand(rng, *x_shape)
+        params[f"{prefix}.{name}"] = dc.Parameter(np.ones(shape))
+        with pytest.raises(ValueError, match=re.escape(f"{op}: {prefix}.{name} has shape {shape}, expected {expected}")):
+            call(x, params)
+
+    @pytest.mark.parametrize("op", FRAME_READERS)
+    @pytest.mark.parametrize("form", ["vector", "rank3", "no_frames"])
+    def test_input_that_is_not_frames_named(self, op, form):
+        prefix, layout, (t_len, d), call = FRAME_READERS[op]
+        shape = {"vector": (d,), "rank3": (t_len, d, 1), "no_frames": (0, d)}[form]
+        params = dc.init_params(np.random.default_rng(93), prefix, layout)
+        problem = f"{op} input must be (T, d) with at least one frame, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            call(t(np.ones(shape)), params)
 
 
 def blstm_params(rng, din, hidden):
@@ -581,23 +598,6 @@ class TestLstm:
         buffer = out.data.base  # both directions' states, the zero states they start from in its end rows
         assert buffer.shape == (5 + 2, 2 * 2) and np.shares_memory(out.data, buffer)
         assert not buffer[[0, -1]].any()
-
-    def test_blstm_layer_rejects_bad_shapes(self):
-        rng = np.random.default_rng(22)
-        for name, shape, expected in [
-            ("fwd.U", (8,), r"\(H, 4H\)"),
-            ("fwd.W", (4, 8), r"\(3, 8\)"),
-            ("bwd.U", (2, 4), r"\(2, 8\)"),
-            ("bwd.b", (1, 8), r"\(8,\)"),  # the row-vector bias of older checkpoints
-        ]:
-            params = blstm_params(rng, 3, 2)
-            params[f"l.{name}"] = dc.Parameter(np.ones(shape))
-            with pytest.raises(ValueError, match=rf"blstm_layer: l\.{re.escape(name)} has shape .*expected {expected}"):
-                dc.blstm_layer(rand(rng, 5, 3), params, "l")
-        with pytest.raises(ValueError, match=r"blstm_layer input must be \(T, Din\), got shape \(5,\)"):
-            dc.blstm_layer(rand(rng, 5), blstm_params(rng, 3, 2), "l")
-        with pytest.raises(ValueError, match="blstm_layer needs at least one frame"):
-            dc.blstm_layer(rand(rng, 0, 3), blstm_params(rng, 3, 2), "l")
 
     def test_zero_weights_zero_state(self):
         p = dc.init_params(np.random.default_rng(0), "l", dc.blstm_layout(3, 4))
@@ -787,36 +787,6 @@ class TestTransformerSublayers:
             assert out.shape == (3, 4) and out._op == op
             assert [id(p) for p in out._parents] == [id(h), *(id(params[f"blk.{n}"]) for n in names)]
 
-    @pytest.mark.parametrize(
-        "name, shape, expected",
-        [
-            ("ln1.g", (1,), (8,)),
-            ("bq", (1,), (8,)),
-            ("wq", (8, 9), (8, 8)),
-            ("wo", (8,), (8, 8)),
-            ("ln2.b", (8, 1), (8,)),
-            ("ff.w1", (8,), (8, 8)),
-            ("ff.b1", (1,), (32,)),
-            ("ff.w2", (32, 9), (32, 8)),
-            ("ff.b2", (1,), (8,)),
-        ],
-    )
-    def test_operand_of_another_shape_named(self, name, shape, expected):
-        rng = np.random.default_rng(85)
-        params = block_params(rng, 8)
-        params[f"blk.{name}"] = dc.Parameter(np.ones(shape))
-        fused, _, names = sublayer_runs(2)[name not in ATTENTION_NAMES]
-        assert name in names
-        with pytest.raises(ValueError, match=re.escape(f"blk.{name} has shape {shape}, expected {expected}")):
-            fused(rand(rng, 3, 8), params)
-
-    def test_input_not_a_matrix_named(self):
-        rng = np.random.default_rng(86)
-        params = block_params(rng, 4)
-        for op, (fused, _, _) in zip(("attention_sublayer", "feed_forward_sublayer"), sublayer_runs(2)):
-            with pytest.raises(ValueError, match=re.escape(f"{op} input must be (T, d), got shape (4,)")):
-                fused(rand(rng, 4), params)
-
     def test_no_grad_attention_holds_four_arrays_and_one_score_block(self):
         """Without a graph the attention output overwrites q and the output projection k, so the op
         allocates LN1's output, q, k and v, and one block of scores, never a fifth (T, d) array."""
@@ -968,35 +938,12 @@ class TestAttentionDecoder:
         assert all(g is None for g in grads[False][1:])
         assert np.array_equal(grads[True][0], grads[False][0])
 
-    def test_attention_decoder_rejects_bad_shapes(self):
-        rng = np.random.default_rng(73)
-        arrays = decoder_arrays(rng, 4, 3, 2, 5)
-        for index, shape, problem in [
-            (1, (5,), r"dec\.embed has shape \(5,\), expected \(V, E\)"),
-            (2, (4, 12), r"dec\.lstm\.W has shape \(4, 12\), expected \(5, 12\)"),
-            (3, (3, 13), r"dec\.lstm\.U has shape \(3, 13\), expected \(3, 12\)"),
-            (4, (1, 12), r"dec\.lstm\.b has shape \(1, 12\), expected \(12,\)"),  # the bias of older checkpoints
-            (5, (6, 4), r"dec\.out\.w has shape \(6, 4\), expected \(6, 5\)"),
-            (6, (6,), r"dec\.out\.b has shape \(6,\), expected \(5,\)"),
-            (0, (4,), r"attention_decoder input must be \(T, d\), got shape \(4,\)"),
-        ]:
-            tensors = [t(a) for a in arrays]
-            tensors[index] = t(np.zeros(shape))
-            with pytest.raises(ValueError, match=problem):
-                attention_decoder(*tensors, [0], [1])
-        tensors = [t(a) for a in arrays]
-        for tokens, targets in [([0, 1], [1]), ([0], [1, 2]), ([], [])]:
-            counts = f"{len(tokens)} tokens, {len(targets)} targets"
-            with pytest.raises(ValueError, match=rf"attention_decoder needs one target per token, at least one: {counts}"):
-                attention_decoder(*tensors, tokens, targets)
-
-    def test_lstm_bias_of_the_right_size_and_another_shape_named(self):
-        """A (2, 8) bias holds the 4d = 16 values a d = 4 decoder needs, but not as one (16,) row."""
-        rng = np.random.default_rng(77)
-        tensors = [t(a) for a in decoder_arrays(rng, 4, 4, 2, 5)]
-        tensors[4] = t(rng.normal(size=(2, 8)))
-        with pytest.raises(ValueError, match=r"attention_decoder: dec\.lstm\.b has shape \(2, 8\), expected \(16,\)"):
-            attention_decoder(*tensors, [0, 3], [3, 1])
+    @pytest.mark.parametrize("tokens, targets", [([0, 1], [1]), ([0], [1, 2]), ([], [])])
+    def test_one_target_per_token_named(self, tokens, targets):
+        tensors = [t(a) for a in decoder_arrays(np.random.default_rng(73), 4, 3, 2, 5)]
+        counts = f"{len(tokens)} tokens, {len(targets)} targets"
+        with pytest.raises(ValueError, match=rf"attention_decoder needs one target per token, at least one: {counts}"):
+            attention_decoder(*tensors, tokens, targets)
 
     @pytest.mark.parametrize("bad", [-1, 5, 99])
     @pytest.mark.parametrize("where", ["tokens", "targets"])

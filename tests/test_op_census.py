@@ -7,25 +7,16 @@ pipeline stage or benchmark workload calls is dead code that the tests
 alone keep alive; ops only the tests need live in
 ``tests/gradcheck_ops.py``. Every op's hand-written backward is checked
 against central differences: it is named in a test function that calls
-``gradcheck``, directly or through a helper of its test module.
+``gradcheck``, directly or through a helper of its test module. A weight's
+shape is written once, in the layout table of the op that reads it: every
+``init_params`` call outside ``diffcore`` is given a ``dc.*_layout(...)`` call.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = {path.stem: ast.parse(path.read_text("utf-8")) for path in sorted((ROOT / "src" / "bpcse").glob("*.py"))}
-CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+from census import BENCH, PACKAGE, ROOT, reads
+
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
-
-
-def names_in(tree):
-    """Every identifier ``tree`` reads, as a bare name or as an attribute."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
 
 
 def called_names(function):
@@ -53,6 +44,21 @@ def graph_ops():
 
 def ops_by_name():
     return {q.split(".", 1)[1]: node for q, node in graph_ops().items()}
+
+
+def init_params_layouts(tree):
+    """``(line, layout argument)`` of each ``init_params`` call in ``tree``, the argument None if it is not given."""
+    for c in ast.walk(tree):
+        if isinstance(c, ast.Call) and (getattr(c.func, "id", None) or getattr(c.func, "attr", None)) == "init_params":
+            yield c.lineno, c.args[2] if len(c.args) > 2 else None
+
+
+def from_layout_tables(layout):
+    """Whether ``layout`` is a ``dc.<name>_layout(...)`` call or a union (``|``) of them."""
+    if isinstance(layout, ast.BinOp) and isinstance(layout.op, ast.BitOr):
+        return from_layout_tables(layout.left) and from_layout_tables(layout.right)
+    func = getattr(layout, "func", None)
+    return isinstance(func, ast.Attribute) and func.attr.endswith("_layout") and getattr(func.value, "id", None) == "dc"
 
 
 def private_diffcore_reads(tree):
@@ -91,15 +97,27 @@ def test_no_module_reads_private_diffcore_names():
     assert not reads, f"modules that read private diffcore names: {reads}; give diffcore the op instead"
 
 
+def test_the_census_finds_inline_layouts():
+    tree = ast.parse("dc.init_params(r, 'a', dc.linear_layout(2, 3) | dc.layer_norm_layout(3))\n"
+                     "dc.init_params(r, 'b', {'w': (2, 3)})\ndc.init_params(r, 'c', dc.linear_layout(2, 3) | {})")
+    assert [(n, from_layout_tables(arg)) for n, arg in init_params_layouts(tree)] == [(1, True), (2, False), (3, False)]
+
+
+def test_every_weight_outside_diffcore_comes_from_a_layout_table():
+    calls = {f"{m}:{n}": arg for m, tree in PACKAGE.items() if m != "diffcore" for n, arg in init_params_layouts(tree)}
+    assert len(calls) >= 2  # both models make weights
+    inline = sorted(call for call, arg in calls.items() if not from_layout_tables(arg))
+    assert not inline, f"init_params calls given no dc.*_layout(...) call: {inline}; add the op's table to diffcore"
+
+
 def test_every_op_has_a_caller_outside_its_own_definition():
     ops = ops_by_name()
     references = {name: 0 for name in ops}
-    for path in CALLERS:
-        for name in names_in(ast.parse(path.read_text("utf-8"))):
-            if name in references:
-                references[name] += 1
+    for name in reads([*PACKAGE.values(), *BENCH]):
+        if name in references:
+            references[name] += 1
     for name, definition in ops.items():
-        references[name] -= sum(n == name for n in names_in(definition))
+        references[name] -= sum(n == name for n in reads([definition]))
     dead = sorted(name for name, n in references.items() if n < 1)
     assert not dead, f"graph ops with no caller in src/ or bench/: {dead}; delete them or move them to the tests"
 
@@ -111,6 +129,6 @@ def test_every_op_is_named_in_a_gradcheck_test():
         checkers = {"gradcheck"} | {f.name for f in functions if "gradcheck" in called_names(f)}
         for f in functions:
             if f.name.startswith("test") and checkers & set(called_names(f)):
-                checked.update(names_in(f))
+                checked.update(reads([f]))
     missing = sorted(set(ops_by_name()) - checked)
     assert not missing, f"graph ops named in no test function that calls gradcheck: {missing}"

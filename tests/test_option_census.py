@@ -8,12 +8,11 @@ diff and says in CHANGES.md which caller needs a second value.
 
 import ast
 import dataclasses
-from pathlib import Path
 
 from bpcse.asr_model import AsrConfig
 from bpcse.se_model import SeConfig
+from census import PACKAGE
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bpcse"
 MAX_DEFAULTED_PARAMETERS = 11
 MAX_MODEL_CONFIG_FIELDS = 8
 
@@ -23,11 +22,11 @@ RAISE = "raise the bound in the same diff and give the reason in CHANGES.md"
 def defaulted_parameters():
     """``file:function`` for each parameter with a default value, over every signature in ``src/``."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+    for module, tree in PACKAGE.items():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 n = len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-                found += [f"{path.name}:{getattr(node, 'name', '<lambda>')}"] * n
+                found += [f"{module}.py:{getattr(node, 'name', '<lambda>')}"] * n
     return found
 
 

@@ -31,7 +31,6 @@ reads its phone table through ``importlib.resources.files("bpcse")``.
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import os
 import statistics
@@ -40,7 +39,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("diffcore", "dsp", "bpc", "corpus", "asr_model", "se_model")
 WORKLOADS = ("enhance", "train_joint")
 SIDES = ("base", "change")
 
@@ -54,9 +52,8 @@ def load_workloads(src, side):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[package] = pkg
     spec.loader.exec_module(pkg)
-    bound = {"bpcse": pkg, **{f"bpcse.{m}": importlib.import_module(f"{package}.{m}") for m in MODULES}}
-    saved = {name: sys.modules.get(name) for name in bound}
-    sys.modules.update(bound)  # what ``from bpcse import ...`` in workloads.py finds
+    saved = sys.modules.get("bpcse")
+    sys.modules["bpcse"] = pkg  # so ``from bpcse import m`` in workloads.py imports ``bpcse_<side>.m``
     try:
         name = f"workloads_{side}"
         wspec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
@@ -64,11 +61,10 @@ def load_workloads(src, side):
         sys.modules[name] = workloads
         wspec.loader.exec_module(workloads)
     finally:
-        for name, module in saved.items():
-            if module is None:
-                del sys.modules[name]
-            else:
-                sys.modules[name] = module
+        if saved is None:
+            del sys.modules["bpcse"]
+        else:
+            sys.modules["bpcse"] = saved
     return workloads
 
 
