@@ -9,8 +9,8 @@ Inside a :func:`no_grad` block ops record no parents and no backward closure,
 so inference keeps no graph and frees each activation once it is used; the
 NaN/Inf check still runs on every output. A :class:`Parameter` whose
 ``requires_grad`` is off is frozen: it passes gradient on to its inputs but
-gets none itself, and ``matmul``, ``linear``, ``conv1d`` and the fused ops
-skip computing it.
+gets none itself, and ``matmul``, ``linear``, ``conv1d_relu`` and the fused
+ops skip computing it.
 
 ``backward()`` consumes its graph, as PyTorch's does by default: once an
 interior node has passed its grad on, the node drops its grad, its backward
@@ -24,10 +24,10 @@ works), and leaves and tensors made under ``no_grad`` are not touched.
 The ops are the ones the models and the stage-two feature bridge run:
 ``add`` and ``mul`` (also ``+`` and ``*``), ``matmul``, ``linear``
 (``x @ W + b`` as one node that adds the bias in place, the only way the
-models add a bias to a product), ``relu``, ``softplus``, ``log``, ``expm1``,
-``layer_norm`` over the last axis, ``conv1d`` ("same" padding, odd kernel;
-one GEMM per kernel tap over shifted rows of the input, so the forward pass
-copies no windows of it) and ``l1_loss``. Five fused ops have a hand-written
+models add a bias to a product), ``softplus``, ``log``, ``expm1``,
+``layer_norm`` over the last axis, ``conv1d_relu`` (an SE stem layer: a
+"same" convolution, one GEMM per kernel tap over shifted rows of the input,
+rectified in place) and ``l1_loss``. Five fused ops have a hand-written
 backward: the two halves of a pre-norm transformer block,
 ``attention_sublayer`` (``h + wo·attn(qkv(LN1(h)))``, multi-head
 self-attention) and ``feed_forward_sublayer`` (``h + w2·relu(w1·LN2(h))``);
@@ -35,22 +35,18 @@ the recognizer's BLSTM layer (``blstm_layer``, BPTT over both directions);
 its teacher-forced attention decoder with its cross-entropy
 (``attention_decoder``, BPTT), whose LSTM steps share ``blstm_layer``'s gate
 arithmetic; and its ``ctc_loss`` (alpha-beta occupancies, blank id
-``BLANK``). This module is the only one that builds a graph node. The
-sublayers keep nothing of their layer norm and recompute it in backward
-with the helper ``layer_norm`` uses, which centres its input once.
-Attention scores are made
-``ATTENTION_ROWS`` query rows at a time and normalized after their product
-with v, and the feed-forward layers run ``FEED_FORWARD_ROWS`` rows at a
-time; without a graph one block of scores and one block of the hidden layer
-are all that exist. Without a graph the attention sublayer also writes each
-block's output over the q rows it has read and its output projection into
-k's buffer; in both modes the feed-forward sublayer writes its output into
-its layer norm's output, which neither keeps. The graph primitives the
-tests' oracles are built from, multi-head ``attention``, ``concat`` and a
-sliding-window ``conv1d`` among them, live with the tests, and so does the
-central finite-difference ``gradcheck``. The LSTM gates and the
-``softplus`` grad take their sigmoid from ``_sigmoid``, ``1 / (1 +
-exp(-x))`` in numpy computed in place, so the module imports numpy alone.
+``BLANK``). This module is the only one that builds a graph node. No layer
+norm, the ``layer_norm`` op's or a sublayer's, keeps anything for backward,
+which recomputes it with ``_normalized``. The sublayers run in blocks of
+``ATTENTION_ROWS`` and ``FEED_FORWARD_ROWS`` rows, so that without a graph
+one block of scores and one of the hidden layer are all that exist; their
+docstrings say what each keeps and what it writes in place. The graph
+primitives the tests' oracles are built from, ``relu``, multi-head
+``attention``, ``concat`` and a sliding-window ``conv1d`` among them, live
+with the tests, and so does the central finite-difference ``gradcheck``. The
+LSTM gates and the ``softplus`` grad take their sigmoid from ``_sigmoid``,
+``1 / (1 + exp(-x))`` in numpy computed in place, so the module imports
+numpy alone.
 
 An op that owns weights takes ``(x, params, prefix, ...)`` and reads weight
 ``name`` as ``params[f"{prefix}.{name}"]``, a :class:`Tensor` (a bare array is
@@ -395,16 +391,6 @@ def linear(x, params, prefix):
     return _node(data, (x, W, b), backward, "linear")
 
 
-def relu(x):
-    x = _lift(x)
-    data = np.maximum(x.data, 0.0)
-
-    def backward(g):
-        _accum(x, g * (x.data > 0))
-
-    return _node(data, (x,), backward, "relu")
-
-
 def softplus(x):
     x = _lift(x)
     data = np.logaddexp(0.0, x.data)
@@ -435,28 +421,38 @@ def expm1(x):
     return _node(data, (x,), backward, "expm1")
 
 
-def _layer_norm_forward(x, gain, bias):
-    """Layer norm of ``x`` over its last axis: the output ``xhat * gain + bias``, ``xhat`` and ``inv``.
-
-    ``inv`` holds the inverse standard deviation of each row, kept dims.
-    ``x`` is centred once, and the centred rows give both the variance and
-    ``xhat``; the squares are made in the output's buffer.
-    """
+def _normalized(x):
+    """xhat, the rows of x (T, d) at zero mean and unit variance, the one (T, d) array made; inv, their inverse stds."""
     xhat = x - x.mean(axis=-1, keepdims=True)
-    out = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    inv = np.empty((len(x), 1))
+    squares = np.empty((min(len(x), ATTENTION_ROWS), x.shape[1]))
+    for lo in range(0, len(x), ATTENTION_ROWS):
+        rows = xhat[lo : lo + ATTENTION_ROWS]
+        block = np.multiply(rows, rows, out=squares[: len(rows)])
+        np.mean(block, axis=-1, keepdims=True, out=inv[lo : lo + len(rows)])
+    inv = 1.0 / np.sqrt(inv + LAYER_NORM_EPS)
     xhat *= inv
-    np.multiply(xhat, gain, out=out)
+    return xhat, inv
+
+
+def _layer_norm_forward(x, gain, bias):
+    """Layer norm of ``x`` over its last axis, ``xhat * gain + bias``, made in ``xhat``'s buffer (:func:`_normalized`)."""
+    out = _normalized(x)[0]
+    out *= gain
     out += bias
-    return out, xhat, inv
+    return out
 
 
 def _layer_norm_backward(g, xhat, inv, gain, bias):
-    """Accumulate the grads of the ``gain`` and ``bias`` tensors from output grad ``g``; return the input's."""
+    """Accumulate the grads of ``gain`` and ``bias`` from output grad ``g``; return the input's, from its xhat and inv."""
     _accum(gain, (g * xhat).sum(axis=0))  # every caller checks that x is (T, d), gain and bias (d,)
     _accum(bias, g.sum(axis=0))
     dxhat = g * gain.data
-    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    along_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= xhat * along_xhat
+    dxhat *= inv
+    return dxhat
 
 
 def layer_norm_layout(d):
@@ -468,12 +464,11 @@ def layer_norm(x, params, prefix):
     """Normalize each frame of x (T, d), then apply gain ``{prefix}.g`` and bias ``.b`` of ``layer_norm_layout(d)``."""
     x = _frames(x, "layer_norm")
     gain, bias = _operands(params, prefix, "layer_norm", layer_norm_layout(x.shape[1]))
-    data, xhat, inv = _layer_norm_forward(x.data, gain.data, bias.data)
 
     def backward(g):
-        _accum(x, _layer_norm_backward(g, xhat, inv, gain, bias))
+        _accum(x, _layer_norm_backward(g, *_normalized(x.data), gain, bias))
 
-    return _node(data, (x, gain, bias), backward, "layer_norm")
+    return _node(_layer_norm_forward(x.data, gain.data, bias.data), (x, gain, bias), backward, "layer_norm")
 
 
 def _taps(t, k):
@@ -489,21 +484,19 @@ def _taps(t, k):
 
 
 def conv1d_layout(cin, cout, k):
-    """The weights of :func:`conv1d` from cin to cout channels with kernel width k, ``{name: shape}``."""
+    """The weights of :func:`conv1d_relu` from cin to cout channels with kernel width k, ``{name: shape}``."""
     return {"w": (cout, cin, k), "b": (cout,)}
 
 
-def conv1d(x, params, prefix):
-    """1-D "same" convolution along the first axis plus a bias: x (T, Cin), w (Cout, Cin, K), b (Cout,).
+def conv1d_relu(x, params, prefix):
+    """relu of a 1-D "same" convolution along the first axis plus a bias, x (T, Cin) -> (T, Cout), as one node.
 
-    w and b are read from ``params`` as ``{prefix}.w`` and ``{prefix}.b``. K
-    is odd and the input is zero-padded by K // 2 frames at each end, so the
-    output is (T, Cout). The forward pass sums one GEMM per tap,
-    ``x[rows] @ w[:, :, kk].T``, into the output, the centre tap first, so it
-    copies neither the padded input nor its windows. Backward forms the
-    input grad the same way and each tap's weight grad as
-    ``g[rows].T @ x[rows]``. The weights are checked against
-    ``conv1d_layout(Cin, Cout, K)``, Cout and K read from w.
+    w (Cout, Cin, K) and b (Cout,), read as ``{prefix}.w`` and ``.b``, are
+    checked against ``conv1d_layout(Cin, Cout, K)``, the op named ``conv1d``.
+    K is odd and the input is zero-padded by K // 2 frames at each end. One
+    GEMM per tap, ``x[rows] @ w[:, :, kk].T``, is summed into the output, the
+    centre tap first, so no window of the input is copied; b is added and the
+    ReLU applied in place.
     """
     x = _frames(x, "conv1d")
     t, cin = x.shape
@@ -517,8 +510,10 @@ def conv1d(x, params, prefix):
         if kk != pad:
             data[out_rows] += x.data[in_rows] @ w.data[:, :, kk].T
     data += b.data
+    np.maximum(data, 0.0, out=data)
 
     def backward(g):
+        g = g * (data > 0)  # the output is positive exactly where the convolution is
         if w.requires_grad:
             gw = np.zeros(w.shape)
             for kk, out_rows, in_rows in _taps(t, k):
@@ -532,7 +527,7 @@ def conv1d(x, params, prefix):
         if b.requires_grad:
             _accum(b, g.sum(axis=0))
 
-    return _node(data, (x, w, b), backward, "conv1d")
+    return _node(data, (x, w, b), backward, "conv1d_relu")
 
 
 def l1_loss(a, b):
@@ -619,7 +614,7 @@ def attention_sublayer(h, params, prefix, heads):
     gain, bias, wq, bq, wk, wv, bv, wo, bo = operands
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)  # a power of two, so exact, when dh is a power of four (the paper's 64)
-    x = _layer_norm_forward(h.data, gain.data, bias.data)[0]
+    x = _layer_norm_forward(h.data, gain.data, bias.data)
     q = x @ wq.data
     q += bq.data
     q *= scale
@@ -660,7 +655,9 @@ def attention_sublayer(h, params, prefix, heads):
         dq *= scale
         dk = merge((qh.transpose(0, 2, 1) @ dscores).transpose(0, 2, 1))
         del dscores
-        x, xhat, inv = _layer_norm_forward(h.data, gain.data, bias.data)
+        xhat, inv = _normalized(h.data)
+        x = xhat * gain.data  # the forward's LN output, bit for bit
+        x += bias.data
         for w, b, dy in ((wq, bq, dq), (wk, None, dk), (wv, bv, dv)):
             if w.requires_grad:
                 _accum(w, x.T @ dy)
@@ -701,7 +698,7 @@ def feed_forward_sublayer(h, params, prefix):
     f = _dims(params, f"{prefix}.ff.w1", "feed_forward_sublayer", ("d", "f"))[1]
     operands = _operands(params, prefix, "feed_forward_sublayer", feed_forward_layout(d, f))
     gain, bias, w1, b1, w2, b2 = operands
-    data = _layer_norm_forward(h.data, gain.data, bias.data)[0]  # x, overwritten by the output
+    data = _layer_norm_forward(h.data, gain.data, bias.data)  # x, overwritten by the output
     keep = _records((h, *operands))
     hidden = np.empty((t if keep else min(t, FEED_FORWARD_ROWS), f))
     for lo in range(0, t, FEED_FORWARD_ROWS):
@@ -721,7 +718,9 @@ def feed_forward_sublayer(h, params, prefix):
             _accum(b2, g.sum(axis=0))
         dhidden = g @ w2.data.T
         dhidden *= hidden > 0
-        x, xhat, inv = _layer_norm_forward(h.data, gain.data, bias.data)
+        xhat, inv = _normalized(h.data)
+        x = xhat * gain.data  # the forward's LN output, bit for bit
+        x += bias.data
         if w1.requires_grad:
             _accum(w1, x.T @ dhidden)
         if b1.requires_grad:

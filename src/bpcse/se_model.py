@@ -1,8 +1,8 @@
 """Transformer-encoder enhancement network: noisy log1p spectra in, enhanced out.
 
-Four 1-D "same" convolutions of width ``CONV_KERNEL`` (3) embed the
-``dsp.N_BINS``-bin spectrum into d_model channels, sinusoidal positions are
-added, then eight pre-norm attention blocks (multi-head self-attention plus
+Four rectified 1-D "same" convolutions of width ``CONV_KERNEL`` (3) embed
+the ``dsp.N_BINS``-bin spectrum into d_model channels, sinusoidal positions
+are added, then eight pre-norm attention blocks (multi-head self-attention plus
 a feed-forward of width ``4 * d_model``, each with a residual connection
 and layer norm) refine the sequence. Keys have no bias: softmax over keys
 is shift-invariant, so one would do nothing. A final linear projection with
@@ -13,7 +13,8 @@ and ``diffcore.init_params`` makes them from the op's own layout table.
 Inputs longer than ``MAX_FRAMES`` are rejected, because the T x T attention
 weights a training step keeps would otherwise grow without bound.
 
-Each block is two graph nodes: ``diffcore.attention_sublayer`` (layer
+Each stem layer is one graph node, ``diffcore.conv1d_relu``, which applies
+its ReLU in place. Each block is two: ``diffcore.attention_sublayer`` (layer
 norm, projections, all heads' attention, output projection and residual)
 and ``diffcore.feed_forward_sublayer`` (layer norm, both feed-forward
 layers and residual), each with a hand-written backward. ``enhance`` runs
@@ -92,7 +93,7 @@ class SeModel:
             raise ValueError(f"input has {x.shape[0]} frames; SE accepts at most MAX_FRAMES = {MAX_FRAMES}")
         h = x
         for i in range(cfg.conv_layers):
-            h = dc.relu(dc.conv1d(h, p, f"conv{i}"))
+            h = dc.conv1d_relu(h, p, f"conv{i}")
         h = h + dc.Tensor(sinusoidal_positions(h.shape[0], cfg.d_model))
         for i in range(cfg.attention_blocks):
             b = f"block{i}"

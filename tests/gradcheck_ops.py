@@ -4,13 +4,14 @@
 differences.
 
 The oracles of the fused ops (``attention_sublayer``,
-``feed_forward_sublayer``, ``blstm_layer``, ``attention_decoder``) build
-the graph each op replaces from these primitives, each one node with its own
-backward rule; ``concat`` joins their outputs along an axis. Multi-head
-``attention``, the one node the attention sublayer's oracle attends with, is
-checked in turn against a per-head graph of them. ``conv1d_by_windows`` is
-``conv1d`` as one tensordot over a sliding-window copy of the padded input,
-the oracle of its tap-by-tap GEMMs; it and ``attention_decoder_by_steps``
+``feed_forward_sublayer``, ``blstm_layer``, ``attention_decoder``,
+``conv1d_relu``) build the graph each op replaces from these primitives, each
+one node with its own backward rule; ``concat`` joins their outputs along an
+axis. Multi-head ``attention``, the one node the attention sublayer's oracle
+attends with, is checked in turn against a per-head graph of them.
+``conv1d_by_windows`` is the convolution as one tensordot over a
+sliding-window copy of the padded input; under ``relu`` it is the oracle of
+``conv1d_relu``'s tap-by-tap GEMMs. It and ``attention_decoder_by_steps``
 take their weights as tensors, while the fused ops and the other oracles
 read them from a ``params`` dict by prefix. The oracle of ``ctc_loss``, two
 separate recursions, lives with its tests. ``tsum`` is the sum the gradcheck
@@ -90,6 +91,16 @@ def graph_nodes(root):
             seen[id(node)] = node
             stack.extend(node._parents)
     return list(seen.values())
+
+
+def relu(x):
+    x = dc._lift(x)
+    data = np.maximum(x.data, 0.0)
+
+    def backward(g):
+        dc._accum(x, g * (x.data > 0))
+
+    return dc._node(data, (x,), backward, "relu")
 
 
 def sigmoid(x):
@@ -289,7 +300,7 @@ def feed_forward_sublayer_by_ops(h, params, prefix):
         return params[f"{prefix}.{name}"]
 
     x = dc.layer_norm(h, params, f"{prefix}.ln2")
-    return dc.add(h, affine(dc.relu(affine(x, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2")))
+    return dc.add(h, affine(relu(affine(x, p("ff.w1"), p("ff.b1"))), p("ff.w2"), p("ff.b2")))
 
 
 def attention_decoder_by_steps(hidden, embed, W, U, b, out_w, out_b, tokens, targets):
@@ -331,7 +342,8 @@ class ReadRecorder(dict):
 
 
 def conv1d_by_windows(x, w, b):
-    """Oracle for ``conv1d``: one tensordot over a (T, Cin, K) sliding-window view of the zero-padded input."""
+    """The convolution of ``conv1d_relu`` before its ReLU: one tensordot over a (T, Cin, K) sliding-window view
+    of the zero-padded input."""
     x, w, b = dc._lift(x), dc._lift(w), dc._lift(b)
     t, k = x.shape[0], w.shape[2]
     pad = k // 2

@@ -33,6 +33,34 @@ def test_same_tree_on_both_sides_gives_equal_outputs(workload):
                         r"over 2 pairs; change faster in [0-2]/2", lines[4])
     # two imports of one tree run the same arithmetic
     assert lines[5] == "largest output difference, relative: 0"
+    assert lines[6] == ("claim rule (at least 10 pairs, faster in 9 of 10, medians apart by more than the base's IQR): "
+                        "not met")
+    assert len(lines) == 7
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("ab_episodes", ROOT / "tools" / "ab_episodes.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    return ab
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        ([0.90] * 10, True),
+        ([0.90] * 9 + [1.20], True),  # faster in 9 of 10
+        ([0.90] * 8 + [1.20] * 2, False),  # 8 of 10
+        ([0.90] * 9, False),  # 9 pairs
+        ([0.98] * 10, False),  # faster in every pair, by less than the base's IQR
+    ],
+    ids=["all", "nine_of_ten", "eight_of_ten", "nine_pairs", "inside_iqr"],
+)
+def test_claim_rule(change, met):
+    base = [1.0, 0.96, 1.04] * 3 + [1.0]  # median 1.0, IQR 0.06
+    ab = load_tool()
+    seconds = {"base": base[: len(change)], "change": change}
+    assert ab.claim_met(seconds, [c / b for c, b in zip(change, base)]) is met
 
 
 def test_each_side_imports_its_modules_from_its_own_tree(tmp_path, monkeypatch):
@@ -41,9 +69,7 @@ def test_each_side_imports_its_modules_from_its_own_tree(tmp_path, monkeypatch):
     trees = {"base": ROOT / "src", "change": tmp_path / "src"}
     shutil.copytree(ROOT / "src" / "bpcse", trees["change"] / "bpcse", ignore=shutil.ignore_patterns("__pycache__"))
     monkeypatch.syspath_prepend(str(ROOT / "bench"))  # where workloads.py finds harness
-    spec = importlib.util.spec_from_file_location("ab_episodes", ROOT / "tools" / "ab_episodes.py")
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
+    ab = load_tool()
     try:
         for side, src in trees.items():
             workloads, package = ab.load_workloads(src, side), f"bpcse_{side}"

@@ -24,6 +24,7 @@ from gradcheck_ops import (
     gradcheck,
     graph_nodes,
     lstm_cell,
+    relu,
     sigmoid,
     softmax,
     take,
@@ -47,9 +48,14 @@ def linear(x, W, b):
     return dc.linear(x, {"l.w": W, "l.b": b}, "l")
 
 
-def conv1d(x, w, b):
-    """``dc.conv1d`` of loose tensors, given to it as the weights ``c.w`` and ``c.b``."""
-    return dc.conv1d(x, {"c.w": w, "c.b": b}, "c")
+def conv1d_relu(x, w, b):
+    """``dc.conv1d_relu`` of loose tensors, given to it as the weights ``c.w`` and ``c.b``."""
+    return dc.conv1d_relu(x, {"c.w": w, "c.b": b}, "c")
+
+
+def conv1d_then_relu(x, w, b):
+    """The two-node graph ``conv1d_relu`` replaces."""
+    return relu(conv1d_by_windows(x, w, b))
 
 
 class TestPrimitiveGradients:
@@ -73,7 +79,7 @@ class TestPrimitiveGradients:
         a, b = rand(rng, 3, 4), rand(rng, 4, 2)
         self.check(lambda: tsum(dc.matmul(a, b) * dc.matmul(a, b)), [a, b])
 
-    @pytest.mark.parametrize("op", [dc.relu, sigmoid, tanh, dc.softplus, dc.expm1])
+    @pytest.mark.parametrize("op", [relu, sigmoid, tanh, dc.softplus, dc.expm1])
     def test_unary(self, op):
         rng = np.random.default_rng(4)
         x = rand(rng, 3, 5)
@@ -127,7 +133,7 @@ class TestPrimitiveGradients:
     def test_conv1d(self):
         rng = np.random.default_rng(14)
         x, w, b = rand(rng, 6, 3), rand(rng, 4, 3, 3), rand(rng, 4)
-        self.check(lambda: tsum(conv1d(x, w, b) * conv1d(x, w, b)), [x, w, b])
+        self.check(lambda: tsum(conv1d_relu(x, w, b) * conv1d_relu(x, w, b)), [x, w, b])
 
     def test_l1_loss(self):
         rng = np.random.default_rng(16)
@@ -174,8 +180,8 @@ class TestContracts:
         def build():
             x, w, b, k, kb, g = leaves = [t(a) for a in arrays]
             h = tanh(linear(x, w, b))  # shared by three consumers below
-            mixed = concat([softmax(h * g), conv1d(h, k, kb)], axis=1)
-            return dc.add(tsum(mixed * mixed), tsum(take(dc.relu(h), np.s_[1:4]))), leaves
+            mixed = concat([softmax(h * g), conv1d_relu(h, k, kb)], axis=1)
+            return dc.add(tsum(mixed * mixed), tsum(take(relu(h), np.s_[1:4]))), leaves
 
         want_root, want_leaves = build()
         backward_keeping_interior_grads(want_root)
@@ -215,10 +221,10 @@ class TestContracts:
         with pytest.raises(dc.GraphError, match="backward\\(\\) through the 'tanh' node"):
             second.backward()
         with pytest.raises(dc.GraphError, match="op 'relu' on the 'tanh' node"):
-            dc.relu(h)
+            relu(h)
         assert np.array_equal(x.grad, grad)
         with dc.no_grad():  # reading a consumed node's data builds no graph
-            assert np.array_equal(dc.relu(h).data, np.maximum(np.tanh(x.data), 0.0))
+            assert np.array_equal(relu(h).data, np.maximum(np.tanh(x.data), 0.0))
 
     def test_backward_peak_memory_stays_near_the_activations(self):
         """A chain y = x * w1 * ... * wN: when backward() frees each product once it has passed its grad
@@ -315,8 +321,8 @@ class TestConv1d:
         rng = np.random.default_rng(k)
         x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3, k)), rng.normal(size=2)
         xp = np.pad(x, ((k // 2, k // 2), (0, 0)))
-        want = np.array([[np.sum(xp[i : i + k].T * w[o]) + b[o] for o in range(2)] for i in range(4)])
-        got = conv1d(t(x), t(w), t(b)).data
+        want = np.array([[max(np.sum(xp[i : i + k].T * w[o]) + b[o], 0.0) for o in range(2)] for i in range(4)])
+        got = conv1d_relu(t(x), t(w), t(b)).data
         assert got.shape == (4, 2) and np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_constant_input_gets_no_grad_and_weights_keep_theirs(self):
@@ -325,16 +331,16 @@ class TestConv1d:
         grads = []
         for x_needs_grad in (True, False):
             xt, wt, bt = t(x, grad=x_needs_grad), t(w), t(b)
-            tsum(conv1d(xt, wt, bt) * g).backward()
+            tsum(conv1d_relu(xt, wt, bt) * g).backward()
             assert (xt.grad is None) != x_needs_grad
             grads.append((wt.grad, bt.grad))
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
     def test_even_kernel_and_empty_input_rejected(self):
         with pytest.raises(ValueError, match="kernel width 4 is even"):
-            conv1d(t(np.ones((5, 3))), t(np.ones((2, 3, 4))), t(np.ones(2)))
+            conv1d_relu(t(np.ones((5, 3))), t(np.ones((2, 3, 4))), t(np.ones(2)))
         with pytest.raises(ValueError, match="at least one frame"):
-            conv1d(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
+            conv1d_relu(t(np.ones((0, 3))), t(np.ones((2, 3, 3))), t(np.ones(2)))
 
     @given(
         t_len=st.integers(1, 9),
@@ -351,8 +357,8 @@ class TestConv1d:
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(0, 2, shape) for shape in ((t_len, cin), (cout, cin, k), (cout,))]
         weights = rng.normal(size=(t_len, cout))
-        got, got_grads = value_and_grads(conv1d, arrays, requires, weights)
-        want, want_grads = value_and_grads(conv1d_by_windows, arrays, requires, weights)
+        got, got_grads = value_and_grads(conv1d_relu, arrays, requires, weights)
+        want, want_grads = value_and_grads(conv1d_then_relu, arrays, requires, weights)
         assert rel_err(got, want) <= 1e-12
         for g, w, required in zip(got_grads, want_grads, requires):
             assert (g is None) == (w is None) == (not required)
@@ -365,7 +371,7 @@ class TestConv1d:
         rng = np.random.default_rng(9)
         x, w, b = rand(rng, t_len, cin), rand(rng, cout, cin, k), rand(rng, cout)
         with dc.no_grad():
-            out, peak, _ = traced(lambda: conv1d(x, w, b))
+            out, peak, _ = traced(lambda: conv1d_relu(x, w, b))
         window_copy = 8 * t_len * cin * k
         assert out.shape == (t_len, cout)
         assert peak < window_copy, f"peak {peak / window_copy:.2f} of the window copy"
@@ -404,6 +410,65 @@ class TestLinear:
         assert out.shape == (4, 2)
         assert out._op == "linear"
         assert [id(p) for p in out._parents] == [id(x), id(W), id(b)]
+
+
+def layer_norm_by_whole_rows(x, gain, bias):
+    """Layer norm with each row's squares made at once and its input grad as one expression, the bitwise oracle of
+    ``_normalized``, ``_layer_norm_forward`` and ``_layer_norm_backward``: the output, xhat, inv and ``grad(g)``."""
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + dc.LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+
+    def grad(g):
+        dxhat = g * gain
+        return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+
+    return out, xhat, inv, grad
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("t_len", [1, 5, dc.ATTENTION_ROWS, 155, 218, 625, 2048])
+    def test_bit_for_bit_the_whole_row_formulas(self, t_len):
+        """Every row's variance is the same sum of squares whether the squares are made whole or in row blocks;
+        the input grad is the same arithmetic made in place; the sublayers' ``xhat * g + b`` is the output."""
+        rng = np.random.default_rng(t_len)
+        for d in (1, 2, 3, 16, 64, 256, 257):
+            x, g = rng.normal(0, 3, (t_len, d)), rng.normal(size=(t_len, d))
+            gain, bias = dc.Parameter(rng.normal(size=d)), dc.Parameter(rng.normal(size=d))
+            want_out, want_xhat, want_inv, want_grad = layer_norm_by_whole_rows(x, gain.data, bias.data)
+            xhat, inv = dc._normalized(x)
+            assert np.array_equal(xhat, want_xhat) and np.array_equal(inv, want_inv), d
+            out = dc._layer_norm_forward(x, gain.data, bias.data)
+            recomputed = xhat * gain.data
+            recomputed += bias.data
+            assert np.array_equal(out, want_out) and np.array_equal(recomputed, want_out), d
+            assert np.array_equal(dc._layer_norm_backward(g, xhat, inv, gain, bias), want_grad(g)), d
+
+    def test_forward_makes_one_array_and_backward_two(self):
+        """The forward pass makes its output and one ATTENTION_ROWS-row block of squares; backward makes the
+        input grad and one temporary. A twentieth of an array covers the row statistics and numpy's buffers."""
+        t_len, d = 1000, 256
+        rng = np.random.default_rng(52)
+        x, g = rng.normal(size=(t_len, d)), rng.normal(size=(t_len, d))
+        gain, bias = dc.Parameter(rng.normal(size=d)), dc.Parameter(rng.normal(size=d))
+        array, squares = 8 * t_len * d, 8 * dc.ATTENTION_ROWS * d
+        _, peak, _ = traced(lambda: dc._layer_norm_forward(x, gain.data, bias.data))
+        assert peak <= array + squares + array // 20, f"forward peaked at {(peak - squares) / array:.2f} arrays"
+        _, xhat, inv, _ = layer_norm_by_whole_rows(x, gain.data, bias.data)
+        _, peak, _ = traced(lambda: dc._layer_norm_backward(g, xhat, inv, gain, bias))
+        assert peak <= 2 * array + array // 20, f"backward peaked at {peak / array:.2f} arrays beyond g and xhat"
+
+    def test_node_keeps_nothing_for_backward(self):
+        rng = np.random.default_rng(53)
+        params = dc.init_params(rng, "ln", dc.layer_norm_layout(4))
+        x = rand(rng, 6, 4)
+        out = dc.layer_norm(x, params, "ln")
+        kept = [cell.cell_contents for cell in out._backward.__closure__]
+        assert not [v for v in kept if isinstance(v, np.ndarray)], "the backward closure holds an array"
+        assert {id(v) for v in kept if isinstance(v, dc.Tensor)} == {id(x), *(id(p) for p in params.values())}
 
 
 def blstm_value_and_grads(run, xs, params, weights):
@@ -462,7 +527,7 @@ class TestInitParams:
 # every op that reads weights from ``params``: (prefix, layout, input shape, call of the op on input and params)
 WEIGHT_READERS = {
     "linear": ("l", dc.linear_layout(3, 2), (4, 3), lambda x, p: dc.linear(x, p, "l")),
-    "conv1d": ("c", dc.conv1d_layout(3, 2, 3), (4, 3), lambda x, p: dc.conv1d(x, p, "c")),
+    "conv1d": ("c", dc.conv1d_layout(3, 2, 3), (4, 3), lambda x, p: dc.conv1d_relu(x, p, "c")),
     "layer_norm": ("n", dc.layer_norm_layout(3), (4, 3), lambda x, p: dc.layer_norm(x, p, "n")),
     "attention_sublayer": ("blk", dc.attention_layout(4), (3, 4), lambda x, p: dc.attention_sublayer(x, p, "blk", 2)),
     "feed_forward_sublayer": (
@@ -753,8 +818,12 @@ class TestTransformerSublayers:
     )
     @example(t_len=dc.ATTENTION_ROWS - 1, heads=2, d_head=2, trainable=True, seed=0)
     @example(t_len=dc.ATTENTION_ROWS + 1, heads=2, d_head=2, trainable=True, seed=0)
+    @example(t_len=2, heads=1, d_head=2, trainable=True, seed=0)  # wq's grad cancels to about 1e-14
     @settings(max_examples=30, deadline=None)
     def test_equal_to_op_by_op_graph(self, t_len, heads, d_head, trainable, seed):
+        """Outputs within 1e-12 relative, and every grad within 1e-12 of the largest |grad| of the sublayer's
+        operands: at width 2 every normalized row is nearly +-(1, -1), so the q, k and v rows nearly coincide
+        and a grad such as wq's can cancel far below the others, where the two graphs round it differently."""
         rng = np.random.default_rng(seed)
         d = heads * d_head
         params = block_params(rng, d, trainable)
@@ -772,11 +841,12 @@ class TestTransformerSublayers:
                 results.append((out.data, h.grad, [params[f"blk.{n}"].grad for n in names]))
             (got, got_dh, got_grads), (want, want_dh, want_grads) = results
             assert rel_err(got, want) <= 1e-12
-            assert rel_err(got_dh, want_dh) <= 1e-12
+            scale = max(np.max(np.abs(w)) for w in (want_dh, *want_grads) if w is not None)
+            assert np.max(np.abs(got_dh - want_dh)) <= 1e-12 * scale
             for name, g, w in zip(names, got_grads, want_grads):
                 assert (g is None) == (not trainable), name
                 if trainable:
-                    assert g.shape == w.shape and rel_err(g, w) <= 1e-12, name
+                    assert g.shape == w.shape and np.max(np.abs(g - w)) <= 1e-12 * scale, name
 
     def test_each_is_one_node(self):
         rng = np.random.default_rng(82)
@@ -1371,7 +1441,7 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-UNARY = {"tanh": tanh, "sigmoid": sigmoid, "softplus": dc.softplus, "relu": dc.relu, "softmax": softmax}
+UNARY = {"tanh": tanh, "sigmoid": sigmoid, "softplus": dc.softplus, "relu": relu, "softmax": softmax}
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 import bpcse.diffcore as dc
 from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
-from gradcheck_ops import ReadRecorder, gradcheck, weights_digest
+from gradcheck_ops import ReadRecorder, gradcheck, graph_nodes, weights_digest
 from memory import traced
 
 TINY = SeConfig(d_model=8, heads=2, attention_blocks=2)
@@ -123,9 +123,16 @@ class TestInference:
         x = dc.Tensor(np.random.default_rng(7).uniform(0, 2, (5, 257)))
         counts = op_counts(se_loss(model.forward(x), np.zeros((5, 257))))
         assert counts["attention_sublayer"] == counts["feed_forward_sublayer"] == TINY.attention_blocks
-        # inside the blocks there is nothing else: the one layer norm is the final one, the relus are the stem's
-        assert counts["layer_norm"] == 1 and counts["relu"] == TINY.conv_layers
-        assert not {"matmul", "attention", "softmax", "slice", "transpose", "concat"} & set(counts)
+        # inside the blocks there is nothing else: the one layer norm is the final one, and each stem layer is one node
+        assert counts["layer_norm"] == 1 and counts["conv1d_relu"] == TINY.conv_layers
+        assert not {"matmul", "relu", "attention", "softmax", "slice", "transpose", "concat"} & set(counts)
+
+    def test_paper_forward_is_24_graph_nodes(self):
+        """Four stem layers, the positions' add, two sublayers in each of 8 blocks, the final layer norm, the
+        output's linear and its softplus: every other node is a leaf."""
+        model = SeModel(SeConfig(), seed=0)
+        out = model.forward(dc.Tensor(np.random.default_rng(7).uniform(0, 2, (3, 257))))
+        assert len([n for n in graph_nodes(out) if n._backward is not None]) == 24
 
     def test_enhance_holds_one_block_of_scores(self):
         cfg = SeConfig(d_model=8, heads=4, conv_layers=1, attention_blocks=1)
@@ -157,6 +164,14 @@ def held_after_forward(cfg, x):
 
 
 class TestTrainingMemory:
+    def test_each_stem_layer_holds_one_array(self):
+        """A stem layer's graph node keeps its rectified output, which its backward masks the grad with."""
+        t, d = 70, 32
+        x = np.random.default_rng(9).uniform(0, 2, (t, 257))
+        one, two = (held_after_forward(SeConfig(d_model=d, heads=2, conv_layers=n, attention_blocks=1), x) for n in (1, 2))
+        # 2 KiB covers the Python objects of the node (tensor, closure, array header)
+        assert two - one <= 8 * t * d + 2048, f"a stem layer holds {(two - one) / (8 * t * d):.2f} (T, d) arrays"
+
     def test_forward_holds_only_the_designed_arrays_per_block(self):
         t, d, heads = 70, 32, 2
         x = np.random.default_rng(9).uniform(0, 2, (t, 257))
@@ -164,10 +179,10 @@ class TestTrainingMemory:
             held_after_forward(SeConfig(d_model=d, heads=heads, conv_layers=1, attention_blocks=n), x) for n in (1, 3)
         )
         per_block = (three - one) / 2
-        # attention: q, k, v, weights, attention output, LN1 mean and inverse std, the sublayer's output;
-        # feed-forward: the rectified hidden layer, LN2 mean and inverse std, the sublayer's output
-        attention = 4 * t * d + heads * t * t + 2 * t + t * d
-        feed_forward = 4 * t * d + 2 * t + t * d
+        # attention: q, k, v, weights, attention output, the sublayer's output; feed-forward: the rectified
+        # hidden layer, the sublayer's output. Neither keeps anything of its layer norm
+        attention = 4 * t * d + heads * t * t + t * d
+        feed_forward = 4 * t * d + t * d
         designed = 8 * (attention + feed_forward)
         # 8 KiB covers the Python objects of the two nodes (tensors, closures, array headers), about 4.5 KiB
         assert per_block <= designed + 8192, f"a block holds {per_block:.0f} bytes, designed {designed}"

@@ -22,7 +22,10 @@ largest absolute difference of the numbers the workload checks (step
 losses; or the waveform's segment sums and energies), over the largest of
 their magnitudes. Quartiles interpolate linearly between the sorted
 values (numpy's default percentile), so a spread needs at least two pairs.
-A claimed gain should clear the base's IQR.
+Its last line is the verdict of the rule a claimed gain must meet: at least
+``CLAIM_PAIRS`` pairs, the change faster in at least 9 of every 10 of them,
+and its median episode time below the base's by more than the base's IQR.
+It reads "met" or "not met"; two pairs never meet it.
 
 The repository's own ``src/`` stays first on ``sys.path``, because ``bpc``
 reads its phone table through ``importlib.resources.files("bpcse")``.
@@ -41,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enhance", "train_joint")
 SIDES = ("base", "change")
+CLAIM_PAIRS = 10
 
 
 def load_workloads(src, side):
@@ -100,6 +104,14 @@ def quartiles(xs):
     return statistics.quantiles(xs, n=4, method="inclusive")
 
 
+def claim_met(seconds, ratios):
+    """Whether the change's episode times meet the claim rule against the base's (see the module docstring)."""
+    q1, base_median, q3 = quartiles(seconds["base"])
+    faster = sum(r < 1.0 for r in ratios)
+    return (len(ratios) >= CLAIM_PAIRS and 10 * faster >= 9 * len(ratios)
+            and base_median - statistics.median(seconds["change"]) > q3 - q1)
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base_src", help="the src/ directory of the base tree")
@@ -146,6 +158,8 @@ def main(argv=None) -> int:
     print(f"{args.workload}: change/base CPU time ratio median {median:.4f} (quartiles {q1:.4f}, {q3:.4f}) "
           f"over {len(ratios)} pairs; change faster in {faster}/{len(ratios)}")
     print(f"largest output difference, relative: {output_difference(outputs['base'], outputs['change']):.3g}")
+    print(f"claim rule (at least {CLAIM_PAIRS} pairs, faster in 9 of 10, medians apart by more than the base's IQR): "
+          f"{'met' if claim_met(seconds, ratios) else 'not met'}")
     return 0
 
 
