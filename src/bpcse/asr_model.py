@@ -18,8 +18,8 @@ mode. ``asr_loss`` mixes the two heads as
 ``lam * CTC + (1 - lam) * attention``; every caller passes ``lam``. Decoding is greedy CTC (per-frame
 argmax, collapse repeats, drop blanks), run under ``diffcore.no_grad()``.
 ``freeze()`` turns ``requires_grad`` off on every parameter, so a frozen
-recognizer still passes gradient to its input features but computes no
-weight grads.
+recognizer computes no weight grads but still passes gradient on to input
+features that require one (in stage two, the SE network's output).
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class AsrModel:
         self.params.update(dc.init_params(rng, "dec", dc.decoder_layout(v, cfg.embed_dim, d)))
 
     def freeze(self):
-        """Stop gradient at every parameter; inputs still get theirs."""
+        """Stop gradient at every parameter; an input that requires a grad still gets it."""
         for p in self.params.values():
             p.requires_grad = False
 

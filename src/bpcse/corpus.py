@@ -146,7 +146,11 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        return cls.from_json(Path(path).read_text("utf-8"))
+        """The manifest saved at ``path``; a ValueError names the path."""
+        try:
+            return cls.from_json(Path(path).read_text("utf-8"))
+        except ValueError as e:  # not UTF-8, not JSON, or not a manifest
+            raise ValueError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Minimal reverse-mode autodiff core, double precision throughout.
 
-A :class:`Tensor` wraps a float64 numpy array plus an accumulated gradient.
-Ops build a DAG; ``backward()`` walks it in reverse topological order. Every
-op output is checked for NaN/Inf and trips a :class:`GraphError` immediately,
-which keeps training failures local to the op that produced them.
+A tensor wraps a float64 numpy array plus an accumulated gradient, and is
+made in one of three ways. ``Tensor(data)`` is a constant leaf, which never
+requires a grad: an input, the mel matrix, a position table.
+``Parameter(data)`` is the one trainable leaf, a model weight, and the one
+kind of entry that :class:`Adam` and ``save_checkpoint`` take. Every op
+output is made by ``_node``, the one place that gives a tensor parents and a
+backward closure; it does so only when it records the node, and otherwise
+the output is a constant too. Ops so build a DAG; ``backward()`` walks it in
+reverse topological order. Every op output is checked for NaN/Inf and trips
+a :class:`GraphError` immediately, which keeps training failures local to
+the op that produced them.
 
 Inside a :func:`no_grad` block ops record no parents and no backward closure,
 so inference keeps no graph and frees each activation once it is used; the
@@ -78,6 +85,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from pathlib import Path
 
 import numpy as np
@@ -128,16 +136,19 @@ def _finite_or_raise(arr, op):
 
 
 class Tensor:
+    """A float64 array in the graph; made directly, a constant leaf that never requires a grad.
+
+    Only :class:`Parameter` and ``_node`` make one that does; ``_op`` names the op that made it.
+    """
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None, _op="leaf"):
+    def __init__(self, data, _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         _finite_or_raise(self.data, _op)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
         self._op = _op
+        self.grad = None
+        self.requires_grad, self._parents, self._backward = False, (), None
 
     @property
     def shape(self):
@@ -199,13 +210,27 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A model weight; a frozen one has ``requires_grad`` off. Its name is its key in the model's ``params``."""
+    """A model weight, the one trainable leaf; a frozen one has ``requires_grad`` off.
+
+    Its name is its key in the model's ``params``. It is the one kind of
+    entry that :class:`Adam` and ``save_checkpoint`` take.
+    """
 
     __slots__ = ()
 
     def __init__(self, data):
+        super().__init__(data)
         # C-contiguous, so that Adam can update it in place through flat chunks
-        super().__init__(np.ascontiguousarray(data, dtype=np.float64), requires_grad=True)
+        self.data = np.ascontiguousarray(self.data)
+        self.requires_grad = True
+
+
+def _parameters(params, op):
+    """``dict(params)``; a ValueError names ``op`` and the first entry that is not a :class:`Parameter`."""
+    for n, p in params.items():
+        if not isinstance(p, Parameter):
+            raise ValueError(f"{op}: entry {n!r} is of type {type(p).__name__}, not a diffcore Parameter")
+    return dict(params)
 
 
 def init_params(rng, prefix, layout):
@@ -309,18 +334,13 @@ def _records(parents):
 
 
 def _node(data, parents, backward, op):
-    needs = _records(parents)
-    if needs:
+    out = Tensor(data, op)
+    if _records(parents):
         for p in parents:
             if p._backward is _CONSUMED:
                 raise _consumed_error(p, f"op {op!r} on")
-    return Tensor(
-        data,
-        requires_grad=needs,
-        _parents=tuple(parents) if needs else (),
-        _backward=backward if needs else None,
-        _op=op,
-    )
+        out.requires_grad, out._parents, out._backward = True, tuple(parents), backward
+    return out
 
 
 def _elementwise(a, b, fn, op):
@@ -1044,10 +1064,7 @@ class Adam:
     def __init__(self, params, lr):
         if not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
             raise ValueError(f"Adam learning rate is {lr!r}; it must be a finite positive number")
-        self.params = dict(params)
-        for n, p in self.params.items():
-            if not isinstance(p, Parameter):
-                raise ValueError(f"Adam: entry {n!r} is of type {type(p).__name__}, not a diffcore Parameter")
+        self.params = _parameters(params, "Adam")
         self.lr = lr
         self.t = 0
         self._m, self._v = {}, {}
@@ -1108,19 +1125,26 @@ class Adam:
 
 
 def save_checkpoint(path, params, meta):
-    """Write `MAGIC\\n<json header>\\n<float64 LE payload>` to ``path``."""
-    arrays = {n: (p.data if isinstance(p, Tensor) else np.asarray(p, np.float64)) for n, p in params.items()}
-    header = {
-        "meta": meta,
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in arrays.items()],
-    }
+    """Write `MAGIC\\n<json header>\\n<float64 LE payload>` to ``path``, every entry of ``params`` a :class:`Parameter`.
+
+    The file is written beside ``path`` under a ``.tmp`` suffix and then
+    replaces it, so a save that fails (say on a ``meta`` that is not JSON)
+    leaves the checkpoint already at ``path`` as it was.
+    """
+    params = _parameters(params, "save_checkpoint")
+    header = {"meta": meta, "tensors": [{"name": n, "shape": list(p.shape)} for n, p in params.items()]}
+    head = f"{CKPT_MAGIC}\n{json.dumps(header, sort_keys=True, ensure_ascii=False)}\n".encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC.encode() + b"\n")
-        f.write(json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n")
-        for a in arrays.values():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(head)
+            for p in params.values():
+                f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _checked_header(path, line):
@@ -1153,22 +1177,19 @@ def _checked_header(path, line):
 
 
 def load_checkpoint(path):
-    """Returns (arrays: dict[str, ndarray], meta: dict)."""
+    """Returns (arrays: dict[str, ndarray], meta: dict); the payload's size is checked before any of it is read."""
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
         if magic != CKPT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}, expected {CKPT_MAGIC!r}")
         header = _checked_header(path, f.readline())
+        counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
+        held = os.fstat(f.fileno()).st_size - f.tell()
+        if held != 8 * sum(counts):
+            raise ValueError(f"{path}: payload holds {held} bytes, its header's tensors take {8 * sum(counts)}")
         arrays = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated payload for tensor {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last tensor's payload")
+        for entry, count in zip(header["tensors"], counts):
+            arrays[entry["name"]] = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(entry["shape"]).copy()
     return arrays, header["meta"]
 
 

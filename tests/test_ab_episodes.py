@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["enhance", "train_joint"])
+@pytest.mark.parametrize("workload", ["enhance", "train_joint", "prepare"])
 def test_same_tree_on_both_sides_gives_equal_outputs(workload):
     src = str(ROOT / "src")
     done = subprocess.run(
@@ -32,7 +32,7 @@ def test_same_tree_on_both_sides_gives_equal_outputs(workload):
     assert re.fullmatch(rf"{workload}: change/base CPU time ratio median {ratio} \(quartiles {ratio}, {ratio}\) "
                         r"over 2 pairs; change faster in [0-2]/2", lines[4])
     # two imports of one tree run the same arithmetic
-    assert lines[5] == "largest output difference, relative: 0"
+    assert re.fullmatch(r"largest output difference, relative: 0; other outputs differ in 0/[1-9]\d* units", lines[5])
     assert lines[6] == ("claim rule (at least 10 pairs, faster in 9 of 10, medians apart by more than the base's IQR): "
                         "not met")
     assert len(lines) == 7
@@ -61,6 +61,15 @@ def test_claim_rule(change, met):
     ab = load_tool()
     seconds = {"base": base[: len(change)], "change": change}
     assert ab.claim_met(seconds, [c / b for c, b in zip(change, base)]) is met
+
+
+def test_other_outputs_compared_for_equality():
+    ab = load_tool()
+    unit = {"manifest_sha256": "a", "fbank_means": [1.0, 4.0], "feature_problems": []}
+    assert ab.output_difference([unit, unit], [unit, unit]) == (0.0, 0)
+    for edit in ({"manifest_sha256": "b"}, {"feature_problems": ["clean/utt0000.wav: fbank shape"]}):
+        assert ab.output_difference([unit, unit], [unit, {**unit, **edit}]) == (0.0, 1)
+    assert ab.output_difference([unit], [{**unit, "fbank_means": [1.0, 5.0]}]) == (0.25, 0)
 
 
 def test_each_side_imports_its_modules_from_its_own_tree(tmp_path, monkeypatch):

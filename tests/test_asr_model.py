@@ -161,7 +161,7 @@ class TestCtcLoss:
 
     def test_gradcheck(self):
         rng = np.random.default_rng(1)
-        logits = dc.Tensor(rng.normal(0, 1, (5, 4)), requires_grad=True)
+        logits = dc.Parameter(rng.normal(0, 1, (5, 4)))
         worst = gradcheck(lambda: dc.ctc_loss(logits, [1, 2]), [logits])
         assert worst < 1e-4
 
@@ -176,7 +176,7 @@ class TestCtcLoss:
     def test_no_nans_for_bounded_logits(self, seed):
         rng = np.random.default_rng(seed)
         t_len = int(rng.integers(3, 12))
-        logits = dc.Tensor(rng.uniform(-50, 50, (t_len, 5)), requires_grad=True)
+        logits = dc.Parameter(rng.uniform(-50, 50, (t_len, 5)))
         labels = list(rng.integers(1, 5, min(3, t_len)))
         if t_len < dc.min_frames_for(labels):
             labels = labels[:1]
@@ -201,7 +201,7 @@ class TestCtcLoss:
         arrays = np.random.default_rng(seed).normal(0, scale, (t_len, v))
         results = []
         for run in (dc.ctc_loss, ctc_by_two_recursions):
-            logits = dc.Tensor(arrays.copy(), requires_grad=True)
+            logits = dc.Parameter(arrays.copy())
             loss = run(logits, labels)
             loss.backward()
             results.append((loss.data, logits.grad))
@@ -303,7 +303,7 @@ class TestEncoder:
     def test_gradcheck_two_layers_three_frames(self):
         model = am.AsrModel(tiny_cfg(), seed=1)
         rng = np.random.default_rng(3)
-        x = dc.Tensor(rng.normal(0, 1, (3, MEL)), requires_grad=True)
+        x = dc.Parameter(rng.normal(0, 1, (3, MEL)))
         tensors = [x, *model.params.values()]
         worst = gradcheck(
             lambda: tsum(model.encode(x) * model.encode(x)),
@@ -368,14 +368,14 @@ class TestAttentionDecoder:
     def test_graph_size_does_not_grow_with_labels(self):
         model = am.AsrModel(tiny_cfg(), seed=1)
         model.freeze()
-        feats = dc.Tensor(np.random.default_rng(6).normal(0, 1, (12, MEL)), requires_grad=True)
+        feats = dc.Parameter(np.random.default_rng(6).normal(0, 1, (12, MEL)))
         sizes = {len(graph_nodes(model.asr_loss(model.encode(feats), [3, 4, 5][:n] * 2, lam=0.5))) for n in (1, 2, 3)}
         assert len(sizes) == 1
 
     def test_gradcheck_four_frames_two_labels(self):
         model = am.AsrModel(tiny_cfg(), seed=4)
         rng = np.random.default_rng(6)
-        x = dc.Tensor(rng.normal(0, 1, (4, MEL)), requires_grad=True)
+        x = dc.Parameter(rng.normal(0, 1, (4, MEL)))
         tensors = [x, *model.params.values()]
         worst = gradcheck(
             lambda: model.attention_loss(model.encode(x), [3, 5]),
@@ -423,7 +423,7 @@ class TestAsrLoss:
         self.model.freeze()
         assert not any(p.requires_grad for p in self.model.params.values())
         rng = np.random.default_rng(8)
-        x = dc.Tensor(rng.normal(0, 1, (6, MEL)), requires_grad=True)
+        x = dc.Parameter(rng.normal(0, 1, (6, MEL)))
         loss = self.model.asr_loss(self.model.encode(x), self.labels, lam=0.5)
         loss.backward()
         assert np.any(x.grad != 0)
@@ -478,7 +478,7 @@ class TestOneWayToAddABias:
         rng = np.random.default_rng(10)
         se = SeModel(SeConfig(d_model=8, heads=2, conv_layers=1, attention_blocks=2), seed=3)
         model = am.AsrModel(tiny_cfg(), seed=6)
-        hidden = model.encode(dc.Tensor(rng.normal(0, 1, (6, MEL)), requires_grad=True))
+        hidden = model.encode(dc.Parameter(rng.normal(0, 1, (6, MEL))))
         return {
             "se.forward": se.forward(dc.Tensor(rng.uniform(0, 2, (5, 257)))),
             "encode": hidden,
@@ -542,8 +542,8 @@ class TestUtilities:
     def test_checkpoint_with_row_vector_lstm_bias_rejected(self, tmp_path):
         """Checkpoints once stored each LSTM bias as (1, 4H); the bias is (4H,) now, and such a file does not load."""
         model = am.AsrModel(tiny_cfg(), seed=0)
-        arrays = {n: p.data for n, p in model.params.items()}
-        arrays["enc0.fwd.b"] = arrays["enc0.fwd.b"].reshape(1, -1)
+        arrays = dict(model.params)
+        arrays["enc0.fwd.b"] = dc.Parameter(arrays["enc0.fwd.b"].data.reshape(1, -1))
         path = tmp_path / "old.ckpt"
         dc.save_checkpoint(path, arrays, {"kind": "asr", "config": dataclasses.asdict(model.cfg), "seed": 0})
         problem = r"old\.ckpt: checkpoint tensor 'enc0\.fwd\.b' has shape \(1, 16\), the model expects \(16,\)"
@@ -564,7 +564,7 @@ class TestUtilities:
         am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)
         arrays, meta = dc.load_checkpoint(path)
         edit(arrays)
-        dc.save_checkpoint(path, arrays, meta)
+        dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
         return path
 
     def test_checkpoint_missing_tensor_rejected(self, tmp_path):
@@ -587,14 +587,14 @@ class TestUtilities:
         am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)
         arrays, meta = dc.load_checkpoint(path)
         edit(meta)
-        dc.save_checkpoint(path, arrays, meta)
+        dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
         with pytest.raises(ValueError, match=rf"asr\.ckpt: checkpoint meta.*{problem}"):
             am.AsrModel.load(path)
 
     def test_decode_matches_graph_computation(self):
         model = am.AsrModel(tiny_cfg(), seed=7)
         rng = np.random.default_rng(11)
-        feats = dc.Tensor(rng.normal(0, 2, (8, MEL)), requires_grad=True)
+        feats = dc.Parameter(rng.normal(0, 2, (8, MEL)))
         hidden = model.encode(feats)
         ids = am.decode_greedy(model.ctc_logits(hidden).data)
         assert ids

@@ -700,6 +700,25 @@ class TestManifest:
         with pytest.raises(ValueError, match="not a JSON object"):
             corpus.Manifest.from_json("[]")
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b'{"schema": "\xff"}', r"'utf-8' codec can't decode byte 0xff"),
+            (b'{"schema": ', r"Expecting value"),
+            ("no_clean_path", r"manifest entry 0 \('a'\) lacks the 'clean_path' field"),
+        ],
+        ids=["not_utf8", "not_json", "entry_field"],
+    )
+    def test_load_names_the_path(self, tmp_path, content, problem):
+        if content == "no_clean_path":
+            doc = json.loads(corpus.Manifest([corpus.ManifestEntry("a", "c.wav", "d.wav", [], [], 0.0, 1)]).to_json())
+            del doc["entries"][0]["clean_path"]
+            content = json.dumps(doc).encode()
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + problem):
+            corpus.Manifest.load(path)
+
     def test_duplicate_ids_rejected(self):
         a, b, c = (corpus.ManifestEntry(u, "c.wav", "d.wav", [], [], 0.0, 10) for u in "abc")
         with pytest.raises(ValueError, match="duplicate utt_id 'b' in manifest"):

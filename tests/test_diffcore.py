@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -36,7 +37,8 @@ from memory import traced
 
 
 def t(arr, grad=True):
-    return dc.Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+    """A trainable leaf (a Parameter), or with ``grad=False`` a constant."""
+    return dc.Parameter(arr) if grad else dc.Tensor(arr)
 
 
 def rand(rng, *shape):
@@ -173,6 +175,19 @@ def backward_keeping_interior_grads(root):
 
 
 class TestContracts:
+    def test_tensor_is_a_constant_and_parameter_the_trainable_leaf(self):
+        assert list(inspect.signature(dc.Tensor).parameters) == ["data", "_op"]
+        assert list(inspect.signature(dc.Parameter).parameters) == ["data"]
+        c, p = dc.Tensor([[1.0, 2.0]]), dc.Parameter([[3.0, 4.0]])
+        assert (c.requires_grad, c._parents, c._backward, c._op) == (False, (), None, "leaf")
+        assert (p.requires_grad, p._parents, p._backward, p._op) == (True, (), None, "leaf")
+        constant = dc.mul(c, c)  # no parent requires a grad, so _node records nothing
+        assert (constant.requires_grad, constant._parents, constant._backward, constant._op) == (False, (), None, "mul")
+        node = dc.mul(c, p)
+        assert node.requires_grad and [id(q) for q in node._parents] == [id(c), id(p)] and callable(node._backward)
+        tsum(node).backward()
+        assert c.grad is None and np.array_equal(p.grad, c.data)
+
     def test_backward_frees_interior_grads_and_leaf_grads_are_unchanged(self):
         rng = np.random.default_rng(21)
         arrays = [rng.normal(size=s) for s in [(6, 3), (3, 4), (4,), (2, 4, 3), (2,), (1, 4)]]
@@ -1286,7 +1301,7 @@ class TestAdam:
     @pytest.mark.parametrize(
         "entry, kind",
         [
-            (lambda: dc.Tensor(np.ones((3, 2)).T, requires_grad=True), "Tensor"),
+            (lambda: dc.Tensor(np.ones((3, 2)).T), "Tensor"),
             (lambda: np.ones(3), "ndarray"),
         ],
         ids=["tensor", "ndarray"],
@@ -1377,9 +1392,9 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        dc.save_checkpoint(path, {"w": np.ones((2, 2))}, {"seed": 1})
+        dc.save_checkpoint(path, {"w": dc.Parameter(np.ones((2, 2)))}, {"seed": 1})
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match=r"model\.ckpt.*trailing bytes"):
+        with pytest.raises(ValueError, match=r"model\.ckpt: payload holds 33 bytes, its header's tensors take 32"):
             dc.load_checkpoint(path)
 
     def test_restore_params_is_all_or_nothing(self):
@@ -1432,12 +1447,55 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"hand\.ckpt.*'w' appears twice in the header field 'tensors'"):
             dc.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "entry, kind", [(lambda: dc.Tensor(np.ones(3)), "Tensor"), (lambda: np.ones(3), "ndarray")],
+        ids=["tensor", "ndarray"],
+    )
+    def test_entry_that_is_not_a_parameter_named(self, tmp_path, entry, kind):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=rf"save_checkpoint: entry 'w' is of type {kind}, not a diffcore Parameter"):
+            dc.save_checkpoint(path, {"ok": dc.Parameter(np.ones(2)), "w": entry()}, {"seed": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", ["meta", "payload"])
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, failure):
+        path = tmp_path / "model.ckpt"
+        dc.save_checkpoint(path, {"w": dc.Parameter(np.arange(4.0))}, {"seed": 1})
+        good = path.read_bytes()
+        w, meta = dc.Parameter(np.ones(3)), {"seed": 2}
+        if failure == "meta":
+            meta["seed"] = np.int64(2)  # not JSON
+        else:
+            w.data = np.array(["x"])  # fails once the header is written
+        with pytest.raises((TypeError, ValueError)):
+            dc.save_checkpoint(path, {"a": dc.Parameter(np.ones(2)), "w": w}, meta)
+        assert path.read_bytes() == good
+        arrays, meta = dc.load_checkpoint(path)
+        assert np.array_equal(arrays["w"], np.arange(4.0)) and meta == {"seed": 1}
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "shape, payload, held, declared",
+        [([2**32, 2**32], b"\0" * 16, 16, 8 * 2**64), ([2, 2], b"\0" * 24, 24, 32), ([], b"", 0, 8)],
+        ids=["huge", "short", "short_scalar"],
+    )
+    def test_payload_size_checked_against_the_header(self, tmp_path, shape, payload, held, declared):
+        path = self.write_header(tmp_path, {"meta": {}, "tensors": [{"name": "w", "shape": shape}]}, payload)
+        with pytest.raises(ValueError, match=rf"hand\.ckpt: payload holds {held} bytes, its header's tensors take {declared}$"):
+            dc.load_checkpoint(path)
+
+    def test_scalar_and_empty_tensors_load(self, tmp_path):
+        entries = [{"name": "s", "shape": []}, {"name": "e", "shape": [0, 3]}]
+        path = self.write_header(tmp_path, {"meta": {}, "tensors": entries}, np.array(2.5, "<f8").tobytes())
+        arrays, _ = dc.load_checkpoint(path)
+        assert arrays["s"].shape == () and arrays["s"] == 2.5 and arrays["e"].shape == (0, 3)
+
     def test_byte_identical_for_same_content(self, tmp_path):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(4, 2))
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        dc.save_checkpoint(p1, {"w": data}, {"seed": 1})
-        dc.save_checkpoint(p2, {"w": data.copy()}, {"seed": 1})
+        dc.save_checkpoint(p1, {"w": dc.Parameter(data)}, {"seed": 1})
+        dc.save_checkpoint(p2, {"w": dc.Parameter(data.copy())}, {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
 

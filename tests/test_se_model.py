@@ -325,7 +325,7 @@ class TestCheckpoint:
         if edit is not None:
             arrays, meta = dc.load_checkpoint(path)
             edit(arrays)
-            dc.save_checkpoint(path, arrays, meta)
+            dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
         return path
 
     @pytest.mark.parametrize(
@@ -343,7 +343,7 @@ class TestCheckpoint:
         path = self._saved(tmp_path)
         arrays, meta = dc.load_checkpoint(path)
         edit(meta)
-        dc.save_checkpoint(path, arrays, meta)
+        dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
         with pytest.raises(ValueError, match=rf"se\.ckpt: checkpoint meta.*{problem}"):
             SeModel.load(path)
 

@@ -1,4 +1,4 @@
-"""Same-process A/B of two ``bpcse`` source trees on the benchmark's enhance or train_joint episodes.
+"""Same-process A/B of two ``bpcse`` source trees on the benchmark's enhance, train_joint or prepare episodes.
 
     python3 tools/ab_episodes.py BASE_SRC CHANGE_SRC --workload enhance --pairs 12
 
@@ -19,8 +19,12 @@ median episode time and its interquartile range (IQR), the median ratio
 with its quartiles, the number of pairs in which the change was faster,
 and the largest difference between the two sides' outputs: per unit, the
 largest absolute difference of the numbers the workload checks (step
-losses; or the waveform's segment sums and energies), over the largest of
-their magnitudes. Quartiles interpolate linearly between the sorted
+losses; the waveform's segment sums and energies; or prepare's feature
+means), over the largest of their magnitudes, and in how many units the
+other outputs differ (prepare's manifest and cluster sha256s and its
+``feature_problems``; the other workloads have none). Both sides' prepare
+episodes write their corpora under one temporary directory, removed at the
+end. Quartiles interpolate linearly between the sorted
 values (numpy's default percentile), so a spread needs at least two pairs.
 Its last line is the verdict of the rule a claimed gain must meet: at least
 ``CLAIM_PAIRS`` pairs, the change faster in at least 9 of every 10 of them,
@@ -36,13 +40,15 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
+import numbers
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("enhance", "train_joint")
+WORKLOADS = ("enhance", "train_joint", "prepare")
 SIDES = ("base", "change")
 CLAIM_PAIRS = 10
 
@@ -80,23 +86,32 @@ def run_episode(workload, state, no_trace):
     return time.process_time() - start, observed
 
 
-def numbers(observed):
-    """The floats of one unit's observed output, in order."""
+def leaves(observed):
+    """The leaves of one unit's observed output, in order."""
     if isinstance(observed, dict):
-        return [x for v in observed.values() for x in numbers(v)]
+        return [x for v in observed.values() for x in leaves(v)]
     if isinstance(observed, (list, tuple)):
-        return [x for v in observed for x in numbers(v)]
-    return [float(observed)]
+        return [x for v in observed for x in leaves(v)]
+    return [observed]
+
+
+def split(observed):
+    """One unit's observed output as its real numbers, as floats, and its other leaves, each in order."""
+    xs = leaves(observed)
+    return ([float(x) for x in xs if isinstance(x, numbers.Real)],
+            [x for x in xs if not isinstance(x, numbers.Real)])
 
 
 def output_difference(base, change):
-    """The largest, over units, of the largest absolute difference over the largest magnitude."""
-    worst = 0.0
+    """The largest, over units, of the numbers' largest absolute difference over their largest magnitude;
+    and the number of units whose other leaves are not equal."""
+    worst, unequal = 0.0, 0
     for b, c in zip(base, change):
-        b, c = numbers(b), numbers(c)
+        (b, b_rest), (c, c_rest) = split(b), split(c)
         scale = max(abs(x) for x in b) or 1.0
         worst = max(worst, max(abs(x - y) for x, y in zip(b, c)) / scale)
-    return worst
+        unequal += b_rest != c_rest
+    return worst, unequal
 
 
 def quartiles(xs):
@@ -133,23 +148,25 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import harness
 
-    sides = {}
-    for side, src in zip(SIDES, (args.base_src, args.change_src)):
-        workloads = load_workloads(src, side)
-        print(f"{side}: {Path(workloads.se_model.__file__).parent} as {workloads.se_model.__package__}")
-        scale = workloads.PAPER if args.scale == "paper" else workloads.TINY
-        workload = workloads.make(args.workload, scale, args.seed % workloads.REFERENCE_SLOTS, None)
-        sides[side] = (workload, workload.setup())
     ratios, outputs, seconds = [], {}, {side: [] for side in SIDES}
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            episode_s, outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
-            seconds[side].append(episode_s)
-        base_s, change_s = seconds["base"][-1], seconds["change"][-1]
-        ratios.append(change_s / base_s)
-        print(f"pair {pair + 1}: base {base_s:.3f} s, change {change_s:.3f} s, "
-              f"ratio {ratios[-1]:.4f} ({order[0]} first)")
+    with tempfile.TemporaryDirectory(prefix="ab-episodes-") as work_dir:  # only prepare writes here
+        sides = {}
+        for side, src in zip(SIDES, (args.base_src, args.change_src)):
+            workloads = load_workloads(src, side)
+            print(f"{side}: {Path(workloads.se_model.__file__).parent} as {workloads.se_model.__package__}")
+            scale = workloads.PAPER if args.scale == "paper" else workloads.TINY
+            slot = args.seed % workloads.REFERENCE_SLOTS
+            workload = workloads.make(args.workload, scale, slot, Path(work_dir) / side)
+            sides[side] = (workload, workload.setup())
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                episode_s, outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
+                seconds[side].append(episode_s)
+            base_s, change_s = seconds["base"][-1], seconds["change"][-1]
+            ratios.append(change_s / base_s)
+            print(f"pair {pair + 1}: base {base_s:.3f} s, change {change_s:.3f} s, "
+                  f"ratio {ratios[-1]:.4f} ({order[0]} first)")
     for side in SIDES:
         q1, median, q3 = quartiles(seconds[side])
         print(f"{side}: episode CPU time median {median:.3f} s, IQR {q3 - q1:.3f} s")
@@ -157,7 +174,9 @@ def main(argv=None) -> int:
     faster = sum(r < 1.0 for r in ratios)
     print(f"{args.workload}: change/base CPU time ratio median {median:.4f} (quartiles {q1:.4f}, {q3:.4f}) "
           f"over {len(ratios)} pairs; change faster in {faster}/{len(ratios)}")
-    print(f"largest output difference, relative: {output_difference(outputs['base'], outputs['change']):.3g}")
+    worst, unequal = output_difference(outputs["base"], outputs["change"])
+    print(f"largest output difference, relative: {worst:.3g}; "
+          f"other outputs differ in {unequal}/{len(outputs['base'])} units")
     print(f"claim rule (at least {CLAIM_PAIRS} pairs, faster in 9 of 10, medians apart by more than the base's IQR): "
           f"{'met' if claim_met(seconds, ratios) else 'not met'}")
     return 0
