@@ -8,9 +8,10 @@ gradient), and the whole teacher-forced attention decoder, its
 cross-entropy included, is one ``diffcore.attention_decoder`` node, so the
 recognizer adds the same handful of nodes to the graph whatever the
 utterance length and label count. The projection and the CTC head are each
-one ``diffcore.linear`` node, which adds the bias in place. Each weight is
-made by ``diffcore.init_params`` from the layout table of the op that reads
-it, and the CTC blank id is ``diffcore.BLANK``.
+one ``diffcore.linear`` node, which adds the bias in place. The model makes
+all its weights in one ``diffcore.init_params`` call, from the layout table
+of the op that reads each, as views of one buffer; the CTC blank id is
+``diffcore.BLANK``.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -65,15 +66,13 @@ class AsrConfig:
 class AsrModel:
     def __init__(self, cfg: AsrConfig, seed: int = 0):
         self.cfg = cfg
-        self.params: dict[str, dc.Parameter] = {}
-        rng = np.random.default_rng(seed)
         h, d, v = cfg.encoder_hidden, cfg.proj_dim, len(cfg.vocab)
-        for layer in range(ENCODER_LAYERS):
-            din = dsp.N_MEL_FILTERS if layer == 0 else 2 * h
-            self.params.update(dc.init_params(rng, f"enc{layer}", dc.blstm_layout(din, h)))
-        self.params.update(dc.init_params(rng, "proj", dc.linear_layout(2 * h, d)))
-        self.params.update(dc.init_params(rng, "ctc", dc.linear_layout(d, v)))
-        self.params.update(dc.init_params(rng, "dec", dc.decoder_layout(v, cfg.embed_dim, d)))
+        dins = [dsp.N_MEL_FILTERS] + [2 * h] * (ENCODER_LAYERS - 1)
+        layouts = {f"enc{layer}": dc.blstm_layout(din, h) for layer, din in enumerate(dins)}
+        layouts["proj"] = dc.linear_layout(2 * h, d)
+        layouts["ctc"] = dc.linear_layout(d, v)
+        layouts["dec"] = dc.decoder_layout(v, cfg.embed_dim, d)
+        self.params: dict[str, dc.Parameter] = dc.init_params(np.random.default_rng(seed), layouts)
 
     def freeze(self):
         """Stop gradient at every parameter; an input that requires a grad still gets it."""

@@ -113,7 +113,10 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except ValueError as e:
+            raise ValueError(f"manifest is not JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ValueError("manifest is not a JSON object")
         if doc.get("schema") != MANIFEST_SCHEMA:

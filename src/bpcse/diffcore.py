@@ -16,8 +16,9 @@ Inside a :func:`no_grad` block ops record no parents and no backward closure,
 so inference keeps no graph and frees each activation once it is used; the
 NaN/Inf check still runs on every output. A :class:`Parameter` whose
 ``requires_grad`` is off is frozen: it passes gradient on to its inputs but
-gets none itself, and ``matmul``, ``linear``, ``conv1d_relu`` and the fused
-ops skip computing it.
+gets none itself. ``add``, ``mul``, ``matmul``, ``linear``, ``conv1d_relu``
+and ``l1_loss`` compute no grad for an operand that needs none, frozen or
+constant, and the fused ops none for a frozen weight.
 
 ``backward()`` consumes its graph, as PyTorch's does by default: once an
 interior node has passed its grad on, the node drops its grad, its backward
@@ -60,8 +61,9 @@ An op that owns weights takes ``(x, params, prefix, ...)`` and reads weight
 rejected, named with the op). Before any work it checks them with
 ``_operands`` against its layout table ``{name: shape}`` (``linear_layout``,
 ``conv1d_layout``, ``layer_norm_layout``, ``attention_layout``,
-``feed_forward_layout``, ``blstm_layout``, ``decoder_layout``), and the models
-make them from the same tables with ``init_params``. A size the input does not
+``feed_forward_layout``, ``blstm_layout``, ``decoder_layout``), and each model
+makes all its weights from the same tables in one ``init_params`` call, as
+views of one buffer, so they are one allocation. A size the input does not
 give (H of ``blstm_layer``) is read from one weight by ``_dims``, which names
 the dims it expects. Every op on frames, ``ctc_loss`` too, checks with
 ``_frames`` that its input is (T, d), T >= 1.
@@ -69,12 +71,13 @@ the dims it expects. Every op on frames, ``ctc_loss`` too, checks with
 Also here: the Adam optimizer over :class:`Parameter` objects, whose one
 setting is the learning rate, a finite positive number (the moment decays
 and epsilon are the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
-``ADAM_EPS``), which creates a parameter's moments at its first grad and
-updates each parameter in place in cache-sized chunks with no full-size
-temporaries. It stores the moments without their ``(1-beta)`` factors and
-folds the bias corrections into a per-step scale and epsilon, so a steady
-step is ten passes over each chunk with one sqrt and one divide per
-element. And strict checkpoint serialization.
+``ADAM_EPS``), which creates a parameter's moments at its first grad, those
+of all the parameters first stepped together as views of one buffer per
+moment, and updates each parameter in place in cache-sized chunks with no
+full-size temporaries. It stores the moments without their ``(1-beta)``
+factors and folds the bias corrections into a per-step scale and epsilon,
+so a steady step is ten passes over each chunk with one sqrt and one divide
+per element. And strict checkpoint serialization.
 """
 
 from __future__ import annotations
@@ -233,22 +236,41 @@ def _parameters(params, op):
     return dict(params)
 
 
-def init_params(rng, prefix, layout):
-    """A :class:`Parameter` for each ``{prefix}.<name>`` of ``layout`` (``{name: shape}``), made in table order.
+def _views(shapes):
+    """One new float64 buffer cut into C-contiguous views of ``shapes`` (``{name: shape}``), in order."""
+    buffer = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        views[name] = buffer[lo : lo + math.prod(shape)].reshape(shape)
+        lo += views[name].size
+    return views
 
-    A weight of rank 2 or more is drawn as ``rng.uniform(-s, s, shape)``,
-    ``s = sqrt(6 / (fan_in + fan_out))`` (Glorot): a matrix (rows, cols) has
-    fans rows and cols, a conv kernel (out, in, k) in * k and out * k. A
-    layer-norm gain ``g`` is ones, and every other vector zeros.
+
+def init_params(rng, layouts):
+    """A :class:`Parameter` for each ``{prefix}.<name>`` of ``layouts`` (``{prefix: {name: shape}}``), in table order.
+
+    Every parameter is a C-contiguous view of one float64 buffer, laid out
+    in table order: a model's weights are one allocation, which numpy
+    advises the kernel to back with huge pages once it is 4 MiB or more.
+    A weight of rank 2 or more is drawn as ``rng.uniform(-s, s, shape)``
+    would draw it, bit for bit, but into its view: ``rng.random`` then
+    ``* (s - -s) + -s``, with ``s = sqrt(6 / (fan_in + fan_out))`` (Glorot):
+    a matrix (rows, cols) has fans rows and cols, a conv kernel (out, in, k)
+    in * k and out * k. A layer-norm gain ``g`` is ones, and every other
+    vector zeros.
     """
+    shapes = {f"{prefix}.{name}": shape for prefix, layout in layouts.items() for name, shape in layout.items()}
     params = {}
-    for name, shape in layout.items():
+    for key, view in _views(shapes).items():
+        shape = view.shape
         if len(shape) >= 2:
             s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
-            data = rng.uniform(-s, s, shape)
+            rng.random(out=view)
+            view *= s - (-s)
+            view += -s
         else:
-            data = np.ones(shape) if name.rsplit(".", 1)[-1] == "g" else np.zeros(shape)
-        params[f"{prefix}.{name}"] = Parameter(data)
+            view.fill(1.0 if key.rsplit(".", 1)[-1] == "g" else 0.0)
+        params[key] = Parameter(view)
     return params
 
 
@@ -356,8 +378,10 @@ def add(a, b):
     a, b, data = _elementwise(a, b, np.add, "add")
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
 
     return _node(data, (a, b), backward, "add")
 
@@ -366,8 +390,10 @@ def mul(a, b):
     a, b, data = _elementwise(a, b, np.multiply, "mul")
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward, "mul")
 
@@ -560,8 +586,10 @@ def l1_loss(a, b):
     sign = np.sign(diff) / diff.size
 
     def backward(g):
-        _accum(a, g * sign)
-        _accum(b, -g * sign)
+        if a.requires_grad:
+            _accum(a, g * sign)
+        if b.requires_grad:
+            _accum(b, -g * sign)
 
     return _node(data, (a, b), backward, "l1_loss")
 
@@ -1058,7 +1086,11 @@ class Adam:
     A new optimizer holds no moments. A parameter's ``M`` and ``V`` are made
     at the first step at which it has a grad, as ``g`` and ``g*g``, which is
     what the update makes of zero moments; ``t`` counts every step, so the
-    bias correction is that of the step.
+    bias correction is that of the step. The ``M`` of the parameters that
+    get their first grad at one step are views of one new buffer, and so
+    are their ``V``: at the first step of a model's training, one
+    allocation per moment, backed by huge pages as the model's weights are
+    (:func:`init_params`).
     """
 
     def __init__(self, params, lr):
@@ -1081,10 +1113,11 @@ class Adam:
         c = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2**self.t))
         scale = self.lr * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1**self.t) * c)
         eps = ADAM_EPS / c
+        new = {n: p.shape for n, p in live.items() if n not in self._m}
+        self._m |= _views(new)
+        self._v |= _views(new)
         for n, p in live.items():
-            fresh = n not in self._m
-            if fresh:
-                self._m[n], self._v[n] = np.empty(p.shape), np.empty(p.shape)
+            fresh = n in new
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
             m, v = self._m[n].reshape(-1), self._v[n].reshape(-1)
             for lo in range(0, data.size, ADAM_CHUNK):
@@ -1129,9 +1162,16 @@ def save_checkpoint(path, params, meta):
 
     The file is written beside ``path`` under a ``.tmp`` suffix and then
     replaces it, so a save that fails (say on a ``meta`` that is not JSON)
-    leaves the checkpoint already at ``path`` as it was.
+    leaves the checkpoint already at ``path`` as it was. A ``meta`` field that
+    JSON cannot hold raises a ValueError naming the path and the field,
+    before any file is opened.
     """
     params = _parameters(params, "save_checkpoint")
+    for field, value in meta.items():
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError) as e:  # a type JSON has no form for, or a value that holds itself
+            raise ValueError(f"{path}: checkpoint meta field {field!r} is not JSON: {e}") from None
     header = {"meta": meta, "tensors": [{"name": n, "shape": list(p.shape)} for n, p in params.items()]}
     head = f"{CKPT_MAGIC}\n{json.dumps(header, sort_keys=True, ensure_ascii=False)}\n".encode("utf-8")
     path = Path(path)

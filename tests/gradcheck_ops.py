@@ -16,11 +16,13 @@ take their weights as tensors, while the fused ops and the other oracles
 read them from a ``params`` dict by prefix. The oracle of ``ctc_loss``, two
 separate recursions, lives with its tests. ``tsum`` is the sum the gradcheck
 tests reduce their outputs with. ``ReadRecorder`` wraps a model's ``params``
-to record which weights a forward pass reads, and ``weights_digest`` pins a
-model's initial weights.
+to record which weights a forward pass reads, ``weights_digest`` pins a
+model's initial weights, and ``init_params_by_weights`` is the oracle of
+``init_params``: each weight an array of its own, drawn by ``rng.uniform``.
 """
 
 import hashlib
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -327,6 +329,23 @@ def weights_digest(params):
         digest.update(name.encode())
         digest.update(params[name].data.tobytes())
     return digest.hexdigest()
+
+
+def init_params_by_weights(rng, layouts):
+    """Oracle of ``dc.init_params``: ``{prefix}.<name>`` arrays, each weight drawn alone in table order.
+
+    A weight of rank 2 or more is ``rng.uniform(-s, s, shape)`` with the
+    Glorot bound s, a layer-norm gain ``g`` ones, and every other vector zeros.
+    """
+    params = {}
+    for prefix, layout in layouts.items():
+        for name, shape in layout.items():
+            if len(shape) >= 2:
+                s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+                params[f"{prefix}.{name}"] = rng.uniform(-s, s, shape)
+            else:
+                params[f"{prefix}.{name}"] = np.ones(shape) if name.rsplit(".", 1)[-1] == "g" else np.zeros(shape)
+    return params
 
 
 class ReadRecorder(dict):

@@ -1,4 +1,4 @@
-"""Traced memory of one call, for the tests that bound what code allocates."""
+"""Traced memory of one call, for the tests that bound what code allocates, and a check of one buffer's views."""
 
 import tracemalloc
 
@@ -19,3 +19,17 @@ def traced(call):
     finally:
         tracemalloc.stop()
     return result, peak, held
+
+
+def packed(arrays):
+    """Whether ``arrays`` are C-contiguous views that tile one buffer, in order, from its first byte to its last."""
+    arrays = list(arrays)
+    buffer = arrays[0].base
+    if buffer is None:
+        return False
+    at = buffer.__array_interface__["data"][0]
+    for a in arrays:
+        if a.base is not buffer or not a.flags.c_contiguous or a.__array_interface__["data"][0] != at:
+            return False
+        at += a.nbytes
+    return at == buffer.__array_interface__["data"][0] + buffer.nbytes

@@ -12,14 +12,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["enhance", "train_joint", "prepare"])
-def test_same_tree_on_both_sides_gives_equal_outputs(workload):
+def run_a_a(workload, *options):
+    """``tools/ab_episodes.py`` with the repository's own ``src/`` on both sides, at TINY scale over two pairs."""
     src = str(ROOT / "src")
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_episodes.py"), src, src,
-         "--workload", workload, "--scale", "tiny", "--pairs", "2"],
+         "--workload", workload, "--scale", "tiny", "--pairs", "2", *options],
         capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("workload", ["enhance", "train_joint", "prepare"])
+def test_same_tree_on_both_sides_gives_equal_outputs(workload):
+    done = run_a_a(workload)
     assert done.returncode == 0, done.stderr
     package = ROOT / "src" / "bpcse"
     assert done.stdout.splitlines()[:2] == [f"base: {package} as bpcse_base", f"change: {package} as bpcse_change"]
@@ -36,6 +41,22 @@ def test_same_tree_on_both_sides_gives_equal_outputs(workload):
     assert lines[6] == ("claim rule (at least 10 pairs, faster in 9 of 10, medians apart by more than the base's IQR): "
                         "not met")
     assert len(lines) == 7
+
+
+def test_setup_phase_times_one_set_up_of_each_side_per_pair():
+    done = run_a_a("enhance", "--phase", "setup")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()[2:]
+    seconds, ratio = r"\d+\.\d{3} s", r"\d+\.\d{4}"
+    assert re.fullmatch(rf"pair 1: base {seconds}, change {seconds}, ratio {ratio} \(base first\)", lines[0])
+    assert "(change first)" in lines[1]
+    for line, side in zip(lines[2:4], ["base", "change"]):
+        assert re.fullmatch(rf"{side}: setup CPU time median {seconds}, IQR {seconds}", line)
+    assert re.fullmatch(rf"enhance: change/base CPU time ratio median {ratio} \(quartiles {ratio}, {ratio}\) "
+                        r"over 2 pairs; change faster in [0-2]/2", lines[4])
+    # each side's last set-up runs one episode: two imports of one tree build the same model
+    assert re.fullmatch(r"largest output difference, relative: 0; other outputs differ in 0/[1-9]\d* units", lines[5])
+    assert lines[6].endswith(": not met") and len(lines) == 7
 
 
 def load_tool():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -12,7 +13,16 @@ import bpcse.diffcore as dc
 from bpcse import asr_model as am
 from bpcse import dsp
 from bpcse.se_model import SeConfig, SeModel
-from gradcheck_ops import ReadRecorder, attention_decoder_by_steps, gradcheck, graph_nodes, tsum, weights_digest
+from gradcheck_ops import (
+    ReadRecorder,
+    attention_decoder_by_steps,
+    gradcheck,
+    graph_nodes,
+    init_params_by_weights,
+    tsum,
+    weights_digest,
+)
+from memory import packed
 
 MEL = dsp.N_MEL_FILTERS  # the recognizer's input width
 
@@ -26,6 +36,13 @@ def tiny_cfg(**kw):
     )
     defaults.update(kw)
     return am.AsrConfig(**defaults)
+
+
+def asr_layouts(cfg):
+    """The layout table of ``AsrModel``, written out: two BLSTM layers, projection, CTC head and decoder."""
+    h, d, v = cfg.encoder_hidden, cfg.proj_dim, len(cfg.vocab)
+    return {"enc0": dc.blstm_layout(MEL, h), "enc1": dc.blstm_layout(2 * h, h), "proj": dc.linear_layout(2 * h, d),
+            "ctc": dc.linear_layout(d, v), "dec": dc.decoder_layout(v, cfg.embed_dim, d)}
 
 
 def collapse_oracle(path, blank=0):
@@ -319,6 +336,26 @@ class TestWeights:
         draw order or the init rule of any weight changes the digest."""
         digest = "82ba67c1f6a95daac429ab580a9d24b252d294df198325104426ba022b0d21a9"
         assert weights_digest(am.AsrModel(tiny_cfg(), seed=0).params) == digest
+
+    @pytest.mark.parametrize("paper", [False, True], ids=["tiny", "paper"])
+    def test_weights_equal_the_per_weight_draws(self, paper):
+        """Names in layout-table order, shapes and bytes."""
+        cfg = am.AsrConfig(vocab=tiny_cfg().vocab) if paper else tiny_cfg()
+        params = am.AsrModel(cfg, seed=5).params
+        want = init_params_by_weights(np.random.default_rng(5), asr_layouts(cfg))
+        assert list(params) == list(want)
+        for n, p in params.items():
+            assert p.shape == want[n].shape and p.data.tobytes() == want[n].tobytes(), n
+
+    def test_weights_are_views_of_one_buffer_in_table_order(self):
+        assert packed(p.data for p in am.AsrModel(tiny_cfg()).params.values())
+
+    def test_saved_checkpoint_is_pinned(self, tmp_path):
+        """Recorded when each weight was still drawn into an array of its own."""
+        path = tmp_path / "asr.ckpt"
+        am.AsrModel(tiny_cfg(), seed=2).save(path, seed=2)
+        digest = "a7a10c477fcfbd3f1ae68d042467277f060b9356028a1b7c9fc90cefb9fb2bd6"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_encode_and_asr_loss_read_every_weight(self):
         model = am.AsrModel(tiny_cfg(), seed=0)

@@ -704,7 +704,7 @@ class TestManifest:
         "content, problem",
         [
             (b'{"schema": "\xff"}', r"'utf-8' codec can't decode byte 0xff"),
-            (b'{"schema": ', r"Expecting value"),
+            (b'{"schema": ', r"manifest is not JSON: Expecting value"),
             ("no_clean_path", r"manifest entry 0 \('a'\) lacks the 'clean_path' field"),
         ],
         ids=["not_utf8", "not_json", "entry_field"],

@@ -24,6 +24,7 @@ from gradcheck_ops import (
     feed_forward_sublayer_by_ops,
     gradcheck,
     graph_nodes,
+    init_params_by_weights,
     lstm_cell,
     relu,
     sigmoid,
@@ -33,7 +34,7 @@ from gradcheck_ops import (
     transpose,
     tsum,
 )
-from memory import traced
+from memory import packed, traced
 
 
 def t(arr, grad=True):
@@ -478,7 +479,7 @@ class TestLayerNorm:
 
     def test_node_keeps_nothing_for_backward(self):
         rng = np.random.default_rng(53)
-        params = dc.init_params(rng, "ln", dc.layer_norm_layout(4))
+        params = dc.init_params(rng, {"ln": dc.layer_norm_layout(4)})
         x = rand(rng, 6, 4)
         out = dc.layer_norm(x, params, "ln")
         kept = [cell.cell_contents for cell in out._backward.__closure__]
@@ -520,7 +521,7 @@ class TestGlorot:
         "shape, bound", [((3, 7), np.sqrt(6.0 / (3 + 7))), ((5, 4, 3), np.sqrt(6.0 / (4 * 3 + 5 * 3)))], ids=["matrix", "conv"]
     )
     def test_draws_uniform_within_the_glorot_bound(self, shape, bound):
-        p = dc.init_params(np.random.default_rng(7), "m", {"w": shape})["m.w"]
+        p = dc.init_params(np.random.default_rng(7), {"m": {"w": shape}})["m.w"]
         assert isinstance(p, dc.Parameter) and p.requires_grad
         assert np.array_equal(p.data, np.random.default_rng(7).uniform(-bound, bound, shape))
 
@@ -528,7 +529,7 @@ class TestGlorot:
 class TestInitParams:
     def test_draws_the_matrices_in_table_order_gains_one_vectors_zero(self):
         layout = {"w": (3, 7), "ln.g": (7,), "b": (7,), "k": (5, 4, 3), "g": (2,), "bias": (4,)}
-        params = dc.init_params(np.random.default_rng(7), "m", layout)
+        params = dc.init_params(np.random.default_rng(7), {"m": layout})
         assert list(params) == [f"m.{name}" for name in layout]
         assert all(isinstance(p, dc.Parameter) and p.shape == layout[n[2:]] for n, p in params.items())
         rng = np.random.default_rng(7)
@@ -537,6 +538,14 @@ class TestInitParams:
             assert np.array_equal(params[f"m.{name}"].data, rng.uniform(-bound, bound, layout[name])), name
         assert all(params[f"m.{name}"].data.tolist() == [1.0] * layout[name][0] for name in ("ln.g", "g"))
         assert all(not params[f"m.{name}"].data.any() for name in ("b", "bias"))
+
+    def test_every_prefix_is_made_from_one_buffer_in_table_order(self):
+        layouts = {"a": dc.linear_layout(3, 7), "c": dc.conv1d_layout(4, 5, 3), "n": dc.layer_norm_layout(5)}
+        params = dc.init_params(np.random.default_rng(8), layouts)
+        assert list(params) == ["a.w", "a.b", "c.w", "c.b", "n.g", "n.b"]
+        assert packed(p.data for p in params.values())
+        want = init_params_by_weights(np.random.default_rng(8), layouts)
+        assert all(p.data.tobytes() == want[n].tobytes() for n, p in params.items())
 
 
 # every op that reads weights from ``params``: (prefix, layout, input shape, call of the op on input and params)
@@ -588,7 +597,7 @@ class TestWeightReads:
         """A weight that is a bare ndarray, as ``load_checkpoint`` returns them, is named with its op and its type."""
         prefix, layout, shape, call = WEIGHT_READERS[op]
         rng = np.random.default_rng(91)
-        params, x = dc.init_params(rng, prefix, layout), rand(rng, *shape)
+        params, x = dc.init_params(rng, {prefix: layout}), rand(rng, *shape)
         assert call(x, params).data.size  # the weights as made are accepted
         params[f"{prefix}.{name}"] = params[f"{prefix}.{name}"].data
         problem = f"{op}: {prefix}.{name} is of type ndarray, not a diffcore Tensor"
@@ -601,7 +610,7 @@ class TestWeightReads:
     def test_operand_of_another_shape_named(self, op, name, shape, expected):
         prefix, layout, x_shape, call = WEIGHT_READERS[op]
         rng = np.random.default_rng(92)
-        params, x = dc.init_params(rng, prefix, layout), rand(rng, *x_shape)
+        params, x = dc.init_params(rng, {prefix: layout}), rand(rng, *x_shape)
         params[f"{prefix}.{name}"] = dc.Parameter(np.ones(shape))
         with pytest.raises(ValueError, match=re.escape(f"{op}: {prefix}.{name} has shape {shape}, expected {expected}")):
             call(x, params)
@@ -611,7 +620,7 @@ class TestWeightReads:
     def test_input_that_is_not_frames_named(self, op, form):
         prefix, layout, (t_len, d), call = FRAME_READERS[op]
         shape = {"vector": (d,), "rank3": (t_len, d, 1), "no_frames": (0, d)}[form]
-        params = dc.init_params(np.random.default_rng(93), prefix, layout)
+        params = dc.init_params(np.random.default_rng(93), {prefix: layout})
         problem = f"{op} input must be (T, d) with at least one frame, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(problem)):
             call(t(np.ones(shape)), params)
@@ -619,7 +628,7 @@ class TestWeightReads:
 
 def blstm_params(rng, din, hidden):
     """Weights of a BLSTM layer ``l`` with biases off zero, so that their grads are exercised."""
-    params = dc.init_params(rng, "l", dc.blstm_layout(din, hidden))
+    params = dc.init_params(rng, {"l": dc.blstm_layout(din, hidden)})
     for d in ("fwd", "bwd"):
         params[f"l.{d}.b"].data[:] = rng.uniform(-1, 1, params[f"l.{d}.b"].shape)
     return params
@@ -680,7 +689,7 @@ class TestLstm:
         assert not buffer[[0, -1]].any()
 
     def test_zero_weights_zero_state(self):
-        p = dc.init_params(np.random.default_rng(0), "l", dc.blstm_layout(3, 4))
+        p = dc.init_params(np.random.default_rng(0), {"l": dc.blstm_layout(3, 4)})
         for v in p.values():
             v.data[:] = 0.0
         x = t(np.ones((1, 3)))
@@ -692,7 +701,7 @@ class TestLstm:
 
     def test_blstm_length_one_is_concat_of_cells(self):
         rng = np.random.default_rng(1)
-        params = dc.init_params(rng, "l", dc.blstm_layout(3, 4))
+        params = dc.init_params(rng, {"l": dc.blstm_layout(3, 4)})
         x = t(rng.normal(size=(1, 3)))
         out = dc.blstm_layer(x, params, "l")
         zero = dc.Tensor(np.zeros((1, 4)))
@@ -702,7 +711,7 @@ class TestLstm:
 
     def test_blstm_gradcheck_three_frames(self):
         rng = np.random.default_rng(2)
-        params = dc.init_params(rng, "l", dc.blstm_layout(2, 3))
+        params = dc.init_params(rng, {"l": dc.blstm_layout(2, 3)})
         x = rand(rng, 3, 2)
         tensors = [x, *params.values()]
         assert gradcheck(lambda: tsum(dc.blstm_layer(x, params, "l") * 0.7), tensors) < 1e-4
@@ -1117,6 +1126,28 @@ class TestFrozenParameters:
             input_grads.append(x.grad)
         assert np.array_equal(input_grads[0], input_grads[1])
 
+    # (op, the constant's shape) at T, D = 4096, 8: add's broadcast constant would take a (T, 1) reduction
+    CONSTANT_OPERANDS = [("add", (4096, 1)), ("mul", (4096, 8)), ("l1_loss", (4096, 8))]
+
+    @pytest.mark.parametrize("op, shape", CONSTANT_OPERANDS, ids=[op for op, _ in CONSTANT_OPERANDS])
+    def test_constant_operand_gets_no_grad_computed(self, op, shape):
+        """The backward allocates only the parameter's grad, bit for bit the one it gets beside a second parameter.
+
+        The constant is the second operand, whose grad, if made, would be made while the first's is held.
+        """
+        rng = np.random.default_rng(57)
+        x, c = rng.normal(size=(4096, 8)), rng.normal(size=shape)
+        peaks, grads = [], []
+        for other in (dc.Tensor(c), dc.Parameter(c)):
+            p = dc.Parameter(x)
+            out = getattr(dc, op)(p, other)
+            g = np.random.default_rng(58).normal(size=out.shape)
+            peaks.append(traced(lambda: out._backward(g))[1])
+            grads.append(p.grad)
+        own = 0 if op == "add" else x.nbytes  # add passes its output grad on to the parameter as it is
+        assert peaks[0] <= own + 4096 < peaks[1], f"backward peaked at {peaks[0]} bytes, the parameter's grad takes {own}"
+        assert grads[0].tobytes() == grads[1].tobytes()
+
 
 class AdamByArrays:
     """Oracle for ``Adam``: its arithmetic on whole arrays, each term a full-size temporary.
@@ -1251,6 +1282,28 @@ class TestAdam:
         for n, p in params.items():
             assert np.array_equal(p.data, want_params[n].data), n
             assert np.array_equal(opt._m[n], want._m[n]) and np.array_equal(opt._v[n], want._v[n]), n
+
+    def test_moments_first_made_at_one_step_share_one_buffer_each(self):
+        """The parameters first stepped together get their moments as views of one M and one V buffer."""
+        rng = np.random.default_rng(65)
+        shapes = {"a": (3, 4), "b": (dc.ADAM_CHUNK + 3,), "c": (5,), "late": (2, 7)}
+        init = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        sides = []
+        for cls in (dc.Adam, AdamByArrays):
+            params = {n: dc.Parameter(a.copy()) for n, a in init.items()}
+            sides.append((params, cls(params, lr=0.05)))
+        for step in range(3):
+            grads = {n: None if n == "late" and step == 0 else rng.normal(size=shape) for n, shape in shapes.items()}
+            for params, opt in sides:
+                for n, p in params.items():
+                    p.grad = grads[n]
+                opt.step()
+        (params, opt), (want_params, want) = sides
+        for moments in (opt._m, opt._v):
+            assert packed(moments[n] for n in ("a", "b", "c")) and packed([moments["late"]])
+        for n, p in params.items():
+            assert p.data.tobytes() == want_params[n].data.tobytes(), n
+            assert opt._m[n].tobytes() == want._m[n].tobytes() and opt._v[n].tobytes() == want._v[n].tobytes(), n
 
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T], ids=["strided", "transposed"])
     def test_non_contiguous_parameter_updated_through_its_view(self, view):
@@ -1467,7 +1520,8 @@ class TestCheckpoint:
             meta["seed"] = np.int64(2)  # not JSON
         else:
             w.data = np.array(["x"])  # fails once the header is written
-        with pytest.raises((TypeError, ValueError)):
+        named = rf"{re.escape(str(path))}: checkpoint meta field 'seed' is not JSON: .*int64" if failure == "meta" else None
+        with pytest.raises(ValueError, match=named):
             dc.save_checkpoint(path, {"a": dc.Parameter(np.ones(2)), "w": w}, meta)
         assert path.read_bytes() == good
         arrays, meta = dc.load_checkpoint(path)

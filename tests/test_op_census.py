@@ -9,7 +9,10 @@ alone keep alive; ops only the tests need live in
 against central differences: it is named in a test function that calls
 ``gradcheck``, directly or through a helper of its test module. A weight's
 shape is written once, in the layout table of the op that reads it: every
-``init_params`` call outside ``diffcore`` is given a ``dc.*_layout(...)`` call.
+``init_params`` call outside ``diffcore`` is given a ``{prefix: layout}`` dict
+whose every layout is a ``dc.*_layout(...)`` call or a union of them. The
+dict is a display, a comprehension, or a name that the calling function
+binds to those and fills in by key.
 """
 
 import ast
@@ -46,11 +49,49 @@ def ops_by_name():
     return {q.split(".", 1)[1]: node for q, node in graph_ops().items()}
 
 
-def init_params_layouts(tree):
-    """``(line, layout argument)`` of each ``init_params`` call in ``tree``, the argument None if it is not given."""
-    for c in ast.walk(tree):
-        if isinstance(c, ast.Call) and (getattr(c.func, "id", None) or getattr(c.func, "attr", None)) == "init_params":
-            yield c.lineno, c.args[2] if len(c.args) > 2 else None
+def init_params_layouts(node, scope=None):
+    """``(line, layouts)`` of each ``init_params`` call under ``node``, in source order: the layout expressions of
+    its ``{prefix: layout}`` argument, read in the innermost function around the call (:func:`layout_values`)."""
+    if scope is None or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node
+    if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "init_params":
+        yield node.lineno, layout_values(node.args[1], scope) if len(node.args) > 1 else None
+    for child in ast.iter_child_nodes(node):
+        yield from init_params_layouts(child, scope)
+
+
+def layout_values(layouts, scope, names=True):
+    """The layout expressions of the ``{prefix: layout}`` dict ``layouts``, or None for a form the census cannot read.
+
+    A display gives its values, a comprehension its value, and a union (``|``)
+    the values of both sides. A name gives the values of every dict ``scope``
+    binds it to (``=`` or ``|=``) and of every key it sets (``name[key] = ...``),
+    and None if ``scope`` never binds it; a dict so bound is read with
+    ``names`` off, so a name in it gives None.
+    """
+    if isinstance(layouts, ast.Dict):
+        return list(layouts.values)
+    if isinstance(layouts, ast.DictComp):
+        return [layouts.value]
+    if isinstance(layouts, ast.BinOp) and isinstance(layouts.op, ast.BitOr):
+        left, right = layout_values(layouts.left, scope, names), layout_values(layouts.right, scope, names)
+        return None if left is None or right is None else left + right
+    if not (names and isinstance(layouts, ast.Name)):
+        return None
+    values, bound = [], False
+    for node in ast.walk(scope):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AugAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id == layouts.id:
+                if isinstance(node, ast.AugAssign) and not isinstance(node.op, ast.BitOr):
+                    return None
+                bound, more = True, layout_values(node.value, scope, names=False)
+                if more is None:
+                    return None
+                values += more
+            elif isinstance(target, ast.Subscript) and getattr(target.value, "id", None) == layouts.id:
+                values.append(node.value)
+    return values if bound else None
 
 
 def from_layout_tables(layout):
@@ -97,17 +138,46 @@ def test_no_module_reads_private_diffcore_names():
     assert not reads, f"modules that read private diffcore names: {reads}; give diffcore the op instead"
 
 
+def all_from_layout_tables(values):
+    """Whether ``values``, the layouts of one ``init_params`` call, could be read and each comes from the tables."""
+    return values is not None and all(from_layout_tables(v) for v in values)
+
+
+# (source, whether its one init_params call takes every layout from the tables)
+CENSUS_CASES = {
+    "display": ("dc.init_params(r, {'a': dc.linear_layout(2, 3) | dc.layer_norm_layout(3), 'b': dc.linear_layout(3, 1)})",
+                True),
+    "comprehension": ("dc.init_params(r, {f'c{i}': dc.linear_layout(2, 3) for i in range(2)})", True),
+    "by_key": ("def f(r):\n    ls = {f'c{i}': dc.linear_layout(2, 3) for i in range(2)}\n    ls |= {'n': dc.layer_norm_layout(3)}\n"
+               "    ls['o'] = dc.linear_layout(3, 1)\n    return dc.init_params(r, ls)", True),
+    "union": ("dc.init_params(r, {'a': dc.linear_layout(2, 3)} | {'b': dc.linear_layout(3, 1)})", True),
+    "inline": ("dc.init_params(r, {'a': {'w': (2, 3)}})", False),
+    "inline_union": ("dc.init_params(r, {'a': dc.linear_layout(2, 3) | {}})", False),
+    "inline_comprehension": ("dc.init_params(r, {f'c{i}': {'w': (i, 3)} for i in range(2)})", False),
+    "inline_key": ("def f(r):\n    ls = {'a': dc.linear_layout(2, 3)}\n    ls['b'] = {'w': (2, 3)}\n"
+                   "    return dc.init_params(r, ls)", False),
+    "inline_rebinding": ("def f(r):\n    ls = {'a': dc.linear_layout(2, 3)}\n    ls = {'b': {'w': (2, 3)}}\n"
+                         "    return dc.init_params(r, ls)", False),
+    "self_union": ("def f(r):\n    ls = {}\n    ls = ls | {'a': dc.linear_layout(2, 3)}\n    return dc.init_params(r, ls)", False),
+    "unbound_name": ("def f(r, ls):\n    return dc.init_params(r, ls)", False),
+    "spread": ("dc.init_params(r, {**other, 'a': dc.linear_layout(2, 3)})", False),
+    "no_layouts": ("dc.init_params(r)", False),
+}
+
+
 def test_the_census_finds_inline_layouts():
-    tree = ast.parse("dc.init_params(r, 'a', dc.linear_layout(2, 3) | dc.layer_norm_layout(3))\n"
-                     "dc.init_params(r, 'b', {'w': (2, 3)})\ndc.init_params(r, 'c', dc.linear_layout(2, 3) | {})")
-    assert [(n, from_layout_tables(arg)) for n, arg in init_params_layouts(tree)] == [(1, True), (2, False), (3, False)]
+    found = {}
+    for case, (source, _) in CENSUS_CASES.items():
+        [(_, values)] = init_params_layouts(ast.parse(source))
+        found[case] = all_from_layout_tables(values)
+    assert found == {case: from_tables for case, (_, from_tables) in CENSUS_CASES.items()}
 
 
 def test_every_weight_outside_diffcore_comes_from_a_layout_table():
-    calls = {f"{m}:{n}": arg for m, tree in PACKAGE.items() if m != "diffcore" for n, arg in init_params_layouts(tree)}
+    calls = {f"{m}:{n}": values for m, tree in PACKAGE.items() if m != "diffcore" for n, values in init_params_layouts(tree)}
     assert len(calls) >= 2  # both models make weights
-    inline = sorted(call for call, arg in calls.items() if not from_layout_tables(arg))
-    assert not inline, f"init_params calls given no dc.*_layout(...) call: {inline}; add the op's table to diffcore"
+    inline = sorted(call for call, values in calls.items() if not all_from_layout_tables(values))
+    assert not inline, f"init_params calls given a layout that is no dc.*_layout(...) call: {inline}; add the op's table to diffcore"
 
 
 def test_every_op_has_a_caller_outside_its_own_definition():

@@ -1,4 +1,6 @@
+import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +8,19 @@ import pytest
 import bpcse.diffcore as dc
 from bpcse import dsp, se_model
 from bpcse.se_model import SeConfig, SeModel, se_loss, sinusoidal_positions
-from gradcheck_ops import ReadRecorder, gradcheck, graph_nodes, weights_digest
-from memory import traced
+from gradcheck_ops import ReadRecorder, gradcheck, graph_nodes, init_params_by_weights, weights_digest
+from memory import packed, traced
 
 TINY = SeConfig(d_model=8, heads=2, attention_blocks=2)
+PAPER = SeConfig()
+
+
+def se_layouts(cfg):
+    """The layout table of ``SeModel``, written out: stem convs, blocks, final layer norm and output layer."""
+    d = cfg.d_model
+    layouts = {f"conv{i}": dc.conv1d_layout(dsp.N_BINS if i == 0 else d, d, 3) for i in range(cfg.conv_layers)}
+    layouts |= {f"block{i}": dc.attention_layout(d) | dc.feed_forward_layout(d, 4 * d) for i in range(cfg.attention_blocks)}
+    return layouts | {"final_ln": dc.layer_norm_layout(d), "out": dc.linear_layout(d, dsp.N_BINS)}
 
 
 def log1p_spec(rng, t):
@@ -316,6 +327,41 @@ class TestGradients:
                 loss.backward()
                 opt.step()
         assert val_loss() < before
+
+
+class TestWeightBuffer:
+    @pytest.mark.parametrize("cfg", [TINY, PAPER], ids=["tiny", "paper"])
+    def test_weights_equal_the_per_weight_draws(self, cfg):
+        """Names in layout-table order, shapes and bytes."""
+        params = SeModel(cfg, seed=5).params
+        want = init_params_by_weights(np.random.default_rng(5), se_layouts(cfg))
+        assert list(params) == list(want)
+        for n, p in params.items():
+            assert p.shape == want[n].shape and p.data.tobytes() == want[n].tobytes(), n
+
+    @pytest.mark.parametrize("cfg", [TINY, PAPER], ids=["tiny", "paper"])
+    def test_weights_are_views_of_one_buffer_in_table_order(self, cfg):
+        assert packed(p.data for p in SeModel(cfg).params.values())
+
+    def test_paper_model_makes_one_large_allocation(self):
+        """Its weights, with nothing else of 1 MiB or more alive at the end or allocated on the way."""
+        tracemalloc.start()
+        try:
+            model = SeModel(PAPER)
+            large = [trace.size for trace in tracemalloc.take_snapshot().traces if trace.size >= 2**20]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.data.nbytes for p in model.params.values())
+        assert large == [weights]
+        assert peak < weights + 2**20
+
+    def test_saved_checkpoint_is_pinned(self, tmp_path):
+        """Recorded when each weight was still drawn into an array of its own."""
+        path = tmp_path / "se.ckpt"
+        SeModel(TINY, seed=2).save(path, seed=2)
+        digest = "6c01afb45d5b6b2462d41d722631ce6ea6aa1981fe385a518ecb4de3fe55351f"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCheckpoint:

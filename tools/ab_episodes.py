@@ -1,6 +1,6 @@
-"""Same-process A/B of two ``bpcse`` source trees on the benchmark's enhance, train_joint or prepare episodes.
+"""Same-process A/B of two ``bpcse`` source trees on the benchmark's enhance, train_joint or prepare episodes or set-ups.
 
-    python3 tools/ab_episodes.py BASE_SRC CHANGE_SRC --workload enhance --pairs 12
+    python3 tools/ab_episodes.py BASE_SRC CHANGE_SRC --workload enhance --pairs 12 [--phase setup]
 
 BASE_SRC and CHANGE_SRC are ``src/`` directories, say of the parent commit
 (``git archive``) and of the working tree. Each tree's ``bpcse`` is imported
@@ -12,23 +12,36 @@ process CPU time after the episode's start (the weight reset of
 train_joint). Two benchmark runs in separate processes drift apart with
 the host by more than a few percent; two episodes run back to back in one
 process drift together, so the paired ratio resolves a smaller change.
+With ``--phase setup`` every pair instead times one ``setup()`` of each
+side (the benchmark's ``setup_s``, in process CPU time), again alternating
+which side goes first; each side's previous set-up state is dropped and
+the garbage collector run before its next set-up, as the benchmark does.
+The timed set-up of a side comes right after an untimed one of the same
+side, as the benchmark's repeated set-ups follow each other: a set-up is
+faster after the other side's, whose freed memory the allocator hands it
+without page faults, so timing it there would measure the order. The two
+sides still share one allocator, so a set-up that allocates much (the
+train_joint one, with its weight copy and first Adam step) can reuse
+memory here that the benchmark's own process has returned to the OS;
+its ratio can then differ from the benchmark's. Each side's last set-up
+state then runs one episode, whose outputs are compared.
 
 The script prints where each side's package was loaded from and under
 which name, each pair's times and ratio (change / base), then each side's
-median episode time and its interquartile range (IQR), the median ratio
-with its quartiles, the number of pairs in which the change was faster,
-and the largest difference between the two sides' outputs: per unit, the
-largest absolute difference of the numbers the workload checks (step
-losses; the waveform's segment sums and energies; or prepare's feature
-means), over the largest of their magnitudes, and in how many units the
-other outputs differ (prepare's manifest and cluster sha256s and its
-``feature_problems``; the other workloads have none). Both sides' prepare
-episodes write their corpora under one temporary directory, removed at the
-end. Quartiles interpolate linearly between the sorted
+median episode (or set-up) time and its interquartile range (IQR), the
+median ratio with its quartiles, the number of pairs in which the change
+was faster, and the largest difference between the two sides' outputs:
+per unit, the largest absolute difference of the numbers the workload
+checks (step losses; the waveform's segment sums and energies; or
+prepare's feature means), over the largest of their magnitudes, and in
+how many units the other outputs differ (prepare's manifest and cluster
+sha256s and its ``feature_problems``; the other workloads have none). Both
+sides' prepare episodes write their corpora under one temporary directory,
+removed at the end. Quartiles interpolate linearly between the sorted
 values (numpy's default percentile), so a spread needs at least two pairs.
 Its last line is the verdict of the rule a claimed gain must meet: at least
 ``CLAIM_PAIRS`` pairs, the change faster in at least 9 of every 10 of them,
-and its median episode time below the base's by more than the base's IQR.
+and its median time below the base's by more than the base's IQR.
 It reads "met" or "not met"; two pairs never meet it.
 
 The repository's own ``src/`` stays first on ``sys.path``, because ``bpc``
@@ -38,6 +51,7 @@ reads its phone table through ``importlib.resources.files("bpcse")``.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import os
 import numbers
@@ -49,6 +63,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enhance", "train_joint", "prepare")
+PHASES = ("episode", "setup")
 SIDES = ("base", "change")
 CLAIM_PAIRS = 10
 
@@ -86,6 +101,14 @@ def run_episode(workload, state, no_trace):
     return time.process_time() - start, observed
 
 
+def run_setup(workload):
+    """The CPU seconds of one ``workload.setup()``, after a garbage collection, and the state it made."""
+    gc.collect()
+    start = time.process_time()
+    state = workload.setup()
+    return time.process_time() - start, state
+
+
 def leaves(observed):
     """The leaves of one unit's observed output, in order."""
     if isinstance(observed, dict):
@@ -120,7 +143,7 @@ def quartiles(xs):
 
 
 def claim_met(seconds, ratios):
-    """Whether the change's episode times meet the claim rule against the base's (see the module docstring)."""
+    """Whether the change's episode (or set-up) times meet the claim rule against the base's (see the module docstring)."""
     q1, base_median, q3 = quartiles(seconds["base"])
     faster = sum(r < 1.0 for r in ratios)
     return (len(ratios) >= CLAIM_PAIRS and 10 * faster >= 9 * len(ratios)
@@ -132,6 +155,7 @@ def parse_args(argv):
     p.add_argument("base_src", help="the src/ directory of the base tree")
     p.add_argument("change_src", help="the src/ directory of the changed tree")
     p.add_argument("--workload", choices=WORKLOADS, required=True)
+    p.add_argument("--phase", choices=PHASES, default="episode", help="what each pair times of each side")
     p.add_argument("--pairs", type=int, default=12)
     p.add_argument("--seed", type=int, default=1, help="picks the benchmark's input set, seed mod 16")
     p.add_argument("--scale", choices=("paper", "tiny"), default="paper")
@@ -161,15 +185,25 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                episode_s, outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
-                seconds[side].append(episode_s)
+                if args.phase == "setup":
+                    workload = sides[side][0]
+                    for _ in range(2):  # the second, timed set-up follows one of its own side
+                        sides[side] = None  # freed before the next set-up
+                        spent, state = run_setup(workload)
+                        sides[side] = (workload, state)
+                else:
+                    spent, outputs[side] = run_episode(*sides[side], harness.NO_TRACE)
+                seconds[side].append(spent)
             base_s, change_s = seconds["base"][-1], seconds["change"][-1]
             ratios.append(change_s / base_s)
             print(f"pair {pair + 1}: base {base_s:.3f} s, change {change_s:.3f} s, "
                   f"ratio {ratios[-1]:.4f} ({order[0]} first)")
+        if args.phase == "setup":
+            for side in SIDES:
+                outputs[side] = run_episode(*sides[side], harness.NO_TRACE)[1]
     for side in SIDES:
         q1, median, q3 = quartiles(seconds[side])
-        print(f"{side}: episode CPU time median {median:.3f} s, IQR {q3 - q1:.3f} s")
+        print(f"{side}: {args.phase} CPU time median {median:.3f} s, IQR {q3 - q1:.3f} s")
     q1, median, q3 = quartiles(ratios)
     faster = sum(r < 1.0 for r in ratios)
     print(f"{args.workload}: change/base CPU time ratio median {median:.4f} (quartiles {q1:.4f}, {q3:.4f}) "
