@@ -9,9 +9,9 @@ cross-entropy included, is one ``diffcore.attention_decoder`` node, so the
 recognizer adds the same handful of nodes to the graph whatever the
 utterance length and label count. The projection and the CTC head are each
 one ``diffcore.linear`` node, which adds the bias in place. The model makes
-all its weights in one ``diffcore.init_params`` call, from the layout table
-of the op that reads each, as views of one buffer; the CTC blank id is
-``diffcore.BLANK``.
+its weights from the op tables ``AsrModel.layouts`` gathers, in one
+``diffcore.init_params`` call or ``load``, as views of one buffer; the CTC
+blank id is ``diffcore.BLANK``.
 
 The encoder output (projected to ``proj_dim``, 320 in the paper-faithful
 setting) doubles as the "deep features" used by the deep-feature training
@@ -66,13 +66,18 @@ class AsrConfig:
 class AsrModel:
     def __init__(self, cfg: AsrConfig, seed: int = 0):
         self.cfg = cfg
+        self.params: dict[str, dc.Parameter] = dc.init_params(np.random.default_rng(seed), self.layouts(cfg))
+
+    @staticmethod
+    def layouts(cfg: AsrConfig) -> dict:
+        """``{prefix: layout}`` of every op's weights, in the order they lie in the buffer and in a checkpoint."""
         h, d, v = cfg.encoder_hidden, cfg.proj_dim, len(cfg.vocab)
         dins = [dsp.N_MEL_FILTERS] + [2 * h] * (ENCODER_LAYERS - 1)
         layouts = {f"enc{layer}": dc.blstm_layout(din, h) for layer, din in enumerate(dins)}
         layouts["proj"] = dc.linear_layout(2 * h, d)
         layouts["ctc"] = dc.linear_layout(d, v)
         layouts["dec"] = dc.decoder_layout(v, cfg.embed_dim, d)
-        self.params: dict[str, dc.Parameter] = dc.init_params(np.random.default_rng(seed), layouts)
+        return layouts
 
     def freeze(self):
         """Stop gradient at every parameter; an input that requires a grad still gets it."""

@@ -62,10 +62,11 @@ rejected, named with the op). Before any work it checks them with
 ``_operands`` against its layout table ``{name: shape}`` (``linear_layout``,
 ``conv1d_layout``, ``layer_norm_layout``, ``attention_layout``,
 ``feed_forward_layout``, ``blstm_layout``, ``decoder_layout``), and each model
-makes all its weights from the same tables in one ``init_params`` call, as
-views of one buffer, so they are one allocation. A size the input does not
-give (H of ``blstm_layer``) is read from one weight by ``_dims``, which names
-the dims it expects. Every op on frames, ``ctc_loss`` too, checks with
+gathers the same tables in its static ``layouts(cfg)`` and makes all its
+weights from them in one ``init_params`` call, as views of one buffer, so
+they are one allocation. A size the input does not give (H of
+``blstm_layer``) is read from one weight by ``_dims``, which names the dims
+it expects. Every op on frames, ``ctc_loss`` too, checks with
 ``_frames`` that its input is (T, d), T >= 1.
 
 Also here: the Adam optimizer over :class:`Parameter` objects, whose one
@@ -77,7 +78,9 @@ moment, and updates each parameter in place in cache-sized chunks with no
 full-size temporaries. It stores the moments without their ``(1-beta)``
 factors and folds the bias corrections into a per-step scale and epsilon,
 so a steady step is ten passes over each chunk with one sqrt and one divide
-per element. And strict checkpoint serialization.
+per element. And checkpoints, which one reader, ``load_model``, checks
+against the model's layout table in table order (another order is refused)
+before it reads the payload with one ``readinto`` into one buffer.
 """
 
 from __future__ import annotations
@@ -223,8 +226,8 @@ class Parameter(Tensor):
 
     def __init__(self, data):
         super().__init__(data)
-        # C-contiguous, so that Adam can update it in place through flat chunks
-        self.data = np.ascontiguousarray(self.data)
+        # C-contiguous, so that Adam can update it in place through flat chunks; a scalar stays 0-d
+        self.data = np.asarray(self.data, order="C")
         self.requires_grad = True
 
 
@@ -237,13 +240,18 @@ def _parameters(params, op):
 
 
 def _views(shapes):
-    """One new float64 buffer cut into C-contiguous views of ``shapes`` (``{name: shape}``), in order."""
+    """One new float64 buffer and its cut into C-contiguous views of ``shapes`` (``{name: shape}``), in order."""
     buffer = np.empty(sum(math.prod(shape) for shape in shapes.values()))
     views, lo = {}, 0
     for name, shape in shapes.items():
         views[name] = buffer[lo : lo + math.prod(shape)].reshape(shape)
         lo += views[name].size
-    return views
+    return buffer, views
+
+
+def _table(layouts):
+    """``{f"{prefix}.{name}": shape}`` of ``layouts`` (``{prefix: {name: shape}}``), in table order."""
+    return {f"{prefix}.{name}": shape for prefix, layout in layouts.items() for name, shape in layout.items()}
 
 
 def init_params(rng, layouts):
@@ -259,9 +267,8 @@ def init_params(rng, layouts):
     in * k and out * k. A layer-norm gain ``g`` is ones, and every other
     vector zeros.
     """
-    shapes = {f"{prefix}.{name}": shape for prefix, layout in layouts.items() for name, shape in layout.items()}
     params = {}
-    for key, view in _views(shapes).items():
+    for key, view in _views(_table(layouts))[1].items():
         shape = view.shape
         if len(shape) >= 2:
             s = np.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
@@ -1114,8 +1121,8 @@ class Adam:
         scale = self.lr * (1.0 - ADAM_BETA1) / ((1.0 - ADAM_BETA1**self.t) * c)
         eps = ADAM_EPS / c
         new = {n: p.shape for n, p in live.items() if n not in self._m}
-        self._m |= _views(new)
-        self._v |= _views(new)
+        self._m |= _views(new)[1]
+        self._v |= _views(new)[1]
         for n, p in live.items():
             fresh = n in new
             data, grad = p.data.reshape(-1), p.grad.reshape(-1)
@@ -1181,7 +1188,7 @@ def save_checkpoint(path, params, meta):
         with open(tmp, "wb") as f:
             f.write(head)
             for p in params.values():
-                f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+                f.write(np.ascontiguousarray(p.data, dtype="<f8"))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -1216,40 +1223,20 @@ def _checked_header(path, line):
     return header
 
 
-def load_checkpoint(path):
-    """Returns (arrays: dict[str, ndarray], meta: dict); the payload's size is checked before any of it is read."""
-    with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}, expected {CKPT_MAGIC!r}")
-        header = _checked_header(path, f.readline())
-        counts = [math.prod(entry["shape"]) for entry in header["tensors"]]
-        held = os.fstat(f.fileno()).st_size - f.tell()
-        if held != 8 * sum(counts):
-            raise ValueError(f"{path}: payload holds {held} bytes, its header's tensors take {8 * sum(counts)}")
-        arrays = {}
-        for entry, count in zip(header["tensors"], counts):
-            arrays[entry["name"]] = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(entry["shape"]).copy()
-    return arrays, header["meta"]
-
-
-def restore_params(path, params, arrays):
-    """Copy checkpoint ``arrays`` (read from ``path``) into the model's ``params``.
-
-    Names and shapes must match exactly; nothing is copied unless all do.
-    """
-    for name in params:
-        if name not in arrays:
-            raise ValueError(f"{path}: checkpoint lacks tensor {name!r}")
-    for name, arr in arrays.items():
-        if name not in params:
+def _check_tensors(path, entries, shapes):
+    """Raise a ValueError unless the header's tensor ``entries`` are the table ``shapes``, name for name, in order."""
+    for entry in entries:
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in shapes:
             raise ValueError(f"{path}: checkpoint tensor {name!r} is not a parameter of the model")
-        if arr.shape != params[name].shape:
-            raise ValueError(
-                f"{path}: checkpoint tensor {name!r} has shape {arr.shape}, the model expects {params[name].shape}"
-            )
-    for name, arr in arrays.items():
-        params[name].data[...] = arr
+        if shape != shapes[name]:
+            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape {shape}, the model expects {shapes[name]}")
+    names = [entry["name"] for entry in entries]
+    for at, want in enumerate(shapes):
+        if want not in names:
+            raise ValueError(f"{path}: checkpoint lacks tensor {want!r}")
+        if names[at] != want:
+            raise ValueError(f"{path}: checkpoint tensor {names[at]!r} is at position {at}, where the model has {want!r}")
 
 
 def check_sizes(cfg, names):
@@ -1261,24 +1248,40 @@ def check_sizes(cfg, names):
 
 
 def load_model(path, kind, model_cls, config_cls):
-    """The ``model_cls`` checkpointed at ``path``, built from the ``config_cls`` in its meta, parameters restored.
+    """The ``model_cls`` checkpointed at ``path``: its ``cfg``, and ``params`` laid out as ``init_params`` lays them.
 
-    The meta's ``kind`` must be ``kind``, and its ``config`` an object that
-    ``config_cls`` accepts as keyword arguments; otherwise a ``ValueError``
-    names the path and the field.
+    The meta's ``kind`` must be ``kind`` and its ``config`` keyword arguments of
+    ``config_cls``, the header's tensors ``model_cls.layouts(cfg)`` in table
+    order, and the payload their bytes; otherwise, before any payload byte is
+    read, a ValueError names the path and the field. No weight is drawn.
     """
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != kind:
-        raise ValueError(f"{path}: not an {kind.upper()} checkpoint (kind={meta.get('kind')!r})")
-    if "config" not in meta:
-        raise ValueError(f"{path}: checkpoint meta lacks the 'config' field")
-    config = meta["config"]
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: checkpoint meta field 'config' is {config!r}; it must be a JSON object")
-    try:
-        cfg = config_cls(**config)
-    except (TypeError, ValueError) as e:  # the message names the unknown, missing or rejected field
-        raise ValueError(f"{path}: checkpoint meta field 'config' is invalid: {e}") from None
-    model = model_cls(cfg)
-    restore_params(path, model.params, arrays)
+    magic = f"{CKPT_MAGIC}\n".encode("utf-8")
+    with open(path, "rb") as f:
+        head = f.read(len(magic))
+        if head != magic:
+            found = head.partition(b"\n")[0].decode("utf-8", "replace")
+            raise ValueError(f"{path}: bad checkpoint magic {found!r}, expected {CKPT_MAGIC!r}")
+        header = _checked_header(path, f.readline())
+        meta = header["meta"]
+        if meta.get("kind") != kind:
+            raise ValueError(f"{path}: not an {kind.upper()} checkpoint (kind={meta.get('kind')!r})")
+        if "config" not in meta:
+            raise ValueError(f"{path}: checkpoint meta lacks the 'config' field")
+        if not isinstance(meta["config"], dict):
+            raise ValueError(f"{path}: checkpoint meta field 'config' is {meta['config']!r}; it must be a JSON object")
+        try:
+            cfg = config_cls(**meta["config"])
+        except (TypeError, ValueError) as e:  # the message names the unknown, missing or rejected field
+            raise ValueError(f"{path}: checkpoint meta field 'config' is invalid: {e}") from None
+        shapes = _table(model_cls.layouts(cfg))
+        _check_tensors(path, header["tensors"], shapes)
+        held, need = os.fstat(f.fileno()).st_size - f.tell(), 8 * sum(math.prod(s) for s in shapes.values())
+        if held != need:
+            raise ValueError(f"{path}: payload holds {held} bytes, its header's tensors take {need}")
+        buffer, views = _views(shapes)
+        if f.readinto(buffer) != need:
+            raise ValueError(f"{path}: payload ended before {need} bytes were read")
+    model = object.__new__(model_cls)
+    # each view as the payload's little-endian type, which a little-endian host's float64 is: no copy
+    model.cfg, model.params = cfg, {name: Parameter(view.view("<f8")) for name, view in views.items()}
     return model

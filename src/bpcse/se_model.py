@@ -9,8 +9,8 @@ is shift-invariant, so one would do nothing. A final linear projection with
 softplus keeps outputs non-negative, as log1p features must be. Every
 affine projection outside the blocks is one ``diffcore.linear`` node, which
 adds its bias in place. Each op reads its weights from ``params`` by prefix.
-The model makes all its weights in one ``diffcore.init_params`` call, from
-each op's own layout table, as views of one buffer.
+The model makes its weights from the op tables ``SeModel.layouts`` gathers,
+in one ``diffcore.init_params`` call or ``load``, as views of one buffer.
 Inputs longer than ``MAX_FRAMES`` are rejected, because the T x T attention
 weights a training step keeps would otherwise grow without bound.
 
@@ -74,6 +74,11 @@ def sinusoidal_positions(t: int, d: int) -> np.ndarray:
 class SeModel:
     def __init__(self, cfg: SeConfig, seed: int = 0):
         self.cfg = cfg
+        self.params: dict[str, dc.Parameter] = dc.init_params(np.random.default_rng(seed), self.layouts(cfg))
+
+    @staticmethod
+    def layouts(cfg: SeConfig) -> dict:
+        """``{prefix: layout}`` of every op's weights, in the order they lie in the buffer and in a checkpoint."""
         d = cfg.d_model
         cins = [dsp.N_BINS] + [d] * (cfg.conv_layers - 1)
         layouts = {f"conv{i}": dc.conv1d_layout(cin, d, CONV_KERNEL) for i, cin in enumerate(cins)}
@@ -81,7 +86,7 @@ class SeModel:
             layouts[f"block{i}"] = dc.attention_layout(d) | dc.feed_forward_layout(d, 4 * d)
         layouts["final_ln"] = dc.layer_norm_layout(d)
         layouts["out"] = dc.linear_layout(d, dsp.N_BINS)
-        self.params: dict[str, dc.Parameter] = dc.init_params(np.random.default_rng(seed), layouts)
+        return layouts
 
     def forward(self, x: dc.Tensor) -> dc.Tensor:
         """Enhanced log1p spectrum, same (T, 257) shape as the input; T is at most ``MAX_FRAMES``."""

@@ -12,19 +12,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_a_a(workload, *options):
+def run_a_a(*options):
     """``tools/ab_episodes.py`` with the repository's own ``src/`` on both sides, at TINY scale over two pairs."""
     src = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_episodes.py"), src, src,
-         "--workload", workload, "--scale", "tiny", "--pairs", "2", *options],
+        [sys.executable, str(ROOT / "tools" / "ab_episodes.py"), src, src, "--scale", "tiny", "--pairs", "2", *options],
         capture_output=True, text=True, timeout=120,
     )
 
 
 @pytest.mark.parametrize("workload", ["enhance", "train_joint", "prepare"])
 def test_same_tree_on_both_sides_gives_equal_outputs(workload):
-    done = run_a_a(workload)
+    done = run_a_a("--workload", workload)
     assert done.returncode == 0, done.stderr
     package = ROOT / "src" / "bpcse"
     assert done.stdout.splitlines()[:2] == [f"base: {package} as bpcse_base", f"change: {package} as bpcse_change"]
@@ -44,7 +43,7 @@ def test_same_tree_on_both_sides_gives_equal_outputs(workload):
 
 
 def test_setup_phase_times_one_set_up_of_each_side_per_pair():
-    done = run_a_a("enhance", "--phase", "setup")
+    done = run_a_a("--workload", "enhance", "--phase", "setup")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()[2:]
     seconds, ratio = r"\d+\.\d{3} s", r"\d+\.\d{4}"
@@ -57,6 +56,36 @@ def test_setup_phase_times_one_set_up_of_each_side_per_pair():
     # each side's last set-up runs one episode: two imports of one tree build the same model
     assert re.fullmatch(r"largest output difference, relative: 0; other outputs differ in 0/[1-9]\d* units", lines[5])
     assert lines[6].endswith(": not met") and len(lines) == 7
+
+
+def test_load_phase_times_one_load_of_each_side_per_pair(monkeypatch):
+    done = run_a_a("--phase", "load")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()[2:]
+    seconds, ratio = r"\d+\.\d{3} s", r"\d+\.\d{4}"
+    assert re.fullmatch(rf"pair 1: base {seconds}, change {seconds}, ratio {ratio} \(base first\)", lines[0])
+    assert "(change first)" in lines[1]
+    for line, side in zip(lines[2:4], ["base", "change"]):
+        assert re.fullmatch(rf"{side}: load CPU time median {seconds}, IQR {seconds}", line)
+    assert re.fullmatch(rf"SeModel.load: change/base CPU time ratio median {ratio} \(quartiles {ratio}, {ratio}\) "
+                        r"over 2 pairs; change faster in [0-2]/2", lines[4])
+    # both sides load the base side's checkpoint of the benchmark's SE model, one unit per tensor
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # where workloads.py finds harness
+    workloads = load_tool().load_workloads(ROOT / "src", "a_a")
+    try:
+        tensors = len(workloads.se_model.SeModel(workloads.TINY.se).params)
+    finally:
+        for name in [n for n in sys.modules if n.startswith(("bpcse_a_a", "workloads_a_a"))]:
+            del sys.modules[name]
+    assert lines[5] == f"largest output difference, relative: 0; other outputs differ in 0/{tensors} units"
+    assert lines[6].endswith(": not met") and len(lines) == 7
+
+
+@pytest.mark.parametrize("options", [["--phase", "load", "--workload", "enhance"], ["--phase", "setup"]],
+                         ids=["load_with_workload", "setup_without"])
+def test_workload_given_exactly_when_the_phase_needs_one(options):
+    done = run_a_a(*options)
+    assert done.returncode == 2 and "--phase load takes none" in done.stderr
 
 
 def load_tool():

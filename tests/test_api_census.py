@@ -38,8 +38,6 @@ KEPT = {  # name: the ROADMAP item that calls it first
     "corpus.Manifest.from_json": 4,
     "diffcore.CKPT_MAGIC": 4,
     "diffcore.save_checkpoint": 4,
-    "diffcore.load_checkpoint": 4,
-    "diffcore.restore_params": 4,
     "diffcore.load_model": 4,
     "bpc.place_scheme": 8,
     "bpc.ENGLISH_PLACE_CLASSES": 8,

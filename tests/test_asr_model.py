@@ -592,25 +592,29 @@ class TestUtilities:
         path = tmp_path / "asr.ckpt"
         model.save(path, seed=6)
         back = am.AsrModel.load(path)
-        assert back.cfg == model.cfg
+        assert type(back) is am.AsrModel and back.cfg == model.cfg and list(back.params) == list(model.params)
         for n, p in model.params.items():
-            assert np.array_equal(back.params[n].data, p.data)
+            assert isinstance(back.params[n], dc.Parameter) and np.array_equal(back.params[n].data, p.data)
+        assert packed(p.data for p in back.params.values())
 
     def _tampered_checkpoint(self, tmp_path, edit):
+        """A checkpoint of ``AsrModel(tiny_cfg(), seed=6)``, its params and meta edited by ``edit`` before the save."""
         path = tmp_path / "asr.ckpt"
-        am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)
-        arrays, meta = dc.load_checkpoint(path)
-        edit(arrays)
-        dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
+        model = am.AsrModel(tiny_cfg(), seed=6)
+        config = dataclasses.asdict(model.cfg) | {"vocab": list(model.cfg.vocab)}  # as JSON gives it back
+        params, meta = dict(model.params), {"kind": "asr", "config": config, "seed": 6}
+        edit(params, meta)
+        dc.save_checkpoint(path, params, meta)
         return path
 
     def test_checkpoint_missing_tensor_rejected(self, tmp_path):
-        path = self._tampered_checkpoint(tmp_path, lambda arrays: arrays.pop("dec.out.b"))
+        path = self._tampered_checkpoint(tmp_path, lambda params, meta: params.pop("dec.out.b"))
         with pytest.raises(ValueError, match=r"asr\.ckpt.*lacks tensor 'dec\.out\.b'"):
             am.AsrModel.load(path)
 
     def test_checkpoint_broadcastable_shape_rejected(self, tmp_path):
-        path = self._tampered_checkpoint(tmp_path, lambda arrays: arrays.update({"ctc.b": np.ones(1)}))
+        bias = dc.Parameter(np.ones(1))
+        path = self._tampered_checkpoint(tmp_path, lambda params, meta: params.update({"ctc.b": bias}))
         with pytest.raises(ValueError, match=r"asr\.ckpt.*'ctc\.b' has shape \(1,\)"):
             am.AsrModel.load(path)
 
@@ -620,11 +624,7 @@ class TestUtilities:
         ids=["missing", "list", "unknown_field", "removed_field", "repeated_label", "non_string_label", "zero_width"],
     )
     def test_checkpoint_bad_config_rejected(self, tmp_path, edit, problem):
-        path = tmp_path / "asr.ckpt"
-        am.AsrModel(tiny_cfg(), seed=6).save(path, seed=6)
-        arrays, meta = dc.load_checkpoint(path)
-        edit(meta)
-        dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
+        path = self._tampered_checkpoint(tmp_path, lambda params, meta: edit(meta))
         with pytest.raises(ValueError, match=rf"asr\.ckpt: checkpoint meta.*{problem}"):
             am.AsrModel.load(path)
 

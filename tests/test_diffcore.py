@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -594,7 +595,7 @@ MISSHAPEN = [
 class TestWeightReads:
     @pytest.mark.parametrize("op, name", [(op, name) for op, reader in WEIGHT_READERS.items() for name in reader[1]])
     def test_plain_array_weight_named(self, op, name):
-        """A weight that is a bare ndarray, as ``load_checkpoint`` returns them, is named with its op and its type."""
+        """A weight that is a bare ndarray is named with its op and its type."""
         prefix, layout, shape, call = WEIGHT_READERS[op]
         rng = np.random.default_rng(91)
         params, x = dc.init_params(rng, {prefix: layout}), rand(rng, *shape)
@@ -1422,43 +1423,101 @@ class TestAdam:
         assert abs(p.data[0] - expected) < 1e-12
 
 
+@dataclasses.dataclass
+class OneConfig:
+    shape: list
+
+
+class OneTensor:
+    """The smallest model ``dc.load_model`` reads: one weight, ``m.w``, of the shape its config gives."""
+
+    def __init__(self, cfg, seed=0):
+        self.cfg = cfg
+        self.params = dc.init_params(np.random.default_rng(seed), self.layouts(cfg))
+
+    @staticmethod
+    def layouts(cfg):
+        return {"m": {"w": tuple(cfg.shape)}}
+
+    def save(self, path, **meta):
+        dc.save_checkpoint(path, self.params, {"kind": "one", "config": dataclasses.asdict(self.cfg), **meta})
+
+    @classmethod
+    def load(cls, path):
+        return dc.load_model(path, "one", cls, OneConfig)
+
+
+def one_header(shape, name="m.w"):
+    """The header of a ``OneTensor`` checkpoint whose one tensor is ``name`` of ``shape``."""
+    return {"meta": {"kind": "one", "config": {"shape": shape}}, "tensors": [{"name": name, "shape": shape}]}
+
+
+MiB = 2**20
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        params = {
-            "a.w": dc.Parameter(rng.normal(size=(3, 4))),
-            "b": dc.Parameter(rng.normal(size=(5,))),
-        }
+        model = OneTensor(OneConfig([3, 4]), seed=3)
         path = tmp_path / "model.ckpt"
-        dc.save_checkpoint(path, params, {"kind": "test", "seed": 7})
-        arrays, meta = dc.load_checkpoint(path)
-        assert meta == {"kind": "test", "seed": 7}
-        assert set(arrays) == {"a.w", "b"}
-        assert np.array_equal(arrays["a.w"], params["a.w"].data)
-        assert np.array_equal(arrays["b"], params["b"].data)
+        model.save(path, seed=7)
+        header = json.loads(path.read_bytes().split(b"\n")[1])
+        assert header["meta"] == {"kind": "one", "config": {"shape": [3, 4]}, "seed": 7}
+        back = OneTensor.load(path)
+        assert type(back) is OneTensor and back.cfg == model.cfg and list(back.params) == ["m.w"]
+        p = back.params["m.w"]
+        assert isinstance(p, dc.Parameter) and p.requires_grad and np.array_equal(p.data, model.params["m.w"].data)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOT-A-CKPT\n{}\n")
-        with pytest.raises(ValueError, match="magic"):
-            dc.load_checkpoint(path)
+        with pytest.raises(ValueError, match=r"junk\.ckpt: bad checkpoint magic 'NOT-A-CKPT', expected 'BPCSE-CKPT-1'"):
+            OneTensor.load(path)
+
+    def test_bad_magic_read_is_bounded(self, tmp_path):
+        """A large file with no newline is rejected on its first bytes, not read whole."""
+        path = tmp_path / "zeros.ckpt"
+        with open(path, "wb") as f:
+            f.truncate(64 * MiB)
+
+        def load():
+            with pytest.raises(ValueError, match=r"zeros\.ckpt: bad checkpoint magic"):
+                OneTensor.load(path)
+
+        _, peak, _ = traced(load)
+        assert peak < MiB
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        dc.save_checkpoint(path, {"w": dc.Parameter(np.ones((2, 2)))}, {"seed": 1})
+        OneTensor(OneConfig([2, 2])).save(path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match=r"model\.ckpt: payload holds 33 bytes, its header's tensors take 32"):
-            dc.load_checkpoint(path)
+            OneTensor.load(path)
 
-    def test_restore_params_is_all_or_nothing(self):
-        params = {"a": dc.Parameter(np.zeros(3)), "b": dc.Parameter(np.zeros(2))}
-        with pytest.raises(ValueError, match=r"m\.ckpt.*'b'.*\(3,\).*\(2,\)"):
-            dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.ones(3)})
-        with pytest.raises(ValueError, match=r"m\.ckpt.*'c'"):
-            dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.ones(2), "c": np.ones(1)})
-        assert np.all(params["a"].data == 0.0)
-        dc.restore_params("m.ckpt", params, {"a": np.ones(3), "b": np.full(2, 2.0)})
-        assert np.all(params["a"].data == 1.0) and np.all(params["b"].data == 2.0)
+    @pytest.mark.parametrize(
+        "header, problem",
+        [
+            ({"meta": {"kind": "two", "config": {"shape": [2048, 4096]}}, "tensors": []}, "not an ONE checkpoint"),
+            ({"meta": {"kind": "one", "config": {"shape": [2048, 4096], "n": 2}}, "tensors": []}, "'config' is invalid"),
+            ({"meta": {"kind": "one", "config": {"shape": [2048, 4096]}}, "tensors": []}, "lacks tensor 'm.w'"),
+            (one_header([2048, 4096], name="w"), "tensor 'w' is not a parameter of the model"),
+            ({**one_header([2048, 4096]), "meta": {"kind": "one", "config": {"shape": [4096, 2048]}}},
+             r"'m.w' has shape \(2048, 4096\), the model expects \(4096, 2048\)"),
+            (one_header([2048, 4096 + 1]), "payload holds 67108864 bytes, its header's tensors take 67125248"),
+        ],
+        ids=["kind", "config", "missing", "extra", "shape", "size"],
+    )
+    def test_rejected_checkpoint_reads_no_payload(self, tmp_path, header, problem):
+        """Every check runs before the payload is read: a rejected 64 MiB payload is neither allocated nor read."""
+        path = self.write_header(tmp_path, header)
+        with open(path, "r+b") as f:
+            f.truncate(f.seek(0, 2) + 64 * MiB)
+
+        def load():
+            with pytest.raises(ValueError, match=rf"hand\.ckpt: .*{problem}"):
+                OneTensor.load(path)
+
+        _, peak, _ = traced(load)
+        assert peak < MiB
 
     def write_header(self, tmp_path, header, payload=b""):
         """A checkpoint file with a hand-written header: a JSON-able object or raw bytes."""
@@ -1469,11 +1528,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field", ["tensors", "meta"])
     def test_header_without_field_rejected(self, tmp_path, field):
-        header = {"meta": {"seed": 1}, "tensors": []}
+        header = one_header([1])
         del header[field]
-        path = self.write_header(tmp_path, header)
+        path = self.write_header(tmp_path, header, b"\0" * 8)
         with pytest.raises(ValueError, match=rf"hand\.ckpt.*lacks the '{field}' field"):
-            dc.load_checkpoint(path)
+            OneTensor.load(path)
 
     @pytest.mark.parametrize(
         "header, problem",
@@ -1486,19 +1545,20 @@ class TestCheckpoint:
     def test_malformed_header_rejected(self, tmp_path, header, problem):
         path = self.write_header(tmp_path, header)
         with pytest.raises(ValueError, match=rf"hand\.ckpt.*{problem}"):
-            dc.load_checkpoint(path)
+            OneTensor.load(path)
 
     @pytest.mark.parametrize("shape", [[-1, 2], [2.5], ["2"], [True]])
     def test_bad_dimension_rejected(self, tmp_path, shape):
-        path = self.write_header(tmp_path, {"meta": {}, "tensors": [{"name": "w", "shape": shape}]}, b"\0" * 64)
+        path = self.write_header(tmp_path, one_header(shape, name="w"), b"\0" * 64)
         with pytest.raises(ValueError, match=r"hand\.ckpt.*'shape' of tensor 'w'.*non-negative integer"):
-            dc.load_checkpoint(path)
+            OneTensor.load(path)
 
     def test_repeated_tensor_name_rejected(self, tmp_path):
-        entries = [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]
-        path = self.write_header(tmp_path, {"meta": {}, "tensors": entries}, b"\0" * 16)
-        with pytest.raises(ValueError, match=r"hand\.ckpt.*'w' appears twice in the header field 'tensors'"):
-            dc.load_checkpoint(path)
+        header = one_header([1])
+        header["tensors"] *= 2
+        path = self.write_header(tmp_path, header, b"\0" * 16)
+        with pytest.raises(ValueError, match=r"hand\.ckpt.*'m\.w' appears twice in the header field 'tensors'"):
+            OneTensor.load(path)
 
     @pytest.mark.parametrize(
         "entry, kind", [(lambda: dc.Tensor(np.ones(3)), "Tensor"), (lambda: np.ones(3), "ndarray")],
@@ -1513,7 +1573,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("failure", ["meta", "payload"])
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, failure):
         path = tmp_path / "model.ckpt"
-        dc.save_checkpoint(path, {"w": dc.Parameter(np.arange(4.0))}, {"seed": 1})
+        model = OneTensor(OneConfig([4]))
+        model.params["m.w"].data[:] = np.arange(4.0)
+        model.save(path, seed=1)
         good = path.read_bytes()
         w, meta = dc.Parameter(np.ones(3)), {"seed": 2}
         if failure == "meta":
@@ -1524,8 +1586,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=named):
             dc.save_checkpoint(path, {"a": dc.Parameter(np.ones(2)), "w": w}, meta)
         assert path.read_bytes() == good
-        arrays, meta = dc.load_checkpoint(path)
-        assert np.array_equal(arrays["w"], np.arange(4.0)) and meta == {"seed": 1}
+        assert np.array_equal(OneTensor.load(path).params["m.w"].data, np.arange(4.0))
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
@@ -1534,15 +1595,14 @@ class TestCheckpoint:
         ids=["huge", "short", "short_scalar"],
     )
     def test_payload_size_checked_against_the_header(self, tmp_path, shape, payload, held, declared):
-        path = self.write_header(tmp_path, {"meta": {}, "tensors": [{"name": "w", "shape": shape}]}, payload)
+        path = self.write_header(tmp_path, one_header(shape), payload)
         with pytest.raises(ValueError, match=rf"hand\.ckpt: payload holds {held} bytes, its header's tensors take {declared}$"):
-            dc.load_checkpoint(path)
+            OneTensor.load(path)
 
     def test_scalar_and_empty_tensors_load(self, tmp_path):
-        entries = [{"name": "s", "shape": []}, {"name": "e", "shape": [0, 3]}]
-        path = self.write_header(tmp_path, {"meta": {}, "tensors": entries}, np.array(2.5, "<f8").tobytes())
-        arrays, _ = dc.load_checkpoint(path)
-        assert arrays["s"].shape == () and arrays["s"] == 2.5 and arrays["e"].shape == (0, 3)
+        scalar = OneTensor.load(self.write_header(tmp_path, one_header([]), np.array(2.5, "<f8").tobytes()))
+        assert scalar.params["m.w"].shape == () and scalar.params["m.w"].data == 2.5
+        assert OneTensor.load(self.write_header(tmp_path, one_header([0, 3]))).params["m.w"].shape == (0, 3)
 
     def test_byte_identical_for_same_content(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -12,7 +12,8 @@ shape is written once, in the layout table of the op that reads it: every
 ``init_params`` call outside ``diffcore`` is given a ``{prefix: layout}`` dict
 whose every layout is a ``dc.*_layout(...)`` call or a union of them. The
 dict is a display, a comprehension, or a name that the calling function
-binds to those and fills in by key.
+binds to those and fills in by key; or it is a call of a function of the
+same module (a model's ``layouts``) that returns such a dict.
 """
 
 import ast
@@ -49,15 +50,29 @@ def ops_by_name():
     return {q.split(".", 1)[1]: node for q, node in graph_ops().items()}
 
 
-def init_params_layouts(node, scope=None):
+def init_params_layouts(node, scope=None, module=None):
     """``(line, layouts)`` of each ``init_params`` call under ``node``, in source order: the layout expressions of
-    its ``{prefix: layout}`` argument, read in the innermost function around the call (:func:`layout_values`)."""
+    its ``{prefix: layout}`` argument, read in the innermost function around the call (:func:`layout_values`),
+    or, for a call of a function of the module, read at each of that function's returns."""
+    module = module or node
     if scope is None or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node
     if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "init_params":
-        yield node.lineno, layout_values(node.args[1], scope) if len(node.args) > 1 else None
+        yield node.lineno, argument_layouts(node.args[1], scope, module) if len(node.args) > 1 else None
     for child in ast.iter_child_nodes(node):
-        yield from init_params_layouts(child, scope)
+        yield from init_params_layouts(child, scope, module)
+
+
+def argument_layouts(layouts, scope, module):
+    """:func:`layout_values` of ``layouts``; for a call, of every value returned by the functions of ``module`` so
+    named, each read in its function, and None if there is none."""
+    if not isinstance(layouts, ast.Call):
+        return layout_values(layouts, scope)
+    name = getattr(layouts.func, "id", None) or getattr(layouts.func, "attr", None)
+    functions = [f for f in ast.walk(module) if isinstance(f, ast.FunctionDef) and f.name == name]
+    returns = [(r.value, f) for f in functions for r in ast.walk(f) if isinstance(r, ast.Return) and r.value]
+    values = [layout_values(value, f) for value, f in returns]
+    return None if not values or None in values else [v for vs in values for v in vs]
 
 
 def layout_values(layouts, scope, names=True):
@@ -162,6 +177,14 @@ CENSUS_CASES = {
     "unbound_name": ("def f(r, ls):\n    return dc.init_params(r, ls)", False),
     "spread": ("dc.init_params(r, {**other, 'a': dc.linear_layout(2, 3)})", False),
     "no_layouts": ("dc.init_params(r)", False),
+    "method": ("class M:\n    @staticmethod\n    def layouts(c):\n        ls = {'a': dc.linear_layout(c, 3)}\n"
+               "        ls['n'] = dc.layer_norm_layout(3)\n        return ls\n\n"
+               "    def __init__(self, r, c):\n        self.p = dc.init_params(r, self.layouts(c))", True),
+    "method_inline": ("class M:\n    @staticmethod\n    def layouts(c):\n        return {'a': {'w': (c, 3)}}\n\n"
+                      "    def __init__(self, r, c):\n        self.p = dc.init_params(r, self.layouts(c))", False),
+    "method_any_inline_return": ("def layouts(c):\n    if c:\n        return {'a': dc.linear_layout(c, 3)}\n"
+                                 "    return {'a': {'w': (c, 3)}}\n\ndc.init_params(r, layouts(1))", False),
+    "unknown_function": ("dc.init_params(r, layouts(1))", False),
 }
 
 

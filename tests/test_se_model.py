@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -365,13 +366,13 @@ class TestWeightBuffer:
 
 
 class TestCheckpoint:
-    def _saved(self, tmp_path, edit=None):
+    def _saved(self, tmp_path, edit=lambda params, meta: None):
+        """A checkpoint of ``SeModel(TINY, seed=2)``, its params and meta edited by ``edit`` before the save."""
         path = tmp_path / "se.ckpt"
-        SeModel(TINY, seed=2).save(path, seed=2)
-        if edit is not None:
-            arrays, meta = dc.load_checkpoint(path)
-            edit(arrays)
-            dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
+        model = SeModel(TINY, seed=2)
+        params, meta = dict(model.params), {"kind": "se", "config": asdict(model.cfg), "seed": 2}
+        edit(params, meta)
+        dc.save_checkpoint(path, params, meta)
         return path
 
     @pytest.mark.parametrize(
@@ -386,28 +387,55 @@ class TestCheckpoint:
         ids=["missing", "list", "unknown_field", "removed_field", "zero_heads"],
     )
     def test_bad_config_rejected(self, tmp_path, edit, problem):
-        path = self._saved(tmp_path)
-        arrays, meta = dc.load_checkpoint(path)
-        edit(meta)
-        dc.save_checkpoint(path, {n: dc.Parameter(a) for n, a in arrays.items()}, meta)
+        path = self._saved(tmp_path, lambda params, meta: edit(meta))
         with pytest.raises(ValueError, match=rf"se\.ckpt: checkpoint meta.*{problem}"):
             SeModel.load(path)
 
     def test_roundtrip(self, tmp_path):
-        back = SeModel.load(self._saved(tmp_path))
+        path = tmp_path / "se.ckpt"
         model = SeModel(TINY, seed=2)
-        assert back.cfg == model.cfg
+        model.save(path, seed=2)
+        back = SeModel.load(path)
+        assert type(back) is SeModel and back.cfg == model.cfg and list(back.params) == list(model.params)
         for n, p in model.params.items():
-            assert np.array_equal(back.params[n].data, p.data)
+            assert isinstance(back.params[n], dc.Parameter) and np.array_equal(back.params[n].data, p.data)
+        assert packed(p.data for p in back.params.values())
+        spec = log1p_spec(np.random.default_rng(3), 5)
+        assert np.array_equal(back.enhance(spec).frames, model.enhance(spec).frames)
 
     def test_missing_tensor_rejected(self, tmp_path):
         name = sorted(SeModel(TINY).params)[-1]
-        path = self._saved(tmp_path, lambda arrays: arrays.pop(name))
+        path = self._saved(tmp_path, lambda params, meta: params.pop(name))
         with pytest.raises(ValueError, match=rf"se\.ckpt.*lacks tensor '{name}'"):
             SeModel.load(path)
 
     def test_broadcastable_shape_rejected(self, tmp_path):
         name, shape = next((n, p.shape) for n, p in SeModel(TINY).params.items() if p.data.ndim == 1)
-        path = self._saved(tmp_path, lambda arrays: arrays.update({name: np.ones(1)}))
+        path = self._saved(tmp_path, lambda params, meta: params.update({name: dc.Parameter(np.ones(1))}))
         with pytest.raises(ValueError, match=rf"se\.ckpt.*'{name}' has shape \(1,\).*{shape}"):
             SeModel.load(path)
+
+    def test_header_in_another_order_rejected(self, tmp_path):
+        """The payload is read in table order, so a header that lists the same tensors otherwise is refused."""
+        path = self._saved(tmp_path, lambda params, meta: params.update({"conv0.w": params.pop("conv0.w")}))
+        problem = "checkpoint tensor 'conv0.b' is at position 0, where the model has 'conv0.w'"
+        with pytest.raises(ValueError, match=rf"se\.ckpt: {re.escape(problem)}"):
+            SeModel.load(path)
+
+    def test_paper_load_reads_into_one_buffer(self, tmp_path):
+        """One allocation of the weights' size (54.7 MiB), no weight drawn, and the loaded weights are packed."""
+        path = tmp_path / "se.ckpt"
+        SeModel(PAPER, seed=4).save(path)
+        tracemalloc.start()
+        try:
+            back = SeModel.load(path)
+            large = [trace.size for trace in tracemalloc.take_snapshot().traces if trace.size >= 2**20]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.data.nbytes for p in back.params.values())
+        assert weights == 8 * 7_170_817 and large == [weights]
+        assert peak < weights + 2**20
+        assert packed(p.data for p in back.params.values())
+        want = SeModel(PAPER, seed=4).params
+        assert all(np.array_equal(p.data, want[n].data) for n, p in back.params.items())

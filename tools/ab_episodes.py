@@ -1,6 +1,7 @@
-"""Same-process A/B of two ``bpcse`` source trees on the benchmark's enhance, train_joint or prepare episodes or set-ups.
+"""Same-process A/B of two ``bpcse`` source trees on the benchmark's episodes or set-ups, or on model loads.
 
     python3 tools/ab_episodes.py BASE_SRC CHANGE_SRC --workload enhance --pairs 12 [--phase setup]
+    python3 tools/ab_episodes.py BASE_SRC CHANGE_SRC --phase load --pairs 12
 
 BASE_SRC and CHANGE_SRC are ``src/`` directories, say of the parent commit
 (``git archive``) and of the working tree. Each tree's ``bpcse`` is imported
@@ -25,10 +26,17 @@ train_joint one, with its weight copy and first Adam step) can reuse
 memory here that the benchmark's own process has returned to the OS;
 its ratio can then differ from the benchmark's. Each side's last set-up
 state then runs one episode, whose outputs are compared.
+With ``--phase load`` (no ``--workload``) the base side saves the
+benchmark's ``SeModel(scale.se, seed=SE_SEED)`` once, and every pair times
+one ``SeModel.load`` of that checkpoint by each side, again alternating
+which side goes first, each side's previous model dropped and the garbage
+collector run first. The two sides' last loaded weights are the outputs
+compared, one unit per tensor: its values are the numbers, and a name or
+shape that differs counts as another output.
 
 The script prints where each side's package was loaded from and under
 which name, each pair's times and ratio (change / base), then each side's
-median episode (or set-up) time and its interquartile range (IQR), the
+median episode (set-up, load) time and its interquartile range (IQR), the
 median ratio with its quartiles, the number of pairs in which the change
 was faster, and the largest difference between the two sides' outputs:
 per unit, the largest absolute difference of the numbers the workload
@@ -36,9 +44,10 @@ checks (step losses; the waveform's segment sums and energies; or
 prepare's feature means), over the largest of their magnitudes, and in
 how many units the other outputs differ (prepare's manifest and cluster
 sha256s and its ``feature_problems``; the other workloads have none). Both
-sides' prepare episodes write their corpora under one temporary directory,
-removed at the end. Quartiles interpolate linearly between the sorted
-values (numpy's default percentile), so a spread needs at least two pairs.
+sides' prepare episodes write their corpora, and the load phase its
+checkpoint, under one temporary directory, removed at the end. Quartiles
+interpolate linearly between the sorted values (numpy's default
+percentile), so a spread needs at least two pairs.
 Its last line is the verdict of the rule a claimed gain must meet: at least
 ``CLAIM_PAIRS`` pairs, the change faster in at least 9 of every 10 of them,
 and its median time below the base's by more than the base's IQR.
@@ -63,7 +72,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("enhance", "train_joint", "prepare")
-PHASES = ("episode", "setup")
+PHASES = ("episode", "setup", "load")
 SIDES = ("base", "change")
 CLAIM_PAIRS = 10
 
@@ -109,6 +118,14 @@ def run_setup(workload):
     return time.process_time() - start, state
 
 
+def run_load(model_cls, path):
+    """The CPU seconds of one ``model_cls.load(path)``, after a garbage collection, and the model it made."""
+    gc.collect()
+    start = time.process_time()
+    model = model_cls.load(path)
+    return time.process_time() - start, model
+
+
 def leaves(observed):
     """The leaves of one unit's observed output, in order."""
     if isinstance(observed, dict):
@@ -137,6 +154,19 @@ def output_difference(base, change):
     return worst, unequal
 
 
+def weights_difference(base, change):
+    """:func:`output_difference` of two models' ``params``, one unit per tensor, computed with array methods."""
+    worst, unequal = 0.0, len(set(change) - set(base))
+    for name, b in base.items():
+        c = change.get(name)
+        if c is None or c.shape != b.shape:
+            unequal += 1
+            continue
+        scale = float(abs(b.data).max(initial=0.0)) or 1.0
+        worst = max(worst, float(abs(b.data - c.data).max(initial=0.0)) / scale)
+    return worst, unequal
+
+
 def quartiles(xs):
     """The first quartile, median and third quartile of ``xs`` (at least two numbers), linearly interpolated."""
     return statistics.quantiles(xs, n=4, method="inclusive")
@@ -154,7 +184,7 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base_src", help="the src/ directory of the base tree")
     p.add_argument("change_src", help="the src/ directory of the changed tree")
-    p.add_argument("--workload", choices=WORKLOADS, required=True)
+    p.add_argument("--workload", choices=WORKLOADS, help="the workload whose episodes or set-ups are timed")
     p.add_argument("--phase", choices=PHASES, default="episode", help="what each pair times of each side")
     p.add_argument("--pairs", type=int, default=12)
     p.add_argument("--seed", type=int, default=1, help="picks the benchmark's input set, seed mod 16")
@@ -162,6 +192,8 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error(f"--pairs is {args.pairs}; it must be at least 2, to give a spread")
+    if (args.workload is None) != (args.phase == "load"):
+        p.error("--workload names what an episode or setup phase times; --phase load takes none")
     return args
 
 
@@ -173,19 +205,30 @@ def main(argv=None) -> int:
     import harness
 
     ratios, outputs, seconds = [], {}, {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory(prefix="ab-episodes-") as work_dir:  # only prepare writes here
+    with tempfile.TemporaryDirectory(prefix="ab-episodes-") as work_dir:  # prepare's corpora, the load checkpoint
         sides = {}
         for side, src in zip(SIDES, (args.base_src, args.change_src)):
             workloads = load_workloads(src, side)
             print(f"{side}: {Path(workloads.se_model.__file__).parent} as {workloads.se_model.__package__}")
             scale = workloads.PAPER if args.scale == "paper" else workloads.TINY
             slot = args.seed % workloads.REFERENCE_SLOTS
+            if args.phase == "load":
+                sides[side] = (workloads.se_model.SeModel, None)
+                if side == "base":
+                    checkpoint = Path(work_dir) / "se.ckpt"
+                    workloads.se_model.SeModel(scale.se, seed=workloads.SE_SEED).save(checkpoint)
+                continue
             workload = workloads.make(args.workload, scale, slot, Path(work_dir) / side)
             sides[side] = (workload, workload.setup())
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                if args.phase == "setup":
+                if args.phase == "load":
+                    model_cls = sides[side][0]
+                    sides[side] = None  # the previous model is freed before the next load
+                    spent, model = run_load(model_cls, checkpoint)
+                    sides[side] = (model_cls, model)
+                elif args.phase == "setup":
                     workload = sides[side][0]
                     for _ in range(2):  # the second, timed set-up follows one of its own side
                         sides[side] = None  # freed before the next set-up
@@ -206,9 +249,13 @@ def main(argv=None) -> int:
         print(f"{side}: {args.phase} CPU time median {median:.3f} s, IQR {q3 - q1:.3f} s")
     q1, median, q3 = quartiles(ratios)
     faster = sum(r < 1.0 for r in ratios)
-    print(f"{args.workload}: change/base CPU time ratio median {median:.4f} (quartiles {q1:.4f}, {q3:.4f}) "
-          f"over {len(ratios)} pairs; change faster in {faster}/{len(ratios)}")
-    worst, unequal = output_difference(outputs["base"], outputs["change"])
+    print(f"{args.workload or 'SeModel.load'}: change/base CPU time ratio median {median:.4f} "
+          f"(quartiles {q1:.4f}, {q3:.4f}) over {len(ratios)} pairs; change faster in {faster}/{len(ratios)}")
+    if args.phase == "load":
+        outputs = {side: sides[side][1].params for side in SIDES}
+        worst, unequal = weights_difference(outputs["base"], outputs["change"])
+    else:
+        worst, unequal = output_difference(outputs["base"], outputs["change"])
     print(f"largest output difference, relative: {worst:.3g}; "
           f"other outputs differ in {unequal}/{len(outputs['base'])} units")
     print(f"claim rule (at least {CLAIM_PAIRS} pairs, faster in 9 of 10, medians apart by more than the base's IQR): "
